@@ -65,11 +65,12 @@ func TestQuickApproxVsExact2D(t *testing.T) {
 			return false
 		}
 		// Every exact hull vertex must be within θ·D of conv(Ŝ): verify by
-		// exact point-to-polygon distance via Frank–Wolfe on the small set.
+		// exact point-to-polygon distance via the reference Frank–Wolfe on
+		// the small set.
 		exact := Exact2D(pts)
-		fw := newFW(2)
+		ref := newRefFW(2)
 		for _, v := range exact {
-			ub, _ := fw.distToHull(pts, res.Vertices, pts[v], theta*res.Diameter, 4000)
+			ub, _ := ref.distToHull(pts, res.Vertices, pts[v], theta*res.Diameter, 4000)
 			if ub > theta*res.Diameter+1e-6 {
 				return false
 			}

@@ -1,3 +1,5 @@
+//recclint:deterministic — the boundary is stored in snapshots: identical points and options must give an identical Result, whatever the worker count.
+
 // Package hull implements APPROXCH (Lemma 5.3 of the paper, after
 // Awasthi–Kalantari–Zhang's robust vertex enumeration): given n points in
 // R^d and an error parameter θ ∈ (0,1), it returns a small subset Ŝ such
@@ -18,6 +20,24 @@
 // certified covered it is never re-examined; the total work matches the
 // O(n·l·(d + θ⁻²)) of Lemma 5.3 with l = |Ŝ|.
 //
+// Frank–Wolfe runs in Gram coordinates. Its iterate is always a convex
+// combination y = Σ λ_a q_a of hull vertices, so it is carried as the
+// weights λ, the inner products v_a = ⟨y,q_a⟩, ⟨y,y⟩ and ⟨y,p⟩. Given the
+// hull's Gram matrix and ⟨p,q_a⟩, each step (linear minimisation, duality
+// gap, exact line search, ‖y−p‖²) costs O(l) instead of O(l·d). A point is
+// declared covered only after y is materialised in R^d and ‖y−p‖ ≤ θ·D̂ is
+// checked there. Per refinement round the cost is:
+//
+//   - O(n·l·d) for the exact nearest-vertex start, which also yields ⟨p,q_a⟩;
+//   - O(l) per Frank–Wolfe step;
+//   - O(l·d) per inserted vertex, for its row of the Gram matrix, which
+//     keeps only its lower triangle, one row per vertex (≈ l²/2 doubles).
+//
+// Given the hull, points are independent, so each round runs them on
+// runtime.GOMAXPROCS(0) workers. A worker writes only its own points'
+// slots, and the uncovered points are collected in index order, so the
+// Result does not depend on the worker count.
+//
 // FASTQUERY uses Ŝ to restrict farthest-point queries: the node farthest
 // from any query point lies on the hull boundary, so scanning Ŝ (size l ≪ n)
 // replaces scanning all n embeddings (Lemma 5.4/5.5).
@@ -27,7 +47,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
+	"sync/atomic"
 )
 
 // Options configures APPROXCH.
@@ -94,6 +117,7 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	res := &Result{}
 	in := make([]bool, n) // membership of Ŝ
 	var hullIdx []int
+	full := func() bool { return opt.MaxVertices > 0 && len(hullIdx) >= opt.MaxVertices }
 	addVertex := func(i int) {
 		if !in[i] {
 			in[i] = true
@@ -106,7 +130,9 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	b := argmaxDist(pts, pts[a])
 	res.Diameter = math.Sqrt(distSq(pts[a], pts[b]))
 	addVertex(a)
-	addVertex(b)
+	if !full() {
+		addVertex(b)
+	}
 	if res.Diameter == 0 {
 		// All points coincide; a single representative covers everything.
 		res.Vertices = hullIdx[:1]
@@ -124,14 +150,11 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 	dir := make([]float64, d)
-	for t := 0; t < dirs; t++ {
+	for t := 0; t < dirs && !full(); t++ {
 		for j := range dir {
 			dir[j] = rng.NormFloat64()
 		}
 		addVertex(argmaxDot(pts, dir))
-		if opt.MaxVertices > 0 && len(hullIdx) >= opt.MaxVertices {
-			break
-		}
 	}
 
 	if opt.SkipRefine {
@@ -151,29 +174,42 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 			maxFW = 4096
 		}
 	}
-	fw := newFW(d)
-	covered := make([]bool, n)
 	batchCap := opt.BatchInsert
 	if batchCap <= 0 {
 		batchCap = 16
 	}
+	g := newGram(pts, a, b)
+	fws := make([]fw, runtime.GOMAXPROCS(0))
+	covered := make([]bool, n)
+	ub := make([]float64, n) // distance upper bound of each uncovered point
 	type scored struct {
 		idx int
 		ub  float64
 	}
-	var uncovered []scored
-	for opt.MaxVertices <= 0 || len(hullIdx) < opt.MaxVertices {
-		uncovered = uncovered[:0]
+	var (
+		pending   []int
+		uncovered []scored
+	)
+	for !full() {
+		g.extend(hullIdx)
+		pending = pending[:0]
 		for i := 0; i < n; i++ {
-			if covered[i] || in[i] {
-				continue
+			if !covered[i] && !in[i] {
+				pending = append(pending, i)
 			}
-			ub, _ := fw.distToHull(pts, hullIdx, pts[i], threshold, maxFW)
-			if ub <= threshold {
-				covered[i] = true
-				continue
+		}
+		for w := range fws {
+			fws[w].size(len(hullIdx), d)
+		}
+		fanOut(len(pending), len(fws), func(w, k int) {
+			i := pending[k]
+			ub[i], _, covered[i] = fws[w].distToHull(g, pts[i], threshold, maxFW)
+		})
+		uncovered = uncovered[:0]
+		for _, i := range pending {
+			if !covered[i] {
+				uncovered = append(uncovered, scored{i, ub[i]})
 			}
-			uncovered = append(uncovered, scored{i, ub})
 		}
 		if len(uncovered) == 0 {
 			res.Certified = true
@@ -209,6 +245,39 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	}
 	res.Vertices = hullIdx
 	return res, nil
+}
+
+// fanOut calls visit(w, k) once for every k in [0, n), spread over at most
+// workers goroutines; w ∈ [0, workers) names the goroutine making the call,
+// so visit can use per-worker scratch. It returns once every call has.
+func fanOut(n, workers int, visit func(w, k int)) {
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for k := 0; k < n; k++ {
+			visit(0, k)
+		}
+		return
+	}
+	var (
+		next atomic.Int64
+		wg   sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				k := int(next.Add(1)) - 1
+				if k >= n {
+					return
+				}
+				visit(w, k)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 //recclint:hotpath
@@ -247,96 +316,205 @@ func distSq(x, y []float64) float64 {
 	return s
 }
 
-// fw holds Frank–Wolfe scratch buffers.
-type fw struct {
-	y    []float64
-	grad []float64
+// gram is the Gram matrix of the hull vertices q_a = pts[idx[a]], taken
+// about the centre c (the midpoint of the diameter pair, so entries stay
+// O(D²) whatever the input's offset). It keeps the lower triangle only: row
+// a holds ⟨q_a−c, q_b−c⟩ for b ≤ a, and each inserted vertex appends its
+// own row, so the matrix is never copied as it grows.
+type gram struct {
+	pts  [][]float64
+	idx  []int
+	c    []float64
+	rows [][]float64
 }
 
-func newFW(d int) *fw {
-	return &fw{y: make([]float64, d), grad: make([]float64, d)}
+func newGram(pts [][]float64, a, b int) *gram {
+	c := make([]float64, len(pts[a]))
+	for j := range c {
+		c[j] = (pts[a][j] + pts[b][j]) / 2
+	}
+	return &gram{pts: pts, c: c}
 }
 
-// distToHull estimates dist(p, conv({pts[i] : i ∈ hullIdx})) by Frank–Wolfe
-// on f(y) = ‖y − p‖². It returns a certified upper bound (distance from p to
-// the final feasible iterate) and a lower bound from the Frank–Wolfe duality
-// gap. Early exit: as soon as the upper bound drops to earlyStop (the point
-// is covered) or the lower bound exceeds earlyStop (certified uncovered; the
-// upper bound then still orders candidates usefully).
-func (f *fw) distToHull(pts [][]float64, hullIdx []int, p []float64, earlyStop float64, maxIters int) (ub, lb float64) {
-	d := len(p)
-	// Start at the hull vertex closest to p.
-	bestD, bestI := math.Inf(1), hullIdx[0]
-	for _, i := range hullIdx {
-		if dd := distSq(pts[i], p); dd < bestD {
-			bestD, bestI = dd, i
-		}
-	}
-	copy(f.y, pts[bestI])
-	fy := bestD
-	ub = math.Sqrt(fy)
-	if ub <= earlyStop {
-		return ub, 0
-	}
-	for it := 0; it < maxIters; it++ {
-		// grad = 2(y − p); linear minimization over vertices.
-		for j := 0; j < d; j++ {
-			f.grad[j] = f.y[j] - p[j]
-		}
-		bestDot, bestS := math.Inf(1), -1
-		for _, i := range hullIdx {
+// extend appends a row for every vertex of hullIdx beyond those it holds.
+func (g *gram) extend(hullIdx []int) {
+	for a := len(g.rows); a < len(hullIdx); a++ {
+		qa := g.pts[hullIdx[a]]
+		row := make([]float64, a+1)
+		for b := range row {
+			qb := g.pts[hullIdx[b]]
 			s := 0.0
-			q := pts[i]
-			for j := 0; j < d; j++ {
-				s += f.grad[j] * q[j]
+			for j, cj := range g.c {
+				s += (qa[j] - cj) * (qb[j] - cj)
 			}
-			if s < bestDot {
-				bestDot, bestS = s, i
-			}
+			row[b] = s
 		}
-		// Duality gap g = ⟨grad, y − s⟩ bounds f(y) − f*; with grad halved
-		// above the true gap is 2·(⟨grad,y⟩ − bestDot).
-		gy := 0.0
-		for j := 0; j < d; j++ {
-			gy += f.grad[j] * f.y[j]
+		g.rows = append(g.rows, row)
+	}
+	g.idx = hullIdx
+}
+
+func (g *gram) diag(a int) float64 { return g.rows[a][a] }
+
+// step moves the iterate toward vertex s by gamma, v ← (1−γ)·v + γ·G[s,:]
+// and λ ← (1−γ)·λ + γ·e_s, and returns the next linear-minimisation vertex:
+// the first a minimising v_a − pq_a, which is ⟨y−p, q_a−c⟩ up to a term
+// that does not depend on a.
+//
+//recclint:hotpath
+func (g *gram) step(s int, gamma float64, v, lam, pq []float64) (arg int, best float64) {
+	keep := 1 - gamma
+	best, arg = math.Inf(1), -1
+	for a, gsa := range g.rows[s] {
+		v[a] = keep*v[a] + gamma*gsa
+		lam[a] *= keep
+		if x := v[a] - pq[a]; x < best {
+			best, arg = x, a
 		}
-		gap := 2 * (gy - bestDot)
+	}
+	// The rest of row s is column s of the later rows: G[a][s] for a > s.
+	for a := s + 1; a < len(v); a++ {
+		v[a] = keep*v[a] + gamma*g.rows[a][s]
+		lam[a] *= keep
+		if x := v[a] - pq[a]; x < best {
+			best, arg = x, a
+		}
+	}
+	lam[s] += gamma
+	return arg, best
+}
+
+// coverSlack widens the Gram-form test ‖y−p‖ ≤ θ·D̂ that triggers the exact
+// check in R^d. The Gram form cancels terms of size O(D²) to get ‖y−p‖², so
+// it carries O(ε_mach·D²) rounding; an iterate that close to the threshold
+// is decided in R^d, as every covering iterate is.
+const coverSlack = 1e-9
+
+// fw is one worker's Frank–Wolfe scratch.
+type fw struct {
+	pq  []float64 // ⟨p−c, q_a−c⟩; first the squared distances ‖p−q_a‖²
+	v   []float64 // ⟨y−c, q_a−c⟩
+	lam []float64 // y = Σ λ_a q_a
+	r   []float64 // y − p in R^d
+}
+
+// size makes the scratch fit a hull of l vertices in R^d.
+func (f *fw) size(l, d int) {
+	if cap(f.pq) < l {
+		f.pq = make([]float64, l, 2*l)
+		f.v = make([]float64, l, 2*l)
+		f.lam = make([]float64, l, 2*l)
+	}
+	f.pq, f.v, f.lam = f.pq[:l], f.v[:l], f.lam[:l]
+	if len(f.r) != d {
+		f.r = make([]float64, d)
+	}
+}
+
+// distToHull estimates dist(p, conv(hull)) by Frank–Wolfe on
+// f(y) = ‖y − p‖², started at the hull vertex nearest p. It returns an upper
+// bound (the distance from p to the best iterate) and a lower bound from the
+// Frank–Wolfe duality gap. It stops as soon as an iterate is within
+// earlyStop of p in R^d (covered), or the lower bound exceeds earlyStop
+// (certified uncovered; the upper bound then still orders candidates
+// usefully), or after maxIters steps. When it reports covered, f.lam holds
+// the weights of the covering iterate.
+//
+//recclint:hotpath
+func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (ub, lb float64, covered bool) {
+	pq, v, lam := f.pq, f.v, f.lam
+	bestD, start := math.Inf(1), 0
+	for a, i := range g.idx {
+		dd := distSq(g.pts[i], p)
+		pq[a] = dd
+		if dd < bestD {
+			bestD, start = dd, a
+		}
+	}
+	for a := range lam {
+		lam[a] = 0
+	}
+	lam[start] = 1
+	ub = math.Sqrt(bestD)
+	if ub <= earlyStop {
+		return ub, 0, true
+	}
+	// ⟨p−c, q_a−c⟩ = (‖p−c‖² + ‖q_a−c‖² − ‖p−q_a‖²) / 2.
+	pp := distSq(p, g.c)
+	for a := range pq {
+		pq[a] = (pp + g.diag(a) - pq[a]) / 2
+	}
+	// y = q_start: a full step sets v = G[start,:] whatever v held. Then
+	// yy = ‖y−c‖², yp = ⟨y−c, p−c⟩ and fy = ‖y−p‖².
+	s, sDot := g.step(start, 1, v, lam, pq)
+	yy, yp, fy := g.diag(start), pq[start], bestD
+	for it := 0; it < maxIters; it++ {
+		// The duality gap ⟨∇f(y), y − q_s⟩ = 2·⟨y−p, y − q_s⟩ bounds
+		// f(y) − f*.
+		gy := yy - yp
+		gap := 2 * (gy - sDot)
 		if fLow := fy - gap; fLow > 0 {
 			lb = math.Sqrt(fLow)
 		} else {
 			lb = 0
 		}
 		if lb > earlyStop || gap <= 1e-15 {
-			return ub, lb
+			return ub, lb, false
 		}
-		// Exact line search toward vertex bestS: γ* = ⟨p−y, s−y⟩/‖s−y‖².
-		s := pts[bestS]
-		num, den := 0.0, 0.0
-		for j := 0; j < d; j++ {
-			sy := s[j] - f.y[j]
-			num += (p[j] - f.y[j]) * sy
-			den += sy * sy
+		// Exact line search toward q_s: γ* = ⟨p−y, q_s−y⟩ / ‖q_s−y‖², whose
+		// numerator is half the gap and so positive here.
+		gss := g.diag(s)
+		den := gss - 2*v[s] + yy
+		if den <= 0 {
+			return ub, lb, false
 		}
-		if den == 0 {
-			return ub, lb
-		}
-		gamma := num / den
-		if gamma <= 0 {
-			return ub, lb // stationary: s does not improve
-		}
+		gamma := (gy - sDot) / den
 		if gamma > 1 {
 			gamma = 1
 		}
-		for j := 0; j < d; j++ {
-			f.y[j] += gamma * (s[j] - f.y[j])
+		keep := 1 - gamma
+		yy = keep*keep*yy + 2*gamma*keep*v[s] + gamma*gamma*gss
+		yp = keep*yp + gamma*pq[s]
+		fy = yy - 2*yp + pp
+		s, sDot = g.step(s, gamma, v, lam, pq)
+		u := 0.0
+		if fy > 0 {
+			u = math.Sqrt(fy)
 		}
-		fy = distSq(f.y, p)
-		if u := math.Sqrt(fy); u < ub {
+		if u <= earlyStop*(1+coverSlack) {
+			u = f.materialise(g, p)
+			if u <= earlyStop {
+				return u, lb, true
+			}
+		}
+		if u < ub {
 			ub = u
 		}
-		if ub <= earlyStop {
-			return ub, lb
+	}
+	return ub, lb, false
+}
+
+// materialise forms y − p = Σ λ_a (q_a − c) − (p − c) in R^d and returns its
+// norm.
+//
+//recclint:hotpath
+func (f *fw) materialise(g *gram, p []float64) float64 {
+	r := f.r
+	for j, cj := range g.c {
+		r[j] = cj - p[j]
+	}
+	for a, w := range f.lam {
+		if w == 0 {
+			continue
+		}
+		q := g.pts[g.idx[a]]
+		for j, cj := range g.c {
+			r[j] += w * (q[j] - cj)
 		}
 	}
-	return ub, lb
+	s := 0.0
+	for _, x := range r {
+		s += x * x
+	}
+	return math.Sqrt(s)
 }

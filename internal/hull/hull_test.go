@@ -115,8 +115,8 @@ func TestFarthestViaHull(t *testing.T) {
 }
 
 // Property: in random gaussian clouds, every point is within θ·D̂ of the
-// certified hull (the Lemma 5.3 coverage property), verified by Frank–Wolfe
-// against the returned vertex set.
+// certified hull (the Lemma 5.3 coverage property), verified by the
+// reference Frank–Wolfe against the returned vertex set.
 func TestQuickCoverage(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -134,13 +134,13 @@ func TestQuickCoverage(t *testing.T) {
 		if err != nil || !res.Certified {
 			return false
 		}
-		fw := newFW(d)
+		ref := newRefFW(d)
 		for i := range pts {
 			// Frank–Wolfe's upper bound converges slowly, so the sound
 			// re-verification is through the certified *lower* bound: if the
 			// true distance were above θ·D̂, the dual gap would eventually
 			// certify lb > θ·D̂.
-			ub, lb := fw.distToHull(pts, res.Vertices, pts[i], 0, 4000)
+			ub, lb := ref.distToHull(pts, res.Vertices, pts[i], 0, 4000)
 			if lb > theta*res.Diameter+1e-9 || ub < lb-1e-9 {
 				return false
 			}
@@ -181,20 +181,32 @@ func TestSkipRefine(t *testing.T) {
 	}
 }
 
+// Both Frank–Wolfe forms, the reference in R^d and the Gram form Approx
+// runs, on a hull whose distances are known in closed form.
 func TestFrankWolfeDistance(t *testing.T) {
 	// Hull = segment [(0,0), (2,0)]; point (1,1) is at distance 1.
 	pts := [][]float64{{0, 0}, {2, 0}, {1, 1}}
-	fw := newFW(2)
-	ub, lb := fw.distToHull(pts, []int{0, 1}, pts[2], 0, 500)
-	if math.Abs(ub-1) > 1e-6 {
-		t.Fatalf("FW ub=%g, want 1", ub)
-	}
-	if lb > ub+1e-12 {
-		t.Fatalf("lb %g exceeds ub %g", lb, ub)
-	}
-	// Point inside the hull: distance 0.
-	ub, _ = fw.distToHull(pts, []int{0, 1}, []float64{1, 0}, 0, 500)
-	if ub > 1e-6 {
-		t.Fatalf("interior point distance %g", ub)
+	ref := newRefFW(2)
+	for _, form := range []struct {
+		name string
+		dist func(p []float64) (ub, lb float64)
+	}{
+		{"reference", func(p []float64) (float64, float64) { return ref.distToHull(pts, []int{0, 1}, p, 0, 500) }},
+		{"gram", func(p []float64) (float64, float64) {
+			ub, lb, _, _ := gramDist(pts, []int{0, 1}, p, 0, 500)
+			return ub, lb
+		}},
+	} {
+		ub, lb := form.dist(pts[2])
+		if math.Abs(ub-1) > 1e-6 {
+			t.Fatalf("%s: FW ub=%g, want 1", form.name, ub)
+		}
+		if lb > ub+1e-12 {
+			t.Fatalf("%s: lb %g exceeds ub %g", form.name, lb, ub)
+		}
+		// Point inside the hull: distance 0.
+		if ub, _ = form.dist([]float64{1, 0}); ub > 1e-6 {
+			t.Fatalf("%s: interior point distance %g", form.name, ub)
+		}
 	}
 }
