@@ -58,12 +58,6 @@ func run(ctx context.Context, args []string) error {
 		return cmdDist(ctx, args[1:])
 	case "optimize":
 		return cmdOptimize(ctx, args[1:])
-	case "centrality":
-		return cmdCentrality(ctx, args[1:])
-	case "spectral":
-		return cmdSpectral(args[1:])
-	case "hitting":
-		return cmdHitting(args[1:])
 	case "snapshot":
 		return cmdSnapshot(ctx, args[1:])
 	case "inspect":
@@ -82,15 +76,12 @@ func run(ctx context.Context, args []string) error {
 }
 
 func usage() {
-	fmt.Fprintln(os.Stderr, `usage: recc <gen|stats|query|dist|optimize|centrality|spectral|hitting|snapshot|inspect|replay|loadgen> [flags]
+	fmt.Fprintln(os.Stderr, `usage: recc <gen|stats|query|dist|optimize|snapshot|inspect|replay|loadgen> [flags]
   gen         generate a synthetic network and write an edge list
   stats       structural statistics of a network's LCC
   query       resistance eccentricity of given nodes
   dist        full resistance eccentricity distribution (+ optional Burr fit)
   optimize    minimize c(s) by adding k edges
-  centrality  rank nodes by closeness / harmonic / current-flow centrality
-  spectral    λ₂, λmax, Kirchhoff index, Kemeny constant
-  hitting     expected random-walk hitting times to a target
   snapshot    build an index offline and persist it (warm reccd starts)
   inspect     examine a snapshot file, durable store directory, or trace file
   replay      re-execute a recorded trace with bit-exact verification

@@ -119,44 +119,6 @@ func TestOptimizeCommand(t *testing.T) {
 	}
 }
 
-func TestCentralityCommand(t *testing.T) {
-	path := writeTestGraph(t)
-	for _, m := range []string{"closeness", "harmonic", "currentflow", "cf-approx"} {
-		if err := run(context.Background(), []string{"centrality", "-in", path, "-measure", m, "-top", "3", "-dim", "48"}); err != nil {
-			t.Fatalf("centrality %s: %v", m, err)
-		}
-	}
-	if err := run(context.Background(), []string{"centrality", "-in", path, "-measure", "nope"}); err == nil {
-		t.Fatal("unknown measure should fail")
-	}
-}
-
-func TestSpectralCommand(t *testing.T) {
-	path := writeTestGraph(t)
-	if err := run(context.Background(), []string{"spectral", "-in", path, "-probes", "32"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"spectral", "-in", path, "-exact"}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestHittingCommand(t *testing.T) {
-	path := writeTestGraph(t)
-	if err := run(context.Background(), []string{"hitting", "-in", path, "-target", "0"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"hitting", "-in", path, "-target", "0", "-sources", "1,2"}); err != nil {
-		t.Fatal(err)
-	}
-	if err := run(context.Background(), []string{"hitting", "-in", path, "-target", "-4"}); err == nil {
-		t.Fatal("bad target should fail")
-	}
-	if err := run(context.Background(), []string{"hitting", "-in", path, "-target", "0", "-sources", "x"}); err == nil {
-		t.Fatal("bad sources should fail")
-	}
-}
-
 func TestSnapshotAndInspectCommands(t *testing.T) {
 	path := writeTestGraph(t)
 	dir := filepath.Join(t.TempDir(), "store")

@@ -103,9 +103,6 @@ func (c *Config) Validate() error {
 	default:
 		return fmt.Errorf("%w: %q (want writer, replica or router)", ErrBadRole, c.Role)
 	}
-	if c.Server.LegacyRoutes && c.Role == roleRouter {
-		return fmt.Errorf("%w: legacy routes exist on index-serving roles only", ErrRoleConflict)
-	}
 	return nil
 }
 

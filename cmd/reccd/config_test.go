@@ -36,7 +36,6 @@ func TestConfigValidateRoleMatrix(t *testing.T) {
 		{"router without -replicas", Config{Role: roleRouter, Upstream: "http://w"}, ErrMissingFlag},
 		{"router with -in", func() Config { c := router(); c.In = "g.txt"; return c }(), ErrRoleConflict},
 		{"router with -data-dir", func() Config { c := router(); c.Server.DataDir = "/tmp/x"; return c }(), ErrRoleConflict},
-		{"router with -legacy-routes", func() Config { c := router(); c.Server.LegacyRoutes = true; return c }(), ErrRoleConflict},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -51,21 +50,6 @@ func TestConfigValidateRoleMatrix(t *testing.T) {
 				t.Fatalf("error %v, want errors.Is(%v)", err, tc.wantIs)
 			}
 		})
-	}
-}
-
-// Legacy routes stay available on writers and replicas — only the router,
-// which never had them, refuses the flag.
-func TestConfigValidateLegacyRoutesOnIndexRoles(t *testing.T) {
-	c := Config{Role: roleWriter, In: "g.txt"}
-	c.Server.LegacyRoutes = true
-	if err := c.Validate(); err != nil {
-		t.Fatalf("writer with legacy routes: %v", err)
-	}
-	r := Config{Role: roleReplica, Upstream: "http://w:8080"}
-	r.Server.LegacyRoutes = true
-	if err := r.Validate(); err != nil {
-		t.Fatalf("replica with legacy routes: %v", err)
 	}
 }
 

@@ -29,8 +29,7 @@
 // (the index covers only the LCC, the paper's standard preprocessing) are
 // answered with 404.
 //
-// Endpoints (the pre-v1 unversioned GET aliases are retired; -legacy-routes
-// re-mounts them with a Deprecation header for clients mid-migration):
+// Endpoints (all under /v1/; unversioned paths answer 404):
 //
 //	GET    /v1/healthz                  → {"status":"ok", ...index + lifecycle stats}
 //	GET    /v1/eccentricity?node=1,2,3  → [{"node":…,"eccentricity":…,"farthest":…}, …]
@@ -63,6 +62,7 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
+	"strconv"
 	"syscall"
 
 	"resistecc"
@@ -105,8 +105,15 @@ func main() {
 		"durable index directory: snapshot + mutation WAL, warm restarts, replication feed (writer only)")
 	flag.DurationVar(&cfg.Server.CheckpointInterval, "checkpoint-interval", 0,
 		"time-based checkpoint period on top of after-rebuild checkpoints (0 = off; needs -data-dir)")
-	flag.BoolVar(&cfg.Server.LegacyRoutes, "legacy-routes", false,
-		"re-mount the retired unversioned GET aliases with a Deprecation header")
+	// The unversioned aliases are gone; the flag name stays so existing
+	// command lines that spell out -legacy-routes=false keep starting.
+	flag.BoolFunc("legacy-routes", "retired: only false is accepted; the API is served under /v1/ only",
+		func(v string) error {
+			if on, err := strconv.ParseBool(v); err != nil || on {
+				return errors.New("the unversioned routes are retired; use the /v1/ paths")
+			}
+			return nil
+		})
 	flag.StringVar(&cfg.Server.TraceOut, "trace-out", "",
 		"record every accepted API operation into this trace file (replay with recc replay)")
 	flag.IntVar(&cfg.Server.TraceSync, "trace-sync", 256,

@@ -112,48 +112,19 @@ func TestHealthz(t *testing.T) {
 	}
 }
 
-// The pre-v1 unversioned aliases are retired: by default they 404 with the
-// structured envelope; -legacy-routes re-mounts them answering identically
-// to /v1 but stamped with a Deprecation header naming the successor.
+// The pre-v1 unversioned aliases are retired: they 404 with the structured
+// envelope like any unknown path.
 func TestLegacyRoutesGated(t *testing.T) {
 	srv := testServer(t)
 	h := testHandler(t, srv)
 	for _, path := range []string{"/healthz", "/eccentricity?node=0", "/summary", "/metrics"} {
 		rec := get(t, h, path)
 		if rec.Code != http.StatusNotFound {
-			t.Fatalf("%s should be retired by default: status %d", path, rec.Code)
+			t.Fatalf("%s should be retired: status %d", path, rec.Code)
 		}
 		if code, _ := decodeErrEnvelope(t, rec); code != "not_found" {
 			t.Fatalf("%s: code %q", path, code)
 		}
-	}
-
-	srv.cfg.LegacyRoutes = true
-	h = testHandler(t, srv)
-	for _, path := range []string{
-		"/healthz", "/eccentricity?node=0,7", "/resistance?u=0&v=5", "/summary",
-	} {
-		legacy, v1 := get(t, h, path), get(t, h, "/v1"+path)
-		if legacy.Code != http.StatusOK || v1.Code != http.StatusOK {
-			t.Fatalf("%s: legacy %d, v1 %d", path, legacy.Code, v1.Code)
-		}
-		if legacy.Body.String() != v1.Body.String() {
-			t.Fatalf("%s: body differs between route families:\n%s\nvs\n%s",
-				path, legacy.Body.String(), v1.Body.String())
-		}
-		if legacy.Header().Get("Deprecation") != "true" {
-			t.Fatalf("%s: missing Deprecation header", path)
-		}
-		link := legacy.Header().Get("Link")
-		if !strings.Contains(link, "/v1/") || !strings.Contains(link, "successor-version") {
-			t.Fatalf("%s: bad successor link %q", path, link)
-		}
-		if v1.Header().Get("Deprecation") != "" {
-			t.Fatalf("/v1%s must not be marked deprecated", path)
-		}
-	}
-	if rec := get(t, h, "/metrics"); rec.Code != http.StatusOK || rec.Header().Get("Deprecation") != "true" {
-		t.Fatalf("/metrics alias: status %d, deprecation %q", rec.Code, rec.Header().Get("Deprecation"))
 	}
 }
 

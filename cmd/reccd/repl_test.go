@@ -362,10 +362,8 @@ func TestReplStatusEndpoints(t *testing.T) {
 	}
 }
 
-// TestReplLagGaugeRetired pins the deprecation of the unsuffixed repl_lag
-// gauge: by default a replica exports only the canonical repl_lag_seq, and
-// the legacy alias reappears solely under -legacy-routes — the same switch
-// and deprecation window as the pre-v1 URL aliases.
+// TestReplLagGaugeRetired pins the retirement of the unsuffixed repl_lag
+// gauge: a replica exports only the canonical repl_lag_seq.
 func TestReplLagGaugeRetired(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -384,34 +382,7 @@ func TestReplLagGaugeRetired(t *testing.T) {
 	// The space after the name excludes repl_lag_seq's own lines but still
 	// catches both the "# TYPE reccd_repl_lag gauge" header and any sample.
 	if strings.Contains(metrics, "reccd_repl_lag ") {
-		t.Fatalf("retired repl_lag alias exported without -legacy-routes:\n%s", metrics)
-	}
-
-	cfg := Config{
-		Role:         roleReplica,
-		Upstream:     writerTS.URL,
-		PollInterval: 20 * time.Millisecond,
-		Server:       defaultConfig(),
-	}
-	cfg.Server.LegacyRoutes = true
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	legacy, err := newReplicaServer(ctx, cfg)
-	if err != nil {
-		t.Fatalf("starting legacy replica: %v", err)
-	}
-	defer legacy.close()
-	legacyTS := httptest.NewServer(legacy.handler(log.New(io.Discard, "", 0)))
-	defer legacyTS.Close()
-	_, metrics, _ = httpGet(t, legacyTS.URL+"/v1/metrics", nil)
-	for _, want := range []string{
-		"# TYPE reccd_repl_lag_seq gauge",
-		"# TYPE reccd_repl_lag gauge",
-	} {
-		if !strings.Contains(metrics, want) {
-			t.Fatalf("legacy replica metrics missing %q:\n%s", want, metrics)
-		}
+		t.Fatalf("retired repl_lag alias exported:\n%s", metrics)
 	}
 }
 

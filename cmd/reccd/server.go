@@ -106,10 +106,6 @@ type serverConfig struct {
 	// after-every-rebuild ones, bounding WAL growth (and replay time) during
 	// long stretches of incremental-only mutations. 0 disables the ticker.
 	CheckpointInterval time.Duration
-	// LegacyRoutes re-mounts the retired unversioned GET aliases (/healthz,
-	// /eccentricity, …) next to their /v1 successors, stamped with a
-	// Deprecation header. Off by default; for clients mid-migration only.
-	LegacyRoutes bool
 	// TraceOut records every accepted API operation — queries, mutations,
 	// rebuilds, checkpoints — into a RECCTRC1 trace file for bit-exact
 	// replay and load generation (recc replay / recc loadgen). Empty
@@ -412,14 +408,8 @@ func (s *server) publishReplicaMetrics() {
 	}
 	s.reg.SetGaugeFunc("repl_applied_seq", tstat(func(ts repl.TailerStats) float64 { return float64(ts.AppliedSeq) }))
 	s.reg.SetGaugeFunc("repl_upstream_seq", tstat(func(ts repl.TailerStats) float64 { return float64(ts.UpstreamSeq) }))
-	// repl_lag_seq is the canonical name for the sequence-number lag
-	// (upstream seq − applied seq). The retired repl_lag alias is emitted
-	// only under -legacy-routes, the same switch that resurrects the pre-v1
-	// URL aliases; dashboards get one flag and one deprecation window.
+	// repl_lag_seq is the sequence-number lag (upstream seq − applied seq).
 	s.reg.SetGaugeFunc("repl_lag_seq", tstat(func(ts repl.TailerStats) float64 { return float64(ts.Lag) }))
-	if s.cfg.LegacyRoutes {
-		s.reg.SetGaugeFunc("repl_lag", tstat(func(ts repl.TailerStats) float64 { return float64(ts.Lag) }))
-	}
 	s.reg.SetGaugeFunc("repl_last_contact_age_seconds", func() float64 {
 		ts := s.tailer.Stats()
 		if ts.LastContact.IsZero() {
@@ -439,33 +429,17 @@ func (s *server) publishReplicaMetrics() {
 // the concurrency limiter, then access logging outermost so even shed
 // requests get a log line and request id.
 //
-// The API lives under /v1/. The pre-v1 unversioned GET aliases are retired:
-// they 404 unless -legacy-routes re-mounts them, and then every response
-// carries a Deprecation header pointing at the /v1 successor.
+// The API lives under /v1/ only; unversioned paths 404.
 func (s *server) handler(logger *log.Logger) http.Handler {
 	mux := http.NewServeMux()
 	// Registrations use full "METHOD /v1/path" literals: the apisurface
 	// analyzer collects every such constant in this function and checks the
-	// set against routes.json. The legacy alias pattern is derived (non-
-	// constant) so retired unversioned paths stay out of the manifest.
-	get := func(pattern, name string, h http.HandlerFunc) {
-		wrapped := s.reg.InstrumentFunc(name, h)
-		mux.Handle(pattern, wrapped)
-		if s.cfg.LegacyRoutes {
-			aliasPattern, path := legacyAlias(pattern)
-			mux.Handle(aliasPattern, deprecated(path, wrapped))
-		}
-	}
-	get("GET /v1/healthz", "healthz", s.handleHealth)
-	get("GET /v1/eccentricity", "eccentricity", s.handleEccentricity)
-	get("GET /v1/resistance", "resistance", s.handleResistance)
-	get("GET /v1/summary", "summary", s.handleSummary)
-	metrics := s.reg.Instrument("metrics", s.reg)
-	mux.Handle("GET /v1/metrics", metrics)
-	if s.cfg.LegacyRoutes {
-		aliasPattern, path := legacyAlias("GET /v1/metrics")
-		mux.Handle(aliasPattern, deprecated(path, metrics))
-	}
+	// set against routes.json.
+	mux.Handle("GET /v1/healthz", s.reg.InstrumentFunc("healthz", s.handleHealth))
+	mux.Handle("GET /v1/eccentricity", s.reg.InstrumentFunc("eccentricity", s.handleEccentricity))
+	mux.Handle("GET /v1/resistance", s.reg.InstrumentFunc("resistance", s.handleResistance))
+	mux.Handle("GET /v1/summary", s.reg.InstrumentFunc("summary", s.handleSummary))
+	mux.Handle("GET /v1/metrics", s.reg.Instrument("metrics", s.reg))
 
 	// Mutations exist only under /v1/. Replicas refuse them with a typed
 	// 403: accepting a write outside the writer's WAL would silently fork
@@ -589,27 +563,6 @@ func withEnvelope(next http.Handler) http.Handler {
 //recclint:genstamp
 func setGeneration(w http.ResponseWriter, gen uint64) {
 	w.Header().Set("X-Index-Generation", strconv.FormatUint(gen, 10))
-}
-
-// legacyAlias derives the retired unversioned mux pattern (and bare path)
-// from a "METHOD /v1/path" literal: "GET /v1/healthz" → "GET /healthz",
-// "/healthz". Deliberately not a constant expression at the call sites, so
-// the apisurface route collection sees only the canonical /v1 surface.
-func legacyAlias(pattern string) (aliasPattern, path string) {
-	method, rest, _ := strings.Cut(pattern, " ")
-	path = strings.TrimPrefix(rest, "/v1")
-	return method + " " + path, path
-}
-
-// deprecated wraps a retired unversioned alias: the response carries a
-// Deprecation header (RFC 9745) and a successor-version link so clients
-// still on the old path learn where to go.
-func deprecated(path string, next http.Handler) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", fmt.Sprintf("</v1%s>; rel=\"successor-version\"", path))
-		next.ServeHTTP(w, r)
-	})
 }
 
 // writerOnly guards a mutating handler: replicas answer 403 with a typed

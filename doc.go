@@ -32,8 +32,8 @@
 //
 // Index constructors take functional options (WithEpsilon, WithDim,
 // WithSeed, WithWorkers, WithMaxHullVertices, ...) and a context that
-// cancels the build. The former struct-based methods on *Graph remain as
-// deprecated shims.
+// cancels the build. DESIGN.md §7 has the migration notes for removed
+// names.
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // mapping between paper sections and packages.

@@ -99,16 +99,3 @@ func ExampleDynamicIndex_SaveSnapshot() {
 	// Output:
 	// bit-identical after restore: true
 }
-
-// Kirchhoff's matrix-tree theorem: the complete graph K5 has 5³ = 125
-// spanning trees (Cayley's formula).
-func ExampleGraph_CountSpanningTrees() {
-	g := resistecc.CompleteGraph(5)
-	count, err := g.CountSpanningTrees()
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("τ(K5) = %.0f\n", count)
-	// Output:
-	// τ(K5) = 125
-}

@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"resistecc/internal/stats"
 )
 
 // TestIntegrationPipeline exercises the full user journey end to end:
@@ -100,61 +102,12 @@ func TestIntegrationPipeline(t *testing.T) {
 
 	// 6. Monte-Carlo cross-check of one resistance value.
 	u, v := s, exact.Eccentricity(s).Farthest
-	mc, err := lcc.ResistanceMC(u, v, 1500, 7)
+	mc, err := stats.ResistanceMC(lcc.g, u, v, 1500, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := exact.Resistance(u, v)
 	if rel := math.Abs(mc-want) / want; rel > 0.15 {
 		t.Fatalf("MC r=%g vs exact %g (rel %.3f)", mc, want, rel)
-	}
-}
-
-func TestSpectralPublic(t *testing.T) {
-	g := CompleteGraph(10)
-	kf, err := g.KirchhoffIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(kf-9) > 1e-8 { // Kf(K_n) = n−1
-		t.Fatalf("Kf(K10)=%g", kf)
-	}
-	km, err := g.KemenyConstant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(km-81.0/10) > 1e-8 { // (n−1)²/n
-		t.Fatalf("K(K10)=%g", km)
-	}
-	ba, err := BarabasiAlbert(120, 3, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	kfExact, err := ba.KirchhoffIndex()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kfEst, err := ba.EstimateKirchhoffIndex(SpectralEstimateOptions{Probes: 300, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(kfEst-kfExact) / kfExact; rel > 0.15 {
-		t.Fatalf("Kf estimate off by %.3f", rel)
-	}
-	kmExact, err := ba.KemenyConstant()
-	if err != nil {
-		t.Fatal(err)
-	}
-	kmEst, err := ba.EstimateKemenyConstant(SpectralEstimateOptions{Probes: 300, Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rel := math.Abs(kmEst-kmExact) / kmExact; rel > 0.15 {
-		t.Fatalf("Kemeny estimate off by %.3f", rel)
-	}
-	// Disconnected graphs are rejected.
-	d := NewGraph(4)
-	if _, err := d.KirchhoffIndex(); err == nil {
-		t.Fatal("disconnected Kf should fail")
 	}
 }

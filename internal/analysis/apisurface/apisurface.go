@@ -394,8 +394,7 @@ func checkRegistrar(pass *framework.Pass, info *pkgInfo, key string, roles []str
 	}
 
 	// Registered side: every constant string in the body shaped like a mux
-	// pattern. Derived (non-constant) patterns — the legacy aliases — are
-	// deliberately invisible.
+	// pattern. Derived (non-constant) patterns are invisible.
 	registered := make(map[string]token.Pos)
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		expr, ok := n.(ast.Expr)

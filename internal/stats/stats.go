@@ -132,67 +132,3 @@ func KolmogorovSmirnov(samples []float64, cdf func(float64) float64) float64 {
 	}
 	return d
 }
-
-// Pearson returns the Pearson linear correlation coefficient of x and y.
-func Pearson(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(x), len(y))
-	}
-	n := len(x)
-	if n < 2 {
-		return 0, fmt.Errorf("stats: need at least 2 samples")
-	}
-	mx, my := 0.0, 0.0
-	for i := range x {
-		mx += x[i]
-		my += y[i]
-	}
-	mx /= float64(n)
-	my /= float64(n)
-	var sxy, sxx, syy float64
-	for i := range x {
-		dx, dy := x[i]-mx, y[i]-my
-		sxy += dx * dy
-		sxx += dx * dx
-		syy += dy * dy
-	}
-	if sxx == 0 || syy == 0 {
-		return 0, fmt.Errorf("stats: zero variance")
-	}
-	return sxy / math.Sqrt(sxx*syy), nil
-}
-
-// Spearman returns the Spearman rank correlation coefficient (Pearson on
-// ranks, with average ranks for ties).
-func Spearman(x, y []float64) (float64, error) {
-	if len(x) != len(y) {
-		return 0, fmt.Errorf("stats: length mismatch %d vs %d", len(x), len(y))
-	}
-	return Pearson(ranks(x), ranks(y))
-}
-
-// ranks converts values to average ranks (1-based; ties share the mean rank).
-func ranks(v []float64) []float64 {
-	n := len(v)
-	idx := make([]int, n)
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.Slice(idx, func(a, b int) bool { return v[idx[a]] < v[idx[b]] })
-	out := make([]float64, n)
-	for i := 0; i < n; {
-		j := i
-		// Rank ties are defined by semantic float equality over the sorted
-		// values; a bit-level comparison would split ±0 into separate ranks.
-		//recclint:ignore floateq rank ties use semantic equality by definition; Float64bits would split ±0
-		for j+1 < n && v[idx[j+1]] == v[idx[i]] {
-			j++
-		}
-		avg := float64(i+j)/2 + 1
-		for k := i; k <= j; k++ {
-			out[idx[k]] = avg
-		}
-		i = j + 1
-	}
-	return out
-}

@@ -209,42 +209,3 @@ func TestQuickNelderMeadNoWorse(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestPearsonSpearman(t *testing.T) {
-	x := []float64{1, 2, 3, 4, 5}
-	y := []float64{2, 4, 6, 8, 10}
-	if r, err := Pearson(x, y); err != nil || math.Abs(r-1) > 1e-12 {
-		t.Fatalf("perfect linear: r=%g err=%v", r, err)
-	}
-	yNeg := []float64{10, 8, 6, 4, 2}
-	if r, _ := Pearson(x, yNeg); math.Abs(r+1) > 1e-12 {
-		t.Fatalf("anti: %g", r)
-	}
-	// Monotone nonlinear: Spearman 1, Pearson < 1.
-	yExp := []float64{1, 10, 100, 1000, 10000}
-	rs, err := Spearman(x, yExp)
-	if err != nil || math.Abs(rs-1) > 1e-12 {
-		t.Fatalf("spearman monotone: %g err=%v", rs, err)
-	}
-	rp, _ := Pearson(x, yExp)
-	if rp >= 1-1e-9 {
-		t.Fatalf("pearson of nonlinear should be < 1: %g", rp)
-	}
-	// Ties: average ranks keep it well-defined.
-	if _, err := Spearman([]float64{1, 1, 2, 2}, []float64{3, 3, 4, 4}); err != nil {
-		t.Fatal(err)
-	}
-	// Errors.
-	if _, err := Pearson([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("length mismatch")
-	}
-	if _, err := Pearson([]float64{1}, []float64{1}); err == nil {
-		t.Fatal("too short")
-	}
-	if _, err := Pearson([]float64{1, 1}, []float64{2, 3}); err == nil {
-		t.Fatal("zero variance")
-	}
-	if _, err := Spearman([]float64{1}, []float64{1, 2}); err == nil {
-		t.Fatal("spearman mismatch")
-	}
-}

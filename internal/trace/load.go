@@ -74,9 +74,14 @@ func RunLoad(ctx context.Context, recs []Record, base string, opt LoadOptions) (
 
 dispatch:
 	for _, rec := range recs {
+		// A paced op's clock starts at its due time, so time spent waiting
+		// for a concurrency slot counts against it; AsFast ops (zero due)
+		// are timed from dispatch.
+		var due time.Time
 		if !opt.AsFast {
 			cum += time.Duration(rec.DeltaNanos)
-			if wait := cum - time.Since(start); wait > 0 {
+			due = start.Add(cum)
+			if wait := time.Until(due); wait > 0 {
 				select {
 				case <-time.After(wait):
 				case <-ctx.Done():
@@ -94,10 +99,12 @@ dispatch:
 			rep.ByOp[rec.Op]++
 		}
 		wg.Add(1)
-		go func(rec Record) {
+		go func(rec Record, t0 time.Time) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			t0 := time.Now()
+			if t0.IsZero() {
+				t0 = time.Now()
+			}
 			_, err := ex.Do(ctx, rec)
 			lat.Observe(time.Since(t0))
 			if err == nil {
@@ -112,7 +119,7 @@ dispatch:
 				return
 			}
 			errs.Add(1)
-		}(rec)
+		}(rec, due)
 	}
 	wg.Wait()
 

@@ -10,17 +10,20 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // stubServer fakes the reccd /v1 surface closely enough to exercise the
 // HTTP executor and the load driver: fixed eccentricities, a generation
-// counter bumped by mutations, and an injectable failure mode.
+// counter bumped by mutations, and injectable failure and slowness.
 type stubServer struct {
 	gen      atomic.Uint64
 	rebuilds atomic.Uint64
 	// failEvery makes every Nth query answer 503 (0 = never).
 	failEvery int64
 	queries   atomic.Int64
+	// delay stalls every query before it answers.
+	delay time.Duration
 }
 
 func (s *stubServer) ecc(node int64) EccResult {
@@ -30,6 +33,7 @@ func (s *stubServer) ecc(node int64) EccResult {
 func (s *stubServer) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/eccentricity", func(w http.ResponseWriter, r *http.Request) {
+		time.Sleep(s.delay)
 		if n := s.queries.Add(1); s.failEvery > 0 && n%s.failEvery == 0 {
 			http.Error(w, `{"error":{"code":"overloaded"}}`, http.StatusServiceUnavailable)
 			return
@@ -158,6 +162,32 @@ func TestRunLoadClassifies5xx(t *testing.T) {
 	}
 	if rep.Errors != 0 {
 		t.Fatalf("503s misclassified as transport errors: %+v", rep)
+	}
+}
+
+// A paced op is timed from its due time, not from when it got a
+// concurrency slot: ten ops all due at t=0 through a single slot against a
+// server that stalls each one see latencies of about 1×, 2×, …, 10× the
+// stall, so P99 (the slowest of ten) must reflect the queue behind it.
+func TestRunLoadChargesQueueingDelay(t *testing.T) {
+	const delay = 20 * time.Millisecond
+	stub := &stubServer{delay: delay}
+	srv := httptest.NewServer(stub.handler())
+	defer srv.Close()
+
+	recs := make([]Record, 10)
+	for i := range recs {
+		recs[i] = Record{Seq: uint64(i + 1), Op: OpQuery, Args: []int64{int64(i)}}
+	}
+	rep, err := RunLoad(context.Background(), recs, srv.URL, LoadOptions{Concurrency: 1, Client: srv.Client()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Ops != len(recs) || rep.Errors != 0 || rep.ServerErrors != 0 {
+		t.Fatalf("unclean run: %+v", rep)
+	}
+	if rep.P99 < 8*delay {
+		t.Fatalf("P99 %v is under 8× the %v stall: queueing for the slot was not charged", rep.P99, delay)
 	}
 }
 

@@ -177,6 +177,20 @@ func (ix *FastIndex) Boundary() []int { return append([]int(nil), ix.f.Boundary.
 // SketchDim reports the dimension d actually used.
 func (ix *FastIndex) SketchDim() int { return ix.f.Sk.Dim }
 
+// ResistanceDiameter approximates R(G) = max_{u,v} r(u,v) by scanning only
+// hull-boundary pairs (O(l²) sketched distances) and returns the value with
+// a witness pair. A hull boundary with fewer than two nodes has no pair to
+// scan and fails with ErrDegenerateHull rather than returning (0, [0 0]),
+// which would be indistinguishable from a genuine answer naming node 0.
+func (ix *FastIndex) ResistanceDiameter() (float64, [2]int, error) {
+	r, e, ok := ix.f.Diameter()
+	if !ok {
+		return 0, [2]int{}, fmt.Errorf("resistecc: resistance diameter over %d boundary nodes: %w",
+			ix.f.L(), ErrDegenerateHull)
+	}
+	return r, [2]int{e.U, e.V}, nil
+}
+
 // IndexBuildStats reports construction-time diagnostics of a FastIndex:
 // the solver effort behind the APPROXER sketch (one CG solve per sketch
 // row) and the APPROXCH hull outcome. Serving layers (cmd/reccd) surface

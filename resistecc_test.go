@@ -231,6 +231,14 @@ func TestApproxAndFastIndexPublic(t *testing.T) {
 	if sigma > 0.2 {
 		t.Fatalf("fast sigma %g", sigma)
 	}
+	// The hull-pair diameter is close to the distribution maximum.
+	diam, pair, err := fast.ResistanceDiameter()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dmax := Summarize(fast.Distribution()).Diameter; diam < 0.7*dmax || diam > 1.3*dmax {
+		t.Fatalf("hull diameter %g vs distribution max %g (pair %v)", diam, dmax, pair)
+	}
 	if rr := ap.Resistance(0, 1); rr <= 0 {
 		t.Fatal("sketched resistance")
 	}
