@@ -14,14 +14,14 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The repo-specific invariant checkers, all sixteen: apisurface, atomicmix,
-# chandisc, ctxflow, determinism, erridentity, floateq, goroutinelife,
-# hotpath, lockguard, lockorder, metrichygiene, mustclose, syncerr,
-# wgbalance, wireproto (see internal/analysis and DESIGN.md §9, §13 and
-# §14). The ./... pattern includes internal/analysis itself, so the suite
-# lints its own framework and analyzers. -budget fails the run if any single
-# analyzer exceeds the ceiling, keeping lint wall time an enforced contract;
-# add -v for the slowest-first per-analyzer breakdown.
+# The repo-specific invariant checkers, all fourteen: atomicmix, chandisc,
+# ctxflow, determinism, erridentity, floateq, goroutinelife, hotpath,
+# lockguard, lockorder, metrichygiene, mustclose, syncerr, wgbalance (see
+# internal/analysis and DESIGN.md §9, §13 and §14). The ./... pattern
+# includes internal/analysis itself, so the suite lints its own framework
+# and analyzers. -budget fails the run if any single analyzer exceeds the
+# ceiling, keeping lint wall time an enforced contract; add -v for the
+# slowest-first per-analyzer breakdown.
 lint:
 	$(GO) run ./cmd/recclint -budget=30s ./...
 
@@ -42,13 +42,12 @@ lint-v3:
 	$(GO) test -count=1 ./internal/analysis/goroutinelife/ ./internal/analysis/chandisc/ \
 		./internal/analysis/wgbalance/ ./internal/analysis/atomicmix/
 
-# Fixture smoke for the v4 protocol & surface analyzers: wire-format
-# symmetry, HTTP envelope/routes-manifest discipline, metrics registration
-# hygiene, and sentinel-error identity (including the erridentity autofix
-# round trip in cmd/recclint's tests).
+# Fixture smoke for the v4 analyzers: metrics registration hygiene and
+# sentinel-error identity (including the erridentity autofix round trip in
+# cmd/recclint's tests). The wire formats and the HTTP surface are checked
+# by tests in the packages that own them (DESIGN.md §14).
 lint-v4:
-	$(GO) test -count=1 ./internal/analysis/wireproto/ ./internal/analysis/apisurface/ \
-		./internal/analysis/metrichygiene/ ./internal/analysis/erridentity/
+	$(GO) test -count=1 ./internal/analysis/metrichygiene/ ./internal/analysis/erridentity/
 
 test:
 	$(GO) test ./...

@@ -145,6 +145,32 @@ func TestUnknownRouteEnvelope(t *testing.T) {
 	}
 }
 
+// An error written behind withEnvelope without the JSON envelope (an
+// http.Error, a bare WriteHeader with a plain-text body) still reaches the
+// client as {"error":{code,message}}, on every role: all of them wrap their
+// mux in withEnvelope.
+func TestEnvelopeRewritesPlainErrors(t *testing.T) {
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /bad", func(w http.ResponseWriter, _ *http.Request) {
+		http.Error(w, "bad input", http.StatusBadRequest)
+	})
+	mux.HandleFunc("GET /boom", func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Content-Type", "text/plain")
+		w.WriteHeader(http.StatusInternalServerError)
+		io.WriteString(w, "boom")
+	})
+	h := withEnvelope(mux)
+	for path, want := range map[string]string{"/bad": "bad_request", "/boom": "internal_server_error"} {
+		rec := get(t, h, path)
+		if code, _ := decodeErrEnvelope(t, rec); code != want {
+			t.Errorf("%s: code %q, want %q", path, code, want)
+		}
+		if ct := rec.Header().Get("Content-Type"); !strings.HasPrefix(ct, "application/json") {
+			t.Errorf("%s: content type %q", path, ct)
+		}
+	}
+}
+
 func TestEccentricityAlwaysArray(t *testing.T) {
 	srv := testServer(t)
 	h := testHandler(t, srv)

@@ -63,9 +63,12 @@ func startReplSetCfg(t testing.TB, mutateRouter func(*Config)) *replSet {
 	t.Helper()
 	ctx, cancel := context.WithCancel(context.Background())
 	rs := &replSet{cancel: cancel}
+	// Cleanups run last-in first-out: registering the data dir first makes
+	// the teardown stop the writer before the directory is removed.
+	dir := t.TempDir()
 	t.Cleanup(func() { rs.teardown() })
 
-	rs.writer = durableServer(t, t.TempDir())
+	rs.writer = durableServer(t, dir)
 	rs.writerTS = httptest.NewServer(rs.writer.handler(log.New(io.Discard, "", 0)))
 
 	for i := 0; i < 2; i++ {

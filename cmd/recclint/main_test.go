@@ -16,9 +16,9 @@ func TestListFlag(t *testing.T) {
 		t.Fatalf("run(-list) = %d, stderr: %s", code, errb.String())
 	}
 	for _, name := range []string{
-		"apisurface", "ctxflow", "determinism", "erridentity",
-		"floateq", "hotpath", "lockguard", "lockorder",
-		"metrichygiene", "mustclose", "syncerr", "wireproto",
+		"ctxflow", "determinism", "erridentity", "floateq",
+		"hotpath", "lockguard", "lockorder", "metrichygiene",
+		"mustclose", "syncerr",
 	} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("-list output is missing %q:\n%s", name, out.String())

@@ -31,9 +31,8 @@
 //	fmt.Printf("c(0) ≈ %.3f (farthest node %d)\n", v.Value, v.Farthest)
 //
 // Index constructors take functional options (WithEpsilon, WithDim,
-// WithSeed, WithWorkers, WithMaxHullVertices, ...) and a context that
-// cancels the build. DESIGN.md §7 has the migration notes for removed
-// names.
+// WithSeed, WithMaxHullVertices, ...) and a context that cancels the
+// build. DESIGN.md §7 has the migration notes for removed names.
 //
 // See the examples/ directory for runnable programs and DESIGN.md for the
 // mapping between paper sections and packages.

@@ -95,30 +95,6 @@ func TestBatchQueryOutOfRange(t *testing.T) {
 	}
 }
 
-// WithSketchOptions must produce the same index as the equivalent individual
-// options (same seeds → bit-identical answers).
-func TestSketchOptionsEquivalence(t *testing.T) {
-	g := CycleGraph(16)
-	old, err := NewFastIndex(context.Background(), g,
-		WithSketchOptions(SketchOptions{Epsilon: 0.3, Dim: 32, Seed: 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	neu, err := NewFastIndex(context.Background(), g,
-		WithEpsilon(0.3), WithDim(32), WithSeed(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.BoundarySize() != neu.BoundarySize() {
-		t.Fatalf("boundary %d vs %d", old.BoundarySize(), neu.BoundarySize())
-	}
-	for v := 0; v < g.N(); v++ {
-		if a, b := old.Eccentricity(v), neu.Eccentricity(v); a != b {
-			t.Fatalf("node %d: %+v vs %+v", v, a, b)
-		}
-	}
-}
-
 // DynamicIndex surfaces the same sentinels for mutations.
 func TestDynamicIndexSentinels(t *testing.T) {
 	ctx := context.Background()

@@ -8,15 +8,12 @@
 // allocation-free hot paths. The v3 analyzers extend the same substrate with
 // goroutine-spawn edges and closure capture for whole-program concurrency
 // checks: goroutine lifecycle, channel close discipline, WaitGroup balance,
-// and sync/atomic hygiene. The v4 analyzers guard the protocol and API
-// surface: wire-format symmetry between paired encoders and decoders,
-// HTTP error-envelope and routes-manifest discipline, metrics registration
-// hygiene, and sentinel-error identity. cmd/recclint runs the full suite;
+// and sync/atomic hygiene. The v4 analyzers guard metrics registration
+// hygiene and sentinel-error identity. cmd/recclint runs the full suite;
 // `make lint` and the CI lint job gate every change on it.
 package analysis
 
 import (
-	"resistecc/internal/analysis/apisurface"
 	"resistecc/internal/analysis/atomicmix"
 	"resistecc/internal/analysis/chandisc"
 	"resistecc/internal/analysis/ctxflow"
@@ -32,13 +29,11 @@ import (
 	"resistecc/internal/analysis/mustclose"
 	"resistecc/internal/analysis/syncerr"
 	"resistecc/internal/analysis/wgbalance"
-	"resistecc/internal/analysis/wireproto"
 )
 
 // All returns every registered analyzer, in stable order.
 func All() []*framework.Analyzer {
 	return []*framework.Analyzer{
-		apisurface.Analyzer,
 		atomicmix.Analyzer,
 		chandisc.Analyzer,
 		ctxflow.Analyzer,
@@ -53,6 +48,5 @@ func All() []*framework.Analyzer {
 		mustclose.Analyzer,
 		syncerr.Analyzer,
 		wgbalance.Analyzer,
-		wireproto.Analyzer,
 	}
 }

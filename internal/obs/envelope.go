@@ -15,19 +15,12 @@ type ErrorBody struct {
 
 // ErrorEnvelope is the error envelope every non-2xx response of the serving
 // tier carries: {"error":{"code":…,"message":…}}. Handlers that build error
-// responses by hand (rather than through WriteError) should embed this shape
-// so the apisurface analyzer can see the envelope in the body's type.
+// responses by hand (rather than through WriteError) embed this shape.
 type ErrorEnvelope struct {
 	Error ErrorBody `json:"error"`
 }
 
-// WriteError emits status with the canonical error envelope. It is the one
-// sanctioned origination point for error statuses in envelope-checked
-// packages: the apisurface analyzer treats functions carrying the
-// //recclint:envelope directive as the envelope layer and flags naked
-// WriteHeader/http.Error calls everywhere else.
-//
-//recclint:envelope
+// WriteError emits status with the canonical error envelope.
 func WriteError(w http.ResponseWriter, status int, code, format string, args ...any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)

@@ -187,7 +187,8 @@ func (s *Snapshot) validate() error {
 	if s.SketchMeta.N != n {
 		return fmt.Errorf("%w: sketch covers %d nodes, graph has %d", ErrCorrupt, s.SketchMeta.N, n)
 	}
-	if len(s.Points) != s.SketchMeta.N*s.SketchMeta.Dim {
+	// d ≤ len(Points) keeps N·d from wrapping round to len(Points).
+	if d := s.SketchMeta.Dim; d < 0 || d > len(s.Points) || len(s.Points) != s.SketchMeta.N*d {
 		return fmt.Errorf("%w: sketch matrix has %d values, want %d",
 			ErrCorrupt, len(s.Points), s.SketchMeta.N*s.SketchMeta.Dim)
 	}

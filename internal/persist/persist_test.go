@@ -325,12 +325,17 @@ func TestCheckpointTruncatesWALAndPrunesSnapshots(t *testing.T) {
 	if len(files) != 1 {
 		t.Fatalf("old snapshots not pruned: %v", files)
 	}
-	// An out-of-date checkpoint must not clobber the fresher one.
-	if err := st.Checkpoint(testSnapshot(t, 1, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if got := st.Stats().SnapshotSeq; got != 3 {
-		t.Fatalf("stale checkpoint overwrote snapshot: seq %d", got)
+	// An out-of-date checkpoint must not clobber the fresher one: neither
+	// an older sequence nor, at the same sequence, an older generation (a
+	// manual checkpoint cut before a rebuild swap, written after it).
+	for _, stale := range []*Snapshot{testSnapshot(t, 1, 2), testSnapshot(t, 3, 3)} {
+		if err := st.Checkpoint(stale); err != nil {
+			t.Fatal(err)
+		}
+		if got := st.Stats(); got.SnapshotSeq != 3 || got.SnapshotGen != 4 {
+			t.Fatalf("stale checkpoint (seq %d gen %d) overwrote snapshot: seq %d gen %d",
+				stale.Seq, stale.Gen, got.SnapshotSeq, got.SnapshotGen)
+		}
 	}
 	st.Close()
 }

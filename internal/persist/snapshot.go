@@ -176,6 +176,14 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 		return nil, fmt.Errorf("%w: graph n=%d too large", ErrCorrupt, n)
 	}
 	mm := d.intLen(m, 8)
+	if d.err != nil {
+		return nil, d.err
+	}
+	// Only connected graphs are served, and a connected graph has n ≤ m+1;
+	// m is bounded by the payload, so n cannot demand memory either.
+	if n > uint64(mm)+1 {
+		return nil, fmt.Errorf("%w: graph n=%d exceeds m+1 for m=%d", ErrCorrupt, n, mm)
+	}
 	g := graph.New(int(n))
 	for i := 0; i < mm; i++ {
 		u := d.u32()
@@ -421,6 +429,11 @@ func readSections(b []byte) (map[uint32][]byte, error) {
 	count := d.u32()
 	if d.err != nil {
 		return nil, d.err
+	}
+	// Each kind appears at most once, so a larger count is corrupt; checked
+	// before it sizes the map.
+	if count > secEcc {
+		return nil, fmt.Errorf("%w: %d sections, at most %d kinds exist", ErrCorrupt, count, secEcc)
 	}
 	secs := make(map[uint32][]byte, count)
 	for i := uint32(0); i < count; i++ {

@@ -266,12 +266,13 @@ func (st *Store) SnapshotBytes() ([]byte, uint64, uint64, error) {
 
 // Checkpoint atomically writes snap as the newest snapshot, deletes older
 // snapshot files and drops WAL records at or below snap.Seq. An out-of-date
-// checkpoint (older than the one already on disk) is skipped, so a slow
-// manual checkpoint can never overwrite a fresher rebuild checkpoint.
+// checkpoint (older than the one already on disk: a lower Seq, or the same
+// Seq at a lower generation) is skipped, so a slow manual checkpoint can
+// never overwrite a fresher rebuild checkpoint.
 func (st *Store) Checkpoint(snap *Snapshot) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.hasSnap && snap.Seq < st.snapSeq {
+	if st.hasSnap && (snap.Seq < st.snapSeq || snap.Seq == st.snapSeq && snap.Gen < st.snapGen) {
 		return nil
 	}
 	start := time.Now()

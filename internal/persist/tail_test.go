@@ -192,14 +192,7 @@ func TestSnapshotBytesRoundTrip(t *testing.T) {
 }
 
 func TestTailFrameRoundTrip(t *testing.T) {
-	f := TailFrame{
-		LastSeq: 12, WriterGen: 4, SnapSeq: 9, SnapGen: 3,
-		Records: []Record{
-			{Seq: 10, Add: true, U: 1, V: 2},
-			{Seq: 11, Add: false, U: 3, V: 4},
-			{Seq: 12, Add: true, U: 5, V: 6},
-		},
-	}
+	f := wideFrame()
 	b := EncodeTailFrame(f)
 	got, err := DecodeTailFrame(b)
 	if err != nil {

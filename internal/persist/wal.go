@@ -95,8 +95,6 @@ func decodeRecord(b []byte) (Record, bool) {
 }
 
 // walHeader renders the 12-byte WAL file header.
-//
-//recclint:wirepair walheader
 func walHeader() [walHeaderSize]byte {
 	var h [walHeaderSize]byte
 	copy(h[:8], WALMagic)
@@ -107,8 +105,6 @@ func walHeader() [walHeaderSize]byte {
 // scanWAL reads r and returns the valid record prefix plus the byte offset
 // where validity ends (for tail repair). A missing or foreign header yields
 // zero records and offset 0 — the caller rewrites the file.
-//
-//recclint:wirepair walheader
 func scanWAL(r io.Reader) (recs []Record, validSize int64, err error) {
 	var hdr [walHeaderSize]byte
 	if _, herr := io.ReadFull(r, hdr[:]); herr != nil {

@@ -301,7 +301,6 @@ func (p *Pool) forward(w http.ResponseWriter, r *http.Request, b *Backend) bool 
 		}
 	}
 	w.Header().Set("X-Served-By", b.URL)
-	//recclint:ignore apisurface relaying a backend status whose body the backend already enveloped
 	w.WriteHeader(resp.StatusCode)
 	io.Copy(w, resp.Body)
 	return true

@@ -128,10 +128,6 @@ func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	w.Write(frame)
 }
 
-// The replication feed is part of the public HTTP surface; hold it to the
-// same envelope discipline as cmd/reccd.
-//recclint:apisurface
-
 // writeErr emits the canonical {"error":{code,message}} envelope via the
 // shared obs helper, so replication clients and human callers see one error
 // shape — and exactly one implementation of it.

@@ -51,8 +51,6 @@ type EccResult struct {
 
 // DigestQuery hashes a query response: every answered node, its
 // eccentricity bits and its farthest-witness id, in response order.
-//
-//recclint:wirelayout loop(i64 f64 i64)
 func DigestQuery(res []EccResult) uint64 {
 	d := newDigest()
 	for _, r := range res {
@@ -65,8 +63,6 @@ func DigestQuery(res []EccResult) uint64 {
 // how it was absorbed (incremental vs stale), and the accumulated drift
 // bound — the fields that must match bit-exactly when the same mutation
 // sequence is replayed against a same-seed index.
-//
-//recclint:wirelayout u64 str f64
 func DigestMutation(gen uint64, mode string, drift float64) uint64 {
 	return uint64(newDigest().u64(gen).str(mode).f64(drift))
 }
@@ -74,8 +70,6 @@ func DigestMutation(gen uint64, mode string, drift float64) uint64 {
 // DigestGen hashes a bare generation number, the verification unit for
 // rebuild and checkpoint records (their other response fields — wall-clock
 // durations, snapshot ages — are not deterministic and excluded by design).
-//
-//recclint:wirelayout u64
 func DigestGen(gen uint64) uint64 {
 	return uint64(newDigest().u64(gen))
 }

@@ -198,8 +198,6 @@ func decodeRecord(b []byte) (rec Record, n int, ok bool) {
 }
 
 // header renders the 12-byte file header.
-//
-//recclint:wirepair traceheader
 func header() [headerSize]byte {
 	var h [headerSize]byte
 	copy(h[:8], Magic)
@@ -216,8 +214,6 @@ var ErrVersion = fmt.Errorf("trace: unsupported format version")
 // a trace, but this reader cannot interpret it). Everything after the valid
 // prefix — a torn tail from a crashed recorder, or corruption — is simply
 // not returned; callers report it via the offset.
-//
-//recclint:wirepair traceheader
 func ScanTrace(r io.Reader) (recs []Record, validSize int64, err error) {
 	var hdr [headerSize]byte
 	if _, herr := io.ReadFull(r, hdr[:]); herr != nil {

@@ -71,32 +71,9 @@ func WithSeed(seed int64) Option {
 	return func(c *buildConfig) { c.sk.Seed = seed }
 }
 
-// WithWorkers caps solver parallelism during the build (0 = GOMAXPROCS).
-func WithWorkers(w int) Option {
-	return func(c *buildConfig) { c.sk.Workers = w }
-}
-
-// WithSolverTol overrides the Laplacian-solver relative residual (0 = 1e-10).
-func WithSolverTol(tol float64) Option {
-	return func(c *buildConfig) { c.sk.SolverTol = tol }
-}
-
-// WithMaxHullVertices caps the hull boundary size l (0 = no cap). Shorthand
-// for WithHullOptions with only MaxVertices set.
+// WithMaxHullVertices caps the hull boundary size l (0 = no cap).
 func WithMaxHullVertices(l int) Option {
 	return func(c *buildConfig) { c.hull.MaxVertices = l }
-}
-
-// WithHullOptions replaces the full APPROXCH configuration.
-func WithHullOptions(h HullOptions) Option {
-	return func(c *buildConfig) { c.hull = h }
-}
-
-// WithSketchOptions replaces the full APPROXER configuration at once, for
-// callers migrating from the struct-based constructors. Hull configuration
-// is separate: use WithMaxHullVertices or WithHullOptions.
-func WithSketchOptions(o SketchOptions) Option {
-	return func(c *buildConfig) { c.sk = o }
 }
 
 // WithDriftThreshold sets the ε_drift rebuild trigger of a DynamicIndex:

@@ -197,15 +197,15 @@ func TestApproxAndFastIndexPublic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := SketchOptions{Epsilon: 0.3, Dim: 256, Seed: 5}
-	ap, err := NewApproxIndex(context.Background(), g, WithSketchOptions(opt))
+	opts := []Option{WithEpsilon(0.3), WithDim(256), WithSeed(5)}
+	ap, err := NewApproxIndex(context.Background(), g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if ap.SketchDim() != 256 {
 		t.Fatalf("dim %d", ap.SketchDim())
 	}
-	fast, err := NewFastIndex(context.Background(), g, WithSketchOptions(opt))
+	fast, err := NewFastIndex(context.Background(), g, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
