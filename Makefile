@@ -14,10 +14,10 @@ build:
 vet:
 	$(GO) vet ./...
 
-# The repo-specific invariant checkers, all fourteen: atomicmix, chandisc,
-# ctxflow, determinism, erridentity, floateq, goroutinelife, hotpath,
-# lockguard, lockorder, metrichygiene, mustclose, syncerr, wgbalance (see
-# internal/analysis and DESIGN.md §9, §13 and §14). The ./... pattern
+# The repo-specific invariant checkers, all twelve: atomicmix, chandisc,
+# ctxflow, determinism, erridentity, floateq, goroutinelife, lockguard,
+# lockorder, metrichygiene, syncerr, wgbalance (see internal/analysis and
+# DESIGN.md §9, §13 and §14). The ./... pattern
 # includes internal/analysis itself, so the suite lints its own framework
 # and analyzers. -budget fails the run if any single analyzer exceeds the
 # ceiling, keeping lint wall time an enforced contract; add -v for the
@@ -25,8 +25,8 @@ vet:
 lint:
 	$(GO) run ./cmd/recclint -budget=30s ./...
 
-# Apply every suggested fix (mustclose deferred Closes, ctxflow rewrites),
-# gofmt-formatting the touched files in place.
+# Apply every suggested fix (ctxflow rewrites, atomicmix typed atomics,
+# erridentity errors.Is), gofmt-formatting the touched files in place.
 lint-fix:
 	$(GO) run ./cmd/recclint -fix ./...
 

@@ -27,15 +27,11 @@ func GetBatchBuf() *BatchBuf { return batchBufPool.Get().(*BatchBuf) }
 // Release recycles the buffer. Results returned from it become invalid.
 func (b *BatchBuf) Release() { batchBufPool.Put(b) }
 
-func (b *BatchBuf) growOut(n int) { b.out = make([]Eccentricity, n) }
-
 // fill converts the engine's values into the caller-facing slice without
 // allocating (past the high-water mark).
-//
-//recclint:hotpath
 func (b *BatchBuf) fill(vals []ecc.Value) []Eccentricity {
 	if cap(b.out) < len(vals) {
-		b.growOut(len(vals))
+		b.out = make([]Eccentricity, len(vals))
 	}
 	out := b.out[:len(vals)]
 	for i, v := range vals {
@@ -50,8 +46,6 @@ func (b *BatchBuf) fill(vals []ecc.Value) []Eccentricity {
 // Query and per-node Eccentricity calls, in request order; the returned
 // slice is owned by buf. Any node outside [0, n) fails the whole batch with
 // ErrNodeOutOfRange.
-//
-//recclint:hotpath
 func (ix *FastIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
 	if err := validateNodes(nodes, ix.N()); err != nil {
 		return nil, err
@@ -61,8 +55,6 @@ func (ix *FastIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, err
 
 // QueryBatch is the batched APPROXQUERY: like FastIndex.QueryBatch but each
 // unique node scans all n embeddings instead of the hull boundary.
-//
-//recclint:hotpath
 func (ix *ApproxIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
 	if err := validateNodes(nodes, ix.N()); err != nil {
 		return nil, err
@@ -92,8 +84,6 @@ func (d *DynamicIndex) Query(nodes []int) ([]Eccentricity, error) {
 // All nodes in the batch are answered by the same generation; callers
 // needing a consistent view across multiple calls should pin a Snapshot and
 // use its Index instead.
-//
-//recclint:hotpath
 func (d *DynamicIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
 	fi := FastIndex{f: d.m.Current().Fast}
 	return fi.QueryBatch(nodes, buf)

@@ -151,18 +151,6 @@ func BenchmarkFig7_FastQueryLarge(b *testing.B) {
 	}
 }
 
-func BenchmarkFastDistributionParallel(b *testing.B) {
-	g := benchProxy(b, "Politician", 0.1)
-	fi, err := NewFastIndex(context.Background(), wrapGraph(g), WithEpsilon(0.3), WithDim(96), WithSeed(1), WithMaxHullVertices(48))
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		_ = fi.DistributionParallel(0)
-	}
-}
-
 // --- Figure 8: exhaustive optimum vs the exact greedy on a tiny sociogram.
 
 func BenchmarkFig8_ExhaustiveOPT(b *testing.B) {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"resistecc"
+	"resistecc/internal/testutil"
 )
 
 func writeTestGraph(t *testing.T) string {
@@ -161,5 +162,18 @@ func TestSnapshotAndInspectCommands(t *testing.T) {
 	defer d.Close()
 	if d.Snapshot().N == 0 {
 		t.Fatal("loaded snapshot is empty")
+	}
+}
+
+// TestErrorPathsCloseFiles: `recc gen -out` whose write fails still closes
+// the file it created.
+func TestErrorPathsCloseFiles(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	testutil.CheckFiles(t)
+	args := []string{"gen", "-type", "cycle", "-n", "8", "-out", "/dev/full"}
+	if err := run(context.Background(), args); err == nil {
+		t.Fatal("gen -out /dev/full succeeded")
 	}
 }

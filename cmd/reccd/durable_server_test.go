@@ -3,10 +3,14 @@ package main
 import (
 	"context"
 	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"resistecc"
+	"resistecc/internal/testutil"
 )
 
 // durableServer builds a server persisting into dir, over the same generated
@@ -102,4 +106,47 @@ func TestDurableServerCheckpointAndWarmRestart(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
+}
+
+// TestErrorPathsCloseFiles drives reccd's error branches that follow a
+// successful open: each must close what it opened.
+func TestErrorPathsCloseFiles(t *testing.T) {
+	g, err := resistecc.ScaleFreeMixed(120, 1, 4, 0.3, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := []resistecc.Option{resistecc.WithEpsilon(0.3), resistecc.WithDim(64), resistecc.WithSeed(5)}
+
+	t.Run("newServer/trace-out", func(t *testing.T) {
+		testutil.CheckFiles(t)
+		cfg := defaultConfig()
+		cfg.DataDir = t.TempDir()
+		cfg.TraceOut = filepath.Join(t.TempDir(), "missing", "trace.bin")
+		if _, err := newServer(context.Background(), g, newIDMap(g.N(), nil, nil), g.N(), g.M(), opts, cfg); err == nil {
+			t.Fatal("newServer with a -trace-out in a missing directory succeeded")
+		}
+	})
+	t.Run("Restore/ids", func(t *testing.T) {
+		testutil.CheckFiles(t)
+		d, err := resistecc.NewDynamicIndex(context.Background(), g, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		path := filepath.Join(t.TempDir(), "snapshot")
+		err = d.SaveSnapshot(path)
+		d.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		snap, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		upstream := httptest.NewServer(http.NotFoundHandler())
+		defer upstream.Close()
+		rf := &replicaFollower{s: &server{}, upstream: upstream.URL, client: upstream.Client()}
+		if err := rf.Restore(context.Background(), snap); err == nil {
+			t.Fatal("Restore succeeded without the writer's id map")
+		}
+	})
 }

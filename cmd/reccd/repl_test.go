@@ -291,8 +291,16 @@ func TestReplSetResyncsAfterWriterRebuild(t *testing.T) {
 	for _, r := range rs.replicas {
 		waitConverged(t, rs.writer, r)
 	}
-	if after := rs.replicas[0].tailer.Stats().Resyncs; after <= resyncsBefore {
-		t.Fatalf("expected a resync after rebuild+checkpoint (resyncs %d -> %d)", resyncsBefore, after)
+	// The tailer swaps the restored index in before it counts the resync, so
+	// convergence can be seen first: poll the counter under the same
+	// deadline as waitConverged.
+	deadline := time.Now().Add(10 * time.Second)
+	for rs.replicas[0].tailer.Stats().Resyncs <= resyncsBefore {
+		if time.Now().After(deadline) {
+			t.Fatalf("expected a resync after rebuild+checkpoint (resyncs %d -> %d)",
+				resyncsBefore, rs.replicas[0].tailer.Stats().Resyncs)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 	_, wBody, _ := httpGet(t, rs.writerTS.URL+"/v1/summary", nil)
 	for i, ts := range rs.replicaTSs {

@@ -4,14 +4,11 @@
 // lint sweep never sees it.
 package badpkg
 
-import (
-	"context"
-	"os"
-)
+import "context"
 
-// Discarded carries a mustclose finding: the *os.File result is dropped.
-func Discarded(path string) {
-	os.Open(path)
+// Same carries a floateq finding: two computed floats compared with ==.
+func Same(a, b float64) bool {
+	return a == b
 }
 
 // Background carries a ctxflow finding: a fresh root context minted below

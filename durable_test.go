@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
+
+	"resistecc/internal/testutil"
 )
 
 func durableOpts() []Option {
@@ -328,5 +330,38 @@ func TestDurableCheckpointOnDemand(t *testing.T) {
 	}
 	if got := d.PersistStats().Checkpoints; got != ps.Checkpoints {
 		t.Fatalf("no-op checkpoint wrote a snapshot: %d vs %d", got, ps.Checkpoints)
+	}
+}
+
+// TestErrorPathsCloseFiles: an OpenDynamicIndex whose WAL replay is
+// cancelled closes the store it opened.
+func TestErrorPathsCloseFiles(t *testing.T) {
+	testutil.CheckFiles(t)
+	dir := t.TempDir()
+	g := durableGraph(t)
+	ctx := context.Background()
+	opts := append(durableOpts(), WithDriftThreshold(1e9)) // no rebuild absorbs the WAL
+	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A cancelled context fails a replayed mutation with probability at
+	// least 1/2, so 20 WAL records make a completed replay negligible.
+	for u, added := 0, 0; added < 20; u++ {
+		if v := (u*7 + 31) % g.N(); u != v && !g.HasEdge(u, v) {
+			if _, err := d.AddEdge(ctx, u, v); err != nil {
+				t.Fatal(err)
+			}
+			added++
+		}
+	}
+	if ps := d.PersistStats(); !ps.HasSnapshot || ps.WALRecords != 20 {
+		t.Fatalf("want a snapshot and 20 WAL records to replay, got %+v", ps)
+	}
+	d.Close()
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := OpenDynamicIndex(cctx, dir, g, opts...); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled replay: %v, want context.Canceled", err)
 	}
 }

@@ -3,14 +3,13 @@
 // comments — mutex guards on lifecycle state, fsync-before-ack durability in
 // the persist layer, bit-identity float comparisons, and deterministic
 // build/serialize paths. The v2 analyzers add dataflow-backed checks on top
-// (see internal/analysis/dataflow): deadlock-free lock acquisition order,
-// resources closed on every path, contexts threaded instead of minted, and
-// allocation-free hot paths. The v3 analyzers extend the same substrate with
-// goroutine-spawn edges and closure capture for whole-program concurrency
-// checks: goroutine lifecycle, channel close discipline, WaitGroup balance,
-// and sync/atomic hygiene. The v4 analyzers guard metrics registration
-// hygiene and sentinel-error identity. cmd/recclint runs the full suite;
-// `make lint` and the CI lint job gate every change on it.
+// (see internal/analysis/dataflow): deadlock-free lock acquisition order and
+// contexts threaded instead of minted. The v3 analyzers extend the same
+// substrate with goroutine-spawn edges and closure capture for whole-program
+// concurrency checks: goroutine lifecycle, channel close discipline,
+// WaitGroup balance, and sync/atomic hygiene. The v4 analyzers guard metrics
+// registration hygiene and sentinel-error identity. cmd/recclint runs the
+// full suite; `make lint` and the CI lint job gate every change on it.
 package analysis
 
 import (
@@ -22,11 +21,9 @@ import (
 	"resistecc/internal/analysis/floateq"
 	"resistecc/internal/analysis/framework"
 	"resistecc/internal/analysis/goroutinelife"
-	"resistecc/internal/analysis/hotpath"
 	"resistecc/internal/analysis/lockguard"
 	"resistecc/internal/analysis/lockorder"
 	"resistecc/internal/analysis/metrichygiene"
-	"resistecc/internal/analysis/mustclose"
 	"resistecc/internal/analysis/syncerr"
 	"resistecc/internal/analysis/wgbalance"
 )
@@ -41,11 +38,9 @@ func All() []*framework.Analyzer {
 		erridentity.Analyzer,
 		floateq.Analyzer,
 		goroutinelife.Analyzer,
-		hotpath.Analyzer,
 		lockguard.Analyzer,
 		lockorder.Analyzer,
 		metrichygiene.Analyzer,
-		mustclose.Analyzer,
 		syncerr.Analyzer,
 		wgbalance.Analyzer,
 	}

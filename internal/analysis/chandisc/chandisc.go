@@ -8,8 +8,8 @@
 //     (`select { case <-ch: default: close(ch) }`) is a TOCTOU — two
 //     concurrent callers can both reach the default clause and the second
 //     close panics. Idempotent close goes through sync.Once.
-//   - No send or re-close after close on any path: a mustclose-style
-//     must-closed dataflow lattice over each function's CFG catches
+//   - No send or re-close after close on any path: a must-closed
+//     dataflow lattice over each function's CFG catches
 //     `close(ch); ch <- v` however much control flow sits in between.
 //   - Ranging a channel requires a closer: `for range ch` on a local
 //     channel nothing in the program ever closes blocks forever.

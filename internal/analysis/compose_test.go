@@ -7,9 +7,9 @@ import (
 	"resistecc/internal/analysis/framework"
 )
 
-// TestDirectivesCompose runs the FULL eight-analyzer suite over one fixture
+// TestDirectivesCompose runs the FULL suite over one fixture
 // that layers every directive the framework understands — v1 //recclint:holds
-// and "guarded by" annotations, v2 lockrank/ctxroot/hotpath, and an inline
+// and "guarded by" annotations, v2 lockrank/ctxroot, and an inline
 // //recclint:ignore silencing a v2 dataflow finding — and requires zero
 // findings. This pins the contract that v2 analyzers joined the existing
 // directive surface instead of forking it.

@@ -1,7 +1,7 @@
-// Package dataflow is the function-body analysis engine under recclint's v2
-// analyzers (lockorder, mustclose, ctxflow, hotpath). It builds intra-function
-// control-flow graphs from go/ast, runs forward dataflow to a fixed point over
-// small lattices (lock sets, resource states), and resolves static callees
+// Package dataflow is the function-body analysis engine under recclint's
+// lockorder analyzer and the v3 concurrency analyzers. It builds
+// intra-function control-flow graphs from go/ast, runs forward dataflow to a
+// fixed point over small lattices (lock sets), and resolves static callees
 // across every package the framework loader produced, so analyzers get
 // one-level interprocedural summaries without any code generation or SSA.
 //

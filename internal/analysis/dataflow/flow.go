@@ -17,13 +17,6 @@ type Flow[F any] struct {
 	Equal func(a, b F) bool
 	// Transfer applies one statement to a fact.
 	Transfer func(f F, s ast.Stmt) F
-	// Branch, when non-nil, refines a block's out-fact per successor edge.
-	// It receives the block's final statement (branch conditions appear as
-	// synthetic ExprStmts there), the successor index, and the successor
-	// count; for a two-way branch, index 0 is the condition-true edge. This
-	// is how mustclose models `if err != nil`: the resource exists on the
-	// success edge and not on the failure edge.
-	Branch func(f F, last ast.Stmt, succ, nsuccs int) F
 }
 
 // Forward runs the problem to a fixed point and returns the entry fact of
@@ -47,11 +40,8 @@ func Forward[F any](c *CFG, fl Flow[F]) map[*Block]F {
 		for _, s := range b.Stmts {
 			out = fl.Transfer(out, s)
 		}
-		for i, succ := range b.Succs {
+		for _, succ := range b.Succs {
 			next := out
-			if fl.Branch != nil && len(b.Stmts) > 0 {
-				next = fl.Branch(next, b.Stmts[len(b.Stmts)-1], i, len(b.Succs))
-			}
 			cur, seen := in[succ]
 			if seen {
 				next = fl.Join(cur, next)

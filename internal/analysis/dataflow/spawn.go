@@ -66,40 +66,6 @@ func Spawns(info *types.Info, body *ast.BlockStmt) []SpawnSite {
 	return sites
 }
 
-// Captures returns the variables a function body uses but does not declare:
-// for a function literal these are the closure's captured variables (plus
-// any package-level state it touches); for a declared function they are the
-// receiver, parameters and globals. Identity is the types.Var object, so
-// callers can compare captures against spawner-scope declarations. Results
-// are in first-use order, deduplicated.
-func Captures(info *types.Info, body ast.Node) []*types.Var {
-	var (
-		out  []*types.Var
-		seen = map[*types.Var]bool{}
-	)
-	lo, hi := body.Pos(), body.End()
-	ast.Inspect(body, func(n ast.Node) bool {
-		id, ok := n.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		v, ok := info.Uses[id].(*types.Var)
-		if !ok || v.IsField() || seen[v] {
-			return true
-		}
-		// Declared inside the body ⇒ not captured. Position containment is
-		// the right test here: the loader shares one FileSet, and a variable
-		// declared lexically within [lo,hi) belongs to the body's own scopes.
-		if v.Pos() >= lo && v.Pos() < hi {
-			return true
-		}
-		seen[v] = true
-		out = append(out, v)
-		return true
-	})
-	return out
-}
-
 // CapturedBy reports whether the identifier's variable is declared outside
 // body — i.e. the spawned body borrowed it from the spawner (captured
 // closure variable, method receiver, parameter or package-level state)

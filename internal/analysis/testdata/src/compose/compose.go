@@ -2,13 +2,12 @@
 // v2 dataflow analyzers: one //recclint:holds annotation satisfies both
 // lockguard (v1, field guarding) and lockorder (v2, entry lock set); one
 // //recclint:ignore line silences a v2 finding exactly like a v1 finding;
-// //recclint:lockrank, ctxroot and hotpath coexist in one file. The whole
-// suite must report zero findings here.
+// //recclint:lockrank and ctxroot coexist in one file. The whole suite must
+// report zero findings here.
 package compose
 
 import (
 	"context"
-	"os"
 	"sync"
 )
 
@@ -44,12 +43,11 @@ func (p *pair) bumpHeld() {
 	p.inner.Unlock()
 }
 
-// leaky demonstrates a v1-style suppression silencing a v2 analyzer: the
-// file handle is deliberately leaked and the ignore line carries the why.
-func leaky(path string) *os.File {
-	//recclint:ignore mustclose fixture: the process-lifetime handle is closed by exit
-	f, _ := os.Open(path)
-	return f
+// detached demonstrates a v1-style suppression silencing a v2 analyzer: the
+// root context would be a ctxflow finding, and the ignore line carries the why.
+func detached() context.Context {
+	//recclint:ignore ctxflow fixture: the suppression must compose with v2 findings
+	return context.Background()
 }
 
 // worker shows ctxroot composing in the same file: a detached root context
@@ -58,15 +56,4 @@ func leaky(path string) *os.File {
 //recclint:ctxroot fixture: the worker owns its lifetime, no caller to inherit from
 func worker() context.Context {
 	return context.Background()
-}
-
-// dot is hotpath-annotated and allocation-free, so hotpath stays silent.
-//
-//recclint:hotpath
-func dot(a, b []float64) float64 {
-	s := 0.0
-	for i, x := range a {
-		s += x * b[i]
-	}
-	return s
 }

@@ -1,0 +1,46 @@
+package ecc
+
+import (
+	"testing"
+
+	"resistecc/internal/testutil"
+)
+
+// TestZeroAllocs pins, one case per function, that the batch engine and the
+// serial FASTQUERY scan allocate nothing once their scratch is warm. The
+// n=150 sources of the whole-graph batches exceed minParallelSources, so
+// those cases run the sharded path on the shared worker pool; the count
+// keeps GOMAXPROCS (testutil.AllocsPerRun), or the pool would get one shard.
+func TestZeroAllocs(t *testing.T) {
+	_, ap, f := batchTestIndexes(t)
+	small := []int{3, 77, 3, 120}
+	all := identity(f.Sk.N)
+	kb := new(QueryBuf) // direct kernel calls, sized for the whole graph
+	kb.grow(len(all))
+	nu := kb.dedup(all)
+	buf := new(QueryBuf)
+	var sink Value
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"QueryBuf.dedup", func() { kb.dedup(all) }},
+		{"QueryBuf.dedup/1", func() { buf.grow(1); buf.dedup(small[:1]) }},
+		{"QueryBuf.scanParallel", func() { kb.scanParallel(f.Sk, f.Boundary, false, nu) }},
+		{"fanOut", func() { fanOut(all, kb) }},
+		{"Fast.QueryBatch/4", func() { f.QueryBatch(small, buf) }},
+		{"Fast.QueryBatch/150", func() { f.QueryBatch(all, buf) }},
+		{"Approx.QueryBatch/4", func() { ap.QueryBatch(small, buf) }},
+		{"Approx.QueryBatch/150", func() { ap.QueryBatch(all, buf) }},
+		{"Fast.Eccentricity", func() { sink = f.Eccentricity(77) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // warm-up
+			if avg := testutil.AllocsPerRun(100, tc.run); avg != 0 {
+				t.Errorf("%s allocates %.1f times per run, want 0", tc.name, avg)
+			}
+		})
+	}
+	_ = sink
+}

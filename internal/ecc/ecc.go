@@ -20,8 +20,6 @@ import (
 	"context"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 
 	"resistecc/internal/graph"
 	"resistecc/internal/hull"
@@ -130,13 +128,9 @@ func (a *Approx) Query(q []int) []Value {
 }
 
 // Distribution returns the approximate E(G) by full scans (Õ(n²) total),
-// blocked through the batch kernel.
+// answered by QueryBatch on the shared batch pool.
 func (a *Approx) Distribution() []float64 {
-	n := a.Sk.N
-	out := make([]float64, n)
-	arg := make([]int, n)
-	a.Sk.EccentricityBatchAll(identity(n), out, arg)
-	return out
+	return eccOf(a.QueryBatch(identity(a.Sk.N), new(QueryBuf)))
 }
 
 // FastOptions configures FASTQUERY.
@@ -223,8 +217,6 @@ func HullOptionsFor(opt FastOptions) (hull.Options, error) { return hullOptions(
 func (f *Fast) L() int { return len(f.Boundary) }
 
 // Eccentricity returns ĉ(v) = max_{u ∈ Ŝ} r̃(v, u) (Algorithm 3, lines 6-7).
-//
-//recclint:hotpath
 func (f *Fast) Eccentricity(v int) Value {
 	c, far := f.Sk.EccentricityOver(v, f.Boundary)
 	return Value{Node: v, Ecc: c, Farthest: far}
@@ -262,51 +254,17 @@ func (f *Fast) Diameter() (diam float64, pair graph.Edge, ok bool) {
 }
 
 // Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time,
-// blocked through the batch kernel.
+// answered by QueryBatch on the shared batch pool.
 func (f *Fast) Distribution() []float64 {
-	n := f.Sk.N
-	out := make([]float64, n)
-	arg := make([]int, n)
-	f.Sk.EccentricityBatch(identity(n), f.Boundary, out, arg)
-	return out
+	return eccOf(f.QueryBatch(identity(f.Sk.N), new(QueryBuf)))
 }
 
-// DistributionParallel computes Distribution with the given worker count
-// (0 = GOMAXPROCS). Each worker runs the batch kernel over a disjoint source
-// chunk, so the speedup is near-linear; results are bit-identical to the
-// serial path.
-func (f *Fast) DistributionParallel(workers int) []float64 {
-	n := f.Sk.N
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+// eccOf extracts the eccentricities of a whole-graph batch answer.
+func eccOf(vals []Value) []float64 {
+	out := make([]float64, len(vals))
+	for i, v := range vals {
+		out[i] = v.Ecc
 	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		return f.Distribution()
-	}
-	out := make([]float64, n)
-	arg := make([]int, n)
-	srcs := identity(n)
-	var wg sync.WaitGroup
-	chunk := (n + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		hi := lo + chunk
-		if hi > n {
-			hi = n
-		}
-		if lo >= hi {
-			break
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			f.Sk.EccentricityBatch(srcs[lo:hi], f.Boundary, out[lo:hi], arg[lo:hi])
-		}(lo, hi)
-	}
-	wg.Wait()
 	return out
 }
 

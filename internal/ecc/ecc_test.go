@@ -321,26 +321,6 @@ func TestQuickFastLeqApprox(t *testing.T) {
 	}
 }
 
-func TestDistributionParallelMatchesSerial(t *testing.T) {
-	g := graph.BarabasiAlbert(200, 3, 31)
-	f, err := NewFast(g, FastOptions{
-		Sketch: sketch.Options{Epsilon: 0.3, Dim: 64, Seed: 31},
-		Hull:   hull.Options{MaxVertices: 24},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := f.Distribution()
-	for _, workers := range []int{0, 1, 2, 7, 500} {
-		par := f.DistributionParallel(workers)
-		for v := range serial {
-			if par[v] != serial[v] {
-				t.Fatalf("workers=%d node %d: %g vs %g", workers, v, par[v], serial[v])
-			}
-		}
-	}
-}
-
 func TestFastDiameter(t *testing.T) {
 	g := graph.Path(40)
 	f, err := NewFast(g, FastOptions{Sketch: sketch.Options{Epsilon: 0.3, Dim: 256, Seed: 2}})

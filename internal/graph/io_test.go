@@ -2,9 +2,12 @@ package graph
 
 import (
 	"bytes"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"resistecc/internal/testutil"
 )
 
 func TestReadEdgeList(t *testing.T) {
@@ -154,5 +157,17 @@ func TestCSRAdjMul(t *testing.T) {
 		if y[i] != want[i] {
 			t.Fatalf("A·x[%d]=%g want %g", i, y[i], want[i])
 		}
+	}
+}
+
+// TestErrorPathsCloseFiles: a SaveEdgeList whose write fails still closes
+// the file it created.
+func TestErrorPathsCloseFiles(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	testutil.CheckFiles(t)
+	if err := Cycle(8).SaveEdgeList("/dev/full"); err == nil {
+		t.Fatal("SaveEdgeList to /dev/full succeeded")
 	}
 }

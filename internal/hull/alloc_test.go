@@ -1,0 +1,48 @@
+package hull
+
+import "testing"
+
+// TestZeroAllocs pins, one case per function, that the refinement kernels
+// allocate nothing once a worker's Frank–Wolfe scratch is sized: APPROXCH
+// runs them once per candidate point per round.
+func TestZeroAllocs(t *testing.T) {
+	pts := fixtureCloud(7, 80, 12, true, 0)
+	res, err := Approx(pts, Options{Theta: 0.05, Seed: 7, SkipRefine: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	hullIdx := res.Vertices
+	g := newGram(pts, hullIdx[0], hullIdx[len(hullIdx)-1])
+	g.extend(hullIdx)
+	var f fw
+	f.size(len(hullIdx), len(pts[0]))
+	p := pts[hullIdx[0]]
+	q := make([]float64, len(p)) // the centroid: inside the hull, never a vertex
+	for _, x := range pts {
+		for j := range q {
+			q[j] += x[j] / float64(len(pts))
+		}
+	}
+	var sinkF float64
+	var sinkI int
+	cases := []struct {
+		name string
+		run  func()
+	}{
+		{"argmaxDist", func() { sinkI = argmaxDist(pts, p) }},
+		{"argmaxDot", func() { sinkI = argmaxDot(pts, p) }},
+		{"distSq", func() { sinkF = distSq(p, q) }},
+		{"gram.step", func() { sinkI, sinkF = g.step(1, 0.5, f.v, f.lam, f.pq) }},
+		{"fw.distToHull", func() { sinkF, _, _ = f.distToHull(g, q, 0, 300) }},
+		{"fw.materialise", func() { sinkF = f.materialise(g, q) }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.run() // warm-up
+			if avg := testing.AllocsPerRun(100, tc.run); avg != 0 {
+				t.Errorf("%s allocates %.1f times per run, want 0", tc.name, avg)
+			}
+		})
+	}
+	_, _ = sinkF, sinkI
+}

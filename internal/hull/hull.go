@@ -280,7 +280,6 @@ func fanOut(n, workers int, visit func(w, k int)) {
 	wg.Wait()
 }
 
-//recclint:hotpath
 func argmaxDist(pts [][]float64, from []float64) int {
 	best, arg := -1.0, 0
 	for i, p := range pts {
@@ -291,7 +290,6 @@ func argmaxDist(pts [][]float64, from []float64) int {
 	return arg
 }
 
-//recclint:hotpath
 func argmaxDot(pts [][]float64, dir []float64) int {
 	best, arg := math.Inf(-1), 0
 	for i, p := range pts {
@@ -306,7 +304,6 @@ func argmaxDot(pts [][]float64, dir []float64) int {
 	return arg
 }
 
-//recclint:hotpath
 func distSq(x, y []float64) float64 {
 	s := 0.0
 	for i, v := range x {
@@ -360,8 +357,6 @@ func (g *gram) diag(a int) float64 { return g.rows[a][a] }
 // and λ ← (1−γ)·λ + γ·e_s, and returns the next linear-minimisation vertex:
 // the first a minimising v_a − pq_a, which is ⟨y−p, q_a−c⟩ up to a term
 // that does not depend on a.
-//
-//recclint:hotpath
 func (g *gram) step(s int, gamma float64, v, lam, pq []float64) (arg int, best float64) {
 	keep := 1 - gamma
 	best, arg = math.Inf(1), -1
@@ -419,8 +414,6 @@ func (f *fw) size(l, d int) {
 // (certified uncovered; the upper bound then still orders candidates
 // usefully), or after maxIters steps. When it reports covered, f.lam holds
 // the weights of the covering iterate.
-//
-//recclint:hotpath
 func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (ub, lb float64, covered bool) {
 	pq, v, lam := f.pq, f.v, f.lam
 	bestD, start := math.Inf(1), 0
@@ -496,8 +489,6 @@ func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (
 
 // materialise forms y − p = Σ λ_a (q_a − c) − (p − c) in R^d and returns its
 // norm.
-//
-//recclint:hotpath
 func (f *fw) materialise(g *gram, p []float64) float64 {
 	r := f.r
 	for j, cj := range g.c {

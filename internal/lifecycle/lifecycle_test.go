@@ -52,7 +52,11 @@ func sameIndex(t *testing.T, got, want *ecc.Fast, n int) {
 
 func TestIncrementalAddPublishesNewGeneration(t *testing.T) {
 	g := graph.Cycle(24)
-	m := newManager(t, g, testConfig())
+	// The chord's drift (0.857) would cross the default threshold, and the
+	// rebuild it schedules would race the generation asserted below.
+	cfg := testConfig()
+	cfg.DriftThreshold = 2
+	m := newManager(t, g, cfg)
 	s0 := m.Current()
 	if s0.Gen != 1 {
 		t.Fatalf("initial generation %d, want 1", s0.Gen)
@@ -67,8 +71,8 @@ func TestIncrementalAddPublishesNewGeneration(t *testing.T) {
 	if res.Gen != 2 {
 		t.Fatalf("generation %d, want 2", res.Gen)
 	}
-	if res.Drift <= 0 {
-		t.Fatalf("drift %g, want > 0", res.Drift)
+	if res.Drift <= 0 || res.RebuildScheduled {
+		t.Fatalf("drift %g, rebuild scheduled %v: want drift > 0 and no rebuild", res.Drift, res.RebuildScheduled)
 	}
 	s1 := m.Current()
 	if s1.Gen != 2 || s1.M != g.M()+1 {

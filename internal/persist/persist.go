@@ -148,7 +148,7 @@ func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, withEcc
 		Rounds:        f.HullInfo.Rounds,
 	}
 	if withEcc {
-		s.Ecc = f.DistributionParallel(0)
+		s.Ecc = f.Distribution()
 	}
 	return s
 }

@@ -348,40 +348,38 @@ func (st *Store) walRecordsOnDiskLocked() ([]Record, int64, error) {
 
 // rewriteWALLocked atomically replaces the WAL with header + recs and
 // reopens the append handle. Callers hold st.mu.
-func (st *Store) rewriteWALLocked(recs []Record) error {
+func (st *Store) rewriteWALLocked(recs []Record) (err error) {
 	path := filepath.Join(st.dir, "wal.log")
 	tmp, err := os.CreateTemp(st.dir, tmpPrefix+"wal-*")
 	if err != nil {
 		return fmt.Errorf("persist: wal rewrite: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
 	hdr := walHeader()
-	if _, err := tmp.Write(hdr[:]); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if _, err = tmp.Write(hdr[:]); err != nil {
 		return err
 	}
 	for _, r := range recs {
 		b := encodeRecord(r)
-		if _, err := tmp.Write(b[:]); err != nil {
-			tmp.Close()
-			os.Remove(tmp.Name())
+		if _, err = tmp.Write(b[:]); err != nil {
 			return err
 		}
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(tmp.Name())
+	if err = tmp.Sync(); err != nil {
 		return err
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmp.Name())
+	if err = tmp.Close(); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		os.Remove(tmp.Name())
+	if err = os.Rename(tmp.Name(), path); err != nil {
 		return err
 	}
-	if err := syncDir(st.dir); err != nil {
+	if err = syncDir(st.dir); err != nil {
 		return err
 	}
 	f, err := os.OpenFile(path, os.O_RDWR, 0o644)

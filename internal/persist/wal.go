@@ -138,35 +138,36 @@ func scanWAL(r io.Reader) (recs []Record, validSize int64, err error) {
 // records. A WAL whose header is unreadable or from another format version
 // is reset to an empty log — its records are unusable, and recovery treats
 // missing history as "fall back to cold build".
-func loadWAL(path string) (*os.File, []Record, error) {
+func loadWAL(path string) (_ *os.File, _ []Record, err error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	recs, validSize, err := scanWAL(f)
 	if err != nil || validSize == 0 {
 		// Foreign version or unreadable header: start over.
 		recs = nil
-		if terr := f.Truncate(0); terr != nil {
-			f.Close()
-			return nil, nil, terr
+		if err = f.Truncate(0); err != nil {
+			return nil, nil, err
 		}
 		hdr := walHeader()
-		if _, werr := f.WriteAt(hdr[:], 0); werr != nil {
-			f.Close()
-			return nil, nil, werr
+		if _, err = f.WriteAt(hdr[:], 0); err != nil {
+			return nil, nil, err
 		}
 		validSize = walHeaderSize
 	}
 	if fi, serr := f.Stat(); serr == nil && fi.Size() > validSize {
-		if terr := f.Truncate(validSize); terr != nil {
-			f.Close()
-			return nil, nil, terr
+		if err = f.Truncate(validSize); err != nil {
+			return nil, nil, err
 		}
 	}
-	if _, serr := f.Seek(0, io.SeekEnd); serr != nil {
-		f.Close()
-		return nil, nil, serr
+	if _, err = f.Seek(0, io.SeekEnd); err != nil {
+		return nil, nil, err
 	}
 	return f, recs, nil
 }

@@ -19,8 +19,6 @@ package sketch
 // ecc[i] and arg[i]. A source with no admissible candidate gets (0, src),
 // matching EccentricityOver. ecc and arg must have len(srcs) elements; the
 // kernel allocates nothing.
-//
-//recclint:hotpath
 func (s *Sketch) EccentricityBatch(srcs, cand []int, ecc []float64, arg []int) {
 	si := 0
 	for ; si+4 <= len(srcs); si += 4 {
@@ -33,8 +31,6 @@ func (s *Sketch) EccentricityBatch(srcs, cand []int, ecc []float64, arg []int) {
 
 // EccentricityBatchAll is EccentricityBatch over the full node set — the
 // batched form of Eccentricity (APPROXQUERY's scan, no hull pruning).
-//
-//recclint:hotpath
 func (s *Sketch) EccentricityBatchAll(srcs []int, ecc []float64, arg []int) {
 	si := 0
 	for ; si+4 <= len(srcs); si += 4 {
@@ -48,8 +44,6 @@ func (s *Sketch) EccentricityBatchAll(srcs []int, ecc []float64, arg []int) {
 // scan4 is the register tile of the batch kernel: four sources scanned
 // against the candidate list in one pass. The candidate embedding pv is read
 // once per iteration and consumed by four independent accumulator chains.
-//
-//recclint:hotpath
 func (s *Sketch) scan4(s0, s1, s2, s3 int, cand []int, ecc []float64, arg []int) {
 	p0, p1, p2, p3 := s.pts[s0], s.pts[s1], s.pts[s2], s.pts[s3]
 	e0, e1, e2, e3 := 0.0, 0.0, 0.0, 0.0
@@ -87,8 +81,6 @@ func (s *Sketch) scan4(s0, s1, s2, s3 int, cand []int, ecc []float64, arg []int)
 }
 
 // scan4All is scan4 over all n nodes instead of a candidate list.
-//
-//recclint:hotpath
 func (s *Sketch) scan4All(s0, s1, s2, s3 int, ecc []float64, arg []int) {
 	p0, p1, p2, p3 := s.pts[s0], s.pts[s1], s.pts[s2], s.pts[s3]
 	e0, e1, e2, e3 := 0.0, 0.0, 0.0, 0.0

@@ -253,8 +253,6 @@ func (s *Sketch) Points() [][]float64 { return s.pts }
 
 // Resistance returns r̃(u,v) = ‖X̃(e_u − e_v)‖², the sketched resistance
 // distance between u and v (Algorithm 2, line 4).
-//
-//recclint:hotpath
 func (s *Sketch) Resistance(u, v int) float64 {
 	pu, pv := s.pts[u], s.pts[v]
 	r := 0.0
@@ -268,8 +266,6 @@ func (s *Sketch) Resistance(u, v int) float64 {
 // Eccentricity scans all nodes and returns
 // c̄(s) = max_{j != src} r̃(src, j) together with the farthest node — the
 // query step of APPROXQUERY and the whole of APPROXRECC (Algorithm 7).
-//
-//recclint:hotpath
 func (s *Sketch) Eccentricity(src int) (float64, int) {
 	best, arg := 0.0, src
 	for v := 0; v < s.N; v++ {
@@ -286,8 +282,6 @@ func (s *Sketch) Eccentricity(src int) (float64, int) {
 // EccentricityOver scans only the candidate node set (FASTQUERY's hull
 // boundary Ŝ) and returns ĉ(src) = max_{j ∈ cand} r̃(src, j) with the
 // argmax. Nodes equal to src are skipped.
-//
-//recclint:hotpath
 func (s *Sketch) EccentricityOver(src int, cand []int) (float64, int) {
 	best, arg := 0.0, src
 	for _, v := range cand {

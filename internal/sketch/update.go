@@ -143,8 +143,6 @@ func (s *Sketch) applyRank1(x []float64, u, v int, scale, contrib float64) *Sket
 
 // addScaledRow writes dst = src + c·delta elementwise: the O(d) inner kernel
 // of the rank-1 embedding correction, run once per node per update.
-//
-//recclint:hotpath
 func addScaledRow(dst, src, delta []float64, c float64) {
 	if c == 0 {
 		copy(dst, src)

@@ -57,7 +57,7 @@ type Options struct {
 	Tol float64
 	// MaxIter caps CG iterations; zero means 10n + 100.
 	MaxIter int
-	// Precond selects the preconditioner; default Jacobi.
+	// Precond selects the preconditioner; the zero value, None, is plain CG.
 	Precond Preconditioner
 }
 
@@ -202,7 +202,6 @@ func (s *Lap) LastStats() (iters int, relResidual float64) {
 	return s.lastIters, s.lastResidual
 }
 
-//recclint:hotpath
 func (s *Lap) applyPrecond(r, z []float64) {
 	switch s.opt.Precond {
 	case None:
@@ -221,8 +220,6 @@ func (s *Lap) applyPrecond(r, z []float64) {
 // applySGS solves M z = r with M = (D+Lo) D⁻¹ (D+Lo)ᵀ: a forward sweep with
 // the lower triangle, a diagonal scaling, then a backward sweep with the
 // upper triangle. Off-diagonal Laplacian entries are all −1 on neighbours.
-//
-//recclint:hotpath
 func (s *Lap) applySGS(r, z []float64) {
 	csr := s.csr
 	n := csr.N

@@ -3,7 +3,8 @@
 // lifecycle manager and the reccd server both own background goroutines
 // (rebuild workers, mutation workers, HTTP serving), and a test that forgets
 // to Close one leaks workers that outlive the test and poison later timing-
-// or race-sensitive tests in the same binary.
+// or race-sensitive tests in the same binary. CheckFiles does the same for
+// files a test's error paths leave open.
 package testutil
 
 import (

@@ -331,7 +331,7 @@ func InspectFile(path string) (*Info, error) {
 // WriteFile writes recs as a complete trace file at path, fsynced. Records
 // must already carry contiguous sequence numbers from 1 (Generate's output
 // does); violating that would produce a file whose own reader stops early.
-func WriteFile(path string, recs []Record) error {
+func WriteFile(path string, recs []Record) (err error) {
 	buf := make([]byte, 0, headerSize+len(recs)*(recPrefix+16))
 	h := header()
 	buf = append(buf, h[:]...)
@@ -350,12 +350,15 @@ func WriteFile(path string, recs []Record) error {
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
+	if _, err = f.Write(buf); err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
+	if err = f.Sync(); err != nil {
 		return err
 	}
 	return f.Close()

@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+
+	"resistecc/internal/testutil"
 )
 
 func writeRaw(path string, b []byte) error {
@@ -228,5 +230,17 @@ func TestInspectFileTornTail(t *testing.T) {
 	}
 	if info.TornBytes <= 0 || info.ValidBytes+info.TornBytes != int64(cut) {
 		t.Fatalf("byte accounting wrong: valid=%d torn=%d file=%d", info.ValidBytes, info.TornBytes, cut)
+	}
+}
+
+// TestErrorPathsCloseFiles: a WriteFile whose write fails still closes the
+// file it created.
+func TestErrorPathsCloseFiles(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("needs /dev/full")
+	}
+	testutil.CheckFiles(t)
+	if err := WriteFile("/dev/full", sampleRecords()); err == nil {
+		t.Fatal("WriteFile to /dev/full succeeded")
 	}
 }

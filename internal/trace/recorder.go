@@ -75,11 +75,16 @@ type RecorderStats struct {
 
 // NewRecorder creates (truncating) the trace file at path and starts the
 // writer goroutine.
-func NewRecorder(path string, opt RecorderOptions) (*Recorder, error) {
+func NewRecorder(path string, opt RecorderOptions) (_ *Recorder, err error) {
 	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
 	if err != nil {
 		return nil, err
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	if opt.Buffer <= 0 {
 		opt.Buffer = 1024
 	}
@@ -93,8 +98,7 @@ func NewRecorder(path string, opt RecorderOptions) (*Recorder, error) {
 		syncEvery: opt.SyncEvery,
 	}
 	h := header()
-	if _, err := r.w.Write(h[:]); err != nil {
-		f.Close()
+	if _, err = r.w.Write(h[:]); err != nil {
 		return nil, err
 	}
 	go r.writeLoop()

@@ -161,12 +161,6 @@ func (ix *FastIndex) Query(nodes []int) ([]Eccentricity, error) {
 // Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time.
 func (ix *FastIndex) Distribution() []float64 { return ix.f.Distribution() }
 
-// DistributionParallel is Distribution fanned out over the given worker
-// count (0 = GOMAXPROCS); results are identical to the serial path.
-func (ix *FastIndex) DistributionParallel(workers int) []float64 {
-	return ix.f.DistributionParallel(workers)
-}
-
 // BoundarySize reports l = |Ŝ|, the hull-boundary node count each query
 // scans — small for real-world networks (§V-C).
 func (ix *FastIndex) BoundarySize() int { return ix.f.L() }

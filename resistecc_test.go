@@ -385,21 +385,3 @@ func TestFitBurrPublic(t *testing.T) {
 		t.Fatal("too few samples")
 	}
 }
-
-func TestDistributionParallelPublic(t *testing.T) {
-	g, err := BarabasiAlbert(150, 2, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fi, err := NewFastIndex(context.Background(), g, WithEpsilon(0.3), WithDim(64), WithSeed(8), WithMaxHullVertices(16))
-	if err != nil {
-		t.Fatal(err)
-	}
-	serial := fi.Distribution()
-	par := fi.DistributionParallel(4)
-	for v := range serial {
-		if serial[v] != par[v] {
-			t.Fatalf("node %d: %g vs %g", v, serial[v], par[v])
-		}
-	}
-}
