@@ -47,6 +47,41 @@ func TestSentinelErrors(t *testing.T) {
 	}
 }
 
+// Two disjoint triangles have no isolated node, so a disconnected graph
+// cannot be caught by a degree check: every root constructor must still
+// refuse it, rather than answer r(0,3) across the two components.
+func TestDisconnectedTrianglesRejected(t *testing.T) {
+	ctx := context.Background()
+	g := NewGraph(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	opts := []Option{WithEpsilon(0.3), WithDim(8), WithSeed(1)}
+	for _, tc := range []struct {
+		name  string
+		build func() error
+	}{
+		{"NewExactIndex", func() error { _, err := NewExactIndex(ctx, g); return err }},
+		{"NewApproxIndex", func() error { _, err := NewApproxIndex(ctx, g, opts...); return err }},
+		{"NewFastIndex", func() error { _, err := NewFastIndex(ctx, g, opts...); return err }},
+		{"NewDynamicIndex", func() error {
+			d, err := NewDynamicIndex(ctx, g, opts...)
+			if err == nil {
+				d.Close()
+			}
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.build(); !errors.Is(err, ErrDisconnected) {
+				t.Fatalf("two disjoint triangles: err = %v, want ErrDisconnected", err)
+			}
+		})
+	}
+}
+
 // A Plan naming out-of-range nodes must fail Apply cleanly, not panic.
 func TestPlanApplyOutOfRange(t *testing.T) {
 	g := PathGraph(6)

@@ -102,8 +102,13 @@ func NewApprox(g *graph.Graph, opt sketch.Options) (*Approx, error) {
 	return NewApproxContext(context.Background(), g, opt)
 }
 
-// NewApproxContext is NewApprox with build cancellation.
+// NewApproxContext is NewApprox with build cancellation. g must be
+// connected (graph.ErrDisconnected otherwise): resistance between two
+// components is infinite, and no sketch can say so.
 func NewApproxContext(ctx context.Context, g *graph.Graph, opt sketch.Options) (*Approx, error) {
+	if !g.Connected() {
+		return nil, fmt.Errorf("ecc: approx preprocessing requires a connected graph: %w", graph.ErrDisconnected)
+	}
 	sk, err := sketch.NewContext(ctx, g.ToCSR(), opt)
 	if err != nil {
 		return nil, fmt.Errorf("ecc: approx preprocessing: %w", err)
@@ -162,8 +167,13 @@ func NewFast(g *graph.Graph, opt FastOptions) (*Fast, error) {
 
 // NewFastContext is NewFast with build cancellation: the dominant sketch
 // stage aborts between solver rows when ctx is cancelled, so background
-// rebuilds (the lifecycle manager) can be torn down mid-flight.
+// rebuilds (the lifecycle manager) can be torn down mid-flight. Like
+// NewApproxContext, it fails with graph.ErrDisconnected unless g is
+// connected.
 func NewFastContext(ctx context.Context, g *graph.Graph, opt FastOptions) (*Fast, error) {
+	if !g.Connected() {
+		return nil, fmt.Errorf("ecc: fast preprocessing requires a connected graph: %w", graph.ErrDisconnected)
+	}
 	hopt, err := hullOptions(opt)
 	if err != nil {
 		return nil, err

@@ -23,6 +23,11 @@ func TestZeroAllocs(t *testing.T) {
 			q[j] += x[j] / float64(len(pts))
 		}
 	}
+	dir4 := make([]float64, 0, 4*len(p))
+	for _, x := range [][]float64{p, q, pts[1], pts[2]} {
+		dir4 = append(dir4, x...)
+	}
+	var arg4 [4]int
 	var sinkF float64
 	var sinkI int
 	cases := []struct {
@@ -30,7 +35,7 @@ func TestZeroAllocs(t *testing.T) {
 		run  func()
 	}{
 		{"argmaxDist", func() { sinkI = argmaxDist(pts, p) }},
-		{"argmaxDot", func() { sinkI = argmaxDot(pts, p) }},
+		{"argmaxDot4", func() { argmaxDot4(pts, dir4, &arg4) }},
 		{"distSq", func() { sinkF = distSq(p, q) }},
 		{"gram.step", func() { sinkI, sinkF = g.step(1, 0.5, f.v, f.lam, f.pq) }},
 		{"fw.distToHull", func() { sinkF, _, _ = f.distToHull(g, q, 0, 300) }},

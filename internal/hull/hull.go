@@ -10,7 +10,9 @@
 //
 //  1. Seeding — extreme points along the approximate-diameter axis and a
 //     batch of random directions. The argmax of a linear functional is
-//     always a true hull vertex, so seeds are exact extreme points.
+//     always a true hull vertex, so seeds are exact extreme points. Each
+//     pass over the points scores four directions, and the passes run on
+//     runtime.GOMAXPROCS(0) workers.
 //  2. Greedy refinement — repeatedly find the point farthest from the
 //     current conv(Ŝ) (distance computed by Frank–Wolfe, a.k.a. the
 //     triangle algorithm, with certified upper/lower bounds) and insert it,
@@ -35,7 +37,9 @@
 //
 // Given the hull, points are independent, so each round runs them on
 // runtime.GOMAXPROCS(0) workers. A worker writes only its own points'
-// slots, and the uncovered points are collected in index order, so the
+// slots, and the uncovered points are collected in index order. Seeding's
+// workers likewise write only their own directions' argmaxes, each summed
+// in coordinate order, and the seeds go in in direction order. So the
 // Result does not depend on the worker count.
 //
 // FASTQUERY uses Ŝ to restrict farthest-point queries: the node farthest
@@ -148,13 +152,13 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 			dirs = 64
 		}
 	}
-	rng := rand.New(rand.NewSource(opt.Seed))
-	dir := make([]float64, d)
-	for t := 0; t < dirs && !full(); t++ {
-		for j := range dir {
-			dir[j] = rng.NormFloat64()
+	if !full() {
+		for _, i := range seedArgmaxes(pts, dirs, opt.Seed) {
+			if full() {
+				break
+			}
+			addVertex(i)
 		}
-		addVertex(argmaxDot(pts, dir))
 	}
 
 	if opt.SkipRefine {
@@ -290,18 +294,59 @@ func argmaxDist(pts [][]float64, from []float64) int {
 	return arg
 }
 
-func argmaxDot(pts [][]float64, dir []float64) int {
-	best, arg := math.Inf(-1), 0
+// seedArgmaxes draws dirs random directions from a source seeded with seed,
+// d normal coordinates each, and returns for each the first index of a point
+// maximising its dot product. The directions are scored four per pass over
+// the points, and the passes run on runtime.GOMAXPROCS(0) workers.
+func seedArgmaxes(pts [][]float64, dirs int, seed int64) []int {
+	d := len(pts[0])
+	rng := rand.New(rand.NewSource(seed))
+	passes := (dirs + 3) / 4
+	// Zero directions pad the last pass to four; their answers are dropped.
+	dir := make([]float64, 4*passes*d)
+	for j := range dir[:dirs*d] {
+		dir[j] = rng.NormFloat64()
+	}
+	arg := make([]int, 4*passes)
+	fanOut(passes, runtime.GOMAXPROCS(0), func(_, k int) {
+		argmaxDot4(pts, dir[4*k*d:4*(k+1)*d], (*[4]int)(arg[4*k:]))
+	})
+	return arg[:dirs]
+}
+
+// argmaxDot4 scores four directions in one pass over the points: dir holds
+// them back to back, d coordinates each, and arg[t] gets the first index i
+// maximising ⟨pts[i], dir_t⟩. Each direction keeps its own accumulator,
+// summed in coordinate order, and strict > keeps the lowest index on a tie,
+// so every answer is that of a one-direction scan.
+func argmaxDot4(pts [][]float64, dir []float64, arg *[4]int) {
+	d := len(dir) / 4
+	d0, d1, d2, d3 := dir[:d:d], dir[d:2*d:2*d], dir[2*d:3*d:3*d], dir[3*d:4*d:4*d]
+	b0, b1, b2, b3 := math.Inf(-1), math.Inf(-1), math.Inf(-1), math.Inf(-1)
+	var a0, a1, a2, a3 int
 	for i, p := range pts {
-		s := 0.0
-		for j, v := range dir {
-			s += v * p[j]
+		p = p[:d]
+		var s0, s1, s2, s3 float64
+		for j, x := range p {
+			s0 += d0[j] * x
+			s1 += d1[j] * x
+			s2 += d2[j] * x
+			s3 += d3[j] * x
 		}
-		if s > best {
-			best, arg = s, i
+		if s0 > b0 {
+			b0, a0 = s0, i
+		}
+		if s1 > b1 {
+			b1, a1 = s1, i
+		}
+		if s2 > b2 {
+			b2, a2 = s2, i
+		}
+		if s3 > b3 {
+			b3, a3 = s3, i
 		}
 	}
-	return arg
+	*arg = [4]int{a0, a1, a2, a3}
 }
 
 func distSq(x, y []float64) float64 {

@@ -181,6 +181,60 @@ func TestSkipRefine(t *testing.T) {
 	}
 }
 
+// Seeding draws every direction first and scores four per pass over the
+// points on GOMAXPROCS workers. Each answer must be the one-direction
+// reference scan's, for every direction, including on a cloud where every
+// point appears twice, so each maximum is an exact tie that the lower index
+// must win.
+func TestSeedArgmaxesMatchReference(t *testing.T) {
+	for _, d := range []int{1, 3, 4, 5, 128} {
+		cloud := fixtureCloud(int64(20+d), 150, d, true, 0)
+		for _, dup := range []bool{false, true} {
+			pts := cloud
+			if dup {
+				pts = append(append([][]float64(nil), cloud...), cloud...)
+			}
+			for _, dirs := range []int{1, 3, 4, 5, 64} {
+				seed := int64(100*d + dirs)
+				got := seedArgmaxes(pts, dirs, seed)
+				if len(got) != dirs {
+					t.Fatalf("d=%d dirs=%d: %d answers", d, dirs, len(got))
+				}
+				rng := rand.New(rand.NewSource(seed))
+				dir := make([]float64, d)
+				for k := 0; k < dirs; k++ {
+					for j := range dir {
+						dir[j] = rng.NormFloat64()
+					}
+					want := argmaxDot(pts, dir)
+					if got[k] != want {
+						t.Errorf("d=%d dirs=%d dup=%v direction %d: argmax %d, reference %d", d, dirs, dup, k, got[k], want)
+					}
+					if dup && want >= len(cloud) {
+						t.Errorf("d=%d dirs=%d direction %d: the reference broke a tie upward (%d)", d, dirs, k, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// Rounding decides these two dot products: with every direction a positive
+// multiple of (1,1,1), summing in coordinate order gives 0 for the first
+// point and the multiple itself for the second, so the second wins. Summed
+// from the last coordinate down, the two tie and the first would win.
+func TestArgmaxDot4SummationOrder(t *testing.T) {
+	pts := [][]float64{{1e16, 1, -1e16}, {1e16, -1e16, 1}}
+	dir := []float64{1, 1, 1, 2, 2, 2, 0.5, 0.5, 0.5, 4, 4, 4}
+	var arg [4]int
+	argmaxDot4(pts, dir, &arg)
+	for k := range arg {
+		if want := argmaxDot(pts, dir[3*k:3*k+3]); arg[k] != want || want != 1 {
+			t.Errorf("direction %d: argmax %d, reference %d, want 1", k, arg[k], want)
+		}
+	}
+}
+
 // Both Frank–Wolfe forms, the reference in R^d and the Gram form Approx
 // runs, on a hull whose distances are known in closed form.
 func TestFrankWolfeDistance(t *testing.T) {

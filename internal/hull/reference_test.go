@@ -2,6 +2,23 @@ package hull
 
 import "math"
 
+// argmaxDot is the reference seeding scan, one direction per pass over the
+// points: the first index maximising ⟨p, dir⟩. The tests check the
+// four-direction kernel against it.
+func argmaxDot(pts [][]float64, dir []float64) int {
+	best, arg := math.Inf(-1), 0
+	for i, p := range pts {
+		s := 0.0
+		for j, v := range dir {
+			s += v * p[j]
+		}
+		if s > best {
+			best, arg = s, i
+		}
+	}
+	return arg
+}
+
 // refFW is the reference point-to-hull distance: Frank–Wolfe run directly
 // in R^d at O(l·d) per step. The tests check coverage with it, so the Gram-
 // form code under test never re-verifies its own answers.

@@ -25,11 +25,12 @@ import (
 type Preconditioner int
 
 const (
-	// None runs plain CG.
-	None Preconditioner = iota
 	// Jacobi preconditions with the degree diagonal D⁻¹ — essentially free
 	// and effective on the irregular-degree scale-free graphs studied here.
-	Jacobi
+	// It is the zero value, so every index build uses it.
+	Jacobi Preconditioner = iota
+	// None runs plain CG; the solver ablation compares against it.
+	None
 	// SGS preconditions with the symmetric Gauss–Seidel splitting
 	// M = (D+Lo) D⁻¹ (D+Lo)ᵀ where Lo is the strict lower triangle of L.
 	// One application costs one forward plus one backward sweep (O(m)).
@@ -57,7 +58,7 @@ type Options struct {
 	Tol float64
 	// MaxIter caps CG iterations; zero means 10n + 100.
 	MaxIter int
-	// Precond selects the preconditioner; the zero value, None, is plain CG.
+	// Precond selects the preconditioner; the zero value is Jacobi.
 	Precond Preconditioner
 }
 
@@ -76,7 +77,10 @@ func (o Options) withDefaults(n int) Options {
 	return o
 }
 
-// ErrNoConvergence reports that CG hit MaxIter before reaching Tol.
+// ErrNoConvergence reports that a solve ended above 4·Tol, or with an x too
+// long for any connected graph: CG hit MaxIter, or the graph is disconnected
+// and CG stopped early, on a search direction without curvature or on a
+// recurred residual that no longer tracks b − Lx.
 var ErrNoConvergence = errors.New("solver: conjugate gradient did not converge")
 
 // Lap is a reusable Laplacian solver bound to one CSR snapshot.
@@ -188,9 +192,15 @@ func (s *Lap) Solve(b, x []float64) (int, error) {
 	linalg.ProjectOutOnes(x)
 	res := linalg.Norm2(r)
 	s.lastIters, s.lastResidual = iter, res/bnorm
-	if res > tol*4 && iter >= s.opt.MaxIter {
-		return iter, fmt.Errorf("%w: %d iterations, residual %.3e (target %.3e)",
-			ErrNoConvergence, iter, res, tol)
+	// A connected graph on n nodes has λ₂ ≥ 4/(n·diam) ≥ 4/(n(n−1))
+	// (Mohar 1991), so a solution x ⊥ 1 has ‖x‖ ≤ ‖b‖·n(n−1)/4. An x twice
+	// that long means r no longer tracks b − Lx: on a disconnected graph SGS
+	// leaks into the second null vector, and x grows past 1e15 while r reads
+	// converged.
+	xnorm := linalg.Norm2(x)
+	if res > tol*4 || xnorm > bnorm*float64(n)*float64(n-1)/2 {
+		return iter, fmt.Errorf("%w: %d iterations, residual %.3e (target %.3e), ‖x‖/‖b‖ = %.3g",
+			ErrNoConvergence, iter, res, tol, xnorm/bnorm)
 	}
 	return iter, nil
 }

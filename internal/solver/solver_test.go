@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -145,6 +146,67 @@ func TestMaxIterFailure(t *testing.T) {
 	x := make([]float64, 300)
 	if _, err := lap.Solve(b, x); err == nil {
 		t.Fatal("3 iterations cannot solve a 300-path; expected ErrNoConvergence")
+	}
+}
+
+// The zero Options must run Jacobi-preconditioned CG: the index builds set
+// only Tol, so the zero value is what every served sketch gets.
+func TestZeroOptionsAreJacobi(t *testing.T) {
+	csr := graph.BarabasiAlbert(200, 3, 11).ToCSR()
+	b := make([]float64, csr.N)
+	b[7], b[150] = 1, -1
+	solve := func(opt Options) ([]float64, int) {
+		lap, err := NewLap(csr, opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := make([]float64, csr.N)
+		iters, err := lap.Solve(b, x)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return x, iters
+	}
+	x0, it0 := solve(Options{})
+	xj, itj := solve(Options{Precond: Jacobi})
+	if it0 != itj {
+		t.Fatalf("zero Options took %d iterations, Jacobi %d", it0, itj)
+	}
+	for i := range x0 {
+		if math.Float64bits(x0[i]) != math.Float64bits(xj[i]) {
+			t.Fatalf("x[%d]: zero Options %v, Jacobi %v", i, x0[i], xj[i])
+		}
+	}
+}
+
+// Two disjoint triangles pass the isolated-node check, but b = e_0 − e_3
+// has a component in the second null-space vector that no iterate can
+// remove. None and Jacobi stop on a search direction with no curvature,
+// their residual far above target; SGS stops with its recurred residual
+// converged and x past 1e15, longer than any connected graph's solution.
+// All of them stop long before MaxIter, and each must say it failed.
+func TestDisconnectedSolveFails(t *testing.T) {
+	g := graph.New(6)
+	for _, e := range [][2]int{{0, 1}, {1, 2}, {0, 2}, {3, 4}, {4, 5}, {3, 5}} {
+		if err := g.AddEdge(e[0], e[1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	csr := g.ToCSR()
+	for _, pc := range []Preconditioner{None, Jacobi, SGS} {
+		t.Run(pc.String(), func(t *testing.T) {
+			lap, err := NewLap(csr, Options{Precond: pc})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := make([]float64, 6)
+			b[0], b[3] = 1, -1
+			x := make([]float64, 6)
+			if _, err := lap.Solve(b, x); !errors.Is(err, ErrNoConvergence) {
+				_, res := lap.LastStats()
+				t.Fatalf("err = %v (relative residual %.3g), want ErrNoConvergence", err, res)
+			}
+		})
 	}
 }
 

@@ -131,8 +131,9 @@ func NewExactIndex(ctx context.Context, g *Graph) (*ExactIndex, error) {
 }
 
 // NewApproxIndex builds the APPROXQUERY index (Algorithm 2): the APPROXER
-// sketch, queries by full scan. WithEpsilon is required. The context cancels
-// the build between solver rows. Successor of (*Graph).NewApproxIndex.
+// sketch, queries by full scan. WithEpsilon is required, and g must be
+// connected (ErrDisconnected otherwise). The context cancels the build
+// between solver rows. Successor of (*Graph).NewApproxIndex.
 func NewApproxIndex(ctx context.Context, g *Graph, opts ...Option) (*ApproxIndex, error) {
 	c := applyOptions(opts)
 	ap, err := ecc.NewApproxContext(ctx, g.inner(), c.sk.internal())
@@ -144,8 +145,9 @@ func NewApproxIndex(ctx context.Context, g *Graph, opts ...Option) (*ApproxIndex
 
 // NewFastIndex builds the FASTQUERY index (Algorithm 3): the APPROXER
 // sketch plus the APPROXCH hull boundary, so each query scans only l
-// boundary nodes. WithEpsilon is required. The context cancels the build
-// between solver rows. Successor of (*Graph).NewFastIndex.
+// boundary nodes. WithEpsilon is required, and g must be connected
+// (ErrDisconnected otherwise). The context cancels the build between solver
+// rows. Successor of (*Graph).NewFastIndex.
 func NewFastIndex(ctx context.Context, g *Graph, opts ...Option) (*FastIndex, error) {
 	c := applyOptions(opts)
 	f, err := ecc.NewFastContext(ctx, g.inner(), c.fastOptions())
