@@ -166,8 +166,8 @@ func NewFast(g *graph.Graph, opt FastOptions) (*Fast, error) {
 }
 
 // NewFastContext is NewFast with build cancellation: the dominant sketch
-// stage aborts between solver rows when ctx is cancelled, so background
-// rebuilds (the lifecycle manager) can be torn down mid-flight. Like
+// stage aborts between blocks of solver rows when ctx is cancelled, so
+// background rebuilds (the lifecycle manager) can be torn down mid-flight. Like
 // NewApproxContext, it fails with graph.ErrDisconnected unless g is
 // connected.
 func NewFastContext(ctx context.Context, g *graph.Graph, opt FastOptions) (*Fast, error) {

@@ -56,41 +56,3 @@ func (c *CSR) AdjMul(x, y []float64) {
 		y[u] = s
 	}
 }
-
-// IncidenceTMul computes y = Bᵀ·q, where B ∈ R^{m×n} is the signed
-// edge–node incidence matrix (§III-B) with the arbitrary edge orientation
-// u→v for u < v, and q ∈ R^m is indexed in the canonical edge order produced
-// by EdgeOrder. y must have length N and is fully overwritten.
-//
-// This is the kernel of APPROXER: a random projection row q is pushed through
-// Bᵀ before the Laplacian solve, avoiding materializing B.
-func (c *CSR) IncidenceTMul(q, y []float64) {
-	for i := range y {
-		y[i] = 0
-	}
-	e := 0
-	for u := 0; u < c.N; u++ {
-		for _, v := range c.Col[c.Ptr[u]:c.Ptr[u+1]] {
-			if int32(u) < v {
-				// b_e = e_u − e_v
-				y[u] += q[e]
-				y[v] -= q[e]
-				e++
-			}
-		}
-	}
-}
-
-// EdgeOrder returns the canonical (u < v, sorted by u then v) edge list that
-// IncidenceTMul's q vector is indexed against.
-func (c *CSR) EdgeOrder() []Edge {
-	edges := make([]Edge, 0, c.M)
-	for u := 0; u < c.N; u++ {
-		for _, v := range c.Col[c.Ptr[u]:c.Ptr[u+1]] {
-			if int32(u) < v {
-				edges = append(edges, Edge{u, int(v)})
-			}
-		}
-	}
-	return edges
-}

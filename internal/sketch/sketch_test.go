@@ -2,12 +2,16 @@ package sketch
 
 import (
 	"context"
+	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 
+	"resistecc/internal/dataset"
 	"resistecc/internal/graph"
 	"resistecc/internal/linalg"
+	"resistecc/internal/solver"
 )
 
 func TestTheoreticalDim(t *testing.T) {
@@ -163,5 +167,138 @@ func TestBuildStats(t *testing.T) {
 	}
 	if st.Workers != 4 {
 		t.Fatalf("workers %d, want 4", st.Workers)
+	}
+}
+
+// TestNewContextMatchesReference: the four-lane build equals the row-by-row
+// reference bit for bit, points and BuildStats alike, for every sketch
+// dimension shape (one block, a partial block, exact blocks) and worker
+// count, and runs at most ⌈d/4⌉ workers.
+func TestNewContextMatchesReference(t *testing.T) {
+	graphs := map[string]*graph.CSR{
+		"ba120":            graph.BarabasiAlbert(120, 3, 5).ToCSR(),
+		"unicode-language": unicodeProxy(t),
+	}
+	for _, name := range []string{"ba120", "unicode-language"} {
+		csr := graphs[name]
+		for _, d := range []int{1, 3, 4, 5, 64, 128} {
+			opt := Options{Epsilon: 0.2, Dim: d, Seed: 7}
+			ref, err := referenceSketch(csr, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, workers := range []int{1, 2, 3, 8} {
+				t.Run(fmt.Sprintf("%s/d=%d/workers=%d", name, d, workers), func(t *testing.T) {
+					opt.Workers = workers
+					sk, err := NewContext(context.Background(), csr, opt)
+					if err != nil {
+						t.Fatal(err)
+					}
+					got, want := sk.Stats, ref.Stats
+					if wantWorkers := min(workers, (d+3)/4); got.Workers != wantWorkers {
+						t.Errorf("workers %d, want %d", got.Workers, wantWorkers)
+					}
+					got.Workers = 0
+					if got != want {
+						t.Errorf("stats %+v, reference %+v", got, want)
+					}
+					for v := 0; v < csr.N; v++ {
+						for i, x := range sk.Point(v) {
+							if math.Float64bits(x) != math.Float64bits(ref.Point(v)[i]) {
+								t.Fatalf("node %d row %d: %v, reference %v", v, i, x, ref.Point(v)[i])
+							}
+						}
+					}
+				})
+			}
+		}
+	}
+}
+
+func unicodeProxy(t testing.TB) *graph.CSR {
+	t.Helper()
+	info, err := dataset.Get("Unicode-language")
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := info.Proxy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return g.ToCSR()
+}
+
+// TestPushIncidenceMatchesDenseIncidence: the right-hand sides the build
+// pushes lane by lane equal Bᵀq computed against the dense incidence
+// matrix, bit for bit, with q drawn from each lane's stream; lanes without a
+// stream stay zero. On the 4-node path the push is also checked by hand.
+func TestPushIncidenceMatchesDenseIncidence(t *testing.T) {
+	for _, g := range []*graph.Graph{graph.Path(4), graph.BarabasiAlbert(50, 3, 2), graph.Lollipop(5, 4)} {
+		csr := g.ToCSR()
+		n := csr.N
+		// Dense B, one row per edge in CSR order, oriented u→v for u < v.
+		var dense [][]float64
+		for u := 0; u < n; u++ {
+			for _, v := range csr.Neighbors(u) {
+				if int32(u) < v {
+					row := make([]float64, n)
+					row[u], row[v] = 1, -1
+					dense = append(dense, row)
+				}
+			}
+		}
+		if len(dense) != csr.M {
+			t.Fatalf("%d incidence rows, want m = %d", len(dense), csr.M)
+		}
+		for _, scale := range []float64{1, 1 / math.Sqrt(128)} {
+			var rngs [solver.Lanes]*rand.Rand
+			for j := 0; j < 3; j++ {
+				rngs[j] = rand.New(rand.NewSource(int64(40 + j)))
+			}
+			b := make([][solver.Lanes]float64, n)
+			for i := range b {
+				b[i] = [solver.Lanes]float64{7, 7, 7, 7} // stale contents are overwritten
+			}
+			pushIncidence(csr, &rngs, scale, b)
+			for j := 0; j < solver.Lanes; j++ {
+				want := make([]float64, n)
+				if j < 3 {
+					rng := rand.New(rand.NewSource(int64(40 + j)))
+					for _, row := range dense {
+						q := scale
+						if rng.Int63()&1 == 1 {
+							q = -scale
+						}
+						for w := range want {
+							want[w] += row[w] * q
+						}
+					}
+				}
+				sum := 0.0
+				for w := range want {
+					if math.Float64bits(b[w][j]) != math.Float64bits(want[w]) {
+						t.Fatalf("n=%d lane %d: (Bᵀq)[%d] = %v, dense gives %v", n, j, w, b[w][j], want[w])
+					}
+					sum += b[w][j]
+				}
+				if scale == 1 && sum != 0 {
+					t.Fatalf("n=%d lane %d: Bᵀq sums to %v, want 0", n, j, sum)
+				}
+			}
+			if n == 4 && scale == 1 {
+				// Edges (0,1), (1,2), (2,3): Bᵀq = (q₀, q₁ − q₀, q₂ − q₁, −q₂).
+				rng := rand.New(rand.NewSource(40))
+				var q [3]float64
+				for e := range q {
+					q[e] = 1 - 2*float64(rng.Int63()&1)
+				}
+				want := [4]float64{q[0], q[1] - q[0], q[2] - q[1], -q[2]}
+				for w, v := range want {
+					if b[w][0] != v {
+						t.Fatalf("path lane 0: (Bᵀq)[%d] = %v, want %v", w, b[w][0], v)
+					}
+				}
+			}
+		}
 	}
 }

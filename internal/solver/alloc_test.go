@@ -6,8 +6,9 @@ import (
 	"resistecc/internal/graph"
 )
 
-// TestZeroAllocs pins, one case per function, that applying each
-// preconditioner allocates nothing: CG calls it once per iteration.
+// TestZeroAllocs pins, one case per function, that a warm solve allocates
+// nothing: Solve and SolveLanes run once per mutation and per sketch block,
+// and the preconditioners and lapMulDot4 once per CG iteration.
 func TestZeroAllocs(t *testing.T) {
 	csr := graph.BarabasiAlbert(60, 3, 5).ToCSR()
 	r := make([]float64, csr.N)
@@ -15,6 +16,16 @@ func TestZeroAllocs(t *testing.T) {
 	for i := range r {
 		r[i] = float64(i%7) - 3
 	}
+	b := make([]float64, csr.N)
+	b[3], b[40] = 1, -1
+	x := make([]float64, csr.N)
+	b4 := make([][Lanes]float64, csr.N)
+	x4 := make([][Lanes]float64, csr.N)
+	for i := range b4 {
+		b4[i] = [Lanes]float64{r[i], float64(i % 3), 0, b[i]}
+	}
+	var st [Lanes]LaneStats
+	var sink [Lanes]float64
 	type tcase struct {
 		name string
 		run  func()
@@ -25,11 +36,27 @@ func TestZeroAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cases = append(cases, tcase{"Lap.applyPrecond/" + pc.String(), func() { s.applyPrecond(r, z) }})
+		// The first Solve allocates the scratch that applySGS works in.
+		if _, err := s.Solve(b, x); err != nil {
+			t.Fatal(err)
+		}
+		cases = append(cases,
+			tcase{"Lap.applyPrecond/" + pc.String(), func() { s.applyPrecond(r, z) }},
+			tcase{"Lap.Solve/" + pc.String(), func() {
+				if _, err := s.Solve(b, x); err != nil {
+					t.Fatal(err)
+				}
+			}},
+			tcase{"Lap.SolveLanes/" + pc.String(), func() {
+				if err := s.SolveLanes(b4, x4, &st); err != nil {
+					t.Fatal(err)
+				}
+			}})
 		if pc == SGS {
 			cases = append(cases, tcase{"Lap.applySGS", func() { s.applySGS(r, z) }})
 		}
 	}
+	cases = append(cases, tcase{"lapMulDot4", func() { sink = lapMulDot4(csr, b4, x4) }})
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			tc.run() // warm-up
@@ -38,4 +65,5 @@ func TestZeroAllocs(t *testing.T) {
 			}
 		})
 	}
+	_ = sink
 }

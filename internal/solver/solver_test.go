@@ -210,29 +210,6 @@ func TestDisconnectedSolveFails(t *testing.T) {
 	}
 }
 
-func TestColumnsBatch(t *testing.T) {
-	g := graph.BarabasiAlbert(40, 2, 9)
-	csr := g.ToCSR()
-	lp, err := linalg.Pseudoinverse(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rhs := make([][]float64, 3)
-	for i := range rhs {
-		rhs[i] = make([]float64, 40)
-		rhs[i][i], rhs[i][20+i] = 1, -1
-	}
-	if err := Columns(csr, Options{}, rhs); err != nil {
-		t.Fatal(err)
-	}
-	for i := range rhs {
-		want := lp.At(5, i) - lp.At(5, 20+i)
-		if !almostEq(rhs[i][5], want, 1e-7) {
-			t.Fatalf("batch col %d: %g want %g", i, rhs[i][5], want)
-		}
-	}
-}
-
 func TestResidualNorm(t *testing.T) {
 	g := graph.Cycle(6)
 	csr := g.ToCSR()

@@ -133,7 +133,7 @@ func NewExactIndex(ctx context.Context, g *Graph) (*ExactIndex, error) {
 // NewApproxIndex builds the APPROXQUERY index (Algorithm 2): the APPROXER
 // sketch, queries by full scan. WithEpsilon is required, and g must be
 // connected (ErrDisconnected otherwise). The context cancels the build
-// between solver rows. Successor of (*Graph).NewApproxIndex.
+// between blocks of four solver rows. Successor of (*Graph).NewApproxIndex.
 func NewApproxIndex(ctx context.Context, g *Graph, opts ...Option) (*ApproxIndex, error) {
 	c := applyOptions(opts)
 	ap, err := ecc.NewApproxContext(ctx, g.inner(), c.sk.internal())
