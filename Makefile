@@ -75,8 +75,10 @@ trace-smoke:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
 
-# Machine-readable bench trajectory (BENCH_10.json): the batch-engine
-# benchmarks at batch sizes 1/16/256 against the serial per-node baseline,
+# Machine-readable bench trajectory (BENCH_10.json): at batch sizes 1/16/256,
+# the batch engine's served path (BenchmarkBatchQuery*, which repeats one
+# batch on one index and so answers from its warm witness table), the blocked
+# kernel alone (BenchmarkBatchKernel*) and the serial per-node baseline;
 # the ColdBuild/WarmStart durability carry-overs, and the trace-driven
 # loadgen capacity probes (single node and the replicated tier; their req/s
 # and latency quantiles land in the record's metrics map). The one-shot runs

@@ -11,18 +11,25 @@ import (
 // The batch benchmarks compare the batch engine against per-node queries on
 // one shared mid-size index (build cost is paid once per `go test`
 // invocation, not per sub-benchmark). `make bench-json` records them in
-// BENCH_6.json.
+// BENCH_10.json.
 //
 // Two workloads are measured at each batch size:
 //
-//   - BenchmarkBatchQuery / BenchmarkBatchSerial: Zipf-skewed ids, the shape
-//     of real serving traffic against a scale-free graph (hubs are queried
-//     far more often than leaves). Repeated ids are where the engine's
-//     per-batch dedup pays: the serial path scans the boundary once per
-//     request, the batched path once per distinct id.
+//   - BenchmarkBatchQuery / BenchmarkBatchSerial / BenchmarkBatchKernel:
+//     Zipf-skewed ids, the shape of real serving traffic against a
+//     scale-free graph (hubs are queried far more often than leaves).
+//     Repeated ids are where the engine's per-batch dedup pays: the serial
+//     path scans the boundary once per request, the batched path once per
+//     distinct id.
 //   - the Distinct variants: all-distinct ids, the dedup-free worst case,
 //     isolating what the blocked kernel and call-overhead amortization give
 //     on their own.
+//
+// The index answers each node through the kernel once and from its witness
+// table after that, and these benchmarks repeat one batch on one index, so
+// BenchmarkBatchQuery* time the served path with a warm table: one O(d)
+// resistance per distinct id. BenchmarkBatchKernel* time the blocked kernel
+// alone on the same batches, one O(l·d) boundary scan per id.
 //
 // On multi-core machines batches past minParallelSources also shard across
 // the engine's worker pool; single-core runs measure the pure kernel.
@@ -88,6 +95,18 @@ func benchBatched(b *testing.B, ix *FastIndex, nodes []int) {
 	}
 }
 
+// benchKernel times the blocked kernel (sketch.EccentricityBatch) on nodes
+// into preallocated outputs, with no dedup, witness table or worker pool.
+func benchKernel(b *testing.B, ix *FastIndex, nodes []int) {
+	b.Helper()
+	ecc, arg := make([]float64, len(nodes)), make([]int, len(nodes))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ix.f.Sk.EccentricityBatch(nodes, ix.f.Boundary, ecc, arg)
+	}
+}
+
 func benchSerial(b *testing.B, ix *FastIndex, nodes []int) {
 	b.Helper()
 	b.ReportAllocs()
@@ -101,9 +120,10 @@ func benchSerial(b *testing.B, ix *FastIndex, nodes []int) {
 	_ = sink
 }
 
-// BenchmarkBatchQuery measures the batched path on Zipf-skewed traffic:
-// pooled buffer, dedup, blocked kernel (sharded past minParallelSources).
-// ns/op is per batch; divide by the batch size for per-request cost.
+// BenchmarkBatchQuery measures the served batch path on Zipf-skewed traffic
+// with a warm witness table: pooled buffer, dedup, one resistance per
+// distinct id. ns/op is per batch; divide by the batch size for per-request
+// cost.
 func BenchmarkBatchQuery(b *testing.B) {
 	ix := batchBenchIndex(b)
 	for _, size := range batchBenchSizes {
@@ -113,8 +133,8 @@ func BenchmarkBatchQuery(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchSerial is the baseline the tentpole replaces: the same
-// Zipf-skewed batch answered one boundary scan per request.
+// BenchmarkBatchSerial is the per-node baseline: the same Zipf-skewed batch
+// answered one boundary scan per request.
 func BenchmarkBatchSerial(b *testing.B) {
 	ix := batchBenchIndex(b)
 	for _, size := range batchBenchSizes {
@@ -124,14 +144,35 @@ func BenchmarkBatchSerial(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchQueryDistinct is the dedup-free worst case: every id in the
-// batch distinct, so the engine's win is kernel blocking and overhead
-// amortization only.
+// BenchmarkBatchKernel times the blocked kernel alone on the Zipf-skewed
+// batches, one boundary scan per id, duplicates included.
+func BenchmarkBatchKernel(b *testing.B) {
+	ix := batchBenchIndex(b)
+	for _, size := range batchBenchSizes {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			benchKernel(b, ix, batchBenchZipf(ix.N(), size))
+		})
+	}
+}
+
+// BenchmarkBatchQueryDistinct is the dedup-free case: every id in the batch
+// distinct, each answered from the warm witness table.
 func BenchmarkBatchQueryDistinct(b *testing.B) {
 	ix := batchBenchIndex(b)
 	for _, size := range batchBenchSizes {
 		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
 			benchBatched(b, ix, batchBenchDistinct(ix.N(), size))
+		})
+	}
+}
+
+// BenchmarkBatchKernelDistinct times the blocked kernel alone on the
+// all-distinct batches.
+func BenchmarkBatchKernelDistinct(b *testing.B) {
+	ix := batchBenchIndex(b)
+	for _, size := range batchBenchSizes {
+		b.Run(fmt.Sprintf("batch=%d", size), func(b *testing.B) {
+			benchKernel(b, ix, batchBenchDistinct(ix.N(), size))
 		})
 	}
 }

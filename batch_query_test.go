@@ -3,8 +3,13 @@ package resistecc
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
+
+	"resistecc/internal/ecc"
 )
 
 // batchTestGraph is shared by the batch equivalence tests: small enough for
@@ -186,4 +191,121 @@ func TestResistanceDiameterDegenerate(t *testing.T) {
 	if d, pair, err := ok.ResistanceDiameter(); err != nil || d <= 0 || pair[0] == pair[1] {
 		t.Fatalf("real hull: d=%v pair=%v err=%v", d, pair, err)
 	}
+}
+
+// TestAnswerTablePerGeneration pins that every index generation keeps a
+// witness table of its own, starting empty. It fills generation 1's table,
+// then takes the writer through three incremental mutations and a rebuild,
+// with a follower replica restored from generation 1's snapshot applying the
+// same mutations. Each generation must answer, on its first and its repeat
+// queries, exactly as a fresh ecc.Fast over its own sketch and boundary, and
+// the replica and a restored index exactly as the writer.
+func TestAnswerTablePerGeneration(t *testing.T) {
+	ctx := context.Background()
+	g := durableGraph(t)
+	d, err := NewDynamicIndex(ctx, g, append(durableOpts(), WithDriftThreshold(100), WithMaxDeletions(1000))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	all := make([]int, g.N())
+	for v := range all {
+		all[v] = v
+	}
+	buf := GetBatchBuf()
+	defer buf.Release()
+	answers := func(ix *FastIndex) []Eccentricity {
+		t.Helper()
+		got, err := ix.QueryBatch(all, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return append([]Eccentricity(nil), got...)
+	}
+	same := func(what string, got, want []Eccentricity) {
+		t.Helper()
+		for v := range want {
+			if got[v] != want[v] {
+				t.Fatalf("%s: node %d answered %+v, want %+v", what, v, got[v], want[v])
+			}
+		}
+	}
+	fresh := func(what string, ix *FastIndex) {
+		t.Helper()
+		if a := ix.AnsweredNodes(); a != 0 {
+			t.Fatalf("%s starts with %d answered nodes, want 0", what, a)
+		}
+	}
+	// check queries the writer's current generation twice against a fresh
+	// index over the same sketch and boundary, and returns its answers.
+	check := func(what string) []Eccentricity {
+		t.Helper()
+		ix := d.Snapshot().Index
+		fresh(what, ix)
+		want := answers(&FastIndex{f: &ecc.Fast{Sk: ix.f.Sk, Boundary: ix.f.Boundary}})
+		same(what+", first query", answers(ix), want)
+		same(what+", repeat query", answers(ix), want)
+		if a := ix.AnsweredNodes(); a != len(all) {
+			t.Fatalf("%s: %d answered nodes after querying all %d", what, a, len(all))
+		}
+		return want
+	}
+	replicaMatches := func(what string, r *DynamicIndex, want []Eccentricity) {
+		t.Helper()
+		ix := r.Snapshot().Index
+		fresh(what, ix)
+		same(what, answers(ix), want)
+		same(what+", repeat query", answers(ix), want)
+	}
+
+	want := check("generation 1")
+	path := filepath.Join(t.TempDir(), "gen1.snap")
+	if err := d.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	replica, err := LoadSnapshotBytes(raw, WithFollower())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer replica.Close()
+	replicaMatches("replica at generation 1", replica, want)
+
+	for _, e := range [][2]int{{0, 30}, {5, 45}, {7, 52}} {
+		res, err := d.AddEdge(ctx, e[0], e[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != MutationIncremental {
+			t.Fatalf("AddEdge%v: mode %s, want incremental", e, res.Mode)
+		}
+		want = check(fmt.Sprintf("generation %d", res.Generation))
+		rres, err := replica.AddEdge(ctx, e[0], e[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rres.Generation != res.Generation {
+			t.Fatalf("replica at generation %d, writer at %d", rres.Generation, res.Generation)
+		}
+		replicaMatches(fmt.Sprintf("replica at generation %d", rres.Generation), replica, want)
+	}
+
+	gen, err := d.RebuildAndWait(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = check(fmt.Sprintf("rebuilt generation %d", gen))
+	path = filepath.Join(t.TempDir(), "rebuilt.snap")
+	if err := d.SaveSnapshot(path); err != nil {
+		t.Fatal(err)
+	}
+	restored, err := LoadSnapshot(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer restored.Close()
+	replicaMatches("restored index", restored, want)
 }

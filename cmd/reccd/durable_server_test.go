@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -106,6 +107,42 @@ func TestDurableServerCheckpointAndWarmRestart(t *testing.T) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
 	}
+}
+
+// TestAnsweredNodesGauge pins the witness-table gauge and healthz field: a
+// durable cold start's initial checkpoint computes the distribution, which
+// fills the served generation's table, so the count reads n before any
+// query; a mutation publishes a generation with a table of its own, which
+// reads 0 until queries reach it.
+func TestAnsweredNodesGauge(t *testing.T) {
+	srv := durableServerCfg(t, t.TempDir(), func(c *serverConfig) { c.DriftThreshold = 100 })
+	defer srv.close()
+	h := testHandler(t, srv)
+	n := srv.current().dyn.Snapshot().N
+	answered := func(what string, want int) {
+		t.Helper()
+		if got := decodeObj(t, get(t, h, "/v1/healthz"))["answeredNodes"]; got != float64(want) {
+			t.Fatalf("%s: healthz answeredNodes = %v, want %d", what, got, want)
+		}
+		metric := fmt.Sprintf("reccd_index_answered_nodes %d\n", want)
+		if out := get(t, h, "/v1/metrics").Body.String(); !strings.Contains(out, metric) {
+			t.Fatalf("%s: metrics missing %q:\n%s", what, metric, out)
+		}
+	}
+	answered("cold start", n)
+
+	rec := do(t, h, http.MethodPost, "/v1/edges", `{"u":0,"v":100}`)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("add: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	if mode := decodeObj(t, rec)["mode"]; mode != "incremental" {
+		t.Fatalf("add: mode %v, want incremental", mode)
+	}
+	answered("after the mutation", 0)
+	if rec := get(t, h, "/v1/eccentricity?node=3,7,3"); rec.Code != http.StatusOK {
+		t.Fatalf("eccentricity: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	answered("after one query of two distinct ids", 2)
 }
 
 // TestErrorPathsCloseFiles drives reccd's error branches that follow a

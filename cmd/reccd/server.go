@@ -362,6 +362,14 @@ func (s *server) publishLifecycleGauges() {
 		}
 		return 0
 	})
+	// The served generation's witness table: nodes whose next query costs one
+	// O(d) resistance. Counting scans the table, so it runs at scrape time.
+	s.reg.SetGaugeFunc("index_answered_nodes", func() float64 {
+		if ix := s.idx(); ix != nil {
+			return float64(ix.AnsweredNodes())
+		}
+		return 0
+	})
 	s.reg.SetGaugeFunc("mutation_queue_depth", stat(func(st resistecc.DynamicStats) float64 { return float64(st.QueueDepth) }))
 	s.reg.SetGaugeFunc("index_drift", stat(func(st resistecc.DynamicStats) float64 { return st.Drift }))
 	s.reg.SetGaugeFunc("index_updates", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Updates) }))
@@ -670,6 +678,7 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"hullBoundary":      st.HullSize,
 		"hullCertified":     st.HullCertified,
 		"hullRounds":        st.HullRounds,
+		"answeredNodes":     snap.Index.AnsweredNodes(),
 		"solverIters":       st.SolverTotalIters,
 		"solverMaxIter":     st.SolverMaxIters,
 		"solverMaxRes":      st.SolverMaxResidual,

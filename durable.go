@@ -57,10 +57,11 @@ func lifecycleConfig(p persist.Params, c buildConfig) lifecycle.Config {
 }
 
 // SaveSnapshot writes the current index state — graph, sketch matrix, hull
-// boundary and eccentricity cache, each section checksummed — to a single
-// file, atomically (temp file + fsync + rename). The saved index answers
-// bit-identically after LoadSnapshot. Fails with ErrIndexStale while a
-// rebuild is pending, since graph and index would disagree.
+// boundary and the eccentricity distribution, each section checksummed — to
+// a single file, atomically (temp file + fsync + rename). The saved index
+// answers bit-identically after LoadSnapshot. LoadSnapshot does not read the
+// distribution back; `recc inspect` prints it. Fails with ErrIndexStale
+// while a rebuild is pending, since graph and index would disagree.
 func (d *DynamicIndex) SaveSnapshot(path string) error {
 	cs, err := d.m.CheckpointState()
 	if err != nil {

@@ -9,19 +9,26 @@ import (
 )
 
 // QueryBuf owns the scratch a batch query needs: the dedup index, the
-// per-unique-source kernel outputs, and the result slice handed back to the
-// caller. A buffer may be reused across any number of QueryBatch calls on
-// any index; after the first few calls at a given batch size the whole path
-// performs zero heap allocations. Buffers are not safe for concurrent use —
+// per-unique-source answers and kernel outputs, and the result slice handed
+// back to the caller. A buffer may be reused across any number of QueryBatch
+// calls on any index; after the first few calls at a given batch size the
+// whole path performs zero heap allocations. Buffers are not safe for concurrent use —
 // one goroutine, one buffer. Use GetQueryBuf/Release to recycle buffers
 // through a pool, or embed a QueryBuf in a long-lived worker.
 type QueryBuf struct {
 	keys []int64   // packed (node << 32 | position) pairs, sorted for dedup
 	uniq []int     // distinct query nodes, ascending
 	perm []int     // perm[i] = index into uniq for query position i
-	ecc  []float64 // kernel output per unique node
-	arg  []int     // kernel witness per unique node
+	ecc  []float64 // answer per unique node
+	arg  []int     // farthest witness per unique node
 	vals []Value   // result slice returned by QueryBatch
+
+	// Fast.QueryBatch's kernel sources: the unique nodes the witness table
+	// cannot answer yet, their indexes into uniq, and the kernel's outputs.
+	miss []int
+	at   []int
+	mecc []float64
+	marg []int
 
 	// Scratch for the parallel spill path (nu >= minParallelSources): one
 	// pre-sized job per shard plus the join point, so handing chunks to the
@@ -50,6 +57,10 @@ func (b *QueryBuf) grow(n int) {
 		b.ecc = make([]float64, n)
 		b.arg = make([]int, n)
 		b.vals = make([]Value, n)
+		b.miss = make([]int, n)
+		b.at = make([]int, n)
+		b.mecc = make([]float64, n)
+		b.marg = make([]int, n)
 	}
 	b.keys = b.keys[:n]
 	b.uniq = b.uniq[:n]
@@ -57,6 +68,10 @@ func (b *QueryBuf) grow(n int) {
 	b.ecc = b.ecc[:n]
 	b.arg = b.arg[:n]
 	b.vals = b.vals[:n]
+	b.miss = b.miss[:n]
+	b.at = b.at[:n]
+	b.mecc = b.mecc[:n]
+	b.marg = b.marg[:n]
 }
 
 // dedup fills b.uniq with the distinct nodes of q (ascending) and b.perm
@@ -134,21 +149,38 @@ func startBatchWorkers() {
 //recclint:detached process-lifetime shard worker parked on channel receive; torn down only at exit (see startBatchWorkers) and accounted for in testutil.DetachedMarks
 func batchWorker() {
 	for j := range batchJobs {
-		if j.all {
-			j.sk.EccentricityBatchAll(j.srcs, j.ecc, j.arg)
-		} else {
-			j.sk.EccentricityBatch(j.srcs, j.cand, j.ecc, j.arg)
-		}
+		kernel(j.sk, j.cand, j.all, j.srcs, j.ecc, j.arg)
 		j.wg.Done()
 	}
 }
 
-// scanParallel runs the kernel over b.uniq[:nu] sharded across the worker
-// pool. Chunks are rounded up to the 4-wide tile so only the final shard has
+// kernel answers srcs into ecc and arg with the blocked kernel: a scan of
+// the candidates cand, or of all n nodes when all is set.
+func kernel(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc []float64, arg []int) {
+	if all {
+		sk.EccentricityBatchAll(srcs, ecc, arg)
+	} else {
+		sk.EccentricityBatch(srcs, cand, ecc, arg)
+	}
+}
+
+// scan runs the kernel over srcs, on the calling goroutine below
+// minParallelSources sources and sharded across the worker pool from there.
+func (b *QueryBuf) scan(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc []float64, arg []int) {
+	if len(srcs) >= minParallelSources {
+		b.scanParallel(sk, cand, all, srcs, ecc, arg)
+	} else {
+		kernel(sk, cand, all, srcs, ecc, arg)
+	}
+}
+
+// scanParallel runs the kernel over srcs sharded across the worker pool.
+// Chunks are rounded up to the 4-wide tile so only the final shard has
 // remainder lanes; the first chunk runs inline on the caller, which also
 // keeps progress when the pool is saturated by other batches.
-func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, nu int) {
+func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc []float64, arg []int) {
 	batchWorkersOnce.Do(startBatchWorkers)
+	nu := len(srcs)
 	workers := runtime.GOMAXPROCS(0)
 	chunk := (nu + workers - 1) / workers
 	chunk = (chunk + 3) &^ 3
@@ -165,7 +197,7 @@ func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, nu int)
 		}
 		j := &b.jobs[c]
 		j.sk, j.cand, j.all = sk, cand, all
-		j.srcs, j.ecc, j.arg = b.uniq[lo:hi], b.ecc[lo:hi], b.arg[lo:hi]
+		j.srcs, j.ecc, j.arg = srcs[lo:hi], ecc[lo:hi], arg[lo:hi]
 		j.wg = &b.wg
 		batchJobs <- j
 	}
@@ -173,30 +205,41 @@ func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, nu int)
 	if hi > nu {
 		hi = nu
 	}
-	if all {
-		sk.EccentricityBatchAll(b.uniq[:hi], b.ecc[:hi], b.arg[:hi])
-	} else {
-		sk.EccentricityBatch(b.uniq[:hi], cand, b.ecc[:hi], b.arg[:hi])
-	}
+	kernel(sk, cand, all, srcs[:hi], ecc[:hi], arg[:hi])
 	b.wg.Wait()
 }
 
-// QueryBatch answers FASTQUERY for a whole batch through the blocked kernel:
-// ids are deduplicated, one hull-boundary scan is amortized over all unique
-// sources, and the per-position results are fanned back out in request
-// order. Results are bit-identical to calling Eccentricity per element. The
-// returned slice is owned by buf and valid until its next use. Callers must
-// have validated ids against [0, n).
+// QueryBatch answers FASTQUERY for a whole batch and fans the answers back
+// out in request order. Ids are deduplicated. An id this index has answered
+// before costs one O(d) resistance to its stored farthest witness; the rest
+// go through the blocked kernel, one O(l·d) hull-boundary scan amortized over
+// them, which stores their witnesses. Results are bit-identical to calling
+// Eccentricity per element, because the kernel sums each (source, candidate)
+// pair in exactly Resistance's order. Concurrent calls on one index are safe
+// with distinct buffers. The returned slice is owned by buf and valid until
+// its next use. Callers must have validated ids against [0, n).
 func (f *Fast) QueryBatch(q []int, buf *QueryBuf) []Value {
 	buf.grow(len(q))
 	if len(q) == 0 {
 		return buf.vals[:0]
 	}
 	nu := buf.dedup(q)
-	if nu >= minParallelSources {
-		buf.scanParallel(f.Sk, f.Boundary, false, nu)
-	} else {
-		f.Sk.EccentricityBatch(buf.uniq[:nu], f.Boundary, buf.ecc[:nu], buf.arg[:nu])
+	far := f.witnesses()
+	nm := 0
+	for i, v := range buf.uniq[:nu] {
+		if w := int(far[v].Load()) - 1; w >= 0 {
+			buf.ecc[i], buf.arg[i] = f.Sk.Resistance(v, w), w
+			continue
+		}
+		buf.miss[nm], buf.at[nm] = v, i
+		nm++
+	}
+	if nm > 0 {
+		buf.scan(f.Sk, f.Boundary, false, buf.miss[:nm], buf.mecc[:nm], buf.marg[:nm])
+		for k, i := range buf.at[:nm] {
+			buf.ecc[i], buf.arg[i] = buf.mecc[k], buf.marg[k]
+			far[buf.miss[k]].Store(uint32(buf.marg[k]) + 1)
+		}
 	}
 	return fanOut(q, buf)
 }
@@ -209,11 +252,7 @@ func (a *Approx) QueryBatch(q []int, buf *QueryBuf) []Value {
 		return buf.vals[:0]
 	}
 	nu := buf.dedup(q)
-	if nu >= minParallelSources {
-		buf.scanParallel(a.Sk, nil, true, nu)
-	} else {
-		a.Sk.EccentricityBatchAll(buf.uniq[:nu], buf.ecc[:nu], buf.arg[:nu])
-	}
+	buf.scan(a.Sk, nil, true, buf.uniq[:nu], buf.ecc[:nu], buf.arg[:nu])
 	return fanOut(q, buf)
 }
 

@@ -8,6 +8,9 @@
 //   - FastQuery (Algorithm 3): APPROXER sketch + APPROXCH hull, then an
 //     O(l·d) scan per queried node over the l hull-boundary embeddings;
 //     Õ((m + n·l)/ε² + |Q|·l) total with the (1±ε) guarantee of Thm 5.6.
+//     Each index remembers the farthest boundary node its batch path found
+//     for every node it has answered, so FASTQUERY costs O(l·d) the first
+//     time an index answers a node and one O(d) resistance after that.
 //   - ApproxRecc (Algorithm 7): single-node APPROXER query used inside the
 //     optimization loops.
 //
@@ -20,6 +23,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sync/atomic"
 
 	"resistecc/internal/graph"
 	"resistecc/internal/hull"
@@ -155,6 +159,12 @@ type Fast struct {
 	Boundary []int
 	// HullInfo reports diagnostics from APPROXCH.
 	HullInfo *hull.Result
+
+	// far is the farthest-witness table of QueryBatch, installed by its
+	// first call: far[v] holds 1 + the boundary node that v's first batched
+	// query found farthest, and 0 while v is unanswered. A witness never
+	// changes once stored, because Sk and Boundary never do.
+	far atomic.Pointer[[]atomic.Uint32]
 }
 
 // NewFast runs the preprocessing of FASTQUERY (Algorithm 3, lines 1-4):
@@ -226,7 +236,38 @@ func HullOptionsFor(opt FastOptions) (hull.Options, error) { return hullOptions(
 // L returns l = |Ŝ|, the number of hull-boundary nodes each query scans.
 func (f *Fast) L() int { return len(f.Boundary) }
 
-// Eccentricity returns ĉ(v) = max_{u ∈ Ŝ} r̃(v, u) (Algorithm 3, lines 6-7).
+// witnesses returns the farthest-witness table, installing an empty one on
+// first use. Of two callers racing to install it, both use the winner's.
+func (f *Fast) witnesses() []atomic.Uint32 {
+	if t := f.far.Load(); t != nil {
+		return *t
+	}
+	t := make([]atomic.Uint32, f.Sk.N)
+	if f.far.CompareAndSwap(nil, &t) {
+		return t
+	}
+	return *f.far.Load()
+}
+
+// Answered counts the nodes whose farthest witness the index holds: the
+// distinct nodes QueryBatch has answered. It scans the table, O(n).
+func (f *Fast) Answered() int {
+	t := f.far.Load()
+	if t == nil {
+		return 0
+	}
+	n := 0
+	for i := range *t {
+		if (*t)[i].Load() != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// Eccentricity returns ĉ(v) = max_{u ∈ Ŝ} r̃(v, u) (Algorithm 3, lines 6-7)
+// by a full boundary scan. It neither reads nor fills the witness table, so
+// it is the reference the batch path is tested against.
 func (f *Fast) Eccentricity(v int) Value {
 	c, far := f.Sk.EccentricityOver(v, f.Boundary)
 	return Value{Node: v, Ecc: c, Farthest: far}
@@ -264,7 +305,8 @@ func (f *Fast) Diameter() (diam float64, pair graph.Edge, ok bool) {
 }
 
 // Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time,
-// answered by QueryBatch on the shared batch pool.
+// answered by QueryBatch on the shared batch pool. The first call fills the
+// witness table for every node, so later calls cost O(n·d).
 func (f *Fast) Distribution() []float64 {
 	return eccOf(f.QueryBatch(identity(f.Sk.N), new(QueryBuf)))
 }

@@ -123,14 +123,18 @@ type Snapshot struct {
 	Diameter  float64
 	Certified bool
 	Rounds    int
-	// Ecc optionally caches the eccentricity distribution E(G) at Seq (nil
-	// when absent). Purely an acceleration for summary endpoints.
+	// Ecc is the eccentricity distribution E(G) at Seq (nil when absent).
+	// Every checkpoint writes it and reads check its CRC and length, but
+	// Index ignores it and nothing but `recc inspect` reads it back: a
+	// restored index recomputes its distribution on first use.
 	Ecc []float64
 }
 
 // Capture assembles a Snapshot from a lifecycle checkpoint cut. When
-// withEcc is set the eccentricity distribution is computed and embedded
-// (O(n·l·d), cheap next to the build the checkpoint amortizes).
+// withEcc is set the eccentricity distribution is computed and embedded.
+// It runs through the index's batch path, so on a generation no query has
+// reached yet it costs O(n·l·d), cheap next to the build the checkpoint
+// amortizes, and leaves the generation's witness table full.
 func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, withEcc bool) *Snapshot {
 	f := cs.Fast
 	s := &Snapshot{
@@ -154,7 +158,7 @@ func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, withEcc
 }
 
 // Index reconstructs the FASTQUERY index from the snapshot, bit-identical
-// to the one Capture saw.
+// to the one Capture saw, with an empty witness table of its own.
 func (s *Snapshot) Index() (*ecc.Fast, error) {
 	sk, err := sketch.Restore(s.SketchMeta, s.Points)
 	if err != nil {

@@ -22,7 +22,7 @@ import (
 //	magic "RECCSNP1" | u32 format version | u32 section count
 //	per section: u32 kind | u64 payload length | payload | u32 CRC32-C
 //
-// Sections appear in kind order; the eccentricity cache is optional. The
+// Sections appear in kind order; the eccentricity section is optional. The
 // whole payload of a section is covered by its CRC, so a torn write or a
 // flipped bit anywhere is detected before any decoded value is trusted.
 const snapshotMagic = "RECCSNP1"

@@ -445,9 +445,6 @@ type Hook struct {
 	Store  *Store
 	Params Params
 	BaseFP uint64
-	// SkipEccCache drops the eccentricity-distribution section from
-	// checkpoints (smaller files, slower first /summary after restart).
-	SkipEccCache bool
 }
 
 // AppendMutation implements lifecycle.Journal.
@@ -457,5 +454,5 @@ func (h *Hook) AppendMutation(seq uint64, add bool, u, v int) error {
 
 // Checkpoint implements lifecycle.Journal.
 func (h *Hook) Checkpoint(cs lifecycle.CheckpointState) error {
-	return h.Store.Checkpoint(Capture(cs, h.Params, h.BaseFP, !h.SkipEccCache))
+	return h.Store.Checkpoint(Capture(cs, h.Params, h.BaseFP, true))
 }

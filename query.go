@@ -161,6 +161,13 @@ func (ix *FastIndex) Query(nodes []int) ([]Eccentricity, error) {
 // Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time.
 func (ix *FastIndex) Distribution() []float64 { return ix.f.Distribution() }
 
+// AnsweredNodes reports how many distinct nodes QueryBatch, Query or
+// Distribution has answered on this index. The index remembers each one's
+// farthest boundary node, so asking for it again costs one O(d) resistance
+// instead of an O(l·d) boundary scan. Each index, and so each DynamicIndex
+// generation, starts at 0. The count takes an O(n) scan.
+func (ix *FastIndex) AnsweredNodes() int { return ix.f.Answered() }
+
 // BoundarySize reports l = |Ŝ|, the hull-boundary node count each query
 // scans — small for real-world networks (§V-C).
 func (ix *FastIndex) BoundarySize() int { return ix.f.L() }
