@@ -49,9 +49,9 @@ func TestQueryZeroAllocs(t *testing.T) {
 // so it spills onto the shared worker pool: the sharded path (jobs, join
 // point, channel handoff) must be allocation-free too. The count keeps
 // GOMAXPROCS (testutil.AllocsPerRun), or the pool would get one shard.
-// A FastIndex or DynamicIndex answers each id through the kernel once and
-// from its witness table after that, so their measured calls answer from
-// the table their warm-up filled; the hit case's table is filled by
+// Every index answers each id through the kernel once and from its witness
+// table after that, so the measured calls answer from the table their
+// warm-up filled; the hit case's table is filled by
 // Distribution, as reccd's initial checkpoint fills the served one. The
 // kernel's own cases are in internal/ecc and internal/sketch.
 func TestBatchQueryZeroAllocs(t *testing.T) {

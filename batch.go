@@ -40,26 +40,18 @@ func (b *BatchBuf) fill(vals []ecc.Value) []Eccentricity {
 	return out
 }
 
-// QueryBatch answers a batch of FASTQUERY eccentricity queries through the
-// blocked kernel: repeated ids are answered from one evaluation and one hull
-// scan is amortized across the whole batch. Results are bit-identical to
-// Query and per-node Eccentricity calls, in request order; the returned
-// slice is owned by buf. Any node outside [0, n) fails the whole batch with
-// ErrNodeOutOfRange.
-func (ix *FastIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
+// QueryBatch answers a batch of eccentricity queries through the blocked
+// kernel: repeated ids are answered from one evaluation, one candidate scan
+// is amortized across the whole batch, and a node the index has answered
+// before costs one O(d) resistance to its remembered farthest node. Results
+// are bit-identical to Query and per-node Eccentricity calls, in request
+// order; the returned slice is owned by buf. Any node outside [0, n) fails
+// the whole batch with ErrNodeOutOfRange.
+func (ix *sketchIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
 	if err := validateNodes(nodes, ix.N()); err != nil {
 		return nil, err
 	}
 	return buf.fill(ix.f.QueryBatch(nodes, buf.qb)), nil
-}
-
-// QueryBatch is the batched APPROXQUERY: like FastIndex.QueryBatch but each
-// unique node scans all n embeddings instead of the hull boundary.
-func (ix *ApproxIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
-	if err := validateNodes(nodes, ix.N()); err != nil {
-		return nil, err
-	}
-	return buf.fill(ix.ap.QueryBatch(nodes, buf.qb)), nil
 }
 
 // QueryBatch is the batched EXACTQUERY: repeated ids in the batch are
@@ -75,8 +67,8 @@ func (ix *ExactIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, er
 // generation. Equivalent to Snapshot().Index.Query(nodes) without pinning a
 // snapshot.
 func (d *DynamicIndex) Query(nodes []int) ([]Eccentricity, error) {
-	fi := FastIndex{f: d.m.Current().Fast}
-	return fi.Query(nodes)
+	ix := sketchIndex{d.m.Current().Fast}
+	return ix.Query(nodes)
 }
 
 // QueryBatch answers a batch of eccentricity queries against the current
@@ -85,6 +77,6 @@ func (d *DynamicIndex) Query(nodes []int) ([]Eccentricity, error) {
 // needing a consistent view across multiple calls should pin a Snapshot and
 // use its Index instead.
 func (d *DynamicIndex) QueryBatch(nodes []int, buf *BatchBuf) ([]Eccentricity, error) {
-	fi := FastIndex{f: d.m.Current().Fast}
-	return fi.QueryBatch(nodes, buf)
+	ix := sketchIndex{d.m.Current().Fast}
+	return ix.QueryBatch(nodes, buf)
 }

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"resistecc/internal/dataset"
 	"resistecc/internal/ecc"
 )
 
@@ -242,7 +243,7 @@ func TestAnswerTablePerGeneration(t *testing.T) {
 		t.Helper()
 		ix := d.Snapshot().Index
 		fresh(what, ix)
-		want := answers(&FastIndex{f: &ecc.Fast{Sk: ix.f.Sk, Boundary: ix.f.Boundary}})
+		want := answers(&FastIndex{sketchIndex{&ecc.Fast{Sk: ix.f.Sk, Boundary: ix.f.Boundary}}})
 		same(what+", first query", answers(ix), want)
 		same(what+", repeat query", answers(ix), want)
 		if a := ix.AnsweredNodes(); a != len(all) {
@@ -308,4 +309,96 @@ func TestAnswerTablePerGeneration(t *testing.T) {
 	}
 	defer restored.Close()
 	replicaMatches("restored index", restored, want)
+}
+
+// TestApproxIndexMatchesFullScan pins APPROXQUERY, an ecc.Fast whose
+// candidates are all n nodes, onto the full scan Sketch.Eccentricity bit for
+// bit, on BA(150) and on the Unicode-language proxy (n = 614), through every
+// query method. Eccentricity, Query and Distribution each start from an
+// empty witness table, so they answer through the scan or the kernel.
+// QueryBatch runs twice on one index: the first call answers every node
+// through the kernel and fills the table, the second answers from it.
+func TestApproxIndexMatchesFullScan(t *testing.T) {
+	ctx := context.Background()
+	ba, err := BarabasiAlbert(150, 3, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	info, err := dataset.Get("Unicode-language")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := info.Proxy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lcc, _ := proxy.LargestComponent()
+	for _, tc := range []struct {
+		name string
+		g    *Graph
+		n    int
+	}{{"ba150", ba, 150}, {"Unicode-language", wrapGraph(lcc), 614}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ix, err := NewApproxIndex(ctx, tc.g, WithEpsilon(0.3), WithDim(32), WithSeed(5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ix.N() != tc.n {
+				t.Fatalf("n = %d, want %d", ix.N(), tc.n)
+			}
+			sk := ix.f.Sk
+			all := make([]int, tc.n)
+			want := make([]Eccentricity, tc.n)
+			for v := range all {
+				all[v] = v
+				c, far := sk.Eccentricity(v)
+				want[v] = Eccentricity{Node: v, Value: c, Farthest: far}
+			}
+			same := func(what string, got []Eccentricity) {
+				t.Helper()
+				for v := range want {
+					if got[v] != want[v] {
+						t.Fatalf("%s: node %d answered %+v, want %+v", what, v, got[v], want[v])
+					}
+				}
+			}
+			// fresh is an APPROXQUERY index over ix's sketch with an empty
+			// witness table.
+			fresh := func() *ApproxIndex {
+				return &ApproxIndex{sketchIndex{&ecc.Fast{Sk: sk, Boundary: ix.f.Boundary}}}
+			}
+
+			single := make([]Eccentricity, tc.n)
+			for v := range all {
+				single[v] = ix.Eccentricity(v)
+			}
+			same("Eccentricity", single)
+			q, err := fresh().Query(all)
+			if err != nil {
+				t.Fatal(err)
+			}
+			same("Query", q)
+			for v, c := range fresh().Distribution() {
+				if c != want[v].Value {
+					t.Fatalf("Distribution: node %d = %v, want %v", v, c, want[v].Value)
+				}
+			}
+
+			buf := GetBatchBuf()
+			defer buf.Release()
+			for _, pass := range []string{"kernel", "witness table"} {
+				if a := ix.f.Answered(); (pass == "kernel") != (a == 0) {
+					t.Fatalf("QueryBatch through the %s: %d answered nodes before it", pass, a)
+				}
+				got, err := ix.QueryBatch(all, buf)
+				if err != nil {
+					t.Fatal(err)
+				}
+				same("QueryBatch through the "+pass, got)
+				if a := ix.f.Answered(); a != tc.n {
+					t.Fatalf("QueryBatch through the %s: %d answered nodes after it, want %d", pass, a, tc.n)
+				}
+			}
+		})
+	}
 }

@@ -158,7 +158,7 @@ func (rs *routerServer) handler(logger *log.Logger) http.Handler {
 		mountPprof(mux)
 	}
 	var h http.Handler = withEnvelope(mux)
-	h = rs.reg.LimitInFlightWith(rs.cfg.MaxInFlight, h, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h = rs.reg.LimitInFlight(rs.cfg.MaxInFlight, h, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "overloaded", "router overloaded; retry")
 	}))

@@ -467,7 +467,7 @@ func (s *server) handler(logger *log.Logger) http.Handler {
 		mountPprof(mux)
 	}
 	var h http.Handler = withEnvelope(mux)
-	h = s.reg.LimitInFlightWith(s.cfg.MaxInFlight, h, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h = s.reg.LimitInFlight(s.cfg.MaxInFlight, h, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Retry-After", "1")
 		writeError(w, http.StatusServiceUnavailable, "overloaded", "server overloaded; retry")
 	}))

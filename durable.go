@@ -27,19 +27,14 @@ var ErrSnapshotMismatch = persist.ErrMismatch
 var ErrNotDurable = errors.New("resistecc: index has no data directory (use OpenDynamicIndex)")
 
 // paramsOf extracts the content-determining build parameters from an
-// applied option set. Workers and queue/rebuild tuning are excluded: they
-// change speed and policy, never index content.
+// applied option set. Queue and rebuild tuning are excluded: they change
+// policy, never index content.
 func paramsOf(c buildConfig) persist.Params {
 	return persist.Params{
 		Epsilon:         c.sk.Epsilon,
 		Dim:             c.sk.Dim,
 		Seed:            c.sk.Seed,
-		SolverTol:       c.sk.SolverTol,
-		HullTheta:       c.hull.Theta,
-		HullSeed:        c.hull.Seed,
-		HullDirections:  c.hull.Directions,
 		HullMaxVertices: c.hull.MaxVertices,
-		HullMaxFWIters:  c.hull.MaxFWIters,
 	}
 }
 

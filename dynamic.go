@@ -115,7 +115,7 @@ func (d *DynamicIndex) Snapshot() *IndexSnapshot {
 	s := d.m.Current()
 	return &IndexSnapshot{
 		Generation: s.Gen,
-		Index:      &FastIndex{f: s.Fast},
+		Index:      &FastIndex{sketchIndex{s.Fast}},
 		N:          s.N,
 		M:          s.M,
 	}

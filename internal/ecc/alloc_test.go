@@ -15,7 +15,7 @@ import (
 // call, so every id takes the kernel and stores its witness; the hit case
 // answers every id from a table the warm-up filled.
 func TestZeroAllocs(t *testing.T) {
-	_, ap, f := batchTestIndexes(t)
+	_, _, f := batchTestIndexes(t)
 	small := []int{3, 77, 3, 120}
 	all := identity(f.Sk.N)
 	kb := new(QueryBuf) // direct kernel calls, sized for the whole graph
@@ -30,13 +30,11 @@ func TestZeroAllocs(t *testing.T) {
 	}{
 		{"QueryBuf.dedup", func() { kb.dedup(all) }},
 		{"QueryBuf.dedup/1", func() { buf.grow(1); buf.dedup(small[:1]) }},
-		{"QueryBuf.scanParallel", func() { kb.scanParallel(f.Sk, f.Boundary, false, kb.uniq[:nu], kb.ecc[:nu], kb.arg[:nu]) }},
+		{"QueryBuf.scanParallel", func() { kb.scanParallel(f.Sk, f.Boundary, kb.uniq[:nu], kb.ecc[:nu], kb.arg[:nu]) }},
 		{"fanOut", func() { fanOut(all, kb) }},
 		{"Fast.QueryBatch/4", func() { forget(f); f.QueryBatch(small, buf) }},
 		{"Fast.QueryBatch/150", func() { forget(f); f.QueryBatch(all, buf) }},
 		{"Fast.QueryBatch/hit", func() { hit.QueryBatch(all, buf) }},
-		{"Approx.QueryBatch/4", func() { ap.QueryBatch(small, buf) }},
-		{"Approx.QueryBatch/150", func() { ap.QueryBatch(all, buf) }},
 		{"Fast.Eccentricity", func() { sink = f.Eccentricity(77) }},
 	}
 	for _, tc := range cases {

@@ -120,8 +120,7 @@ const minParallelSources = 64
 
 type batchJob struct {
 	sk   *sketch.Sketch
-	cand []int // boundary scan when all is false
-	all  bool  // full n-node scan (APPROXQUERY)
+	cand []int
 	srcs []int
 	ecc  []float64
 	arg  []int
@@ -149,28 +148,19 @@ func startBatchWorkers() {
 //recclint:detached process-lifetime shard worker parked on channel receive; torn down only at exit (see startBatchWorkers) and accounted for in testutil.DetachedMarks
 func batchWorker() {
 	for j := range batchJobs {
-		kernel(j.sk, j.cand, j.all, j.srcs, j.ecc, j.arg)
+		j.sk.EccentricityBatch(j.srcs, j.cand, j.ecc, j.arg)
 		j.wg.Done()
 	}
 }
 
-// kernel answers srcs into ecc and arg with the blocked kernel: a scan of
-// the candidates cand, or of all n nodes when all is set.
-func kernel(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc []float64, arg []int) {
-	if all {
-		sk.EccentricityBatchAll(srcs, ecc, arg)
+// scan answers srcs against the candidates cand with the blocked kernel, on
+// the calling goroutine below minParallelSources sources and sharded across
+// the worker pool from there.
+func (b *QueryBuf) scan(sk *sketch.Sketch, cand, srcs []int, ecc []float64, arg []int) {
+	if len(srcs) >= minParallelSources {
+		b.scanParallel(sk, cand, srcs, ecc, arg)
 	} else {
 		sk.EccentricityBatch(srcs, cand, ecc, arg)
-	}
-}
-
-// scan runs the kernel over srcs, on the calling goroutine below
-// minParallelSources sources and sharded across the worker pool from there.
-func (b *QueryBuf) scan(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc []float64, arg []int) {
-	if len(srcs) >= minParallelSources {
-		b.scanParallel(sk, cand, all, srcs, ecc, arg)
-	} else {
-		kernel(sk, cand, all, srcs, ecc, arg)
 	}
 }
 
@@ -178,7 +168,7 @@ func (b *QueryBuf) scan(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc
 // Chunks are rounded up to the 4-wide tile so only the final shard has
 // remainder lanes; the first chunk runs inline on the caller, which also
 // keeps progress when the pool is saturated by other batches.
-func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, srcs []int, ecc []float64, arg []int) {
+func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand, srcs []int, ecc []float64, arg []int) {
 	batchWorkersOnce.Do(startBatchWorkers)
 	nu := len(srcs)
 	workers := runtime.GOMAXPROCS(0)
@@ -196,7 +186,7 @@ func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, srcs []
 			hi = nu
 		}
 		j := &b.jobs[c]
-		j.sk, j.cand, j.all = sk, cand, all
+		j.sk, j.cand = sk, cand
 		j.srcs, j.ecc, j.arg = srcs[lo:hi], ecc[lo:hi], arg[lo:hi]
 		j.wg = &b.wg
 		batchJobs <- j
@@ -205,15 +195,16 @@ func (b *QueryBuf) scanParallel(sk *sketch.Sketch, cand []int, all bool, srcs []
 	if hi > nu {
 		hi = nu
 	}
-	kernel(sk, cand, all, srcs[:hi], ecc[:hi], arg[:hi])
+	sk.EccentricityBatch(srcs[:hi], cand, ecc[:hi], arg[:hi])
 	b.wg.Wait()
 }
 
-// QueryBatch answers FASTQUERY for a whole batch and fans the answers back
-// out in request order. Ids are deduplicated. An id this index has answered
-// before costs one O(d) resistance to its stored farthest witness; the rest
-// go through the blocked kernel, one O(l·d) hull-boundary scan amortized over
-// them, which stores their witnesses. Results are bit-identical to calling
+// QueryBatch answers FASTQUERY (or APPROXQUERY, when Boundary is V) for a
+// whole batch and fans the answers back out in request order. Ids are
+// deduplicated. An id this index has answered before costs one O(d)
+// resistance to its stored farthest witness; the rest go through the
+// blocked kernel, one O(l·d) candidate scan amortized over them, which
+// stores their witnesses. Results are bit-identical to calling
 // Eccentricity per element, because the kernel sums each (source, candidate)
 // pair in exactly Resistance's order. Concurrent calls on one index are safe
 // with distinct buffers. The returned slice is owned by buf and valid until
@@ -235,24 +226,12 @@ func (f *Fast) QueryBatch(q []int, buf *QueryBuf) []Value {
 		nm++
 	}
 	if nm > 0 {
-		buf.scan(f.Sk, f.Boundary, false, buf.miss[:nm], buf.mecc[:nm], buf.marg[:nm])
+		buf.scan(f.Sk, f.Boundary, buf.miss[:nm], buf.mecc[:nm], buf.marg[:nm])
 		for k, i := range buf.at[:nm] {
 			buf.ecc[i], buf.arg[i] = buf.mecc[k], buf.marg[k]
 			far[buf.miss[k]].Store(uint32(buf.marg[k]) + 1)
 		}
 	}
-	return fanOut(q, buf)
-}
-
-// QueryBatch is the batched APPROXQUERY: like Fast.QueryBatch but scanning
-// all n embeddings per unique source instead of the hull boundary.
-func (a *Approx) QueryBatch(q []int, buf *QueryBuf) []Value {
-	buf.grow(len(q))
-	if len(q) == 0 {
-		return buf.vals[:0]
-	}
-	nu := buf.dedup(q)
-	buf.scan(a.Sk, nil, true, buf.uniq[:nu], buf.ecc[:nu], buf.arg[:nu])
 	return fanOut(q, buf)
 }
 

@@ -10,7 +10,10 @@ import (
 	"resistecc/internal/sketch"
 )
 
-func batchTestIndexes(t *testing.T) (*Exact, *Approx, *Fast) {
+// batchTestIndexes returns EXACTQUERY, APPROXQUERY and FASTQUERY indexes of
+// one BA(150) graph; the last two share sketch options, so they differ only
+// in their candidate sets.
+func batchTestIndexes(t *testing.T) (*Exact, *Fast, *Fast) {
 	t.Helper()
 	g := graph.BarabasiAlbert(150, 3, 9)
 	ex, err := NewExact(g)
@@ -65,8 +68,8 @@ func TestQueryBatchBitIdentical(t *testing.T) {
 
 // TestQueryBatchParallelSpill crosses the minParallelSources threshold so
 // the shared worker pool runs, and pins that sharded results remain
-// bit-identical to per-node queries for both kernels (boundary and full
-// scan). Run under -race this also pins the shard handoff.
+// bit-identical to per-node queries for both candidate sets (boundary and
+// all n nodes). Run under -race this also pins the shard handoff.
 func TestQueryBatchParallelSpill(t *testing.T) {
 	_, ap, f := batchTestIndexes(t)
 	q := make([]int, 220) // 150 uniques after dedup, well past the threshold

@@ -8,11 +8,15 @@
 //   - FastQuery (Algorithm 3): APPROXER sketch + APPROXCH hull, then an
 //     O(l·d) scan per queried node over the l hull-boundary embeddings;
 //     Õ((m + n·l)/ε² + |Q|·l) total with the (1±ε) guarantee of Thm 5.6.
-//     Each index remembers the farthest boundary node its batch path found
-//     for every node it has answered, so FASTQUERY costs O(l·d) the first
-//     time an index answers a node and one O(d) resistance after that.
 //   - ApproxRecc (Algorithm 7): single-node APPROXER query used inside the
 //     optimization loops.
+//
+// APPROXQUERY and FASTQUERY differ only in the candidate set: Lemma 5.4/5.5
+// lets FASTQUERY shrink APPROXQUERY's V to the hull boundary Ŝ. So both are
+// a Fast, whose Boundary is Ŝ or, from NewApprox, V, and both run one batch
+// kernel. Each index remembers the farthest candidate its batch path found
+// for every node it has answered, so a query costs one candidate scan the
+// first time an index answers a node and one O(d) resistance after that.
 //
 // The package also derives the distribution-level metrics of §III-C/§IV:
 // resistance eccentricity distribution E(G), resistance radius φ(G),
@@ -94,22 +98,18 @@ func (e *Exact) Distribution() []float64 {
 	return out
 }
 
-// Approx holds the APPROXQUERY state: an APPROXER sketch with no hull.
-type Approx struct {
-	Sk *sketch.Sketch
-}
-
-// NewApprox runs APPROXER (Algorithm 2, lines 1-2).
+// NewApprox runs APPROXER (Algorithm 2, lines 1-2) and returns the
+// APPROXQUERY index: a Fast whose Boundary is all n nodes, with no hull.
 //
 //recclint:ctxroot compatibility shim over NewApproxContext; callers that need cancellation use the Context variant
-func NewApprox(g *graph.Graph, opt sketch.Options) (*Approx, error) {
+func NewApprox(g *graph.Graph, opt sketch.Options) (*Fast, error) {
 	return NewApproxContext(context.Background(), g, opt)
 }
 
 // NewApproxContext is NewApprox with build cancellation. g must be
 // connected (graph.ErrDisconnected otherwise): resistance between two
 // components is infinite, and no sketch can say so.
-func NewApproxContext(ctx context.Context, g *graph.Graph, opt sketch.Options) (*Approx, error) {
+func NewApproxContext(ctx context.Context, g *graph.Graph, opt sketch.Options) (*Fast, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("ecc: approx preprocessing requires a connected graph: %w", graph.ErrDisconnected)
 	}
@@ -117,29 +117,7 @@ func NewApproxContext(ctx context.Context, g *graph.Graph, opt sketch.Options) (
 	if err != nil {
 		return nil, fmt.Errorf("ecc: approx preprocessing: %w", err)
 	}
-	return &Approx{Sk: sk}, nil
-}
-
-// Eccentricity returns c̄(v) by scanning all n sketched points.
-func (a *Approx) Eccentricity(v int) Value {
-	c, far := a.Sk.Eccentricity(v)
-	return Value{Node: v, Ecc: c, Farthest: far}
-}
-
-// Query answers APPROXQUERY(G, Q, ε). It runs on the batched kernel with a
-// pooled scratch buffer and returns a freshly allocated slice; results are
-// bit-identical to per-node Eccentricity calls.
-func (a *Approx) Query(q []int) []Value {
-	buf := GetQueryBuf()
-	out := append([]Value(nil), a.QueryBatch(q, buf)...)
-	buf.Release()
-	return out
-}
-
-// Distribution returns the approximate E(G) by full scans (Õ(n²) total),
-// answered by QueryBatch on the shared batch pool.
-func (a *Approx) Distribution() []float64 {
-	return eccOf(a.QueryBatch(identity(a.Sk.N), new(QueryBuf)))
+	return &Fast{Sk: sk, Boundary: identity(sk.N)}, nil
 }
 
 // FastOptions configures FASTQUERY.
@@ -151,17 +129,19 @@ type FastOptions struct {
 	Hull hull.Options
 }
 
-// Fast holds the FASTQUERY state: sketch plus hull-boundary node subset.
+// Fast holds the state of FASTQUERY, and of APPROXQUERY: a sketch plus the
+// candidate nodes every query scans.
 type Fast struct {
 	Sk *sketch.Sketch
-	// Boundary is Ŝ: the node ids whose embeddings lie on (an approximation
-	// of) the convex-hull boundary of the embedded point set.
+	// Boundary holds the candidates. For FASTQUERY it is Ŝ: the node ids
+	// whose embeddings lie on (an approximation of) the convex-hull boundary
+	// of the embedded point set. For APPROXQUERY it is V, in node order.
 	Boundary []int
-	// HullInfo reports diagnostics from APPROXCH.
+	// HullInfo reports diagnostics from APPROXCH; nil for APPROXQUERY.
 	HullInfo *hull.Result
 
 	// far is the farthest-witness table of QueryBatch, installed by its
-	// first call: far[v] holds 1 + the boundary node that v's first batched
+	// first call: far[v] holds 1 + the candidate that v's first batched
 	// query found farthest, and 0 while v is unanswered. A witness never
 	// changes once stored, because Sk and Boundary never do.
 	far atomic.Pointer[[]atomic.Uint32]
@@ -233,7 +213,7 @@ func NewFastFromSketch(sk *sketch.Sketch, hopt hull.Options) (*Fast, error) {
 // build would. It fails with sketch.ErrBadEpsilon when θ cannot be derived.
 func HullOptionsFor(opt FastOptions) (hull.Options, error) { return hullOptions(opt) }
 
-// L returns l = |Ŝ|, the number of hull-boundary nodes each query scans.
+// L returns l = |Ŝ|, the number of candidates each query scans.
 func (f *Fast) L() int { return len(f.Boundary) }
 
 // witnesses returns the farthest-witness table, installing an empty one on
@@ -266,17 +246,18 @@ func (f *Fast) Answered() int {
 }
 
 // Eccentricity returns ĉ(v) = max_{u ∈ Ŝ} r̃(v, u) (Algorithm 3, lines 6-7)
-// by a full boundary scan. It neither reads nor fills the witness table, so
-// it is the reference the batch path is tested against.
+// by a full scan of the candidates. It neither reads nor fills the witness
+// table, so it is the reference the batch path is tested against.
 func (f *Fast) Eccentricity(v int) Value {
 	c, far := f.Sk.EccentricityOver(v, f.Boundary)
 	return Value{Node: v, Ecc: c, Farthest: far}
 }
 
-// Query answers FASTQUERY(G, Q, ε). It runs on the batched kernel with a
-// pooled scratch buffer and returns a freshly allocated slice; results are
-// bit-identical to per-node Eccentricity calls. Callers that control buffer
-// lifetime (servers, tight loops) should use QueryBatch directly.
+// Query answers FASTQUERY(G, Q, ε), or APPROXQUERY when Boundary is V. It
+// runs on the batched kernel with a pooled scratch buffer and returns a
+// freshly allocated slice; results are bit-identical to per-node
+// Eccentricity calls. Callers that control buffer lifetime (servers, tight
+// loops) should use QueryBatch directly.
 func (f *Fast) Query(q []int) []Value {
 	buf := GetQueryBuf()
 	out := append([]Value(nil), f.QueryBatch(q, buf)...)
@@ -304,9 +285,10 @@ func (f *Fast) Diameter() (diam float64, pair graph.Edge, ok bool) {
 	return diam, pair, ok
 }
 
-// Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time,
-// answered by QueryBatch on the shared batch pool. The first call fills the
-// witness table for every node, so later calls cost O(n·d).
+// Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time
+// (Õ(n²/ε²) for APPROXQUERY), answered by QueryBatch on the shared batch
+// pool. The first call fills the witness table for every node, so later
+// calls cost O(n·d).
 func (f *Fast) Distribution() []float64 {
 	return eccOf(f.QueryBatch(identity(f.Sk.N), new(QueryBuf)))
 }
@@ -321,7 +303,7 @@ func eccOf(vals []Value) []float64 {
 }
 
 // identity returns [0, 1, …, n-1]: the source list for whole-graph batch
-// scans.
+// scans, and APPROXQUERY's candidate set.
 func identity(n int) []int {
 	srcs := make([]int, n)
 	for i := range srcs {

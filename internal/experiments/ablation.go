@@ -10,14 +10,18 @@ import (
 	"resistecc/internal/ecc"
 	"resistecc/internal/graph"
 	"resistecc/internal/linalg"
+	"resistecc/internal/optimize"
 	"resistecc/internal/sketch"
 	"resistecc/internal/solver"
 )
 
 // AblationHull quantifies design choice 1 of DESIGN.md: FASTQUERY's hull
-// pruning versus APPROXQUERY's full scan, at equal sketches. Reported per
-// network: hull size l, full-distribution query time with and without the
-// hull, and the accuracy cost.
+// pruning versus APPROXQUERY's full scan, at equal sketches. Both columns
+// time Distribution on one engine, the batch kernel on the shared worker
+// pool, from an empty witness table, so only the candidate set differs: all
+// n nodes against the l boundary nodes. Reported per network: hull size l,
+// full-distribution query time with and without the hull, and the accuracy
+// cost.
 func AblationHull(w io.Writer, opt Options, names []string) error {
 	opt = opt.withDefaults()
 	if names == nil {
@@ -36,12 +40,14 @@ func AblationHull(w io.Writer, opt Options, names []string) error {
 		if err != nil {
 			return err
 		}
-		// Full scan over the same sketch.
-		start := time.Now()
-		full := make([]float64, g.N())
-		for v := 0; v < g.N(); v++ {
-			full[v], _ = f.Sk.Eccentricity(v)
+		// APPROXQUERY over the same sketch: every node is a candidate.
+		all := make([]int, g.N())
+		for v := range all {
+			all[v] = v
 		}
+		scan := &ecc.Fast{Sk: f.Sk, Boundary: all}
+		start := time.Now()
+		full := scan.Distribution()
 		fullDur := time.Since(start)
 		start = time.Now()
 		pruned := f.Distribution()
@@ -141,7 +147,8 @@ func AblationSolver(ctx context.Context, w io.Writer, opt Options, name string) 
 }
 
 // AblationShermanMorrison quantifies design choice 4: the SIMPLE greedy's
-// O(n)-per-candidate Sherman–Morrison scoring versus naive re-inversion.
+// O(n)-per-candidate Sherman–Morrison scoring (optimize.EccAfterEdge, the
+// scorer Simple and Exhaustive run) versus naive re-inversion.
 func AblationShermanMorrison(w io.Writer, opt Options, n int) error {
 	opt = opt.withDefaults()
 	if n <= 0 {
@@ -162,7 +169,7 @@ func AblationShermanMorrison(w io.Writer, opt Options, n int) error {
 	start := time.Now()
 	smBest, smVal := graph.Edge{}, math.Inf(1)
 	for _, e := range cands {
-		c := eccAfterEdgeSM(lp, s, e.U, e.V)
+		c := optimize.EccAfterEdge(lp, s, e.U, e.V)
 		if c < smVal {
 			smVal, smBest = c, e
 		}
@@ -192,25 +199,4 @@ func AblationShermanMorrison(w io.Writer, opt Options, n int) error {
 	fmt.Fprintf(tw, "naive re-inversion\t%v\t%.6f\t%s\n", nvBest, nvVal, fmtDur(nvDur))
 	fmt.Fprintf(tw, "speedup\t\t\t%.1fx\n", float64(nvDur)/float64(smDur))
 	return tw.Flush()
-}
-
-// eccAfterEdgeSM mirrors optimize.eccAfterEdge for the ablation without
-// exporting the internal helper.
-func eccAfterEdgeSM(lp *linalg.Dense, s, u, v int) float64 {
-	best := 0.0
-	n := lp.N
-	lss := lp.At(s, s)
-	denom := 1 + linalg.Resistance(lp, u, v)
-	for j := 0; j < n; j++ {
-		if j == s {
-			continue
-		}
-		r := lss + lp.At(j, j) - 2*lp.At(s, j)
-		diff := (lp.At(s, u) - lp.At(s, v)) - (lp.At(j, u) - lp.At(j, v))
-		r -= diff * diff / denom
-		if r > best {
-			best = r
-		}
-	}
-	return best
 }

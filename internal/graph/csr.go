@@ -45,14 +45,3 @@ func (c *CSR) LapMul(x, y []float64) {
 		y[u] = float64(len(row))*x[u] - s
 	}
 }
-
-// AdjMul computes y = A·x where A is the adjacency matrix.
-func (c *CSR) AdjMul(x, y []float64) {
-	for u := 0; u < c.N; u++ {
-		s := 0.0
-		for _, v := range c.Col[c.Ptr[u]:c.Ptr[u+1]] {
-			s += x[v]
-		}
-		y[u] = s
-	}
-}

@@ -127,20 +127,6 @@ func TestCSRLapMul(t *testing.T) {
 	}
 }
 
-func TestCSRAdjMul(t *testing.T) {
-	g := Cycle(4)
-	c := g.ToCSR()
-	x := []float64{1, 2, 3, 4}
-	y := make([]float64, 4)
-	c.AdjMul(x, y)
-	want := []float64{2 + 4, 1 + 3, 2 + 4, 1 + 3}
-	for i := range want {
-		if y[i] != want[i] {
-			t.Fatalf("A·x[%d]=%g want %g", i, y[i], want[i])
-		}
-	}
-}
-
 // TestErrorPathsCloseFiles: a SaveEdgeList whose write fails still closes
 // the file it created.
 func TestErrorPathsCloseFiles(t *testing.T) {

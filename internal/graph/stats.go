@@ -109,18 +109,3 @@ func (g *Graph) MeanClustering() float64 {
 	}
 	return sum / float64(g.N())
 }
-
-// DegreeHistogram returns counts[d] = number of nodes with degree d.
-func (g *Graph) DegreeHistogram() []int {
-	maxD := 0
-	for u := range g.adj {
-		if len(g.adj[u]) > maxD {
-			maxD = len(g.adj[u])
-		}
-	}
-	counts := make([]int, maxD+1)
-	for u := range g.adj {
-		counts[len(g.adj[u])]++
-	}
-	return counts
-}

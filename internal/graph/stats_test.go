@@ -36,13 +36,6 @@ func TestMeanClustering(t *testing.T) {
 	}
 }
 
-func TestDegreeHistogram(t *testing.T) {
-	h := Star(6).DegreeHistogram()
-	if h[1] != 5 || h[5] != 1 {
-		t.Fatalf("star degree histogram %v", h)
-	}
-}
-
 func TestPowerLawExponentOnBA(t *testing.T) {
 	g := BarabasiAlbert(3000, 3, 17)
 	gamma := g.PowerLawExponent()

@@ -120,20 +120,3 @@ func TestApproxRecoversPolygonVertices(t *testing.T) {
 		t.Fatalf("exact hull has %d vertices, want %d", len(exact), k)
 	}
 }
-
-func TestBatchInsertOne(t *testing.T) {
-	// BatchInsert=1 recovers the textbook one-at-a-time greedy and must
-	// still certify.
-	rng := rand.New(rand.NewSource(9))
-	pts := make([][]float64, 50)
-	for i := range pts {
-		pts[i] = []float64{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
-	}
-	res, err := Approx(pts, Options{Theta: 0.1, Seed: 9, BatchInsert: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Certified {
-		t.Fatal("one-at-a-time refinement must certify")
-	}
-}

@@ -73,15 +73,15 @@ type Options struct {
 	// MaxFWIters caps Frank–Wolfe iterations per distance query; zero means
 	// ⌈1/θ²⌉ clamped to [16, 4096], matching the θ⁻² term of Lemma 5.3.
 	MaxFWIters int
-	// BatchInsert caps how many uncovered vertices a refinement round may
-	// insert at once (mutually separated by > 2θ·D̂, so none could have
-	// covered another). Zero means 16; 1 recovers the textbook one-at-a-time
-	// greedy. Batching only ever grows Ŝ ⊆ S, never weakens coverage.
-	BatchInsert int
-	// SkipRefine disables stage 2 (pure directional sampling). Used by the
-	// hull ablation bench; leaves Certified false.
+	// SkipRefine disables stage 2 (pure directional sampling), leaving
+	// Certified false. Only tests set it, to get the seeding alone.
 	SkipRefine bool
 }
+
+// batchInsert caps how many uncovered vertices a refinement round may
+// insert at once (mutually separated by > 2θ·D̂, so none could have covered
+// another). Batching only ever grows Ŝ ⊆ S, never weakens coverage.
+const batchInsert = 16
 
 // Result is the output of Approx.
 type Result struct {
@@ -178,10 +178,6 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 			maxFW = 4096
 		}
 	}
-	batchCap := opt.BatchInsert
-	if batchCap <= 0 {
-		batchCap = 16
-	}
 	g := newGram(pts, a, b)
 	fws := make([]fw, runtime.GOMAXPROCS(0))
 	covered := make([]bool, n)
@@ -225,7 +221,7 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 		sort.Slice(uncovered, func(a, b int) bool { return uncovered[a].ub > uncovered[b].ub })
 		var accepted []int
 		for _, cand := range uncovered {
-			if len(accepted) >= batchCap {
+			if len(accepted) >= batchInsert {
 				break
 			}
 			if opt.MaxVertices > 0 && len(hullIdx)+len(accepted) >= opt.MaxVertices {

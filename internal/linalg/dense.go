@@ -1,9 +1,8 @@
 // Package linalg provides the small dense linear-algebra substrate needed by
 // the exact algorithms of the paper: dense symmetric matrices, Gauss–Jordan
-// inversion, Cholesky factorization, the Laplacian pseudoinverse
-// L† = (L + J/n)⁻¹ − J/n (§III-B), and Sherman–Morrison rank-1 updates of L†
-// under edge insertion (used to make the SIMPLE greedy and the exhaustive
-// OPT baselines tractable).
+// inversion, the Laplacian pseudoinverse L† = (L + J/n)⁻¹ − J/n (§III-B),
+// and Sherman–Morrison rank-1 updates of L† under edge insertion (used to
+// make the SIMPLE greedy and the exhaustive OPT baselines tractable).
 //
 // Everything here is O(n²) memory and O(n³) time by design — it is the
 // paper's EXACTQUERY substrate and the ground truth against which the
@@ -43,18 +42,6 @@ func (d *Dense) Clone() *Dense {
 
 // Row returns row i as a shared slice.
 func (d *Dense) Row(i int) []float64 { return d.Data[i*d.N : (i+1)*d.N] }
-
-// MulVec computes y = D·x.
-func (d *Dense) MulVec(x, y []float64) {
-	for i := 0; i < d.N; i++ {
-		row := d.Row(i)
-		s := 0.0
-		for j, v := range row {
-			s += v * x[j]
-		}
-		y[i] = s
-	}
-}
 
 // ErrSingular reports a numerically singular matrix.
 var ErrSingular = errors.New("linalg: matrix is singular to working precision")
@@ -113,53 +100,5 @@ func swapRows(a []float64, n, r1, r2 int) {
 	row2 := a[r2*n : (r2+1)*n]
 	for j := range row1 {
 		row1[j], row2[j] = row2[j], row1[j]
-	}
-}
-
-// Cholesky computes the lower-triangular factor L with d = L·Lᵀ, for
-// symmetric positive-definite d. Returns ErrSingular when a pivot is
-// non-positive.
-func (d *Dense) Cholesky() (*Dense, error) {
-	n := d.N
-	l := NewDense(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j <= i; j++ {
-			sum := d.At(i, j)
-			for k := 0; k < j; k++ {
-				sum -= l.At(i, k) * l.At(j, k)
-			}
-			if i == j {
-				if sum <= 0 {
-					return nil, fmt.Errorf("%w: non-positive pivot at %d (%g)", ErrSingular, i, sum)
-				}
-				l.Set(i, i, math.Sqrt(sum))
-			} else {
-				l.Set(i, j, sum/l.At(j, j))
-			}
-		}
-	}
-	return l, nil
-}
-
-// SolveCholesky solves (L·Lᵀ)x = b given the lower factor L, writing x.
-func SolveCholesky(l *Dense, b, x []float64) {
-	n := l.N
-	// Forward: L y = b.
-	y := make([]float64, n)
-	for i := 0; i < n; i++ {
-		s := b[i]
-		row := l.Row(i)
-		for k := 0; k < i; k++ {
-			s -= row[k] * y[k]
-		}
-		y[i] = s / row[i]
-	}
-	// Backward: Lᵀ x = y.
-	for i := n - 1; i >= 0; i-- {
-		s := y[i]
-		for k := i + 1; k < n; k++ {
-			s -= l.At(k, i) * x[k]
-		}
-		x[i] = s / l.At(i, i)
 	}
 }

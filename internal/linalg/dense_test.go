@@ -27,19 +27,6 @@ func TestDenseBasics(t *testing.T) {
 	}
 }
 
-func TestMulVec(t *testing.T) {
-	d := NewDense(2)
-	d.Set(0, 0, 1)
-	d.Set(0, 1, 2)
-	d.Set(1, 0, 3)
-	d.Set(1, 1, 4)
-	y := make([]float64, 2)
-	d.MulVec([]float64{1, 1}, y)
-	if y[0] != 3 || y[1] != 7 {
-		t.Fatalf("y=%v", y)
-	}
-}
-
 func TestInvertIdentity(t *testing.T) {
 	d := NewDense(4)
 	for i := 0; i < 4; i++ {
@@ -98,53 +85,6 @@ func TestQuickInvertRoundTrip(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestCholeskySolve(t *testing.T) {
-	// SPD matrix A = MᵀM + I.
-	rng := rand.New(rand.NewSource(3))
-	n := 6
-	m := NewDense(n)
-	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
-	}
-	a := NewDense(n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			s := 0.0
-			for k := 0; k < n; k++ {
-				s += m.At(k, i) * m.At(k, j)
-			}
-			a.Set(i, j, s)
-		}
-		a.Add(i, i, 1)
-	}
-	l, err := a.Cholesky()
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := make([]float64, n)
-	for i := range b {
-		b[i] = rng.NormFloat64()
-	}
-	x := make([]float64, n)
-	SolveCholesky(l, b, x)
-	ax := make([]float64, n)
-	a.MulVec(x, ax)
-	for i := range b {
-		if !almostEq(ax[i], b[i], 1e-9) {
-			t.Fatalf("Ax[%d]=%g, b=%g", i, ax[i], b[i])
-		}
-	}
-}
-
-func TestCholeskyNotPD(t *testing.T) {
-	a := NewDense(2)
-	a.Set(0, 0, -1)
-	a.Set(1, 1, 1)
-	if _, err := a.Cholesky(); err == nil {
-		t.Fatal("negative-definite matrix should fail Cholesky")
 	}
 }
 

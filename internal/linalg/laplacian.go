@@ -87,21 +87,6 @@ func AddEdgePinv(lp *Dense, u, v int) {
 	}
 }
 
-// ResistanceAfterEdge returns r(s,t) in the graph G ∪ {(u,v)} without
-// mutating lp, again by Sherman–Morrison:
-//
-//	r'(s,t) = r(s,t) − ( (L†b)_s − (L†b)_t )² / (1 + r(u,v)).
-//
-// O(1) given lp — the workhorse of candidate scoring in exact greedies.
-func ResistanceAfterEdge(lp *Dense, s, t, u, v int) float64 {
-	r := Resistance(lp, s, t)
-	ws := lp.At(s, u) - lp.At(s, v)
-	wt := lp.At(t, u) - lp.At(t, v)
-	denom := 1 + Resistance(lp, u, v)
-	diff := ws - wt
-	return r - diff*diff/denom
-}
-
 // EccentricityFromPinv returns c(s) = max_j r(s,j) and the farthest node,
 // the query step of EXACTQUERY (Algorithm 1, line 3). O(n).
 func EccentricityFromPinv(lp *Dense, s int) (c float64, farthest int) {

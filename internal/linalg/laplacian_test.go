@@ -220,24 +220,6 @@ func TestQuickShermanMorrison(t *testing.T) {
 	}
 }
 
-func TestResistanceAfterEdge(t *testing.T) {
-	g := graph.Path(6)
-	lp, err := Pseudoinverse(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Figure 3: adding (0,5) to the 6-path gives the 6-cycle: r(2,0)=2·4/6.
-	got := ResistanceAfterEdge(lp, 2, 0, 0, 5)
-	if !almostEq(got, 8.0/6, 1e-9) {
-		t.Fatalf("r'(2,0)=%g, want %g", got, 8.0/6)
-	}
-	// Consistency against a full update.
-	AddEdgePinv(lp, 0, 5)
-	if !almostEq(got, Resistance(lp, 2, 0), 1e-9) {
-		t.Fatal("ResistanceAfterEdge inconsistent with AddEdgePinv")
-	}
-}
-
 // Rayleigh monotonicity: adding an edge never increases any resistance.
 func TestQuickRayleighMonotonicity(t *testing.T) {
 	f := func(seed int64, a, b uint8) bool {

@@ -1,16 +1,12 @@
 package obs
 
 import (
-	"context"
 	"log"
 	"math/rand"
 	"net/http"
 	"sync/atomic"
 	"time"
 )
-
-// requestIDKey is the context key under which RequestID stores the id.
-type requestIDKey struct{}
 
 // reqPrefix is a per-process random prefix so request ids from different
 // server instances don't collide in aggregated logs; reqSeq is the
@@ -20,17 +16,10 @@ var (
 	reqSeq    atomic.Uint64
 )
 
-// RequestIDFrom returns the request id assigned by AccessLog, or "".
-func RequestIDFrom(ctx context.Context) string {
-	id, _ := ctx.Value(requestIDKey{}).(string)
-	return id
-}
-
 // AccessLog wraps next with structured access logging: it assigns each
-// request an id (also set as the X-Request-Id response header and stored in
-// the request context), and logs one line per request with method, path,
-// status, response bytes, duration and remote address. A nil logger uses
-// the stdlib default.
+// request an id (also set as the X-Request-Id response header), and logs
+// one line per request with the id, method, path, status, response bytes,
+// duration and remote address. A nil logger uses the stdlib default.
 func AccessLog(logger *log.Logger, next http.Handler) http.Handler {
 	if logger == nil {
 		logger = log.Default()
@@ -38,7 +27,6 @@ func AccessLog(logger *log.Logger, next http.Handler) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
 		id := nextRequestID()
 		w.Header().Set("X-Request-Id", id)
-		req = req.WithContext(context.WithValue(req.Context(), requestIDKey{}, id))
 		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 		next.ServeHTTP(sw, req)
@@ -71,27 +59,14 @@ func nextRequestID() string {
 }
 
 // LimitInFlight bounds the number of concurrently executing requests to
-// limit; excess requests are shed immediately with 503 and a Retry-After
-// hint rather than queued, so a traffic spike degrades to fast rejections
-// instead of piling up goroutines. limit <= 0 disables the limiter.
-// Rejections are counted in the registry's <ns>_rejected_total.
-func (r *Registry) LimitInFlight(limit int, next http.Handler) http.Handler {
-	return r.LimitInFlightWith(limit, next, nil)
-}
-
-// LimitInFlightWith is LimitInFlight with a caller-supplied rejection
-// handler, so servers with extra headers or codes can shed load in their
-// own wire format. A nil reject falls back to a WriteError 503 carrying
-// the canonical {"error":{code,message}} envelope.
-func (r *Registry) LimitInFlightWith(limit int, next http.Handler, reject http.Handler) http.Handler {
+// limit; excess requests are shed immediately through reject rather than
+// queued, so a traffic spike degrades to fast rejections instead of piling
+// up goroutines. reject writes the server's own 503 in its wire format.
+// limit <= 0 disables the limiter. Rejections are counted in the registry's
+// <ns>_rejected_total.
+func (r *Registry) LimitInFlight(limit int, next, reject http.Handler) http.Handler {
 	if limit <= 0 {
 		return next
-	}
-	if reject == nil {
-		reject = http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Retry-After", "1")
-			WriteError(w, http.StatusServiceUnavailable, "overloaded", "server overloaded; retry")
-		})
 	}
 	sem := make(chan struct{}, limit)
 	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {

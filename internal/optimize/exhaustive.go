@@ -63,7 +63,7 @@ func Exhaustive(g *graph.Graph, p Problem, s, k int) (*Result, float64, error) {
 			next := lp
 			if len(chosen)+1 == k {
 				// Leaf: score without copying the whole matrix.
-				c := eccAfterEdge(lp, s, e.U, e.V)
+				c := EccAfterEdge(lp, s, e.U, e.V)
 				if c < bestEcc {
 					bestEcc = c
 					copy(best, chosen)

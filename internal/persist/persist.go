@@ -61,7 +61,9 @@ var (
 // snapshot is valid for a caller exactly when its stored Params equal the
 // caller's. Fields mirror the raw (pre-default-resolution) options: both
 // sides resolve zeros identically downstream, so comparing raw values is
-// conservative and safe.
+// conservative and safe. No caller sets SolverTol, HullTheta, HullSeed,
+// HullDirections or HullMaxFWIters, so they are always zero; they stay in
+// the meta section until its next format version.
 type Params struct {
 	Epsilon   float64
 	Dim       int

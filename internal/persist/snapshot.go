@@ -150,7 +150,13 @@ func decodeMeta(b []byte, s *Snapshot) error {
 	s.Params.HullDirections = int(d.i64())
 	s.Params.HullMaxVertices = int(d.i64())
 	s.Params.HullMaxFWIters = int(d.i64())
-	return d.err
+	if d.err != nil {
+		return d.err
+	}
+	if d.off != len(b) {
+		return fmt.Errorf("%w: %d trailing bytes in meta section", ErrCorrupt, len(b)-d.off)
+	}
+	return nil
 }
 
 func encodeGraph(g *graph.Graph) []byte {

@@ -46,11 +46,6 @@ type Store struct {
 	checkpoints        uint64        // guarded by mu
 	checkpointFailures uint64        // guarded by mu
 	lastCheckpointDur  time.Duration // guarded by mu
-
-	// SyncAppends fsyncs the WAL after every record, making acknowledged
-	// mutations crash-durable at the cost of one fsync per mutation. On by
-	// default; tests of pure warm-start speed may disable it.
-	SyncAppends bool
 }
 
 // StoreStats is a point-in-time view of the store for metrics.
@@ -88,7 +83,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("persist: open wal: %w", err)
 	}
-	st := &Store{dir: dir, wal: wal, recovered: recs, SyncAppends: true}
+	st := &Store{dir: dir, wal: wal, recovered: recs}
 	st.tail = append([]Record(nil), recs...)
 	st.walRecords = len(recs)
 	if n := len(recs); n > 0 {
@@ -177,8 +172,9 @@ func (st *Store) Recover() (*Snapshot, []Record, error) {
 	return snap, usable, nil
 }
 
-// Append logs one committed mutation. Called (via Hook) on the lifecycle
-// mutation worker after each commit.
+// Append logs one committed mutation and fsyncs the WAL, so an
+// acknowledged mutation survives a crash. Called (via Hook) on the
+// lifecycle mutation worker after each commit.
 func (st *Store) Append(r Record) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -186,10 +182,8 @@ func (st *Store) Append(r Record) error {
 	if _, err := st.wal.Write(b[:]); err != nil {
 		return fmt.Errorf("persist: wal append: %w", err)
 	}
-	if st.SyncAppends {
-		if err := st.wal.Sync(); err != nil {
-			return fmt.Errorf("persist: wal sync: %w", err)
-		}
+	if err := st.wal.Sync(); err != nil {
+		return fmt.Errorf("persist: wal sync: %w", err)
 	}
 	// Mirror the record for tail serving. A non-contiguous append means an
 	// earlier append failed (a hole on disk too): the tail stops serving

@@ -6,6 +6,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"resistecc/internal/graph"
@@ -197,6 +198,27 @@ func frameSnapshot(payloads ...[]byte) []byte {
 // sectionPayloads returns the five section payloads of s.
 func sectionPayloads(s *Snapshot) [][]byte {
 	return [][]byte{encodeMeta(s), encodeGraph(s.Graph), encodeSketch(s.SketchMeta, s.Points), encodeHull(s), encodeEcc(s.Ecc)}
+}
+
+// trailingByte returns the sections of a valid snapshot with one byte
+// appended to section i's payload.
+func trailingByte(i int) [][]byte {
+	p := sectionPayloads(wideSnapshot())
+	p[i] = append(p[i], 0)
+	return p
+}
+
+// Every section decoder reads its payload to the end: a byte past the last
+// field is corruption, which the section's CRC cannot catch, since the
+// writer computed it over the longer payload.
+func TestSectionTrailingBytesRejected(t *testing.T) {
+	for i, name := range []string{"meta", "graph", "sketch", "hull", "ecc"} {
+		_, err := ReadSnapshot(frameSnapshot(trailingByte(i)...))
+		want := "1 trailing bytes in " + name + " section"
+		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s section plus one byte: err %v, want ErrCorrupt with %q", name, err, want)
+		}
+	}
 }
 
 // forgedSectionCount is a 16-byte snapshot header claiming 2^24 sections.

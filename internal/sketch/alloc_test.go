@@ -21,9 +21,7 @@ func TestZeroAllocs(t *testing.T) {
 		{"Sketch.Eccentricity", func() { sinkF, sinkI = sk.Eccentricity(42) }},
 		{"Sketch.EccentricityOver", func() { sinkF, sinkI = sk.EccentricityOver(42, cand) }},
 		{"Sketch.EccentricityBatch", func() { sk.EccentricityBatch(srcs, cand, ecc, arg) }},
-		{"Sketch.EccentricityBatchAll", func() { sk.EccentricityBatchAll(srcs, ecc, arg) }},
 		{"Sketch.scan4", func() { sk.scan4(0, 7, 13, 42, cand, ecc, arg) }},
-		{"Sketch.scan4All", func() { sk.scan4All(0, 7, 13, 42, ecc, arg) }},
 		{"addScaledRow/c=0", func() { addScaledRow(dst, sk.pts[3], sk.pts[55], 0) }},
 		{"addScaledRow/c≠0", func() { addScaledRow(dst, sk.pts[3], sk.pts[55], 0.25) }},
 	}

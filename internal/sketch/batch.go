@@ -17,7 +17,9 @@ package sketch
 // EccentricityBatch computes ĉ(src) = max_{v ∈ cand, v ≠ src} r̃(src, v) for
 // every source in srcs, writing the value and the witness farthest node into
 // ecc[i] and arg[i]. A source with no admissible candidate gets (0, src),
-// matching EccentricityOver. ecc and arg must have len(srcs) elements; the
+// matching EccentricityOver. cand is FASTQUERY's hull boundary Ŝ, or all n
+// nodes in node order for APPROXQUERY, whose answers then equal
+// Eccentricity's bit for bit. ecc and arg must have len(srcs) elements; the
 // kernel allocates nothing.
 func (s *Sketch) EccentricityBatch(srcs, cand []int, ecc []float64, arg []int) {
 	si := 0
@@ -26,18 +28,6 @@ func (s *Sketch) EccentricityBatch(srcs, cand []int, ecc []float64, arg []int) {
 	}
 	for ; si < len(srcs); si++ {
 		ecc[si], arg[si] = s.EccentricityOver(srcs[si], cand)
-	}
-}
-
-// EccentricityBatchAll is EccentricityBatch over the full node set — the
-// batched form of Eccentricity (APPROXQUERY's scan, no hull pruning).
-func (s *Sketch) EccentricityBatchAll(srcs []int, ecc []float64, arg []int) {
-	si := 0
-	for ; si+4 <= len(srcs); si += 4 {
-		s.scan4All(srcs[si], srcs[si+1], srcs[si+2], srcs[si+3], ecc[si:si+4], arg[si:si+4])
-	}
-	for ; si < len(srcs); si++ {
-		ecc[si], arg[si] = s.Eccentricity(srcs[si])
 	}
 }
 
@@ -51,42 +41,6 @@ func (s *Sketch) scan4(s0, s1, s2, s3 int, cand []int, ecc []float64, arg []int)
 	for _, v := range cand {
 		pv := s.pts[v]
 		// Equal-length reslices let the compiler elide the q[j] bound checks.
-		q0, q1, q2, q3 := p0[:len(pv)], p1[:len(pv)], p2[:len(pv)], p3[:len(pv)]
-		var r0, r1, r2, r3 float64
-		for j, x := range pv {
-			t0 := q0[j] - x
-			r0 += t0 * t0
-			t1 := q1[j] - x
-			r1 += t1 * t1
-			t2 := q2[j] - x
-			r2 += t2 * t2
-			t3 := q3[j] - x
-			r3 += t3 * t3
-		}
-		if v != s0 && r0 > e0 {
-			e0, a0 = r0, v
-		}
-		if v != s1 && r1 > e1 {
-			e1, a1 = r1, v
-		}
-		if v != s2 && r2 > e2 {
-			e2, a2 = r2, v
-		}
-		if v != s3 && r3 > e3 {
-			e3, a3 = r3, v
-		}
-	}
-	ecc[0], ecc[1], ecc[2], ecc[3] = e0, e1, e2, e3
-	arg[0], arg[1], arg[2], arg[3] = a0, a1, a2, a3
-}
-
-// scan4All is scan4 over all n nodes instead of a candidate list.
-func (s *Sketch) scan4All(s0, s1, s2, s3 int, ecc []float64, arg []int) {
-	p0, p1, p2, p3 := s.pts[s0], s.pts[s1], s.pts[s2], s.pts[s3]
-	e0, e1, e2, e3 := 0.0, 0.0, 0.0, 0.0
-	a0, a1, a2, a3 := s0, s1, s2, s3
-	for v := 0; v < s.N; v++ {
-		pv := s.pts[v]
 		q0, q1, q2, q3 := p0[:len(pv)], p1[:len(pv)], p2[:len(pv)], p3[:len(pv)]
 		var r0, r1, r2, r3 float64
 		for j, x := range pv {

@@ -20,32 +20,51 @@ func batchTestSketch(t *testing.T, n int) *Sketch {
 // TestEccentricityBatchBitIdentical pins the tentpole contract: the 4-wide
 // blocked kernel must produce bit-identical values AND witnesses to the
 // serial per-source scan, for every batch length (full tiles, remainders,
-// empty), including sources that are themselves candidates.
+// empty), including sources that are themselves candidates. The boundary
+// case scans an unsorted candidate list against EccentricityOver; the
+// all-nodes case scans V in node order, APPROXQUERY's candidate set,
+// against the full scan Eccentricity.
 func TestEccentricityBatchBitIdentical(t *testing.T) {
 	sk := batchTestSketch(t, 120)
-	cand := []int{0, 7, 13, 42, 87, 119, 3, 55} // unsorted, includes sources below
-	for _, size := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 31} {
-		srcs := make([]int, size)
-		for i := range srcs {
-			srcs[i] = (i*37 + 7) % sk.N
-		}
-		// Make some sources members of cand so the v==src skip is exercised
-		// in every lane position.
-		for i := range srcs {
-			if i%3 == 0 && i < len(cand) {
-				srcs[i] = cand[i]
+	boundary := []int{0, 7, 13, 42, 87, 119, 3, 55} // unsorted, includes sources below
+	all := make([]int, sk.N)
+	for v := range all {
+		all[v] = v
+	}
+	cases := []struct {
+		name string
+		cand []int
+		want func(src int) (float64, int)
+	}{
+		{"boundary", boundary, func(src int) (float64, int) { return sk.EccentricityOver(src, boundary) }},
+		{"all-nodes", all, sk.Eccentricity},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			for _, size := range []int{0, 1, 2, 3, 4, 5, 7, 8, 9, 13, 16, 31} {
+				srcs := make([]int, size)
+				for i := range srcs {
+					srcs[i] = (i*37 + 7) % sk.N
+				}
+				// Make some sources members of the boundary list so the
+				// v==src skip is exercised in every lane position.
+				for i := range srcs {
+					if i%3 == 0 && i < len(boundary) {
+						srcs[i] = boundary[i]
+					}
+				}
+				ecc := make([]float64, size)
+				arg := make([]int, size)
+				sk.EccentricityBatch(srcs, tc.cand, ecc, arg)
+				for i, s := range srcs {
+					wantE, wantA := tc.want(s)
+					if ecc[i] != wantE || arg[i] != wantA {
+						t.Fatalf("size %d src %d: batch (%v,%d) != serial (%v,%d)",
+							size, s, ecc[i], arg[i], wantE, wantA)
+					}
+				}
 			}
-		}
-		ecc := make([]float64, size)
-		arg := make([]int, size)
-		sk.EccentricityBatch(srcs, cand, ecc, arg)
-		for i, s := range srcs {
-			wantE, wantA := sk.EccentricityOver(s, cand)
-			if ecc[i] != wantE || arg[i] != wantA {
-				t.Fatalf("size %d src %d: batch (%v,%d) != serial (%v,%d)",
-					size, s, ecc[i], arg[i], wantE, wantA)
-			}
-		}
+		})
 	}
 }
 
@@ -67,28 +86,6 @@ func TestEccentricityBatchEmptyCandidates(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		if ecc[i] != 0 || arg[i] != 5 {
 			t.Fatalf("self-only cand: got (%v,%d), want (0,5)", ecc[i], arg[i])
-		}
-	}
-}
-
-// TestEccentricityBatchAllBitIdentical pins the full-scan variant against
-// Eccentricity the same way.
-func TestEccentricityBatchAllBitIdentical(t *testing.T) {
-	sk := batchTestSketch(t, 90)
-	for _, size := range []int{1, 3, 4, 6, 8, 13} {
-		srcs := make([]int, size)
-		for i := range srcs {
-			srcs[i] = (i * 17) % sk.N
-		}
-		ecc := make([]float64, size)
-		arg := make([]int, size)
-		sk.EccentricityBatchAll(srcs, ecc, arg)
-		for i, s := range srcs {
-			wantE, wantA := sk.Eccentricity(s)
-			if ecc[i] != wantE || arg[i] != wantA {
-				t.Fatalf("size %d src %d: batch (%v,%d) != serial (%v,%d)",
-					size, s, ecc[i], arg[i], wantE, wantA)
-			}
 		}
 	}
 }

@@ -305,8 +305,11 @@ func (s *Sketch) Resistance(u, v int) float64 {
 }
 
 // Eccentricity scans all nodes and returns
-// c̄(s) = max_{j != src} r̃(src, j) together with the farthest node — the
-// query step of APPROXQUERY and the whole of APPROXRECC (Algorithm 7).
+// c̄(s) = max_{j != src} r̃(src, j) together with the farthest node: the
+// whole of APPROXRECC (Algorithm 7), and the reference the tests hold
+// APPROXQUERY's batch path to. The index answers APPROXQUERY through
+// EccentricityBatch over all n nodes, which sums each pair in the same
+// order and keeps the same (earliest) maximum.
 func (s *Sketch) Eccentricity(src int) (float64, int) {
 	best, arg := 0.0, src
 	for v := 0; v < s.N; v++ {

@@ -89,9 +89,9 @@ func (p *Plan) ExactTrajectory(g *Graph) ([]float64, error) {
 type OptimizeOptions struct {
 	// Sketch configures APPROXER (Epsilon required).
 	Sketch SketchOptions
-	// Hull configures the APPROXCH boundary the REM heuristics score
-	// candidates on. The zero value derives θ and the seed from Sketch, the
-	// same resolution FastIndex uses.
+	// Hull caps the APPROXCH boundary the REM heuristics score candidates
+	// on. θ is ε/12, as for FastIndex, but round r's hull seed is
+	// Sketch.Seed + 7919 + r, where FastIndex's is Sketch.Seed + 1.
 	Hull HullOptions
 	// MaxCandidates caps the hull-pair candidates ChMinRecc/MinRecc score
 	// per round (0 = the paper's uncapped O(l²) set).

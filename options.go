@@ -8,34 +8,17 @@ import (
 )
 
 // HullOptions configures the APPROXCH approximate convex hull used by
-// FastIndex, DynamicIndex and the REM optimizers. The zero value derives
-// every parameter from the sketch: θ = ε/12 (Algorithm 3) and a seed tied to
-// the sketch seed so rebuilds are bit-identical.
+// FastIndex, DynamicIndex and the REM optimizers. Every other hull
+// parameter derives from the sketch: θ = ε/12 (Algorithm 3) and a seed tied
+// to the sketch seed, so rebuilds are bit-identical.
 type HullOptions struct {
-	// Theta is the coverage parameter θ ∈ (0,1); 0 means ε/12.
-	Theta float64
-	// Seed drives the random seeding directions; 0 derives from the sketch
-	// seed.
-	Seed int64
-	// Directions is the number of random seeding directions; 0 means
-	// min(2d+8, 64).
-	Directions int
 	// MaxVertices caps the boundary size l = |Ŝ|; 0 means no cap. A binding
 	// cap may void the θ-coverage certificate (see IndexBuildStats).
 	MaxVertices int
-	// MaxFWIters caps Frank–Wolfe iterations per distance query; 0 derives
-	// ⌈1/θ²⌉ clamped to [16, 4096].
-	MaxFWIters int
 }
 
 func (h HullOptions) internal() hull.Options {
-	return hull.Options{
-		Theta:       h.Theta,
-		Seed:        h.Seed,
-		Directions:  h.Directions,
-		MaxVertices: h.MaxVertices,
-		MaxFWIters:  h.MaxFWIters,
-	}
+	return hull.Options{MaxVertices: h.MaxVertices}
 }
 
 // buildConfig is the accumulated result of applying Options.
@@ -136,11 +119,11 @@ func NewExactIndex(ctx context.Context, g *Graph) (*ExactIndex, error) {
 // between blocks of four solver rows. Successor of (*Graph).NewApproxIndex.
 func NewApproxIndex(ctx context.Context, g *Graph, opts ...Option) (*ApproxIndex, error) {
 	c := applyOptions(opts)
-	ap, err := ecc.NewApproxContext(ctx, g.inner(), c.sk.internal())
+	f, err := ecc.NewApproxContext(ctx, g.inner(), c.sk.internal())
 	if err != nil {
 		return nil, err
 	}
-	return &ApproxIndex{ap: ap}, nil
+	return &ApproxIndex{sketchIndex{f}}, nil
 }
 
 // NewFastIndex builds the FASTQUERY index (Algorithm 3): the APPROXER
@@ -154,5 +137,5 @@ func NewFastIndex(ctx context.Context, g *Graph, opts ...Option) (*FastIndex, er
 	if err != nil {
 		return nil, err
 	}
-	return &FastIndex{f: f}, nil
+	return &FastIndex{sketchIndex{f}}, nil
 }

@@ -5,7 +5,6 @@ import (
 
 	"resistecc/internal/ecc"
 	"resistecc/internal/sketch"
-	"resistecc/internal/solver"
 	"resistecc/internal/stats"
 )
 
@@ -41,21 +40,10 @@ type SketchOptions struct {
 	Dim int
 	// Seed makes the sketch deterministic.
 	Seed int64
-	// Workers caps solver parallelism (0 = GOMAXPROCS, 1 = single-threaded
-	// like the paper's timing runs).
-	Workers int
-	// SolverTol overrides the Laplacian-solver relative residual (0 = 1e-10).
-	SolverTol float64
 }
 
 func (o SketchOptions) internal() sketch.Options {
-	return sketch.Options{
-		Epsilon: o.Epsilon,
-		Dim:     o.Dim,
-		Seed:    o.Seed,
-		Workers: o.Workers,
-		Solver:  solver.Options{Tol: o.SolverTol},
-	}
+	return sketch.Options{Epsilon: o.Epsilon, Dim: o.Dim, Seed: o.Seed}
 }
 
 // TheoreticalSketchDim returns ⌈24 ln n / ε²⌉.
@@ -102,64 +90,54 @@ func (ix *ExactIndex) Query(nodes []int) ([]Eccentricity, error) {
 // Distribution returns the exact E(G) indexed by node.
 func (ix *ExactIndex) Distribution() []float64 { return ix.ex.Distribution() }
 
-// ApproxIndex answers (1±ε)-approximate queries by scanning all n sketched
-// embeddings per query (APPROXQUERY, Algorithm 2).
-type ApproxIndex struct {
-	ap *ecc.Approx
-}
-
-// N returns the node count of the indexed graph.
-func (ix *ApproxIndex) N() int { return ix.ap.Sk.N }
-
-// Resistance returns the sketched r̃(u, v).
-func (ix *ApproxIndex) Resistance(u, v int) float64 { return ix.ap.Sk.Resistance(u, v) }
-
-// Eccentricity returns c̄(v) by a full scan.
-func (ix *ApproxIndex) Eccentricity(v int) Eccentricity { return convValue(ix.ap.Eccentricity(v)) }
-
-// Query answers a batch of eccentricity queries. Any node outside [0, n)
-// fails the whole batch with ErrNodeOutOfRange.
-func (ix *ApproxIndex) Query(nodes []int) ([]Eccentricity, error) {
-	if err := validateNodes(nodes, ix.N()); err != nil {
-		return nil, err
-	}
-	return convValues(ix.ap.Query(nodes)), nil
-}
-
-// Distribution returns the approximate E(G).
-func (ix *ApproxIndex) Distribution() []float64 { return ix.ap.Distribution() }
-
-// SketchDim reports the dimension d actually used.
-func (ix *ApproxIndex) SketchDim() int { return ix.ap.Sk.Dim }
-
-// FastIndex is the paper's FASTQUERY (Algorithm 3): the sketch of
-// ApproxIndex plus an approximate convex hull of the embedded nodes, so each
-// query scans only the l boundary nodes. Guarantees
-// (1−ε)c(v) ≤ ĉ(v) ≤ (1+ε)c(v) with high probability (Theorem 5.6).
-type FastIndex struct {
+// sketchIndex is the query surface ApproxIndex and FastIndex share. Both
+// are an ecc.Fast: a sketch plus the candidates each query scans, all n
+// nodes for APPROXQUERY and the hull boundary Ŝ for FASTQUERY.
+type sketchIndex struct {
 	f *ecc.Fast
 }
 
 // N returns the node count of the indexed graph.
-func (ix *FastIndex) N() int { return ix.f.Sk.N }
+func (ix *sketchIndex) N() int { return ix.f.Sk.N }
 
 // Resistance returns the sketched r̃(u, v).
-func (ix *FastIndex) Resistance(u, v int) float64 { return ix.f.Sk.Resistance(u, v) }
+func (ix *sketchIndex) Resistance(u, v int) float64 { return ix.f.Sk.Resistance(u, v) }
 
-// Eccentricity returns ĉ(v) by scanning the hull boundary.
-func (ix *FastIndex) Eccentricity(v int) Eccentricity { return convValue(ix.f.Eccentricity(v)) }
+// Eccentricity returns the sketched eccentricity of v by a full scan of the
+// index's candidates: all n nodes (c̄(v)) or the hull boundary (ĉ(v)).
+func (ix *sketchIndex) Eccentricity(v int) Eccentricity { return convValue(ix.f.Eccentricity(v)) }
 
 // Query answers a batch of eccentricity queries. Any node outside [0, n)
 // fails the whole batch with ErrNodeOutOfRange.
-func (ix *FastIndex) Query(nodes []int) ([]Eccentricity, error) {
+func (ix *sketchIndex) Query(nodes []int) ([]Eccentricity, error) {
 	if err := validateNodes(nodes, ix.N()); err != nil {
 		return nil, err
 	}
 	return convValues(ix.f.Query(nodes)), nil
 }
 
-// Distribution returns the approximate E(G) in Õ((m+nl)/ε²) total time.
-func (ix *FastIndex) Distribution() []float64 { return ix.f.Distribution() }
+// Distribution returns the approximate E(G), in Õ(n²/ε²) total time over
+// all n candidates and Õ((m+nl)/ε²) over the hull boundary.
+func (ix *sketchIndex) Distribution() []float64 { return ix.f.Distribution() }
+
+// SketchDim reports the dimension d actually used.
+func (ix *sketchIndex) SketchDim() int { return ix.f.Sk.Dim }
+
+// ApproxIndex answers (1±ε)-approximate queries by scanning all n sketched
+// embeddings per query (APPROXQUERY, Algorithm 2). Like FastIndex, it
+// remembers each answered node's farthest node, so asking for a node again
+// costs one O(d) resistance.
+type ApproxIndex struct {
+	sketchIndex
+}
+
+// FastIndex is the paper's FASTQUERY (Algorithm 3): the sketch of
+// ApproxIndex plus an approximate convex hull of the embedded nodes, so each
+// query scans only the l boundary nodes. Guarantees
+// (1−ε)c(v) ≤ ĉ(v) ≤ (1+ε)c(v) with high probability (Theorem 5.6).
+type FastIndex struct {
+	sketchIndex
+}
 
 // AnsweredNodes reports how many distinct nodes QueryBatch, Query or
 // Distribution has answered on this index. The index remembers each one's
@@ -174,9 +152,6 @@ func (ix *FastIndex) BoundarySize() int { return ix.f.L() }
 
 // Boundary returns the hull-boundary node ids Ŝ.
 func (ix *FastIndex) Boundary() []int { return append([]int(nil), ix.f.Boundary...) }
-
-// SketchDim reports the dimension d actually used.
-func (ix *FastIndex) SketchDim() int { return ix.f.Sk.Dim }
 
 // ResistanceDiameter approximates R(G) = max_{u,v} r(u,v) by scanning only
 // hull-boundary pairs (O(l²) sketched distances) and returns the value with
