@@ -99,7 +99,8 @@ func writeFixture(t *testing.T, dir, name string, b []byte) string {
 
 // TestInspectGoldenOutputs pins `recc inspect` output for all four on-disk
 // formats — snapshot, WAL, tail frame, trace — each in a healthy, torn-tail,
-// and corrupt-CRC variant. The goldens are the operator-facing contract: a
+// and corrupt-CRC variant, plus a snapshot and a WAL from the previous
+// format version. The goldens are the operator-facing contract: a
 // format or renderer change that shifts them must be deliberate (-update).
 func TestInspectGoldenOutputs(t *testing.T) {
 	dir := t.TempDir()
@@ -122,6 +123,9 @@ func TestInspectGoldenOutputs(t *testing.T) {
 	corrupt[len(corrupt)-1] ^= 0xFF // the final section's stored CRC
 	writeFixture(t, dir, "snap-corrupt.snap", corrupt)
 	writeFixture(t, dir, "snap-torn.snap", snap[:len(snap)/2])
+	old := append([]byte{}, snap...)
+	binary.LittleEndian.PutUint32(old[8:12], persist.FormatVersion-1) // the version follows the 8-byte magic
+	writeFixture(t, dir, "snap-oldversion.snap", old)
 
 	wal := walBytes()
 	writeFixture(t, dir, "wal-healthy.wal", wal)
@@ -129,6 +133,9 @@ func TestInspectGoldenOutputs(t *testing.T) {
 	corrupt[12+21+4] ^= 0xFF // inside the second record's payload
 	writeFixture(t, dir, "wal-corrupt.wal", corrupt)
 	writeFixture(t, dir, "wal-torn.wal", wal[:len(wal)-11]) // mid third record
+	old = append([]byte{}, wal...)
+	binary.LittleEndian.PutUint32(old[8:12], persist.FormatVersion-1)
+	writeFixture(t, dir, "wal-oldversion.wal", old)
 
 	frame := tailFrameBytes()
 	writeFixture(t, dir, "tail-healthy.frame", frame)
@@ -156,8 +163,8 @@ func TestInspectGoldenOutputs(t *testing.T) {
 	writeFixture(t, dir, "trc-torn.trc", trc[:len(trc)-5])
 
 	for _, name := range []string{
-		"snap-healthy.snap", "snap-corrupt.snap", "snap-torn.snap",
-		"wal-healthy.wal", "wal-corrupt.wal", "wal-torn.wal",
+		"snap-healthy.snap", "snap-corrupt.snap", "snap-torn.snap", "snap-oldversion.snap",
+		"wal-healthy.wal", "wal-corrupt.wal", "wal-torn.wal", "wal-oldversion.wal",
 		"tail-healthy.frame", "tail-corrupt.frame", "tail-torn.frame",
 		"trc-healthy.trc", "trc-corrupt.trc", "trc-torn.trc",
 	} {

@@ -253,8 +253,8 @@ func printReport(rep *persist.Report) {
 	}
 	fmt.Printf("  state       seq=%d gen=%d n=%d m=%d fingerprint=%016x\n",
 		rep.Seq, rep.Gen, rep.N, rep.M, rep.BaseFP)
-	fmt.Printf("  build       eps=%g dim=%d seed=%d boundary=%d ecc-cache=%v\n",
-		rep.Params.Epsilon, rep.Dim, rep.Params.Seed, rep.BoundaryL, rep.HasEcc)
+	fmt.Printf("  build       eps=%g dim=%d seed=%d boundary=%d\n",
+		rep.Params.Epsilon, rep.Dim, rep.Params.Seed, rep.BoundaryL)
 	for _, sec := range rep.Sections {
 		crc := "ok"
 		if !sec.CRCOK {

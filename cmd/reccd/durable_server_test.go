@@ -110,10 +110,10 @@ func TestDurableServerCheckpointAndWarmRestart(t *testing.T) {
 }
 
 // TestAnsweredNodesGauge pins the witness-table gauge and healthz field: a
-// durable cold start's initial checkpoint computes the distribution, which
-// fills the served generation's table, so the count reads n before any
-// query; a mutation publishes a generation with a table of its own, which
-// reads 0 until queries reach it.
+// durable cold start's initial checkpoint stores the index and computes no
+// answer, so the count reads 0 before any query and n after one
+// /v1/summary; a mutation publishes a generation with a table of its own,
+// which reads 0 until queries reach it.
 func TestAnsweredNodesGauge(t *testing.T) {
 	srv := durableServerCfg(t, t.TempDir(), func(c *serverConfig) { c.DriftThreshold = 100 })
 	defer srv.close()
@@ -129,7 +129,11 @@ func TestAnsweredNodesGauge(t *testing.T) {
 			t.Fatalf("%s: metrics missing %q:\n%s", what, metric, out)
 		}
 	}
-	answered("cold start", n)
+	answered("cold start", 0)
+	if rec := get(t, h, "/v1/summary"); rec.Code != http.StatusOK {
+		t.Fatalf("summary: status %d (%s)", rec.Code, rec.Body.String())
+	}
+	answered("after one summary", n)
 
 	rec := do(t, h, http.MethodPost, "/v1/edges", `{"u":0,"v":100}`)
 	if rec.Code != http.StatusOK {

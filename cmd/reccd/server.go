@@ -111,8 +111,8 @@ type serverConfig struct {
 	// replay and load generation (recc replay / recc loadgen). Empty
 	// disables recording.
 	TraceOut string
-	// TraceSync fsyncs the trace after every Nth record, the same policy
-	// knob the persist WAL uses; 0 buffers until shutdown.
+	// TraceSync fsyncs the trace after every Nth record; 0 buffers until
+	// shutdown.
 	TraceSync int
 }
 

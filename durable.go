@@ -51,28 +51,31 @@ func lifecycleConfig(p persist.Params, c buildConfig) lifecycle.Config {
 	}
 }
 
-// SaveSnapshot writes the current index state — graph, sketch matrix, hull
-// boundary and the eccentricity distribution, each section checksummed — to
-// a single file, atomically (temp file + fsync + rename). The saved index
-// answers bit-identically after LoadSnapshot. LoadSnapshot does not read the
-// distribution back; `recc inspect` prints it. Fails with ErrIndexStale
-// while a rebuild is pending, since graph and index would disagree.
+// SaveSnapshot writes the current index state — graph, sketch matrix and
+// hull boundary, each section checksummed — to a single file, atomically
+// (temp file + fsync + rename). The file holds exactly what LoadSnapshot
+// reads, and the saved index answers bit-identically after it. Fails with
+// ErrIndexStale while a rebuild is pending, since graph and index would
+// disagree.
 func (d *DynamicIndex) SaveSnapshot(path string) error {
 	cs, err := d.m.CheckpointState()
 	if err != nil {
 		return err
 	}
-	return persist.WriteSnapshotFile(path, persist.Capture(cs, d.params, d.baseFP, true))
+	return persist.WriteSnapshotFile(path, persist.Capture(cs, d.params, d.baseFP))
 }
 
 // LoadSnapshot rebuilds a DynamicIndex from a SaveSnapshot file without any
 // solver work: the stored sketch matrix is restored bit-exactly, so queries
-// answer identically to the index that was saved. Build parameters come
-// from the snapshot itself; opts may add dynamic knobs (WithDriftThreshold,
-// WithMaxDeletions, WithMutationQueue). Build-parameter options, when
-// given, must match the stored ones (ErrSnapshotMismatch otherwise).
-// Corrupt or version-mismatched files fail with persist errors — callers
-// wanting automatic cold-build fallback use OpenDynamicIndex.
+// answer identically to the index that was saved. The restored generation
+// starts with an empty answer table, which fills as queries arrive. Build
+// parameters come from the snapshot itself; opts may add dynamic knobs
+// (WithDriftThreshold, WithMaxDeletions, WithMutationQueue).
+// Build-parameter options, when given, must match the stored ones
+// (ErrSnapshotMismatch otherwise).
+// Corrupt files fail with persist errors, and files written by another
+// format version (an older release's included) with persist.ErrVersion —
+// callers wanting automatic cold-build fallback use OpenDynamicIndex.
 func LoadSnapshot(path string, opts ...Option) (*DynamicIndex, error) {
 	snap, err := persist.ReadSnapshotFile(path)
 	if err != nil {
@@ -178,7 +181,7 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 		// rebuild/interval checkpoint).
 		if err := st.Reset(); err == nil {
 			if cs, cerr := m.CheckpointState(); cerr == nil {
-				_ = st.Checkpoint(persist.Capture(cs, params, baseFP, true))
+				_ = st.Checkpoint(persist.Capture(cs, params, baseFP))
 			}
 		}
 		return d, RecoveryInfo{Warm: false, Reason: reason}, nil
@@ -244,7 +247,7 @@ func (d *DynamicIndex) Checkpoint() error {
 	if st := d.store.Stats(); st.HasSnapshot && st.SnapshotSeq == cs.Seq {
 		return nil
 	}
-	return d.store.Checkpoint(persist.Capture(cs, d.params, d.baseFP, true))
+	return d.store.Checkpoint(persist.Capture(cs, d.params, d.baseFP))
 }
 
 // PersistStats is a point-in-time view of the durability subsystem.

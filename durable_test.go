@@ -2,12 +2,14 @@ package resistecc
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
 	"testing"
 	"time"
 
+	"resistecc/internal/persist"
 	"resistecc/internal/testutil"
 )
 
@@ -199,6 +201,70 @@ func TestRecoveryCorruptSnapshotFallsBackToColdBuild(t *testing.T) {
 	if ps := d2.PersistStats(); !ps.HasSnapshot {
 		t.Fatalf("store not re-seeded after fallback: %+v", ps)
 	}
+}
+
+// TestRecoveryOlderFormatStartsColdOnce is the upgrade path: a data
+// directory an older release wrote (snapshot and WAL both one format version
+// behind) opens cold, like a first start, answers like a cold build of the
+// input graph, and leaves a store whose next open is warm.
+func TestRecoveryOlderFormatStartsColdOnce(t *testing.T) {
+	dir := t.TempDir()
+	g := durableGraph(t)
+	ctx := context.Background()
+
+	// A high drift threshold keeps both adds incremental, so they stay in
+	// the WAL instead of being absorbed by a rebuild checkpoint.
+	opts := append(durableOpts(), WithDriftThreshold(100))
+	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range [][2]int{{0, 30}, {5, 45}} {
+		if _, err := d.AddEdge(ctx, e[0], e[1]); err != nil {
+			t.Fatalf("AddEdge(%d,%d): %v", e[0], e[1], err)
+		}
+	}
+	if ps := d.PersistStats(); ps.WALRecords != 2 {
+		t.Fatalf("WAL holds %d records, want 2", ps.WALRecords)
+	}
+	d.Close()
+
+	// Both file kinds carry their u32 format version after an 8-byte magic.
+	files, err := filepath.Glob(filepath.Join(dir, "snapshot-*.snap"))
+	if err != nil || len(files) != 1 {
+		t.Fatalf("snapshots %v (%v), want one", files, err)
+	}
+	for _, p := range append(files, filepath.Join(dir, "wal.log")) {
+		b, err := os.ReadFile(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		binary.LittleEndian.PutUint32(b[8:12], persist.FormatVersion-1)
+		if err := os.WriteFile(p, b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	d2, info, err := OpenDynamicIndex(ctx, dir, g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if info.Warm || info.Reason != "no snapshot" {
+		t.Fatalf("open over an older format: %+v, want cold with reason \"no snapshot\"", info)
+	}
+	want := coldDistribution(t, g)
+	sameDistribution(t, dynDistribution(d2), want, "older-format open vs cold build")
+	d2.Close()
+
+	d3, info, err := OpenDynamicIndex(ctx, dir, g, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if !info.Warm || info.ReplayedMutations != 0 {
+		t.Fatalf("open after the upgrade: %+v, want warm with 0 replayed records", info)
+	}
+	sameDistribution(t, dynDistribution(d3), want, "warm open after the upgrade vs cold build")
 }
 
 func TestRecoveryRejectsChangedParamsOrGraph(t *testing.T) {

@@ -95,18 +95,12 @@ type DynamicIndex struct {
 // background rebuilds; Close releases the workers.
 func NewDynamicIndex(ctx context.Context, g *Graph, opts ...Option) (*DynamicIndex, error) {
 	c := applyOptions(opts)
-	m, err := lifecycle.New(ctx, g.inner(), lifecycle.Config{
-		Sketch:         c.sk.internal(),
-		Hull:           c.hull.internal(),
-		DriftThreshold: c.driftThreshold,
-		MaxDeletions:   c.maxDeletions,
-		QueueSize:      c.queueSize,
-		Follower:       c.follower,
-	})
+	params := paramsOf(c)
+	m, err := lifecycle.New(ctx, g.inner(), lifecycleConfig(params, c))
 	if err != nil {
 		return nil, err
 	}
-	return &DynamicIndex{m: m, params: paramsOf(c), baseFP: persist.Fingerprint(g.inner())}, nil
+	return &DynamicIndex{m: m, params: params, baseFP: persist.Fingerprint(g.inner())}, nil
 }
 
 // Snapshot returns the current served generation. The result is immutable;

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"sort"
 	"time"
 
 	"resistecc/internal/ecc"
@@ -15,13 +16,34 @@ import (
 	"resistecc/internal/solver"
 )
 
+// ablationReps is how many times each timed cell of ablations 1–4 runs.
+// The cells take microseconds to a few hundred milliseconds, so one run is
+// at the mercy of the scheduler; the median of several can be ranked.
+const ablationReps = 5
+
+// medianTime runs fn ablationReps times and returns the median wall time.
+// Each run must start from a fresh state, so that no run reuses another's
+// work.
+func medianTime(fn func() error) (time.Duration, error) {
+	ds := make([]time.Duration, ablationReps)
+	for i := range ds {
+		start := time.Now()
+		if err := fn(); err != nil {
+			return 0, err
+		}
+		ds[i] = time.Since(start)
+	}
+	sort.Slice(ds, func(a, b int) bool { return ds[a] < ds[b] })
+	return ds[ablationReps/2], nil
+}
+
 // AblationHull quantifies design choice 1 of DESIGN.md: FASTQUERY's hull
 // pruning versus APPROXQUERY's full scan, at equal sketches. Both columns
 // time Distribution on one engine, the batch kernel on the shared worker
-// pool, from an empty witness table, so only the candidate set differs: all
-// n nodes against the l boundary nodes. Reported per network: hull size l,
-// full-distribution query time with and without the hull, and the accuracy
-// cost.
+// pool, each run on a new index whose witness table starts empty, so only
+// the candidate set differs: all n nodes against the l boundary nodes.
+// Reported per network: hull size l, full-distribution query time with and
+// without the hull (medians of ablationReps runs), and the accuracy cost.
 func AblationHull(w io.Writer, opt Options, names []string) error {
 	opt = opt.withDefaults()
 	if names == nil {
@@ -45,13 +67,16 @@ func AblationHull(w io.Writer, opt Options, names []string) error {
 		for v := range all {
 			all[v] = v
 		}
-		scan := &ecc.Fast{Sk: f.Sk, Boundary: all}
-		start := time.Now()
-		full := scan.Distribution()
-		fullDur := time.Since(start)
-		start = time.Now()
-		pruned := f.Distribution()
-		prunedDur := time.Since(start)
+		// Distribution cannot fail, so neither can these runs.
+		var full, pruned []float64
+		fullDur, _ := medianTime(func() error {
+			full = (&ecc.Fast{Sk: f.Sk, Boundary: all}).Distribution()
+			return nil
+		})
+		prunedDur, _ := medianTime(func() error {
+			pruned = (&ecc.Fast{Sk: f.Sk, Boundary: f.Boundary}).Distribution()
+			return nil
+		})
 		sigma, err := ecc.RelativeError(pruned, full)
 		if err != nil {
 			return err
@@ -64,7 +89,9 @@ func AblationHull(w io.Writer, opt Options, names []string) error {
 }
 
 // AblationSketchDim quantifies design choice 2: accuracy as a function of
-// the sketch dimension, against the theoretical ⌈24 ln n/ε²⌉.
+// the sketch dimension, against the theoretical ⌈24 ln n/ε²⌉. The build
+// time is the median of ablationReps builds, each with its first
+// Distribution.
 func AblationSketchDim(w io.Writer, opt Options, name string, dims []int) error {
 	opt = opt.withDefaults()
 	if name == "" {
@@ -90,13 +117,18 @@ func AblationSketchDim(w io.Writer, opt Options, name string, dims []int) error 
 	for _, d := range dims {
 		o := opt
 		o.Dim = d
-		start := time.Now()
-		ap, err := ecc.NewApprox(g, o.sketchOptions(eps))
+		var approx []float64
+		dur, err := medianTime(func() error {
+			ap, err := ecc.NewApprox(g, o.sketchOptions(eps))
+			if err != nil {
+				return err
+			}
+			approx = ap.Distribution()
+			return nil
+		})
 		if err != nil {
 			return err
 		}
-		approx := ap.Distribution()
-		dur := time.Since(start)
 		sigma, err := ecc.RelativeError(approx, exact)
 		if err != nil {
 			return err
@@ -107,7 +139,8 @@ func AblationSketchDim(w io.Writer, opt Options, name string, dims []int) error 
 }
 
 // AblationSolver quantifies design choice 3: CG preconditioners on one
-// representative solve workload (a full sketch build).
+// representative solve. Each time is the median of ablationReps solves,
+// each from a zero x.
 func AblationSolver(ctx context.Context, w io.Writer, opt Options, name string) error {
 	opt = opt.withDefaults()
 	if name == "" {
@@ -134,10 +167,11 @@ func AblationSolver(ctx context.Context, w io.Writer, opt Options, name string) 
 		if err != nil {
 			return err
 		}
-		x := make([]float64, g.N())
-		start := time.Now()
-		iters, err := lap.Solve(b, x)
-		dur := time.Since(start)
+		var iters int
+		dur, err := medianTime(func() (err error) {
+			iters, err = lap.Solve(b, make([]float64, g.N()))
+			return err
+		})
 		if err != nil {
 			return err
 		}
@@ -148,7 +182,8 @@ func AblationSolver(ctx context.Context, w io.Writer, opt Options, name string) 
 
 // AblationShermanMorrison quantifies design choice 4: the SIMPLE greedy's
 // O(n)-per-candidate Sherman–Morrison scoring (optimize.EccAfterEdge, the
-// scorer Simple and Exhaustive run) versus naive re-inversion.
+// scorer Simple and Exhaustive run) versus naive re-inversion. Each time is
+// the median of ablationReps sweeps over the candidates.
 func AblationShermanMorrison(w io.Writer, opt Options, n int) error {
 	opt = opt.withDefaults()
 	if n <= 0 {
@@ -165,34 +200,43 @@ func AblationShermanMorrison(w io.Writer, opt Options, n int) error {
 	if len(cands) > 40 {
 		cands = cands[:40]
 	}
-	// Sherman–Morrison scoring.
-	start := time.Now()
-	smBest, smVal := graph.Edge{}, math.Inf(1)
-	for _, e := range cands {
-		c := optimize.EccAfterEdge(lp, s, e.U, e.V)
-		if c < smVal {
-			smVal, smBest = c, e
+	// Sherman–Morrison scoring, which cannot fail.
+	var smBest graph.Edge
+	var smVal float64
+	smDur, _ := medianTime(func() error {
+		smBest, smVal = graph.Edge{}, math.Inf(1)
+		for _, e := range cands {
+			c := optimize.EccAfterEdge(lp, s, e.U, e.V)
+			if c < smVal {
+				smVal, smBest = c, e
+			}
 		}
-	}
-	smDur := time.Since(start)
+		return nil
+	})
 	// Naive scoring: clone + add edge + full pseudoinverse per candidate.
-	start = time.Now()
-	nvBest, nvVal := graph.Edge{}, math.Inf(1)
-	for _, e := range cands {
-		h := g.Clone()
-		if err := h.AddEdge(e.U, e.V); err != nil {
-			return err
+	var nvBest graph.Edge
+	var nvVal float64
+	nvDur, err := medianTime(func() error {
+		nvBest, nvVal = graph.Edge{}, math.Inf(1)
+		for _, e := range cands {
+			h := g.Clone()
+			if err := h.AddEdge(e.U, e.V); err != nil {
+				return err
+			}
+			lph, err := linalg.Pseudoinverse(h)
+			if err != nil {
+				return err
+			}
+			c, _ := linalg.EccentricityFromPinv(lph, s)
+			if c < nvVal {
+				nvVal, nvBest = c, e
+			}
 		}
-		lph, err := linalg.Pseudoinverse(h)
-		if err != nil {
-			return err
-		}
-		c, _ := linalg.EccentricityFromPinv(lph, s)
-		if c < nvVal {
-			nvVal, nvBest = c, e
-		}
+		return nil
+	})
+	if err != nil {
+		return err
 	}
-	nvDur := time.Since(start)
 	tw := newTable(w)
 	fmt.Fprintln(tw, "method\tbest edge\tc(s)\ttime")
 	fmt.Fprintf(tw, "Sherman–Morrison\t%v\t%.6f\t%s\n", smBest, smVal, fmtDur(smDur))

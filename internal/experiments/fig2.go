@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"resistecc/internal/dataset"
 	"resistecc/internal/ecc"
 	"resistecc/internal/stats"
 )
@@ -33,7 +34,7 @@ func Fig2(w io.Writer, opt Options) ([]Fig2Row, error) {
 	tw := newTable(w)
 	fmt.Fprintln(tw, "Network\tn\tphi\tR\tmean\tskewness\tkurtosis\tBurr c\tBurr k\tBurr lambda\tKS")
 	var rows []Fig2Row
-	for _, name := range tableINames() {
+	for _, name := range dataset.TableI() {
 		g, _, err := opt.proxy(name)
 		if err != nil {
 			return nil, err

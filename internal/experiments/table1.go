@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 
+	"resistecc/internal/dataset"
 	"resistecc/internal/ecc"
 )
 
@@ -33,7 +34,7 @@ func Table1(w io.Writer, opt Options) ([]Table1Row, error) {
 	tw := newTable(w)
 	fmt.Fprintln(tw, "Network\tn\tm\td_avg\tgamma\tphi\tR\t|center|")
 	var rows []Table1Row
-	for _, name := range tableINames() {
+	for _, name := range dataset.TableI() {
 		g, in, err := opt.proxy(name)
 		if err != nil {
 			return nil, err
@@ -59,8 +60,4 @@ func Table1(w io.Writer, opt Options) ([]Table1Row, error) {
 			row.Phi, row.PaperPhi, row.R, row.PaperR, row.CentralNodes)
 	}
 	return rows, tw.Flush()
-}
-
-func tableINames() []string {
-	return []string{"Politician", "Musae-FR", "Government", "HepPh"}
 }

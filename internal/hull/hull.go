@@ -61,18 +61,12 @@ import (
 type Options struct {
 	// Theta is the coverage parameter θ ∈ (0,1); FASTQUERY passes ε/12.
 	Theta float64
-	// Seed drives the random seeding directions.
+	// Seed drives the random seeding directions, of which there are
+	// min(2d+8, 64).
 	Seed int64
-	// Directions is the number of random seeding directions; zero means
-	// min(2d+8, 64). More directions trade seeding time for fewer (more
-	// expensive) refinement rounds.
-	Directions int
 	// MaxVertices caps |Ŝ|; zero means no cap. When the cap binds, the
 	// θ-coverage guarantee may be violated; Result.Certified reports it.
 	MaxVertices int
-	// MaxFWIters caps Frank–Wolfe iterations per distance query; zero means
-	// ⌈1/θ²⌉ clamped to [16, 4096], matching the θ⁻² term of Lemma 5.3.
-	MaxFWIters int
 	// SkipRefine disables stage 2 (pure directional sampling), leaving
 	// Certified false. Only tests set it, to get the seeding alone.
 	SkipRefine bool
@@ -145,15 +139,8 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	}
 
 	// --- Stage 1: directional extreme seeding. ---
-	dirs := opt.Directions
-	if dirs <= 0 {
-		dirs = 2*d + 8
-		if dirs > 64 {
-			dirs = 64
-		}
-	}
 	if !full() {
-		for _, i := range seedArgmaxes(pts, dirs, opt.Seed) {
+		for _, i := range seedArgmaxes(pts, min(2*d+8, 64), opt.Seed) {
 			if full() {
 				break
 			}
@@ -168,16 +155,9 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 
 	// --- Stage 2: certified greedy refinement. ---
 	threshold := opt.Theta * res.Diameter
-	maxFW := opt.MaxFWIters
-	if maxFW <= 0 {
-		maxFW = int(math.Ceil(1 / (opt.Theta * opt.Theta)))
-		if maxFW < 16 {
-			maxFW = 16
-		}
-		if maxFW > 4096 {
-			maxFW = 4096
-		}
-	}
+	// Frank–Wolfe steps per distance query: ⌈1/θ²⌉, the θ⁻² term of
+	// Lemma 5.3, clamped to [16, 4096].
+	maxFW := min(max(int(math.Ceil(1/(opt.Theta*opt.Theta))), 16), 4096)
 	g := newGram(pts, a, b)
 	fws := make([]fw, runtime.GOMAXPROCS(0))
 	covered := make([]bool, n)

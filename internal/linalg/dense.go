@@ -32,9 +32,6 @@ func (d *Dense) At(i, j int) float64 { return d.Data[i*d.N+j] }
 // Set assigns element (i, j).
 func (d *Dense) Set(i, j int, v float64) { d.Data[i*d.N+j] = v }
 
-// Add increments element (i, j) by v.
-func (d *Dense) Add(i, j int, v float64) { d.Data[i*d.N+j] += v }
-
 // Clone returns a deep copy.
 func (d *Dense) Clone() *Dense {
 	return &Dense{N: d.N, Data: append([]float64(nil), d.Data...)}

@@ -11,8 +11,7 @@ func almostEq(a, b, tol float64) bool { return math.Abs(a-b) <= tol }
 
 func TestDenseBasics(t *testing.T) {
 	d := NewDense(3)
-	d.Set(0, 1, 2)
-	d.Add(0, 1, 3)
+	d.Set(0, 1, 5)
 	if d.At(0, 1) != 5 {
 		t.Fatalf("At(0,1)=%g", d.At(0, 1))
 	}
@@ -59,7 +58,7 @@ func TestQuickInvertRoundTrip(t *testing.T) {
 			for j := 0; j < n; j++ {
 				a.Set(i, j, rng.NormFloat64())
 			}
-			a.Add(i, i, float64(n)) // diagonal dominance → invertible
+			a.Set(i, i, a.At(i, i)+float64(n)) // diagonal dominance → invertible
 		}
 		inv := a.Clone()
 		if err := inv.Invert(); err != nil {
@@ -101,17 +100,10 @@ func TestVectorHelpers(t *testing.T) {
 	if y[0] != 7 || y[1] != 9 {
 		t.Fatalf("axpy %v", y)
 	}
-	Scale(0.5, y)
-	if y[0] != 3.5 {
-		t.Fatal("scale")
-	}
 	z := []float64{1, 2, 3}
 	ProjectOutOnes(z)
 	if !almostEq(Sum(z), 0, 1e-15) {
 		t.Fatalf("projection sum %g", Sum(z))
-	}
-	if DistSq([]float64{0, 0}, []float64{3, 4}) != 25 {
-		t.Fatal("distsq")
 	}
 	ProjectOutOnes(nil) // must not panic
 }

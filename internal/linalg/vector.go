@@ -21,16 +21,6 @@ func Axpy(a float64, x, y []float64) {
 	}
 }
 
-// Scale multiplies x by a in place.
-func Scale(a float64, x []float64) {
-	for i := range x {
-		x[i] *= a
-	}
-}
-
-// Copy copies src into dst (lengths must match).
-func Copy(dst, src []float64) { copy(dst, src) }
-
 // Sum returns the sum of the entries of x.
 func Sum(x []float64) float64 {
 	s := 0.0
@@ -52,14 +42,4 @@ func ProjectOutOnes(x []float64) {
 	for i := range x {
 		x[i] -= mean
 	}
-}
-
-// DistSq returns the squared Euclidean distance between x and y.
-func DistSq(x, y []float64) float64 {
-	s := 0.0
-	for i, v := range x {
-		d := v - y[i]
-		s += d * d
-	}
-	return s
 }

@@ -63,12 +63,12 @@ func FuzzReadSnapshot(f *testing.F) {
 // valid CRCs, so every input reaches the section decoders and validate.
 func FuzzSnapshotSections(f *testing.F) {
 	p := sectionPayloads(wideSnapshot())
-	f.Add(p[0][:len(p[0])-4], p[1], p[2], p[3], []byte{}) // a field cut to half width
+	f.Add(p[0][:len(p[0])-4], p[1], p[2], p[3]) // a field cut to half width
 	for _, secs := range [][][]byte{p, forgedNodeCount(), forgedSketchDim(), trailingByte(0)} {
-		f.Add(secs[0], secs[1], secs[2], secs[3], secs[4])
+		f.Add(secs[0], secs[1], secs[2], secs[3])
 	}
-	f.Fuzz(func(t *testing.T, meta, graph, sketch, hull, ecc []byte) {
-		s, err := ReadSnapshot(frameSnapshot(meta, graph, sketch, hull, ecc))
+	f.Fuzz(func(t *testing.T, meta, graph, sketch, hull []byte) {
+		s, err := ReadSnapshot(frameSnapshot(meta, graph, sketch, hull))
 		if err != nil {
 			checkRejection(t, err)
 			return
@@ -86,7 +86,9 @@ func FuzzScanWAL(f *testing.F) {
 	flipped := append([]byte(nil), good...)
 	flipped[walHeaderSize+walRecordSize+3] ^= 0x01
 	f.Add(flipped)
-	f.Add([]byte("RECCWAL1\x02\x00\x00\x00tail"))
+	foreign := walHeader()
+	putU32(foreign[8:12], FormatVersion+1)
+	f.Add(append(foreign[:], "tail"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, validSize, err := scanWAL(bytes.NewReader(data))
 		if err != nil {

@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -36,7 +37,6 @@ type Report struct {
 	N, M      int
 	Dim       int
 	BoundaryL int
-	HasEcc    bool
 }
 
 func sectionName(kind uint32) string {
@@ -49,8 +49,6 @@ func sectionName(kind uint32) string {
 		return "sketch"
 	case secHull:
 		return "hull"
-	case secEcc:
-		return "ecc-cache"
 	}
 	return fmt.Sprintf("unknown(%d)", kind)
 }
@@ -129,11 +127,6 @@ func InspectSnapshot(path string) (*Report, error) {
 					info.Details = fmt.Sprintf("l=%d diameter=%.6g certified=%v",
 						len(s.Boundary), s.Diameter, s.Certified)
 				}
-			case secEcc:
-				if decodeEcc(payload, &s) == nil {
-					rep.HasEcc = true
-					info.Details = fmt.Sprintf("%d cached eccentricities", len(s.Ecc))
-				}
 			}
 		}
 		rep.Sections = append(rep.Sections, info)
@@ -181,7 +174,9 @@ func InspectWAL(path string) (*WALInfo, error) {
 		version = getU32(hdr[8:12])
 	}
 	recs, validSize, err := scanWAL(f)
-	if err != nil {
+	// A foreign version is reported, not failed: recovery resets such a log
+	// (loadWAL), so all of it counts as discarded.
+	if err != nil && !errors.Is(err, ErrVersion) {
 		return nil, err
 	}
 	info := &WALInfo{Path: path, Size: fi.Size(), Version: version, Records: len(recs), TornBytes: fi.Size() - validSize}

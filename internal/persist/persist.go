@@ -37,13 +37,12 @@ import (
 	"resistecc/internal/hull"
 	"resistecc/internal/lifecycle"
 	"resistecc/internal/sketch"
-	"resistecc/internal/solver"
 )
 
 // FormatVersion is the current snapshot/WAL format version. Readers reject
 // any other version (a mismatch degrades to a cold build, by design: the
 // artifact is a cache, not a source of truth).
-const FormatVersion = 1
+const FormatVersion = 2
 
 var (
 	// ErrCorrupt marks a snapshot or WAL whose structure or checksums do not
@@ -61,42 +60,25 @@ var (
 // snapshot is valid for a caller exactly when its stored Params equal the
 // caller's. Fields mirror the raw (pre-default-resolution) options: both
 // sides resolve zeros identically downstream, so comparing raw values is
-// conservative and safe. No caller sets SolverTol, HullTheta, HullSeed,
-// HullDirections or HullMaxFWIters, so they are always zero; they stay in
-// the meta section until its next format version.
+// conservative and safe. Every other build input derives from these: the
+// solver runs at its default tolerance, and the hull's θ and seed follow
+// from ε and the sketch seed.
 type Params struct {
-	Epsilon   float64
-	Dim       int
-	Seed      int64
-	SolverTol float64
-
-	HullTheta       float64
-	HullSeed        int64
-	HullDirections  int
+	Epsilon         float64
+	Dim             int
+	Seed            int64
 	HullMaxVertices int
-	HullMaxFWIters  int
 }
 
 // SketchOptions expands the stored parameters back into build options
 // (solver workers are a speed knob, not a content input, and default).
 func (p Params) SketchOptions() sketch.Options {
-	return sketch.Options{
-		Epsilon: p.Epsilon,
-		Dim:     p.Dim,
-		Seed:    p.Seed,
-		Solver:  solver.Options{Tol: p.SolverTol},
-	}
+	return sketch.Options{Epsilon: p.Epsilon, Dim: p.Dim, Seed: p.Seed}
 }
 
 // HullOptions expands the stored hull parameters.
 func (p Params) HullOptions() hull.Options {
-	return hull.Options{
-		Theta:       p.HullTheta,
-		Seed:        p.HullSeed,
-		Directions:  p.HullDirections,
-		MaxVertices: p.HullMaxVertices,
-		MaxFWIters:  p.HullMaxFWIters,
-	}
+	return hull.Options{MaxVertices: p.HullMaxVertices}
 }
 
 // Snapshot is the in-memory form of one persisted index generation.
@@ -125,21 +107,16 @@ type Snapshot struct {
 	Diameter  float64
 	Certified bool
 	Rounds    int
-	// Ecc is the eccentricity distribution E(G) at Seq (nil when absent).
-	// Every checkpoint writes it and reads check its CRC and length, but
-	// Index ignores it and nothing but `recc inspect` reads it back: a
-	// restored index recomputes its distribution on first use.
-	Ecc []float64
 }
 
-// Capture assembles a Snapshot from a lifecycle checkpoint cut. When
-// withEcc is set the eccentricity distribution is computed and embedded.
-// It runs through the index's batch path, so on a generation no query has
-// reached yet it costs O(n·l·d), cheap next to the build the checkpoint
-// amortizes, and leaves the generation's witness table full.
-func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, withEcc bool) *Snapshot {
+// Capture assembles a Snapshot from a lifecycle checkpoint cut: the graph,
+// the sketch matrix and the hull boundary, which is exactly what Index
+// reads back. It copies state and computes nothing, so it leaves the
+// generation's witness table as it found it. The trailing bool is ignored;
+// it keeps callers written against the earlier four-argument form compiling.
+func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, _ ...bool) *Snapshot {
 	f := cs.Fast
-	s := &Snapshot{
+	return &Snapshot{
 		Seq:           cs.Seq,
 		Gen:           cs.Gen,
 		SavedUnixNano: time.Now().UnixNano(),
@@ -153,10 +130,6 @@ func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, withEcc
 		Certified:     f.HullInfo.Certified,
 		Rounds:        f.HullInfo.Rounds,
 	}
-	if withEcc {
-		s.Ecc = f.Distribution()
-	}
-	return s
 }
 
 // Index reconstructs the FASTQUERY index from the snapshot, bit-identical
@@ -202,9 +175,6 @@ func (s *Snapshot) validate() error {
 		if v < 0 || v >= n {
 			return fmt.Errorf("%w: boundary node %d out of range n=%d", ErrCorrupt, v, n)
 		}
-	}
-	if s.Ecc != nil && len(s.Ecc) != n {
-		return fmt.Errorf("%w: eccentricity cache has %d values, want %d", ErrCorrupt, len(s.Ecc), n)
 	}
 	return nil
 }

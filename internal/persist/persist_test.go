@@ -32,7 +32,7 @@ func testSnapshot(t *testing.T, seq, gen uint64) *Snapshot {
 	p := testParams()
 	f := buildFast(t, g, p)
 	cs := lifecycle.CheckpointState{Seq: seq, Gen: gen, Graph: g, Fast: f}
-	return Capture(cs, p, Fingerprint(g), true)
+	return Capture(cs, p, Fingerprint(g))
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
@@ -75,11 +75,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.Diameter != s.Diameter || got.Certified != s.Certified || got.Rounds != s.Rounds {
 		t.Fatalf("hull diagnostics mismatch")
-	}
-	for i := range s.Ecc {
-		if got.Ecc[i] != s.Ecc[i] {
-			t.Fatalf("ecc cache %d not bit-identical", i)
-		}
 	}
 
 	// The restored index answers bit-identically.
@@ -441,7 +436,7 @@ func TestInspectSnapshotAndWAL(t *testing.T) {
 	if len(reps) != 1 || !reps[0].Valid || reps[0].Seq != 5 || reps[0].Gen != 7 {
 		t.Fatalf("snapshot report: %+v", reps[0])
 	}
-	if !reps[0].HasEcc || reps[0].N == 0 || reps[0].BoundaryL == 0 {
+	if len(reps[0].Sections) != 4 || reps[0].N == 0 || reps[0].BoundaryL == 0 {
 		t.Fatalf("report sections incomplete: %+v", reps[0])
 	}
 	if wi == nil || wi.Records != 1 || wi.FirstSeq != 6 || wi.TornBytes != 0 {

@@ -22,9 +22,10 @@ import (
 //	magic "RECCSNP1" | u32 format version | u32 section count
 //	per section: u32 kind | u64 payload length | payload | u32 CRC32-C
 //
-// Sections appear in kind order; the eccentricity section is optional. The
-// whole payload of a section is covered by its CRC, so a torn write or a
-// flipped bit anywhere is detected before any decoded value is trusted.
+// Sections appear in kind order, and all four are required: they hold
+// exactly what a restore reads. The whole payload of a section is covered
+// by its CRC, so a torn write or a flipped bit anywhere is detected before
+// any decoded value is trusted.
 const snapshotMagic = "RECCSNP1"
 
 const (
@@ -32,7 +33,6 @@ const (
 	secGraph  = 2
 	secSketch = 3
 	secHull   = 4
-	secEcc    = 5
 )
 
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
@@ -126,12 +126,7 @@ func encodeMeta(s *Snapshot) []byte {
 	e.f64(p.Epsilon)
 	e.i64(int64(p.Dim))
 	e.i64(p.Seed)
-	e.f64(p.SolverTol)
-	e.f64(p.HullTheta)
-	e.i64(p.HullSeed)
-	e.i64(int64(p.HullDirections))
 	e.i64(int64(p.HullMaxVertices))
-	e.i64(int64(p.HullMaxFWIters))
 	return e.b
 }
 
@@ -144,12 +139,7 @@ func decodeMeta(b []byte, s *Snapshot) error {
 	s.Params.Epsilon = d.f64()
 	s.Params.Dim = int(d.i64())
 	s.Params.Seed = d.i64()
-	s.Params.SolverTol = d.f64()
-	s.Params.HullTheta = d.f64()
-	s.Params.HullSeed = d.i64()
-	s.Params.HullDirections = int(d.i64())
 	s.Params.HullMaxVertices = int(d.i64())
-	s.Params.HullMaxFWIters = int(d.i64())
 	if d.err != nil {
 		return d.err
 	}
@@ -290,31 +280,6 @@ func decodeHull(b []byte, s *Snapshot) error {
 	return nil
 }
 
-func encodeEcc(ecc []float64) []byte {
-	e := enc{b: make([]byte, 0, 8+8*len(ecc))}
-	e.u64(uint64(len(ecc)))
-	for _, x := range ecc {
-		e.f64(x)
-	}
-	return e.b
-}
-
-func decodeEcc(b []byte, s *Snapshot) error {
-	d := dec{b: b}
-	n := d.intLen(d.u64(), 8)
-	s.Ecc = make([]float64, n)
-	for i := range s.Ecc {
-		s.Ecc[i] = d.f64()
-	}
-	if d.err != nil {
-		return d.err
-	}
-	if d.off != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes in ecc section", ErrCorrupt, len(b)-d.off)
-	}
-	return nil
-}
-
 func writeSection(w io.Writer, kind uint32, payload []byte) error {
 	var hdr enc
 	hdr.u32(kind)
@@ -341,12 +306,6 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 		{secGraph, encodeGraph(s.Graph)},
 		{secSketch, encodeSketch(s.SketchMeta, s.Points)},
 		{secHull, encodeHull(s)},
-	}
-	if s.Ecc != nil {
-		sections = append(sections, struct {
-			kind    uint32
-			payload []byte
-		}{secEcc, encodeEcc(s.Ecc)})
 	}
 	var hdr enc
 	hdr.b = append(hdr.b, snapshotMagic...)
@@ -438,8 +397,8 @@ func readSections(b []byte) (map[uint32][]byte, error) {
 	}
 	// Each kind appears at most once, so a larger count is corrupt; checked
 	// before it sizes the map.
-	if count > secEcc {
-		return nil, fmt.Errorf("%w: %d sections, at most %d kinds exist", ErrCorrupt, count, secEcc)
+	if count > secHull {
+		return nil, fmt.Errorf("%w: %d sections, at most %d kinds exist", ErrCorrupt, count, secHull)
 	}
 	secs := make(map[uint32][]byte, count)
 	for i := uint32(0); i < count; i++ {
@@ -450,7 +409,7 @@ func readSections(b []byte) (map[uint32][]byte, error) {
 		if d.err != nil {
 			return nil, d.err
 		}
-		if kind < secMeta || kind > secEcc {
+		if kind < secMeta || kind > secHull {
 			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, kind)
 		}
 		if _, dup := secs[kind]; dup {
@@ -493,11 +452,6 @@ func ReadSnapshot(b []byte) (*Snapshot, error) {
 	}
 	if err := decodeHull(secs[secHull], s); err != nil {
 		return nil, err
-	}
-	if p := secs[secEcc]; p != nil {
-		if err := decodeEcc(p, s); err != nil {
-			return nil, err
-		}
 	}
 	if err := s.validate(); err != nil {
 		return nil, err

@@ -448,5 +448,5 @@ func (h *Hook) AppendMutation(seq uint64, add bool, u, v int) error {
 
 // Checkpoint implements lifecycle.Journal.
 func (h *Hook) Checkpoint(cs lifecycle.CheckpointState) error {
-	return h.Store.Checkpoint(Capture(cs, h.Params, h.BaseFP, true))
+	return h.Store.Checkpoint(Capture(cs, h.Params, h.BaseFP))
 }

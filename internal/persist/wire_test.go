@@ -35,12 +35,8 @@ func wideSnapshot() *Snapshot {
 	g := graph.RandomConnected(8, 12, 1)
 	s := &Snapshot{
 		Seq: u(), Gen: u(), SavedUnixNano: int64(u()), BaseFP: u(),
-		Params: Params{
-			Epsilon: f(), Dim: i(), Seed: int64(u()), SolverTol: f(),
-			HullTheta: f(), HullSeed: int64(u()), HullDirections: i(),
-			HullMaxVertices: i(), HullMaxFWIters: i(),
-		},
-		Graph: g,
+		Params: Params{Epsilon: f(), Dim: i(), Seed: int64(u()), HullMaxVertices: i()},
+		Graph:  g,
 		SketchMeta: sketch.Meta{
 			Dim: 3, N: g.N(), Epsilon: f(), Drift: f(), Updates: i(),
 			Stats: sketch.BuildStats{Rows: i(), TotalIters: i(), MaxIters: i(), MaxResidual: f(), Workers: i()},
@@ -52,9 +48,6 @@ func wideSnapshot() *Snapshot {
 	}
 	for k := 0; k < 3*g.N(); k++ {
 		s.Points = append(s.Points, f())
-	}
-	for k := 0; k < g.N(); k++ {
-		s.Ecc = append(s.Ecc, f())
 	}
 	return s
 }
@@ -195,9 +188,9 @@ func frameSnapshot(payloads ...[]byte) []byte {
 	return b.Bytes()
 }
 
-// sectionPayloads returns the five section payloads of s.
+// sectionPayloads returns the four section payloads of s.
 func sectionPayloads(s *Snapshot) [][]byte {
-	return [][]byte{encodeMeta(s), encodeGraph(s.Graph), encodeSketch(s.SketchMeta, s.Points), encodeHull(s), encodeEcc(s.Ecc)}
+	return [][]byte{encodeMeta(s), encodeGraph(s.Graph), encodeSketch(s.SketchMeta, s.Points), encodeHull(s)}
 }
 
 // trailingByte returns the sections of a valid snapshot with one byte
@@ -212,12 +205,22 @@ func trailingByte(i int) [][]byte {
 // field is corruption, which the section's CRC cannot catch, since the
 // writer computed it over the longer payload.
 func TestSectionTrailingBytesRejected(t *testing.T) {
-	for i, name := range []string{"meta", "graph", "sketch", "hull", "ecc"} {
+	for i, name := range []string{"meta", "graph", "sketch", "hull"} {
 		_, err := ReadSnapshot(frameSnapshot(trailingByte(i)...))
 		want := "1 trailing bytes in " + name + " section"
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s section plus one byte: err %v, want ErrCorrupt with %q", name, err, want)
 		}
+	}
+}
+
+// The ecc-cache section kind 5 of format v1 no longer exists: a v2 snapshot
+// carrying it, CRC-valid, in place of the hull section is corrupt.
+func TestRetiredSectionKindRejected(t *testing.T) {
+	p := sectionPayloads(wideSnapshot())
+	_, err := ReadSnapshot(frameSnapshot(p[0], p[1], p[2], nil, p[3]))
+	if want := "unknown section kind 5"; !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+		t.Fatalf("hull payload framed as kind 5: err %v, want ErrCorrupt with %q", err, want)
 	}
 }
 

@@ -56,7 +56,7 @@ func (tw *testWriter) checkpoint(t *testing.T, seq, gen uint64) {
 	t.Helper()
 	cs := lifecycle.CheckpointState{Seq: seq, Gen: gen, Graph: tw.g, Fast: tw.fast}
 	p := persist.Params{Epsilon: 0.3, Dim: 32, Seed: 21}
-	if err := tw.store.Checkpoint(persist.Capture(cs, p, persist.Fingerprint(tw.g), true)); err != nil {
+	if err := tw.store.Checkpoint(persist.Capture(cs, p, persist.Fingerprint(tw.g))); err != nil {
 		t.Fatal(err)
 	}
 	tw.gen.Store(gen)
