@@ -4,7 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"flag"
-	"io"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -22,24 +22,11 @@ var updateGolden = flag.Bool("update", false, "rewrite the inspect golden files"
 // byte-stable across runs and machines.
 func inspectOutput(t *testing.T, dir, path string) string {
 	t.Helper()
-	old := os.Stdout
-	r, w, err := os.Pipe()
+	out, err := runStdout("inspect", "-path", path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("inspect %s: %v", path, err)
 	}
-	os.Stdout = w
-	runErr := run(context.Background(), []string{"inspect", "-path", path})
-	w.Close()
-	os.Stdout = old
-	out, readErr := io.ReadAll(r)
-	r.Close()
-	if readErr != nil {
-		t.Fatal(readErr)
-	}
-	if runErr != nil {
-		t.Fatalf("inspect %s: %v", path, runErr)
-	}
-	s := strings.ReplaceAll(string(out), dir+string(os.PathSeparator), "")
+	s := strings.ReplaceAll(out, dir+string(os.PathSeparator), "")
 	return regexp.MustCompile(`(?m)^(  saved       ).*$`).ReplaceAllString(s, "${1}<time>")
 }
 
@@ -88,6 +75,24 @@ func walBytes() []byte {
 	return append(b, tailFrameBytes()[52:]...)
 }
 
+// v1MetaSnapshot re-frames a snapshot's meta section the way format v1
+// wrote it, under version 1: five more build fields (unset, so zero) around
+// the hull cap make it 104 bytes, and its CRC holds. The graph, sketch and
+// hull sections follow unchanged.
+func v1MetaSnapshot(snap []byte) []byte {
+	const header, meta = 16, 16 + 12 // magic, version, count; then kind, length
+	le := binary.LittleEndian
+	v2 := snap[meta : meta+64]
+	v1 := append(append([]byte{}, v2[:56]...), make([]byte, 32)...) // seq … seed; tol, θ, hull seed, directions
+	v1 = append(append(v1, v2[56:]...), make([]byte, 8)...)         // hull cap; Frank–Wolfe steps
+	b := append([]byte{}, snap[:header]...)
+	le.PutUint32(b[8:12], 1)
+	b = le.AppendUint32(b, 1) // section kind meta
+	b = le.AppendUint64(b, uint64(len(v1)))
+	b = le.AppendUint32(append(b, v1...), crc32.Checksum(v1, crc32.MakeTable(crc32.Castagnoli)))
+	return append(b, snap[meta+64+4:]...)
+}
+
 func writeFixture(t *testing.T, dir, name string, b []byte) string {
 	t.Helper()
 	p := filepath.Join(dir, name)
@@ -99,9 +104,11 @@ func writeFixture(t *testing.T, dir, name string, b []byte) string {
 
 // TestInspectGoldenOutputs pins `recc inspect` output for all four on-disk
 // formats — snapshot, WAL, tail frame, trace — each in a healthy, torn-tail,
-// and corrupt-CRC variant, plus a snapshot and a WAL from the previous
-// format version. The goldens are the operator-facing contract: a
-// format or renderer change that shifts them must be deliberate (-update).
+// and corrupt-CRC variant, plus a WAL and two snapshots from the previous
+// format version: one whose sections all decode, and one with format v1's
+// meta section, which does not. The goldens are the operator-facing
+// contract: a format or renderer change that shifts them must be deliberate
+// (-update).
 func TestInspectGoldenOutputs(t *testing.T) {
 	dir := t.TempDir()
 
@@ -126,6 +133,7 @@ func TestInspectGoldenOutputs(t *testing.T) {
 	old := append([]byte{}, snap...)
 	binary.LittleEndian.PutUint32(old[8:12], persist.FormatVersion-1) // the version follows the 8-byte magic
 	writeFixture(t, dir, "snap-oldversion.snap", old)
+	writeFixture(t, dir, "snap-v1meta.snap", v1MetaSnapshot(snap))
 
 	wal := walBytes()
 	writeFixture(t, dir, "wal-healthy.wal", wal)
@@ -163,7 +171,7 @@ func TestInspectGoldenOutputs(t *testing.T) {
 	writeFixture(t, dir, "trc-torn.trc", trc[:len(trc)-5])
 
 	for _, name := range []string{
-		"snap-healthy.snap", "snap-corrupt.snap", "snap-torn.snap", "snap-oldversion.snap",
+		"snap-healthy.snap", "snap-corrupt.snap", "snap-torn.snap", "snap-oldversion.snap", "snap-v1meta.snap",
 		"wal-healthy.wal", "wal-corrupt.wal", "wal-torn.wal", "wal-oldversion.wal",
 		"tail-healthy.frame", "tail-corrupt.frame", "tail-torn.frame",
 		"trc-healthy.trc", "trc-corrupt.trc", "trc-torn.trc",

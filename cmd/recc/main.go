@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"resistecc"
+	"resistecc/internal/graph"
 )
 
 func main() {
@@ -89,19 +90,31 @@ func usage() {
 run 'recc <subcommand> -h' for flags`)
 }
 
-func loadLCC(path string) (*resistecc.Graph, error) {
+// loadLCC loads an edge list and keeps its largest connected component,
+// with the map between the file's node ids and the component's: every
+// subcommand reads and prints the ids that are in the file.
+func loadLCC(path string) (*resistecc.Graph, *graph.IDMap, error) {
 	if path == "" {
-		return nil, fmt.Errorf("-in is required")
+		return nil, nil, fmt.Errorf("-in is required")
 	}
-	g, _, err := resistecc.LoadEdgeList(path)
+	g, labels, err := resistecc.LoadEdgeList(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	lcc, _ := g.LargestComponent()
+	lcc, mapping := g.LargestComponent()
 	if lcc.N() < g.N() {
 		fmt.Fprintf(os.Stderr, "recc: using LCC with %d of %d nodes\n", lcc.N(), g.N())
 	}
-	return lcc, nil
+	return lcc, graph.ComposeIDs(lcc.N(), labels, mapping), nil
+}
+
+// internalID translates a node id of the edge list into the component's.
+func internalID(ids *graph.IDMap, ext int64) (int, error) {
+	v, ok := ids.Internal(ext)
+	if !ok {
+		return 0, fmt.Errorf("node %d is not in the graph's largest connected component", ext)
+	}
+	return v, nil
 }
 
 func cmdGen(args []string) error {
@@ -174,7 +187,7 @@ func cmdStats(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := loadLCC(*in)
+	g, _, err := loadLCC(*in)
 	if err != nil {
 		return err
 	}
@@ -195,19 +208,20 @@ func cmdStats(args []string) error {
 	return nil
 }
 
-func parseNodes(s string, n int) ([]int, error) {
+func parseNodes(s string, ids *graph.IDMap) ([]int, error) {
 	if s == "" {
 		return nil, fmt.Errorf("-nodes is required (comma-separated ids)")
 	}
 	parts := strings.Split(s, ",")
 	out := make([]int, 0, len(parts))
 	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
+		ext, err := strconv.ParseInt(strings.TrimSpace(p), 10, 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad node id %q: %v", p, err)
 		}
-		if v < 0 || v >= n {
-			return nil, fmt.Errorf("node %d out of range (n=%d)", v, n)
+		v, err := internalID(ids, ext)
+		if err != nil {
+			return nil, err
 		}
 		out = append(out, v)
 	}
@@ -226,11 +240,11 @@ func cmdQuery(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := loadLCC(*in)
+	g, ids, err := loadLCC(*in)
 	if err != nil {
 		return err
 	}
-	nodes, err := parseNodes(*nodesArg, g.N())
+	nodes, err := parseNodes(*nodesArg, ids)
 	if err != nil {
 		return err
 	}
@@ -258,7 +272,7 @@ func cmdQuery(ctx context.Context, args []string) error {
 		}
 	}
 	for _, v := range vals {
-		fmt.Printf("c(%d) = %.6f  (farthest node %d)\n", v.Node, v.Value, v.Farthest)
+		fmt.Printf("c(%d) = %.6f  (farthest node %d)\n", ids.External(v.Node), v.Value, ids.External(v.Farthest))
 	}
 	return nil
 }
@@ -276,7 +290,7 @@ func cmdDist(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := loadLCC(*in)
+	g, ids, err := loadLCC(*in)
 	if err != nil {
 		return err
 	}
@@ -301,7 +315,7 @@ func cmdDist(ctx context.Context, args []string) error {
 	fmt.Printf("resistance diameter R   = %.6f\n", sum.Diameter)
 	fmt.Printf("mean                    = %.6f\n", sum.Mean)
 	fmt.Printf("skewness                = %.4f\n", sum.Skewness)
-	fmt.Printf("resistance center       = %v\n", sum.Center)
+	fmt.Printf("resistance center       = %v\n", ids.Externals(sum.Center))
 	if *burr {
 		fit, err := resistecc.FitBurr(dist)
 		if err != nil {
@@ -355,12 +369,13 @@ func cmdOptimize(ctx context.Context, args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	g, err := loadLCC(*in)
+	g, ids, err := loadLCC(*in)
 	if err != nil {
 		return err
 	}
-	if *source < 0 || *source >= g.N() {
-		return fmt.Errorf("source %d out of range (n=%d)", *source, g.N())
+	s, err := internalID(ids, int64(*source))
+	if err != nil {
+		return err
 	}
 	opt := resistecc.OptimizeOptions{
 		Sketch:        resistecc.SketchOptions{Epsilon: *eps, Dim: *dim, Seed: *seed},
@@ -374,32 +389,32 @@ func cmdOptimize(ctx context.Context, args []string) error {
 	var plan *resistecc.Plan
 	switch strings.ToLower(*algo) {
 	case "greedy":
-		plan, err = resistecc.GreedyExact(g, prob, *source, *k)
+		plan, err = resistecc.GreedyExact(g, prob, s, *k)
 	case "far":
-		plan, err = resistecc.FarMinRecc(ctx, g, *source, *k, opt)
+		plan, err = resistecc.FarMinRecc(ctx, g, s, *k, opt)
 	case "cen":
-		plan, err = resistecc.CenMinRecc(ctx, g, *source, *k, opt)
+		plan, err = resistecc.CenMinRecc(ctx, g, s, *k, opt)
 	case "ch":
-		plan, err = resistecc.ChMinRecc(ctx, g, *source, *k, opt)
+		plan, err = resistecc.ChMinRecc(ctx, g, s, *k, opt)
 	case "minrecc":
-		plan, err = resistecc.MinRecc(ctx, g, *source, *k, opt)
+		plan, err = resistecc.MinRecc(ctx, g, s, *k, opt)
 	case "de":
-		plan, err = resistecc.RunBaseline(g, resistecc.BaselineDegree, prob, *source, *k, *seed)
+		plan, err = resistecc.RunBaseline(g, resistecc.BaselineDegree, prob, s, *k, *seed)
 	case "pk":
-		plan, err = resistecc.RunBaseline(g, resistecc.BaselinePageRank, prob, *source, *k, *seed)
+		plan, err = resistecc.RunBaseline(g, resistecc.BaselinePageRank, prob, s, *k, *seed)
 	case "path":
-		plan, err = resistecc.RunBaseline(g, resistecc.BaselinePath, prob, *source, *k, *seed)
+		plan, err = resistecc.RunBaseline(g, resistecc.BaselinePath, prob, s, *k, *seed)
 	case "rand":
-		plan, err = resistecc.RunBaseline(g, resistecc.BaselineRandom, prob, *source, *k, *seed)
+		plan, err = resistecc.RunBaseline(g, resistecc.BaselineRandom, prob, s, *k, *seed)
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algo)
 	}
 	if err != nil {
 		return err
 	}
-	fmt.Printf("algorithm %s (%s), source %d, %d edges:\n", plan.Algorithm, plan.Problem, plan.Source, len(plan.Edges))
+	fmt.Printf("algorithm %s (%s), source %d, %d edges:\n", plan.Algorithm, plan.Problem, ids.External(plan.Source), len(plan.Edges))
 	for i, e := range plan.Edges {
-		fmt.Printf("  %2d: (%d, %d)\n", i+1, e[0], e[1])
+		fmt.Printf("  %2d: (%d, %d)\n", i+1, ids.External(e[0]), ids.External(e[1]))
 	}
 	if *traj {
 		tr, err := plan.ExactTrajectory(g)

@@ -2,8 +2,10 @@ package main
 
 import (
 	"context"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"resistecc"
@@ -28,6 +30,25 @@ func writeTestGraph(t *testing.T) string {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// runStdout runs recc with args and returns what it printed to stdout.
+func runStdout(args ...string) (string, error) {
+	old := os.Stdout
+	r, w, err := os.Pipe()
+	if err != nil {
+		return "", err
+	}
+	os.Stdout = w
+	runErr := run(context.Background(), args)
+	w.Close()
+	os.Stdout = old
+	out, readErr := io.ReadAll(r)
+	r.Close()
+	if readErr != nil {
+		return "", readErr
+	}
+	return string(out), runErr
 }
 
 func TestRunErrors(t *testing.T) {
@@ -88,6 +109,46 @@ func TestQueryCommands(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{"query", "-in", path}); err == nil {
 		t.Fatal("missing -nodes should fail")
+	}
+}
+
+// TestCommandsSpeakFileIDs: query, dist and optimize read and print the node
+// ids of the edge-list file. The file holds a small component first, so the
+// path 1–2–3–4–5 is its largest component under different internal ids; on
+// it c(1) = 4 with farthest node 5, c(3) = 2, and the center is node 3.
+func TestCommandsSpeakFileIDs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "p.txt")
+	if err := os.WriteFile(path, []byte("7 8\n1 2\n2 3\n3 4\n4 5\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"query", "-in", path, "-exact", "-nodes", "1,3"},
+			[]string{"c(1) = 4.000000  (farthest node 5)\n", "c(3) = 2.000000  (farthest node "}},
+		{[]string{"dist", "-in", path, "-exact"},
+			[]string{"resistance center       = [3]\n"}},
+		{[]string{"optimize", "-in", path, "-source", "1", "-k", "1", "-algo", "greedy"},
+			[]string{"source 1, 1 edges:\n", "   1: (1, 5)\n"}},
+	} {
+		out, err := runStdout(tc.args...)
+		if err != nil {
+			t.Fatalf("%v: %v", tc.args, err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(out, want) {
+				t.Errorf("%v printed\n%s\nwithout %q", tc.args, out, want)
+			}
+		}
+	}
+	for _, args := range [][]string{
+		{"query", "-in", path, "-exact", "-nodes", "7"},
+		{"optimize", "-in", path, "-source", "0", "-k", "1", "-algo", "greedy"},
+	} {
+		if _, err := runStdout(args...); err == nil || !strings.Contains(err.Error(), "not in the graph's largest connected component") {
+			t.Errorf("%v: err %v, want the id named as outside the component", args, err)
+		}
 	}
 }
 

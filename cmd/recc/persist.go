@@ -33,7 +33,7 @@ func cmdSnapshot(ctx context.Context, args []string) error {
 	if (*dataDir == "") == (*out == "") {
 		return fmt.Errorf("need exactly one of -data-dir or -out")
 	}
-	g, err := loadLCC(*in)
+	g, _, err := loadLCC(*in)
 	if err != nil {
 		return err
 	}
@@ -240,6 +240,9 @@ func inspectTrace(p string, size int64) error {
 	return nil
 }
 
+// printReport prints a snapshot report. The saved, state and build lines
+// come from the meta section and appear only when it decodes; a section's
+// details are what its decoder found.
 func printReport(rep *persist.Report) {
 	fmt.Printf("snapshot %s\n", rep.Path)
 	fmt.Printf("  size        %d bytes, format v%d\n", rep.Size, rep.Version)
@@ -248,13 +251,12 @@ func printReport(rep *persist.Report) {
 	} else {
 		fmt.Printf("  status      INVALID: %s\n", rep.Err)
 	}
-	if !rep.SavedAt.IsZero() {
-		fmt.Printf("  saved       %s\n", rep.SavedAt.Format("2006-01-02 15:04:05 MST"))
+	if m := rep.Meta; m != nil {
+		fmt.Printf("  saved       %s\n", time.Unix(0, m.SavedUnixNano).Format("2006-01-02 15:04:05 MST"))
+		fmt.Printf("  state       seq=%d gen=%d fingerprint=%016x\n", m.Seq, m.Gen, m.BaseFP)
+		fmt.Printf("  build       eps=%g dim=%d seed=%d hullcap=%d\n",
+			m.Params.Epsilon, m.Params.Dim, m.Params.Seed, m.Params.HullMaxVertices)
 	}
-	fmt.Printf("  state       seq=%d gen=%d n=%d m=%d fingerprint=%016x\n",
-		rep.Seq, rep.Gen, rep.N, rep.M, rep.BaseFP)
-	fmt.Printf("  build       eps=%g dim=%d seed=%d boundary=%d\n",
-		rep.Params.Epsilon, rep.Dim, rep.Params.Seed, rep.BoundaryL)
 	for _, sec := range rep.Sections {
 		crc := "ok"
 		if !sec.CRCOK {

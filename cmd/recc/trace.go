@@ -72,28 +72,12 @@ func cmdReplay(ctx context.Context, args []string) error {
 }
 
 // localExecutor builds the replay target the way reccd builds its serving
-// index: load the edge list, keep the label mapping, restrict to the LCC, and
-// translate the trace's external ids through the composed mapping.
+// index: load the edge list, restrict to the LCC, and translate the trace's
+// external ids through the composed id map.
 func localExecutor(ctx context.Context, in string, eps float64, dim int, seed int64, hullCap int, drift float64) (trace.Executor, error) {
-	g, labels, err := resistecc.LoadEdgeList(in)
+	lcc, ids, err := loadLCC(in)
 	if err != nil {
 		return nil, err
-	}
-	lcc, mapping := g.LargestComponent()
-	if lcc.N() < g.N() {
-		fmt.Fprintf(os.Stderr, "recc: using LCC with %d of %d nodes\n", lcc.N(), g.N())
-	}
-	toExternal := make([]int64, lcc.N())
-	for v := range toExternal {
-		orig := v
-		if mapping != nil {
-			orig = mapping[v]
-		}
-		ext := int64(orig)
-		if labels != nil {
-			ext = labels[orig]
-		}
-		toExternal[v] = ext
 	}
 	opts := []resistecc.Option{
 		resistecc.WithEpsilon(eps), resistecc.WithDim(dim),
@@ -106,7 +90,7 @@ func localExecutor(ctx context.Context, in string, eps float64, dim int, seed in
 	if err != nil {
 		return nil, err
 	}
-	return resistecc.TraceExecutor(d, toExternal), nil
+	return resistecc.TraceExecutor(d, ids.ToExternal), nil
 }
 
 func printReplayReport(rep *trace.Report) {

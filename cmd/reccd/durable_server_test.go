@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"resistecc"
+	"resistecc/internal/graph"
 	"resistecc/internal/testutil"
 )
 
@@ -34,7 +35,7 @@ func durableServerCfg(t testing.TB, dir string, mutate func(*serverConfig)) *ser
 	if mutate != nil {
 		mutate(&cfg)
 	}
-	srv, err := newServer(context.Background(), g, newIDMap(g.N(), nil, nil), g.N(), g.M(),
+	srv, err := newServer(context.Background(), g, graph.ComposeIDs(g.N(), nil, nil), g.N(), g.M(),
 		[]resistecc.Option{
 			resistecc.WithEpsilon(0.3), resistecc.WithDim(64),
 			resistecc.WithSeed(5), resistecc.WithMaxHullVertices(24),
@@ -163,7 +164,7 @@ func TestErrorPathsCloseFiles(t *testing.T) {
 		cfg := defaultConfig()
 		cfg.DataDir = t.TempDir()
 		cfg.TraceOut = filepath.Join(t.TempDir(), "missing", "trace.bin")
-		if _, err := newServer(context.Background(), g, newIDMap(g.N(), nil, nil), g.N(), g.M(), opts, cfg); err == nil {
+		if _, err := newServer(context.Background(), g, graph.ComposeIDs(g.N(), nil, nil), g.N(), g.M(), opts, cfg); err == nil {
 			t.Fatal("newServer with a -trace-out in a missing directory succeeded")
 		}
 	})

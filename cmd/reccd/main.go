@@ -66,6 +66,7 @@ import (
 	"syscall"
 
 	"resistecc"
+	"resistecc/internal/graph"
 )
 
 func main() {
@@ -173,7 +174,7 @@ func startWriter(ctx context.Context, cfg Config) *server {
 	// Keep the LCC relabelling: queries arrive with original edge-list ids
 	// and must be translated, not trusted as internal indices.
 	lcc, mapping := g.LargestComponent()
-	ids := newIDMap(lcc.N(), labels, mapping)
+	ids := graph.ComposeIDs(lcc.N(), labels, mapping)
 	log.Printf("reccd: loaded %s: %d nodes, %d edges; LCC %d nodes, %d edges",
 		cfg.In, inputNodes, inputEdges, lcc.N(), lcc.M())
 

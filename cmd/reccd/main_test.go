@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"resistecc"
+	"resistecc/internal/graph"
 	"resistecc/internal/obs"
 )
 
@@ -24,7 +25,7 @@ func testServer(t *testing.T) *server {
 	}
 	cfg := defaultConfig()
 	cfg.MaxBatch = 8
-	srv, err := newServer(context.Background(), g, newIDMap(g.N(), nil, nil), g.N(), g.M(),
+	srv, err := newServer(context.Background(), g, graph.ComposeIDs(g.N(), nil, nil), g.N(), g.M(),
 		[]resistecc.Option{
 			resistecc.WithEpsilon(0.3), resistecc.WithDim(64),
 			resistecc.WithSeed(5), resistecc.WithMaxHullVertices(24),

@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"resistecc"
+	"resistecc/internal/graph"
 )
 
 func do(t *testing.T, h http.Handler, method, url, body string) *httptest.ResponseRecorder {
@@ -183,7 +184,7 @@ func TestMixedWorkloadNoDowntime(t *testing.T) {
 	// Keep a pristine copy for the cold reference build (the server clones
 	// its input, so g itself also stays untouched — this is belt and braces).
 	final := g.Clone()
-	srv, err := newServer(context.Background(), g, newIDMap(g.N(), nil, nil), g.N(), g.M(), opts, cfg)
+	srv, err := newServer(context.Background(), g, graph.ComposeIDs(g.N(), nil, nil), g.N(), g.M(), opts, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,18 +2,25 @@ package main
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"resistecc"
 	"resistecc/internal/obs"
+	"resistecc/internal/persist"
 )
 
 // replSet is a full replication tier under test: one durable writer, two
@@ -492,5 +499,57 @@ func TestRouterDegradedHealthEnvelope(t *testing.T) {
 	// The diagnostics ride along in the same body.
 	if !strings.Contains(body, `"replicas"`) || !strings.Contains(body, `"status":"degraded"`) {
 		t.Fatalf("degraded health lost its diagnostics: %s", body)
+	}
+}
+
+// A replica whose writer ships a snapshot of another format version fails
+// its initial sync at once, naming both versions, instead of retrying every
+// second: no retry heals a format mismatch.
+func TestReplicaInitialSyncFailsOnFormatMismatch(t *testing.T) {
+	d, err := resistecc.NewDynamicIndex(context.Background(), resistecc.CycleGraph(12),
+		resistecc.WithEpsilon(0.3), resistecc.WithDim(16), resistecc.WithSeed(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "index.snap")
+	err = d.SaveSnapshot(path)
+	d.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint32(snap[8:12], persist.FormatVersion-1) // the version follows the 8-byte magic
+
+	var fetches atomic.Int32
+	writer := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/v1/repl/snapshot" {
+			http.NotFound(w, r)
+			return
+		}
+		fetches.Add(1)
+		w.Write(snap)
+	}))
+	defer writer.Close()
+
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	cfg := Config{Role: roleReplica, Upstream: writer.URL, PollInterval: 20 * time.Millisecond, Server: defaultConfig()}
+	srv, err := newReplicaServer(ctx, cfg)
+	if err == nil {
+		srv.close()
+		t.Fatal("replica started against a writer on another format version")
+	}
+	if !errors.Is(err, persist.ErrVersion) {
+		t.Fatalf("initial sync: %v, want persist.ErrVersion", err)
+	}
+	want := fmt.Sprintf("v%d, reader supports v%d", persist.FormatVersion-1, persist.FormatVersion)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("error %q does not name both versions (%q)", err, want)
+	}
+	if n := fetches.Load(); n != 1 {
+		t.Errorf("writer served %d snapshot fetches, want 1 (no retry)", n)
 	}
 }

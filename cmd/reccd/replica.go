@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log"
@@ -10,6 +11,7 @@ import (
 	"time"
 
 	"resistecc"
+	"resistecc/internal/graph"
 	"resistecc/internal/obs"
 	"resistecc/internal/persist"
 	"resistecc/internal/repl"
@@ -81,7 +83,7 @@ func (rf *replicaFollower) Restore(ctx context.Context, snapshot []byte) error {
 
 // fetchIDs pulls the writer's id mapping, rebuilt on every restore — the
 // shipped graph and the mapping must describe the same state.
-func (rf *replicaFollower) fetchIDs(ctx context.Context) (*idMap, error) {
+func (rf *replicaFollower) fetchIDs(ctx context.Context) (*graph.IDMap, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rf.upstream+"/v1/repl/ids", nil)
 	if err != nil {
 		return nil, err
@@ -101,16 +103,13 @@ func (rf *replicaFollower) fetchIDs(ctx context.Context) (*idMap, error) {
 	if err := json.NewDecoder(resp.Body).Decode(&body); err != nil {
 		return nil, fmt.Errorf("reccd: decoding id map: %w", err)
 	}
-	m := &idMap{toExternal: body.ToExternal, toInternal: make(map[int64]int, len(body.ToExternal))}
-	for v, ext := range body.ToExternal {
-		m.toInternal[ext] = v
-	}
-	return m, nil
+	return graph.NewIDMap(body.ToExternal), nil
 }
 
 // newReplicaServer builds a read replica: it blocks until one full sync
 // against the writer succeeds (retrying while ctx lives), then keeps
-// converging in the background. The returned server serves the same /v1
+// converging in the background. A writer on another format version fails
+// the start at once: retrying cannot heal ErrVersion. The returned server serves the same /v1
 // read surface as a writer; mutations answer 403.
 func newReplicaServer(ctx context.Context, cfg Config) (*server, error) {
 	s := &server{
@@ -140,6 +139,10 @@ func newReplicaServer(ctx context.Context, cfg Config) (*server, error) {
 		}
 		if ctx.Err() != nil {
 			return nil, ctx.Err()
+		}
+		if errors.Is(err, persist.ErrVersion) {
+			s.close()
+			return nil, fmt.Errorf("initial sync against %s: %w", cfg.Upstream, err)
 		}
 		log.Printf("reccd: initial sync against %s: %v; retrying", cfg.Upstream, err)
 		select {

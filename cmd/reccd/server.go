@@ -14,66 +14,11 @@ import (
 	"time"
 
 	"resistecc"
+	"resistecc/internal/graph"
 	"resistecc/internal/obs"
 	"resistecc/internal/repl"
 	"resistecc/internal/trace"
 )
-
-// idMap translates between external node ids (the labels clients use: the
-// original ids from the edge-list file) and the internal compact ids of the
-// largest-connected-component subgraph the index is built on.
-//
-// Two relabelling steps happen on load — edge-list label interning
-// (arbitrary int64 labels → 0..n−1 in order of appearance) and LCC
-// extraction (component nodes → 0..k−1) — and the seed server dropped both,
-// silently answering for whatever internal node happened to carry the
-// queried number. idMap composes the two so clients only ever see the ids
-// they put in the file.
-type idMap struct {
-	toExternal []int64       // internal (LCC) id → external id
-	toInternal map[int64]int // external id → internal (LCC) id
-}
-
-// newIDMap composes the edge-list label mapping (labels[compact] = external;
-// nil means external == compact) with the LCC relabelling
-// (lccToOrig[internal] = compact; nil means the identity over n nodes).
-func newIDMap(n int, labels []int64, lccToOrig []int) *idMap {
-	m := &idMap{
-		toExternal: make([]int64, n),
-		toInternal: make(map[int64]int, n),
-	}
-	for v := 0; v < n; v++ {
-		orig := v
-		if lccToOrig != nil {
-			orig = lccToOrig[v]
-		}
-		ext := int64(orig)
-		if labels != nil {
-			ext = labels[orig]
-		}
-		m.toExternal[v] = ext
-		m.toInternal[ext] = v
-	}
-	return m
-}
-
-// external translates an internal id; it tolerates out-of-range ids (which
-// cannot come from a mapped query) by echoing them, so diagnostics never
-// panic.
-func (m *idMap) external(v int) int64 {
-	if v < 0 || v >= len(m.toExternal) {
-		return int64(v)
-	}
-	return m.toExternal[v]
-}
-
-func (m *idMap) externals(vs []int) []int64 {
-	out := make([]int64, len(vs))
-	for i, v := range vs {
-		out[i] = m.external(v)
-	}
-	return out
-}
 
 // serverConfig holds the request-handling knobs of the service.
 type serverConfig struct {
@@ -174,7 +119,7 @@ type server struct {
 // serving bundles one index with the id mapping describing it.
 type serving struct {
 	dyn *resistecc.DynamicIndex
-	ids *idMap
+	ids *graph.IDMap
 }
 
 // current returns the served engine (nil on a replica before its first
@@ -208,7 +153,7 @@ type summaryResponse struct {
 // and wires the id translation. inputNodes/inputEdges describe the pre-LCC
 // input graph, for /healthz. ctx bounds the initial build: cancelling it
 // (e.g. a shutdown signal during a long cold start) abandons the build.
-func newServer(ctx context.Context, g *resistecc.Graph, ids *idMap, inputNodes, inputEdges int,
+func newServer(ctx context.Context, g *resistecc.Graph, ids *graph.IDMap, inputNodes, inputEdges int,
 	opts []resistecc.Option, cfg serverConfig) (*server, error) {
 	start := time.Now()
 	opts = append(opts,
@@ -601,7 +546,7 @@ func (s *server) handleReplIDs(w http.ResponseWriter, _ *http.Request) {
 	if !ok {
 		return
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"toExternal": sv.ids.toExternal})
+	writeJSON(w, http.StatusOK, map[string]any{"toExternal": sv.ids.ToExternal})
 }
 
 // handleReplStatus reports the replication view of this process: the feed
@@ -648,7 +593,7 @@ func (sv *serving) resolveNode(w http.ResponseWriter, raw string) (int, bool) {
 		writeError(w, http.StatusBadRequest, "bad_node_id", "bad node id %q", raw)
 		return 0, false
 	}
-	v, ok := sv.ids.toInternal[ext]
+	v, ok := sv.ids.Internal(ext)
 	if !ok {
 		writeError(w, http.StatusNotFound, "node_not_found",
 			"node %d not in the largest connected component", ext)
@@ -756,7 +701,7 @@ func (s *server) handleEccentricity(w http.ResponseWriter, r *http.Request) {
 		}
 		nodes = append(nodes, v)
 		if s.rec != nil {
-			extIDs = append(extIDs, sv.ids.external(v))
+			extIDs = append(extIDs, sv.ids.External(v))
 		}
 	}
 	snap := sv.dyn.Snapshot()
@@ -773,9 +718,9 @@ func (s *server) handleEccentricity(w http.ResponseWriter, r *http.Request) {
 	out := make([]eccResponse, len(vals))
 	for i, v := range vals {
 		out[i] = eccResponse{
-			Node:         sv.ids.external(v.Node),
+			Node:         sv.ids.External(v.Node),
 			Eccentricity: v.Value,
-			Farthest:     sv.ids.external(v.Farthest),
+			Farthest:     sv.ids.External(v.Farthest),
 		}
 	}
 	buf.Release()
@@ -815,7 +760,7 @@ func (s *server) handleResistance(w http.ResponseWriter, r *http.Request) {
 	snap := sv.dyn.Snapshot()
 	setGeneration(w, snap.Generation)
 	writeJSON(w, http.StatusOK, map[string]any{
-		"u": sv.ids.external(u), "v": sv.ids.external(v),
+		"u": sv.ids.External(u), "v": sv.ids.External(v),
 		"resistance": snap.Index.Resistance(u, v),
 	})
 }
@@ -840,14 +785,14 @@ func (s *server) handleSummary(w http.ResponseWriter, _ *http.Request) {
 			Diameter: sum.Diameter,
 			Mean:     sum.Mean,
 			Skewness: sum.Skewness,
-			Center:   sv.ids.externals(sum.Center),
+			Center:   sv.ids.Externals(sum.Center),
 		}
 		// A hull boundary under two nodes has no pair to scan; the summary
 		// then omits the hull-pair diameter instead of reporting a fake
 		// (0, [0 0]) answer.
 		if diam, pair, err := snap.Index.ResistanceDiameter(); err == nil {
 			s.sum.HullDiameter = diam
-			s.sum.DiameterPair = sv.ids.externals(pair[:])
+			s.sum.DiameterPair = sv.ids.Externals(pair[:])
 		}
 		s.sumFor = sv
 		s.sumGen = snap.Generation
@@ -881,13 +826,13 @@ type mutationResponse struct {
 // ids. Mutations are confined to the served component: ids outside it are a
 // 404, exactly like queries.
 func (sv *serving) resolveMutationNodes(w http.ResponseWriter, uExt, vExt int64) (int, int, bool) {
-	u, ok := sv.ids.toInternal[uExt]
+	u, ok := sv.ids.Internal(uExt)
 	if !ok {
 		writeError(w, http.StatusNotFound, "node_not_found",
 			"node %d not in the largest connected component", uExt)
 		return 0, 0, false
 	}
-	v, ok := sv.ids.toInternal[vExt]
+	v, ok := sv.ids.Internal(vExt)
 	if !ok {
 		writeError(w, http.StatusNotFound, "node_not_found",
 			"node %d not in the largest connected component", vExt)

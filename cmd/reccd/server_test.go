@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"resistecc"
+	"resistecc/internal/graph"
 )
 
 // twoComponentFile writes an edge list whose largest component carries the
@@ -34,14 +35,14 @@ func twoComponentFile(t *testing.T) string {
 
 // loadServer mirrors main()'s load path: read, reduce to LCC, keep the
 // composed id mapping.
-func loadServer(t *testing.T, path string, opts []resistecc.Option) (*server, *resistecc.Graph, *idMap) {
+func loadServer(t *testing.T, path string, opts []resistecc.Option) (*server, *resistecc.Graph, *graph.IDMap) {
 	t.Helper()
 	g, labels, err := resistecc.LoadEdgeList(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	lcc, mapping := g.LargestComponent()
-	ids := newIDMap(lcc.N(), labels, mapping)
+	ids := graph.ComposeIDs(lcc.N(), labels, mapping)
 	srv, err := newServer(context.Background(), lcc, ids, g.N(), g.M(), opts, defaultConfig())
 	if err != nil {
 		t.Fatal(err)
@@ -85,7 +86,7 @@ func TestDisconnectedInputIDMapping(t *testing.T) {
 		if got := int64(arr[0]["node"].(float64)); got != ext {
 			t.Fatalf("asked for node %d, response says node %d", ext, got)
 		}
-		internal, ok := ids.toInternal[ext]
+		internal, ok := ids.Internal(ext)
 		if !ok {
 			t.Fatalf("label %d missing from id map", ext)
 		}
@@ -115,7 +116,9 @@ func TestDisconnectedInputIDMapping(t *testing.T) {
 	if rec.Code != http.StatusOK || body["u"].(float64) != 10 || body["v"].(float64) != 14 {
 		t.Fatalf("resistance: %d %v", rec.Code, body)
 	}
-	wantR := ref.Resistance(ids.toInternal[10], ids.toInternal[14])
+	u, _ := ids.Internal(10)
+	v, _ := ids.Internal(14)
+	wantR := ref.Resistance(u, v)
 	if got := body["resistance"].(float64); math.Abs(got-wantR) > 1e-12 {
 		t.Fatalf("resistance %g, want %g", got, wantR)
 	}
@@ -146,25 +149,25 @@ func TestIDMapComposition(t *testing.T) {
 	// 14→4, 1→5, 2→6. Suppose the LCC kept compact nodes {0,1,2,3,4}.
 	labels := []int64{10, 11, 12, 13, 14, 1, 2}
 	mapping := []int{0, 1, 2, 3, 4}
-	m := newIDMap(5, labels, mapping)
+	m := graph.ComposeIDs(5, labels, mapping)
 	for v, want := range []int64{10, 11, 12, 13, 14} {
-		if m.external(v) != want {
-			t.Fatalf("external(%d) = %d, want %d", v, m.external(v), want)
+		if m.External(v) != want {
+			t.Fatalf("External(%d) = %d, want %d", v, m.External(v), want)
 		}
-		if got, ok := m.toInternal[want]; !ok || got != v {
-			t.Fatalf("toInternal[%d] = %d,%v, want %d", want, got, ok, v)
+		if got, ok := m.Internal(want); !ok || got != v {
+			t.Fatalf("Internal(%d) = %d,%v, want %d", want, got, ok, v)
 		}
 	}
-	if _, ok := m.toInternal[1]; ok {
+	if _, ok := m.Internal(1); ok {
 		t.Fatal("label 1 (dropped component) must not resolve")
 	}
 	// Identity map (generated graphs).
-	id := newIDMap(3, nil, nil)
-	if id.external(2) != 2 || id.toInternal[2] != 2 {
+	id := graph.ComposeIDs(3, nil, nil)
+	if v, ok := id.Internal(2); id.External(2) != 2 || !ok || v != 2 {
 		t.Fatal("identity map broken")
 	}
-	// Out-of-range external() echoes rather than panics.
-	if id.external(99) != 99 {
+	// Out-of-range External() echoes rather than panics.
+	if id.External(99) != 99 {
 		t.Fatal("out-of-range echo broken")
 	}
 }

@@ -17,8 +17,8 @@ import (
 )
 
 // identityIDs is the toExternal mapping of the generated test graph: the
-// servers under test are built with newIDMap(n, nil, nil), so external ids
-// equal internal indices.
+// servers under test are built with graph.ComposeIDs(n, nil, nil), so
+// external ids equal internal indices.
 func identityIDs(n int) []int64 {
 	ids := make([]int64, n)
 	for i := range ids {

@@ -79,6 +79,70 @@ func LoadEdgeList(path string) (*Graph, []int64, error) {
 	return ReadEdgeList(f)
 }
 
+// IDMap translates between external node ids, the labels of an edge-list
+// file, and the internal ids of the component an index is built on. Loading
+// relabels twice: ReadEdgeList compacts the labels (first-seen order), and
+// LargestComponent renumbers the component's nodes. IDMap composes the two,
+// so callers read and print only ids that are in the file.
+type IDMap struct {
+	// ToExternal maps an internal id to its external id.
+	ToExternal []int64
+	toInternal map[int64]int
+}
+
+// ComposeIDs composes the edge-list labels (labels[compact] = external; nil
+// means external == compact) with a component relabelling over its n nodes
+// (sub[internal] = compact, as LargestComponent returns it; nil means the
+// identity).
+func ComposeIDs(n int, labels []int64, sub []int) *IDMap {
+	ext := make([]int64, n)
+	for v := range ext {
+		orig := v
+		if sub != nil {
+			orig = sub[v]
+		}
+		ext[v] = int64(orig)
+		if labels != nil {
+			ext[v] = labels[orig]
+		}
+	}
+	return NewIDMap(ext)
+}
+
+// NewIDMap indexes an internal → external id table.
+func NewIDMap(toExternal []int64) *IDMap {
+	m := &IDMap{ToExternal: toExternal, toInternal: make(map[int64]int, len(toExternal))}
+	for v, ext := range toExternal {
+		m.toInternal[ext] = v
+	}
+	return m
+}
+
+// Internal translates an external id; ok is false for an id outside the
+// component.
+func (m *IDMap) Internal(ext int64) (v int, ok bool) {
+	v, ok = m.toInternal[ext]
+	return v, ok
+}
+
+// External translates an internal id. An id out of range, which no
+// translated query yields, echoes back, so diagnostics never panic.
+func (m *IDMap) External(v int) int64 {
+	if v < 0 || v >= len(m.ToExternal) {
+		return int64(v)
+	}
+	return m.ToExternal[v]
+}
+
+// Externals translates a list of internal ids.
+func (m *IDMap) Externals(vs []int) []int64 {
+	out := make([]int64, len(vs))
+	for i, v := range vs {
+		out[i] = m.External(v)
+	}
+	return out
+}
+
 // WriteEdgeList emits the graph as "u v" lines in canonical edge order.
 func (g *Graph) WriteEdgeList(w io.Writer) error {
 	bw := bufio.NewWriter(w)

@@ -23,13 +23,6 @@ func (l *Latencies) Observe(d time.Duration) {
 	l.mu.Unlock()
 }
 
-// Count reports how many samples have been observed.
-func (l *Latencies) Count() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.ns)
-}
-
 // Quantile returns the q-th nearest-rank quantile (q in [0,1]) of the
 // observed samples, or 0 with no samples. It sorts in place under the lock;
 // callers query quantiles after the run, not on the hot path.

@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"testing"
 )
@@ -9,6 +10,9 @@ import (
 // The fuzzers hold the decoders of RECCSNP1, RECCWAL1 and RECCTAL1 to two
 // invariants on arbitrary bytes: they never panic (nor size an allocation by
 // an unchecked count), and whatever they accept re-encodes to the same value.
+// The snapshot and tail-frame fuzzers also run `recc inspect`'s readers on
+// every input: they must not panic, and must call valid exactly what the
+// strict decoder accepts.
 
 // checkRejection requires a rejection to be typed.
 func checkRejection(t *testing.T, err error) {
@@ -38,6 +42,19 @@ func checkAccepted(t *testing.T, s *Snapshot) {
 	}
 }
 
+// checkInspectSnapshot requires the inspector's verdict on data to be
+// ReadSnapshot's (err), and a valid report to describe all four sections.
+func checkInspectSnapshot(t *testing.T, data []byte, err error) {
+	t.Helper()
+	rep := inspectSnapshot("fuzz.snap", data)
+	if rep.Valid != (err == nil) || (rep.Err == "") != (err == nil) {
+		t.Fatalf("inspector: valid=%v err=%q; ReadSnapshot: %v", rep.Valid, rep.Err, err)
+	}
+	if rep.Valid && (rep.Meta == nil || len(rep.Sections) != 4) {
+		t.Fatalf("valid report without meta or with %d sections", len(rep.Sections))
+	}
+}
+
 func FuzzReadSnapshot(f *testing.F) {
 	good := encodeSnapshot(f, wideSnapshot())
 	f.Add([]byte{})
@@ -51,6 +68,7 @@ func FuzzReadSnapshot(f *testing.F) {
 	f.Add(frameSnapshot(forgedSketchDim()...))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		s, err := ReadSnapshot(data)
+		checkInspectSnapshot(t, data, err)
 		if err != nil {
 			checkRejection(t, err)
 			return
@@ -68,7 +86,9 @@ func FuzzSnapshotSections(f *testing.F) {
 		f.Add(secs[0], secs[1], secs[2], secs[3])
 	}
 	f.Fuzz(func(t *testing.T, meta, graph, sketch, hull []byte) {
-		s, err := ReadSnapshot(frameSnapshot(meta, graph, sketch, hull))
+		data := frameSnapshot(meta, graph, sketch, hull)
+		s, err := ReadSnapshot(data)
+		checkInspectSnapshot(t, data, err)
 		if err != nil {
 			checkRejection(t, err)
 			return
@@ -87,10 +107,10 @@ func FuzzScanWAL(f *testing.F) {
 	flipped[walHeaderSize+walRecordSize+3] ^= 0x01
 	f.Add(flipped)
 	foreign := walHeader()
-	putU32(foreign[8:12], FormatVersion+1)
+	binary.LittleEndian.PutUint32(foreign[8:12], FormatVersion+1)
 	f.Add(append(foreign[:], "tail"...))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		recs, validSize, err := scanWAL(bytes.NewReader(data))
+		_, recs, validSize, err := scanWAL(bytes.NewReader(data))
 		if err != nil {
 			if !errors.Is(err, ErrVersion) {
 				t.Fatalf("unexpected error class: %v", err)
@@ -117,6 +137,14 @@ func FuzzDecodeTailFrame(f *testing.F) {
 	f.Add(flipped)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr, err := DecodeTailFrame(data)
+		info := inspectTail("fuzz.frame", data)
+		if info.Valid != (err == nil) || (info.Err == "") != (err == nil) {
+			t.Fatalf("inspector: valid=%v err=%q; DecodeTailFrame: %v", info.Valid, info.Err, err)
+		}
+		if info.Valid && (info.Records != len(fr.Records) || info.Declared != info.Records || info.TornBytes != 0) {
+			t.Fatalf("valid report: %d of %d records verified, %d torn bytes; frame has %d",
+				info.Records, info.Declared, info.TornBytes, len(fr.Records))
+		}
 		if err != nil {
 			checkRejection(t, err)
 			return

@@ -3,10 +3,8 @@ package persist
 import (
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"os"
 	"path/filepath"
-	"time"
 )
 
 // SectionInfo describes one snapshot section as found on disk.
@@ -15,28 +13,22 @@ type SectionInfo struct {
 	Name    string
 	Bytes   int
 	CRCOK   bool
-	Details string
+	Details string // what its decoder found, or "does not decode"; "" if the CRC fails
 }
 
-// Report is a tolerant description of a snapshot file for operators: it
-// keeps going past checksum failures so `recc inspect` can show what is
-// wrong, while Valid summarizes whether recovery would accept the file.
+// Report describes a snapshot file for operators: every section the
+// framing walk finds, with its checksum verdict and what recovery's own
+// section decoders make of it, next to ReadSnapshot's verdict on the file.
 type Report struct {
 	Path     string
 	Size     int64
 	Version  uint32
 	Sections []SectionInfo
 	Valid    bool
-	Err      string // first validation error, "" when Valid
-
-	// Populated when the meta + graph sections decode.
-	Seq, Gen  uint64
-	SavedAt   time.Time
-	BaseFP    uint64
-	Params    Params
-	N, M      int
-	Dim       int
-	BoundaryL int
+	Err      string // ReadSnapshot's error, "" when Valid
+	// Meta is the decoded meta section: sequence, generation, save time,
+	// fingerprint and build parameters. Nil when no meta section decodes.
+	Meta *Snapshot
 }
 
 func sectionName(kind uint32) string {
@@ -54,92 +46,63 @@ func sectionName(kind uint32) string {
 }
 
 // InspectSnapshot examines a snapshot file without requiring it to be
-// valid. The returned report is best-effort; Err carries the first reason
-// recovery would reject the file.
+// valid. Valid and Err are exactly what recovery decides.
 func InspectSnapshot(path string) (*Report, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	rep := &Report{Path: path, Size: int64(len(b))}
+	return inspectSnapshot(path, b), nil
+}
 
-	d := dec{b: b}
-	magic := d.take(8)
-	if d.err != nil || string(magic) != snapshotMagic {
-		rep.Err = "bad magic (not a snapshot file)"
-		return rep, nil
+func inspectSnapshot(path string, b []byte) *Report {
+	rep := &Report{Path: path, Size: int64(len(b))}
+	// The walk's framing fault is part of ReadSnapshot's verdict below.
+	var secs []section
+	rep.Version, secs, _ = scanSections(b)
+	if _, err := ReadSnapshot(b); err != nil {
+		rep.Err = err.Error()
+	} else {
+		rep.Valid = true
 	}
-	rep.Version = d.u32()
-	count := d.u32()
-	if d.err != nil {
-		rep.Err = "truncated header"
-		return rep, nil
-	}
-	if rep.Version != FormatVersion {
-		rep.Err = fmt.Sprintf("format v%d, reader supports v%d", rep.Version, FormatVersion)
-	}
-	for i := uint32(0); i < count && d.err == nil; i++ {
-		kind := d.u32()
-		plen := d.intLen(d.u64(), 1)
-		payload := d.take(plen)
-		sum := d.u32()
-		if d.err != nil {
-			if rep.Err == "" {
-				rep.Err = fmt.Sprintf("truncated in section %d", i+1)
-			}
-			break
-		}
-		info := SectionInfo{
-			Kind:  kind,
-			Name:  sectionName(kind),
-			Bytes: len(payload),
-			CRCOK: crc32.Checksum(payload, castagnoli) == sum,
-		}
-		if !info.CRCOK && rep.Err == "" {
-			rep.Err = fmt.Sprintf("section %q checksum mismatch", info.Name)
-		}
-		if info.CRCOK {
-			var s Snapshot
-			switch kind {
-			case secMeta:
-				if decodeMeta(payload, &s) == nil {
-					rep.Seq, rep.Gen = s.Seq, s.Gen
-					rep.SavedAt = time.Unix(0, s.SavedUnixNano)
-					rep.BaseFP = s.BaseFP
-					rep.Params = s.Params
-					info.Details = fmt.Sprintf("seq=%d gen=%d eps=%g dim=%d seed=%d",
-						s.Seq, s.Gen, s.Params.Epsilon, s.Params.Dim, s.Params.Seed)
-				}
-			case secGraph:
-				if g, gerr := decodeGraph(payload); gerr == nil {
-					rep.N, rep.M = g.N(), g.M()
-					info.Details = fmt.Sprintf("n=%d m=%d", g.N(), g.M())
-				}
-			case secSketch:
-				if decodeSketch(payload, &s) == nil {
-					rep.Dim = s.SketchMeta.Dim
-					info.Details = fmt.Sprintf("d=%d n=%d drift=%g updates=%d",
-						s.SketchMeta.Dim, s.SketchMeta.N, s.SketchMeta.Drift, s.SketchMeta.Updates)
-				}
-			case secHull:
-				if decodeHull(payload, &s) == nil {
-					rep.BoundaryL = len(s.Boundary)
-					info.Details = fmt.Sprintf("l=%d diameter=%.6g certified=%v",
-						len(s.Boundary), s.Diameter, s.Certified)
-				}
-			}
+	for _, sec := range secs {
+		info := SectionInfo{Kind: sec.kind, Name: sectionName(sec.kind), Bytes: len(sec.payload), CRCOK: sec.crcOK}
+		if sec.crcOK {
+			info.Details = rep.describe(sec)
 		}
 		rep.Sections = append(rep.Sections, info)
 	}
-	if rep.Err == "" {
-		// Authoritative answer: exactly what recovery would decide.
-		if _, rerr := ReadSnapshot(b); rerr != nil {
-			rep.Err = rerr.Error()
-		} else {
-			rep.Valid = true
+	return rep
+}
+
+// describe summarizes a CRC-valid section as its decoder reads it, or says
+// that it does not decode. A meta section that decodes becomes rep.Meta.
+func (rep *Report) describe(sec section) string {
+	var s Snapshot
+	switch sec.kind {
+	case secMeta:
+		if decodeMeta(sec.payload, &s) == nil {
+			rep.Meta = &s
+			return fmt.Sprintf("seq=%d gen=%d eps=%g dim=%d seed=%d",
+				s.Seq, s.Gen, s.Params.Epsilon, s.Params.Dim, s.Params.Seed)
 		}
+	case secGraph:
+		if g, err := decodeGraph(sec.payload); err == nil {
+			return fmt.Sprintf("n=%d m=%d", g.N(), g.M())
+		}
+	case secSketch:
+		if decodeSketch(sec.payload, &s) == nil {
+			return fmt.Sprintf("d=%d n=%d drift=%g updates=%d",
+				s.SketchMeta.Dim, s.SketchMeta.N, s.SketchMeta.Drift, s.SketchMeta.Updates)
+		}
+	case secHull:
+		if decodeHull(sec.payload, &s) == nil {
+			return fmt.Sprintf("l=%d diameter=%.6g certified=%v", len(s.Boundary), s.Diameter, s.Certified)
+		}
+	default:
+		return ""
 	}
-	return rep, nil
+	return "does not decode"
 }
 
 // WALInfo summarizes a WAL file for operators.
@@ -166,23 +129,13 @@ func InspectWAL(path string) (*WALInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	var version uint32
-	var hdr [walHeaderSize]byte
-	// ReadAt leaves the scan offset at 0; the version is reported even when
-	// scanWAL rejects the rest of the header.
-	if n, _ := f.ReadAt(hdr[:], 0); n == walHeaderSize && string(hdr[:8]) == WALMagic {
-		version = getU32(hdr[8:12])
-	}
-	recs, validSize, err := scanWAL(f)
+	version, recs, validSize, err := scanWAL(f)
 	// A foreign version is reported, not failed: recovery resets such a log
 	// (loadWAL), so all of it counts as discarded.
 	if err != nil && !errors.Is(err, ErrVersion) {
 		return nil, err
 	}
 	info := &WALInfo{Path: path, Size: fi.Size(), Version: version, Records: len(recs), TornBytes: fi.Size() - validSize}
-	if validSize == 0 {
-		info.TornBytes = fi.Size()
-	}
 	if len(recs) > 0 {
 		info.FirstSeq = recs[0].Seq
 		info.LastSeq = recs[len(recs)-1].Seq
@@ -224,42 +177,26 @@ func InspectTail(path string) (*TailInfo, error) {
 	if err != nil {
 		return nil, err
 	}
+	return inspectTail(path, b), nil
+}
+
+func inspectTail(path string, b []byte) *TailInfo {
 	info := &TailInfo{Path: path, Size: int64(len(b))}
-	if len(b) < tailHeaderSize || string(b[0:8]) != TailMagic {
-		info.Err = "bad or truncated tail-frame header"
-		info.TornBytes = info.Size
-		return info, nil
+	s, _ := scanTail(b) // a header fault is part of DecodeTailFrame's verdict below
+	info.Version, info.HeaderOK, info.Declared = s.version, s.headerOK, s.declared
+	f := s.frame
+	info.LastSeq, info.WriterGen, info.SnapSeq, info.SnapGen = f.LastSeq, f.WriterGen, f.SnapSeq, f.SnapGen
+	if info.Records = len(f.Records); info.Records > 0 {
+		info.FirstRec, info.LastRec = f.Records[0].Seq, f.Records[info.Records-1].Seq
 	}
-	info.Version = getU32(b[8:12])
-	if crc32.Checksum(b[:48], castagnoli) == getU32(b[48:52]) {
-		info.HeaderOK = true
-		info.LastSeq = getU64(b[12:20])
-		info.WriterGen = getU64(b[20:28])
-		info.SnapSeq = getU64(b[28:36])
-		info.SnapGen = getU64(b[36:44])
-		info.Declared = int(getU32(b[44:48]))
-	}
-	off := tailHeaderSize
-	for info.Records < info.Declared && off+walRecordSize <= len(b) {
-		rec, ok := decodeRecord(b[off : off+walRecordSize])
-		if !ok || (info.Records > 0 && rec.Seq != info.LastRec+1) {
-			break
-		}
-		if info.Records == 0 {
-			info.FirstRec = rec.Seq
-		}
-		info.LastRec = rec.Seq
-		info.Records++
-		off += walRecordSize
-	}
-	info.TornBytes = int64(len(b) - off)
+	info.TornBytes = int64(len(b) - s.end)
 	// Authoritative answer: exactly what a replica would decide.
-	if _, derr := DecodeTailFrame(b); derr != nil {
-		info.Err = derr.Error()
+	if _, err := DecodeTailFrame(b); err != nil {
+		info.Err = err.Error()
 	} else {
 		info.Valid = true
 	}
-	return info, nil
+	return info
 }
 
 // InspectDir summarizes a store directory: every snapshot file (newest

@@ -27,6 +27,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/fnv"
@@ -186,9 +187,7 @@ func Fingerprint(g *graph.Graph) uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
 	put := func(x uint64) {
-		for i := 0; i < 8; i++ {
-			buf[i] = byte(x >> (8 * i))
-		}
+		binary.LittleEndian.PutUint64(buf[:], x)
 		h.Write(buf[:])
 	}
 	put(uint64(g.N()))

@@ -433,11 +433,16 @@ func TestInspectSnapshotAndWAL(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(reps) != 1 || !reps[0].Valid || reps[0].Seq != 5 || reps[0].Gen != 7 {
+	if len(reps) != 1 || !reps[0].Valid || reps[0].Meta == nil || reps[0].Meta.Seq != 5 || reps[0].Meta.Gen != 7 {
 		t.Fatalf("snapshot report: %+v", reps[0])
 	}
-	if len(reps[0].Sections) != 4 || reps[0].N == 0 || reps[0].BoundaryL == 0 {
+	if len(reps[0].Sections) != 4 {
 		t.Fatalf("report sections incomplete: %+v", reps[0])
+	}
+	for _, sec := range reps[0].Sections {
+		if !sec.CRCOK || sec.Details == "" || sec.Details == "does not decode" {
+			t.Fatalf("section %s of a valid snapshot: %+v", sec.Name, sec)
+		}
 	}
 	if wi == nil || wi.Records != 1 || wi.FirstSeq != 6 || wi.TornBytes != 0 {
 		t.Fatalf("wal info: %+v", wi)

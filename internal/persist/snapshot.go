@@ -4,6 +4,7 @@ package persist
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -41,14 +42,9 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // enc is a little-endian append-only byte encoder.
 type enc struct{ b []byte }
 
-func (e *enc) u8(x uint8) { e.b = append(e.b, x) }
-func (e *enc) u32(x uint32) {
-	e.b = append(e.b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24))
-}
-func (e *enc) u64(x uint64) {
-	e.b = append(e.b, byte(x), byte(x>>8), byte(x>>16), byte(x>>24),
-		byte(x>>32), byte(x>>40), byte(x>>48), byte(x>>56))
-}
+func (e *enc) u8(x uint8)    { e.b = append(e.b, x) }
+func (e *enc) u32(x uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, x) }
+func (e *enc) u64(x uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, x) }
 func (e *enc) i64(x int64)   { e.u64(uint64(x)) }
 func (e *enc) f64(x float64) { e.u64(math.Float64bits(x)) }
 
@@ -75,28 +71,24 @@ func (d *dec) take(n int) []byte {
 }
 
 func (d *dec) u8() uint8 {
-	p := d.take(1)
-	if p == nil {
-		return 0
+	if p := d.take(1); p != nil {
+		return p[0]
 	}
-	return p[0]
+	return 0
 }
 
 func (d *dec) u32() uint32 {
-	p := d.take(4)
-	if p == nil {
-		return 0
+	if p := d.take(4); p != nil {
+		return binary.LittleEndian.Uint32(p)
 	}
-	return uint32(p[0]) | uint32(p[1])<<8 | uint32(p[2])<<16 | uint32(p[3])<<24
+	return 0
 }
 
 func (d *dec) u64() uint64 {
-	p := d.take(8)
-	if p == nil {
-		return 0
+	if p := d.take(8); p != nil {
+		return binary.LittleEndian.Uint64(p)
 	}
-	return uint64(p[0]) | uint64(p[1])<<8 | uint64(p[2])<<16 | uint64(p[3])<<24 |
-		uint64(p[4])<<32 | uint64(p[5])<<40 | uint64(p[6])<<48 | uint64(p[7])<<56
+	return 0
 }
 
 func (d *dec) i64() int64   { return int64(d.u64()) }
@@ -376,55 +368,78 @@ func syncDir(dir string) error {
 	return nil
 }
 
-// readSections parses the framing of an encoded snapshot and returns the
-// CRC-verified payload per section kind. Strict: unknown kinds, duplicate
-// kinds, bad checksums and truncations all fail with ErrCorrupt.
-func readSections(b []byte) (map[uint32][]byte, error) {
+// section is one framed snapshot section as found on disk.
+type section struct {
+	kind    uint32
+	payload []byte
+	crcOK   bool
+}
+
+// errHeader is the framing fault of bytes that do not open with the
+// snapshot magic and a whole version field.
+var errHeader = fmt.Errorf("%w: bad magic or truncated header", ErrCorrupt)
+
+// scanSections walks an encoded snapshot in file order: the header, then
+// each section's kind, length, payload and CRC. It returns the format
+// version, every section it could frame with its CRC verdict, and the first
+// framing fault: errHeader, a truncation, or bytes after the last section.
+// A foreign version does not stop the walk. The declared section count
+// sizes nothing: each framed section takes at least 16 bytes of b.
+func scanSections(b []byte) (version uint32, secs []section, err error) {
 	d := dec{b: b}
-	magic := d.take(8)
-	if d.err != nil || string(magic) != snapshotMagic {
-		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
+	if string(d.take(len(snapshotMagic))) != snapshotMagic {
+		return 0, nil, errHeader
 	}
-	if v := d.u32(); v != FormatVersion {
-		if d.err != nil {
-			return nil, d.err
-		}
-		return nil, fmt.Errorf("%w: snapshot format v%d, reader supports v%d", ErrVersion, v, FormatVersion)
+	if version = d.u32(); d.err != nil {
+		return 0, nil, errHeader
 	}
-	count := d.u32()
-	if d.err != nil {
-		return nil, d.err
-	}
-	// Each kind appears at most once, so a larger count is corrupt; checked
-	// before it sizes the map.
-	if count > secHull {
-		return nil, fmt.Errorf("%w: %d sections, at most %d kinds exist", ErrCorrupt, count, secHull)
-	}
-	secs := make(map[uint32][]byte, count)
-	for i := uint32(0); i < count; i++ {
+	for count := d.u32(); d.err == nil && uint32(len(secs)) < count; {
 		kind := d.u32()
-		plen := d.intLen(d.u64(), 1)
-		payload := d.take(plen)
+		payload := d.take(d.intLen(d.u64(), 1))
 		sum := d.u32()
-		if d.err != nil {
-			return nil, d.err
+		if d.err == nil {
+			secs = append(secs, section{kind, payload, crc32.Checksum(payload, castagnoli) == sum})
 		}
-		if kind < secMeta || kind > secHull {
-			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, kind)
-		}
-		if _, dup := secs[kind]; dup {
-			return nil, fmt.Errorf("%w: duplicate section kind %d", ErrCorrupt, kind)
-		}
-		if got := crc32.Checksum(payload, castagnoli); got != sum {
-			return nil, fmt.Errorf("%w: section %d checksum mismatch (got %08x, want %08x)",
-				ErrCorrupt, kind, got, sum)
-		}
-		secs[kind] = payload
+	}
+	if d.err != nil {
+		return version, secs, d.err
 	}
 	if d.off != len(b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(b)-d.off)
+		return version, secs, fmt.Errorf("%w: %d trailing bytes after last section", ErrCorrupt, len(b)-d.off)
 	}
-	return secs, nil
+	return version, secs, nil
+}
+
+// readSections holds the framing walk to recovery's standard and returns
+// the CRC-verified payload per section kind. Strict, in this order: a
+// foreign version fails with ErrVersion; then, section by section, an
+// unknown kind, a duplicate kind or a bad checksum fails with ErrCorrupt;
+// then so does the walk's framing fault.
+func readSections(b []byte) (map[uint32][]byte, error) {
+	version, secs, err := scanSections(b)
+	if errors.Is(err, errHeader) {
+		return nil, err
+	}
+	if version != FormatVersion {
+		return nil, fmt.Errorf("%w: snapshot format v%d, reader supports v%d", ErrVersion, version, FormatVersion)
+	}
+	payloads := make(map[uint32][]byte, secHull)
+	for _, sec := range secs {
+		if sec.kind < secMeta || sec.kind > secHull {
+			return nil, fmt.Errorf("%w: unknown section kind %d", ErrCorrupt, sec.kind)
+		}
+		if _, dup := payloads[sec.kind]; dup {
+			return nil, fmt.Errorf("%w: duplicate section kind %d", ErrCorrupt, sec.kind)
+		}
+		if !sec.crcOK {
+			return nil, fmt.Errorf("%w: section %d checksum mismatch", ErrCorrupt, sec.kind)
+		}
+		payloads[sec.kind] = sec.payload
+	}
+	if err != nil {
+		return nil, err
+	}
+	return payloads, nil
 }
 
 // ReadSnapshot decodes and fully validates an encoded snapshot.

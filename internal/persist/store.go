@@ -330,7 +330,7 @@ func (st *Store) walRecordsOnDiskLocked() ([]Record, int64, error) {
 	if _, err := st.wal.Seek(0, 0); err != nil {
 		return nil, 0, err
 	}
-	recs, size, err := scanWAL(st.wal)
+	_, recs, size, err := scanWAL(st.wal)
 	if err != nil {
 		return nil, 0, err
 	}

@@ -3,6 +3,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 )
@@ -47,14 +48,15 @@ type TailFrame struct {
 // EncodeTailFrame serializes f.
 func EncodeTailFrame(f TailFrame) []byte {
 	b := make([]byte, tailHeaderSize, tailHeaderSize+len(f.Records)*walRecordSize)
+	le := binary.LittleEndian
 	copy(b[0:8], TailMagic)
-	putU32(b[8:12], FormatVersion)
-	putU64(b[12:20], f.LastSeq)
-	putU64(b[20:28], f.WriterGen)
-	putU64(b[28:36], f.SnapSeq)
-	putU64(b[36:44], f.SnapGen)
-	putU32(b[44:48], uint32(len(f.Records)))
-	putU32(b[48:52], crc32.Checksum(b[:48], castagnoli))
+	le.PutUint32(b[8:12], FormatVersion)
+	le.PutUint64(b[12:20], f.LastSeq)
+	le.PutUint64(b[20:28], f.WriterGen)
+	le.PutUint64(b[28:36], f.SnapSeq)
+	le.PutUint64(b[36:44], f.SnapGen)
+	le.PutUint32(b[44:48], uint32(len(f.Records)))
+	le.PutUint32(b[48:52], crc32.Checksum(b[:48], castagnoli))
 	for _, r := range f.Records {
 		rec := encodeRecord(r)
 		b = append(b, rec[:]...)
@@ -62,42 +64,79 @@ func EncodeTailFrame(f TailFrame) []byte {
 	return b
 }
 
-// DecodeTailFrame parses and verifies a tail-fetch response: header
-// checksum, per-record checksums, exact length, and strict sequence
-// contiguity. Any violation fails with ErrCorrupt (a replica discards the
-// frame and re-fetches); a foreign format version fails with ErrVersion.
-func DecodeTailFrame(b []byte) (TailFrame, error) {
+// tailScan is what scanTail reads of a tail-fetch frame.
+type tailScan struct {
+	version uint32
+	// headerOK reports that the header checksum held; only then are the
+	// header fields and the records read.
+	headerOK bool
+	// frame holds the header fields, and the verified record prefix as
+	// Records.
+	frame    TailFrame
+	declared int // the record count the header declares
+	end      int // offset just past the verified prefix
+	// recErr is why the prefix stops at a record that is there to read: its
+	// checksum, or a break in sequence contiguity.
+	recErr error
+}
+
+// scanTail decodes a tail-fetch frame's header and its verified record
+// prefix: the records, in order and at most the declared count, whose own
+// checksums hold and whose sequences run on from the one before. Bytes too
+// short for the header, or without the magic, fail with ErrCorrupt.
+func scanTail(b []byte) (tailScan, error) {
 	if len(b) < tailHeaderSize || string(b[0:8]) != TailMagic {
-		return TailFrame{}, fmt.Errorf("%w: bad tail-frame header", ErrCorrupt)
+		return tailScan{}, fmt.Errorf("%w: bad tail-frame header", ErrCorrupt)
 	}
-	if v := getU32(b[8:12]); v != FormatVersion {
-		return TailFrame{}, fmt.Errorf("%w: tail frame v%d, reader supports v%d", ErrVersion, v, FormatVersion)
+	le := binary.LittleEndian
+	s := tailScan{version: le.Uint32(b[8:12]), end: tailHeaderSize}
+	if crc32.Checksum(b[:48], castagnoli) != le.Uint32(b[48:52]) {
+		return s, nil
 	}
-	if crc32.Checksum(b[:48], castagnoli) != getU32(b[48:52]) {
-		return TailFrame{}, fmt.Errorf("%w: tail-frame header checksum", ErrCorrupt)
+	s.headerOK = true
+	s.frame = TailFrame{
+		LastSeq:   le.Uint64(b[12:20]),
+		WriterGen: le.Uint64(b[20:28]),
+		SnapSeq:   le.Uint64(b[28:36]),
+		SnapGen:   le.Uint64(b[36:44]),
 	}
-	f := TailFrame{
-		LastSeq:   getU64(b[12:20]),
-		WriterGen: getU64(b[20:28]),
-		SnapSeq:   getU64(b[28:36]),
-		SnapGen:   getU64(b[36:44]),
-	}
-	count := int(getU32(b[44:48]))
-	if len(b) != tailHeaderSize+count*walRecordSize {
-		return TailFrame{}, fmt.Errorf("%w: tail frame declares %d records, carries %d bytes",
-			ErrCorrupt, count, len(b)-tailHeaderSize)
-	}
-	f.Records = make([]Record, 0, count)
-	for i := 0; i < count; i++ {
-		off := tailHeaderSize + i*walRecordSize
-		rec, ok := decodeRecord(b[off : off+walRecordSize])
+	s.declared = int(le.Uint32(b[44:48]))
+	s.frame.Records = make([]Record, 0, min(s.declared, (len(b)-tailHeaderSize)/walRecordSize))
+	for i := 0; i < s.declared && s.end+walRecordSize <= len(b); i++ {
+		rec, ok := decodeRecord(b[s.end : s.end+walRecordSize])
 		if !ok {
-			return TailFrame{}, fmt.Errorf("%w: tail-frame record %d checksum", ErrCorrupt, i)
+			s.recErr = fmt.Errorf("%w: tail-frame record %d checksum", ErrCorrupt, i)
+			break
 		}
-		if i > 0 && rec.Seq != f.Records[i-1].Seq+1 {
-			return TailFrame{}, fmt.Errorf("%w: tail-frame records not contiguous at %d", ErrCorrupt, i)
+		if i > 0 && rec.Seq != s.frame.Records[i-1].Seq+1 {
+			s.recErr = fmt.Errorf("%w: tail-frame records not contiguous at %d", ErrCorrupt, i)
+			break
 		}
-		f.Records = append(f.Records, rec)
+		s.frame.Records = append(s.frame.Records, rec)
+		s.end += walRecordSize
 	}
-	return f, nil
+	return s, nil
+}
+
+// DecodeTailFrame parses and verifies a tail-fetch response all or nothing:
+// a foreign format version fails with ErrVersion; a missing header, a bad
+// header checksum, a length other than the declared records', or a declared
+// record outside the verified prefix fails with ErrCorrupt (a replica
+// discards the frame and re-fetches).
+func DecodeTailFrame(b []byte) (TailFrame, error) {
+	s, err := scanTail(b)
+	switch {
+	case err != nil:
+		return TailFrame{}, err
+	case s.version != FormatVersion:
+		return TailFrame{}, fmt.Errorf("%w: tail frame v%d, reader supports v%d", ErrVersion, s.version, FormatVersion)
+	case !s.headerOK:
+		return TailFrame{}, fmt.Errorf("%w: tail-frame header checksum", ErrCorrupt)
+	case len(b) != tailHeaderSize+s.declared*walRecordSize:
+		return TailFrame{}, fmt.Errorf("%w: tail frame declares %d records, carries %d bytes",
+			ErrCorrupt, s.declared, len(b)-tailHeaderSize)
+	case s.recErr != nil:
+		return TailFrame{}, s.recErr
+	}
+	return s.frame, nil
 }

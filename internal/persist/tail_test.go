@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"errors"
 	"hash/crc32"
 	"os"
@@ -232,9 +233,9 @@ func TestTailFrameRejectsCorruption(t *testing.T) {
 		{"short", func(b []byte) []byte { return b[:10] }, false},
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }, false},
 		{"version", func(b []byte) []byte {
-			putU32(b[8:12], FormatVersion+1)
+			binary.LittleEndian.PutUint32(b[8:12], FormatVersion+1)
 			// Re-seal the header CRC so only the version mismatch fires.
-			putU32(b[48:52], headerCRC(b))
+			binary.LittleEndian.PutUint32(b[48:52], headerCRC(b))
 			return b
 		}, true},
 		{"header flip", func(b []byte) []byte { b[14] ^= 0x01; return b }, false},

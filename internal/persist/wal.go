@@ -3,6 +3,7 @@
 package persist
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -41,45 +42,22 @@ type Record struct {
 
 func encodeRecord(r Record) [walRecordSize]byte {
 	var b [walRecordSize]byte
-	putU64(b[0:8], r.Seq)
+	le := binary.LittleEndian
+	le.PutUint64(b[0:8], r.Seq)
 	if r.Add {
 		b[8] = opAdd
 	} else {
 		b[8] = opRemove
 	}
-	putU32(b[9:13], uint32(r.U))
-	putU32(b[13:17], uint32(r.V))
-	putU32(b[17:21], crc32.Checksum(b[:17], castagnoli))
+	le.PutUint32(b[9:13], uint32(r.U))
+	le.PutUint32(b[13:17], uint32(r.V))
+	le.PutUint32(b[17:21], crc32.Checksum(b[:17], castagnoli))
 	return b
 }
 
-func putU32(b []byte, x uint32) {
-	b[0], b[1], b[2], b[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
-}
-
-func putU64(b []byte, x uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(x >> (8 * i))
-	}
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	var x uint64
-	for i := 0; i < 8; i++ {
-		x |= uint64(b[i]) << (8 * i)
-	}
-	return x
-}
-
 func decodeRecord(b []byte) (Record, bool) {
-	if len(b) < walRecordSize {
-		return Record{}, false
-	}
-	if crc32.Checksum(b[:17], castagnoli) != getU32(b[17:21]) {
+	le := binary.LittleEndian
+	if len(b) < walRecordSize || crc32.Checksum(b[:17], castagnoli) != le.Uint32(b[17:21]) {
 		return Record{}, false
 	}
 	op := b[8]
@@ -87,10 +65,10 @@ func decodeRecord(b []byte) (Record, bool) {
 		return Record{}, false
 	}
 	return Record{
-		Seq: getU64(b[0:8]),
+		Seq: le.Uint64(b[0:8]),
 		Add: op == opAdd,
-		U:   int(int32(getU32(b[9:13]))),
-		V:   int(int32(getU32(b[13:17]))),
+		U:   int(int32(le.Uint32(b[9:13]))),
+		V:   int(int32(le.Uint32(b[13:17]))),
 	}, true
 }
 
@@ -98,34 +76,32 @@ func decodeRecord(b []byte) (Record, bool) {
 func walHeader() [walHeaderSize]byte {
 	var h [walHeaderSize]byte
 	copy(h[:8], WALMagic)
-	putU32(h[8:12], FormatVersion)
+	binary.LittleEndian.PutUint32(h[8:12], FormatVersion)
 	return h
 }
 
-// scanWAL reads r and returns the valid record prefix plus the byte offset
-// where validity ends (for tail repair). A missing or foreign header yields
-// zero records and offset 0 — the caller rewrites the file.
-func scanWAL(r io.Reader) (recs []Record, validSize int64, err error) {
+// scanWAL reads r and returns the header's format version, the valid
+// record prefix, and the byte offset where validity ends (for tail repair).
+// A missing or foreign header yields version 0, zero records and offset 0;
+// a foreign version is ErrVersion. Either way the caller rewrites the file.
+func scanWAL(r io.Reader) (version uint32, recs []Record, validSize int64, err error) {
 	var hdr [walHeaderSize]byte
-	if _, herr := io.ReadFull(r, hdr[:]); herr != nil {
-		return nil, 0, nil
+	if _, herr := io.ReadFull(r, hdr[:]); herr != nil || string(hdr[:8]) != WALMagic {
+		return 0, nil, 0, nil
 	}
-	if string(hdr[:8]) != WALMagic {
-		return nil, 0, nil
-	}
-	if v := getU32(hdr[8:12]); v != FormatVersion {
-		return nil, 0, fmt.Errorf("%w: wal format v%d, reader supports v%d", ErrVersion, v, FormatVersion)
+	if version = binary.LittleEndian.Uint32(hdr[8:12]); version != FormatVersion {
+		return version, nil, 0, fmt.Errorf("%w: wal format v%d, reader supports v%d", ErrVersion, version, FormatVersion)
 	}
 	validSize = walHeaderSize
 	var buf [walRecordSize]byte
 	var lastSeq uint64
 	for {
 		if _, rerr := io.ReadFull(r, buf[:]); rerr != nil {
-			return recs, validSize, nil // clean EOF or torn tail: stop here
+			return version, recs, validSize, nil // clean EOF or torn tail: stop here
 		}
 		rec, ok := decodeRecord(buf[:])
 		if !ok || rec.Seq == 0 || (lastSeq != 0 && rec.Seq != lastSeq+1) {
-			return recs, validSize, nil
+			return version, recs, validSize, nil
 		}
 		lastSeq = rec.Seq
 		recs = append(recs, rec)
@@ -148,7 +124,7 @@ func loadWAL(path string) (_ *os.File, _ []Record, err error) {
 			f.Close()
 		}
 	}()
-	recs, validSize, err := scanWAL(f)
+	_, recs, validSize, err := scanWAL(f)
 	if err != nil || validSize == 0 {
 		// Foreign version or unreadable header: start over.
 		recs = nil

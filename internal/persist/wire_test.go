@@ -2,6 +2,7 @@ package persist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"math"
 	"reflect"
@@ -105,9 +106,9 @@ func TestSnapshotWideRoundTrip(t *testing.T) {
 func TestWALWideRoundTrip(t *testing.T) {
 	want := wideRecords()
 	b := encodeWAL(want)
-	got, validSize, err := scanWAL(bytes.NewReader(b))
-	if err != nil || validSize != int64(len(b)) {
-		t.Fatalf("scan: %d of %d bytes valid, err %v", validSize, len(b), err)
+	version, got, validSize, err := scanWAL(bytes.NewReader(b))
+	if err != nil || version != FormatVersion || validSize != int64(len(b)) {
+		t.Fatalf("scan: v%d, %d of %d bytes valid, err %v", version, validSize, len(b), err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip changed the records:\n got %+v\nwant %+v", got, want)
@@ -140,7 +141,7 @@ func TestWALEveryBitFlipDropsRecord(t *testing.T) {
 		if bit/8 >= walHeaderSize {
 			keep = (bit/8 - walHeaderSize) / walRecordSize
 		}
-		got, validSize, err := scanWAL(bytes.NewReader(b))
+		_, got, validSize, err := scanWAL(bytes.NewReader(b))
 		if err != nil && !(keep == 0 && errors.Is(err, ErrVersion)) {
 			t.Fatalf("flip of bit %d (byte %d): err %v", bit%8, bit/8, err)
 		}
@@ -237,7 +238,7 @@ func forgedSectionCount() []byte {
 // claims n = 2^24 nodes.
 func forgedNodeCount() [][]byte {
 	p := sectionPayloads(wideSnapshot())
-	putU64(p[1][0:8], 1<<24)
+	binary.LittleEndian.PutUint64(p[1][0:8], 1<<24)
 	return p
 }
 

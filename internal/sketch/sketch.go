@@ -56,10 +56,6 @@ type Options struct {
 	Seed int64
 	// Solver configures the underlying Laplacian solves.
 	Solver solver.Options
-	// Workers caps the solve parallelism; zero means GOMAXPROCS. Workers
-	// take the rows in blocks of solver.Lanes, so at most ⌈d/Lanes⌉ of them
-	// run. The paper's timing runs pin a single thread; pass 1 to match.
-	Workers int
 }
 
 // TheoreticalDim returns ⌈24 ln n / ε²⌉, the JL dimension of Lemma 5.1.
@@ -148,18 +144,10 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 	// Row i of X̃ is the solution of L x = Bᵀ qᵢ with qᵢ a random ±1/√d
 	// m-vector drawn from row i's own seeded stream. The rows are solved
 	// Lanes at a time, block k holding rows Lanes·k … Lanes·k+Lanes−1, and
-	// the blocks are spread over workers, each with its own solver scratch.
+	// the blocks are spread over min(GOMAXPROCS, blocks) workers, each with
+	// its own solver scratch.
 	blocks := (d + solver.Lanes - 1) / solver.Lanes
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > blocks {
-		workers = blocks
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := min(runtime.GOMAXPROCS(0), blocks)
 
 	scale := 1 / math.Sqrt(float64(d))
 	var (

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -67,16 +68,22 @@ func TestSketchSelfResistanceZero(t *testing.T) {
 	}
 }
 
+// buildWithProcs builds a sketch with GOMAXPROCS pinned to procs, which
+// caps the build's worker count.
+func buildWithProcs(t *testing.T, procs int, csr *graph.CSR, opt Options) *Sketch {
+	t.Helper()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	sk, err := NewContext(context.Background(), csr, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
+}
+
 func TestSketchDeterministic(t *testing.T) {
 	g := graph.BarabasiAlbert(50, 2, 4)
-	a, err := NewContext(context.Background(), g.ToCSR(), Options{Epsilon: 0.2, Dim: 40, Seed: 99, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := NewContext(context.Background(), g.ToCSR(), Options{Epsilon: 0.2, Dim: 40, Seed: 99, Workers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := buildWithProcs(t, 4, g.ToCSR(), Options{Epsilon: 0.2, Dim: 40, Seed: 99})
+	b := buildWithProcs(t, 1, g.ToCSR(), Options{Epsilon: 0.2, Dim: 40, Seed: 99})
 	for v := 0; v < 50; v++ {
 		pa, pb := a.Point(v), b.Point(v)
 		for i := range pa {
@@ -148,10 +155,7 @@ func TestSketchEmptyGraph(t *testing.T) {
 func TestBuildStats(t *testing.T) {
 	g := graph.BarabasiAlbert(120, 3, 5)
 	const dim = 48
-	sk, err := NewContext(context.Background(), g.ToCSR(), Options{Epsilon: 0.3, Dim: dim, Seed: 2, Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
+	sk := buildWithProcs(t, 4, g.ToCSR(), Options{Epsilon: 0.3, Dim: dim, Seed: 2})
 	st := sk.Stats
 	if st.Rows != dim {
 		t.Fatalf("stats rows %d, want %d", st.Rows, dim)
@@ -173,7 +177,7 @@ func TestBuildStats(t *testing.T) {
 // TestNewContextMatchesReference: the four-lane build equals the row-by-row
 // reference bit for bit, points and BuildStats alike, for every sketch
 // dimension shape (one block, a partial block, exact blocks) and worker
-// count, and runs at most ⌈d/4⌉ workers.
+// count (GOMAXPROCS), and runs at most ⌈d/4⌉ workers.
 func TestNewContextMatchesReference(t *testing.T) {
 	graphs := map[string]*graph.CSR{
 		"ba120":            graph.BarabasiAlbert(120, 3, 5).ToCSR(),
@@ -189,11 +193,7 @@ func TestNewContextMatchesReference(t *testing.T) {
 			}
 			for _, workers := range []int{1, 2, 3, 8} {
 				t.Run(fmt.Sprintf("%s/d=%d/workers=%d", name, d, workers), func(t *testing.T) {
-					opt.Workers = workers
-					sk, err := NewContext(context.Background(), csr, opt)
-					if err != nil {
-						t.Fatal(err)
-					}
+					sk := buildWithProcs(t, workers, csr, opt)
 					got, want := sk.Stats, ref.Stats
 					if wantWorkers := min(workers, (d+3)/4); got.Workers != wantWorkers {
 						t.Errorf("workers %d, want %d", got.Workers, wantWorkers)

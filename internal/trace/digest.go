@@ -2,7 +2,10 @@
 
 package trace
 
-import "math"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Response digests are 64-bit FNV-1a over the semantic content of the
 // response, with float64 values hashed by their IEEE-754 bits. "Semantic"
@@ -24,8 +27,10 @@ type digest uint64
 func newDigest() digest { return fnvOffset }
 
 func (d digest) u64(x uint64) digest {
-	for i := 0; i < 8; i++ {
-		d ^= digest(byte(x >> (8 * i)))
+	var b [8]byte
+	binary.LittleEndian.PutUint64(b[:], x)
+	for _, c := range b {
+		d ^= digest(c)
 		d *= fnvPrime
 	}
 	return d

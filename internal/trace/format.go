@@ -14,6 +14,7 @@
 package trace
 
 import (
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -116,49 +117,20 @@ func (r Record) encodedSize() int { return recPrefix + 8*len(r.Args) + crcSize }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-func putU32(b []byte, x uint32) {
-	b[0], b[1], b[2], b[3] = byte(x), byte(x>>8), byte(x>>16), byte(x>>24)
-}
-
-func putU64(b []byte, x uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(x >> (8 * i))
-	}
-}
-
-func getU32(b []byte) uint32 {
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func getU64(b []byte) uint64 {
-	var x uint64
-	for i := 0; i < 8; i++ {
-		x |= uint64(b[i]) << (8 * i)
-	}
-	return x
-}
-
 // appendRecord encodes r onto dst and returns the extended slice.
 func appendRecord(dst []byte, r Record) []byte {
 	start := len(dst)
-	var scratch [8]byte
-	putU64(scratch[:], r.Seq)
-	dst = append(dst, scratch[:]...)
-	putU64(scratch[:], r.DeltaNanos)
-	dst = append(dst, scratch[:]...)
+	le := binary.LittleEndian
+	dst = le.AppendUint64(dst, r.Seq)
+	dst = le.AppendUint64(dst, r.DeltaNanos)
 	dst = append(dst, byte(r.Op))
-	putU64(scratch[:], r.Gen)
-	dst = append(dst, scratch[:]...)
-	putU64(scratch[:], r.Digest)
-	dst = append(dst, scratch[:]...)
-	putU32(scratch[:4], uint32(len(r.Args)))
-	dst = append(dst, scratch[:4]...)
+	dst = le.AppendUint64(dst, r.Gen)
+	dst = le.AppendUint64(dst, r.Digest)
+	dst = le.AppendUint32(dst, uint32(len(r.Args)))
 	for _, a := range r.Args {
-		putU64(scratch[:], uint64(a))
-		dst = append(dst, scratch[:]...)
+		dst = le.AppendUint64(dst, uint64(a))
 	}
-	putU32(scratch[:4], crc32.Checksum(dst[start:], castagnoli))
-	return append(dst, scratch[:4]...)
+	return le.AppendUint32(dst, crc32.Checksum(dst[start:], castagnoli))
 }
 
 // decodeRecord parses one record from the front of b, returning it and the
@@ -167,7 +139,8 @@ func decodeRecord(b []byte) (rec Record, n int, ok bool) {
 	if len(b) < recPrefix {
 		return Record{}, 0, false
 	}
-	nargs := getU32(b[33:37])
+	le := binary.LittleEndian
+	nargs := le.Uint32(b[33:37])
 	if nargs > maxArgs {
 		return Record{}, 0, false
 	}
@@ -175,15 +148,15 @@ func decodeRecord(b []byte) (rec Record, n int, ok bool) {
 	if len(b) < n {
 		return Record{}, 0, false
 	}
-	if crc32.Checksum(b[:n-4], castagnoli) != getU32(b[n-4:n]) {
+	if crc32.Checksum(b[:n-4], castagnoli) != le.Uint32(b[n-4:n]) {
 		return Record{}, 0, false
 	}
 	rec = Record{
-		Seq:        getU64(b[0:8]),
-		DeltaNanos: getU64(b[8:16]),
+		Seq:        le.Uint64(b[0:8]),
+		DeltaNanos: le.Uint64(b[8:16]),
 		Op:         Op(b[16]),
-		Gen:        getU64(b[17:25]),
-		Digest:     getU64(b[25:33]),
+		Gen:        le.Uint64(b[17:25]),
+		Digest:     le.Uint64(b[25:33]),
 	}
 	if !validOp(rec.Op) {
 		return Record{}, 0, false
@@ -191,7 +164,7 @@ func decodeRecord(b []byte) (rec Record, n int, ok bool) {
 	if nargs > 0 {
 		rec.Args = make([]int64, nargs)
 		for i := range rec.Args {
-			rec.Args[i] = int64(getU64(b[37+8*i:]))
+			rec.Args[i] = int64(le.Uint64(b[37+8*i:]))
 		}
 	}
 	return rec, n, true
@@ -201,7 +174,7 @@ func decodeRecord(b []byte) (rec Record, n int, ok bool) {
 func header() [headerSize]byte {
 	var h [headerSize]byte
 	copy(h[:8], Magic)
-	putU32(h[8:12], FormatVersion)
+	binary.LittleEndian.PutUint32(h[8:12], FormatVersion)
 	return h
 }
 
@@ -215,55 +188,24 @@ var ErrVersion = fmt.Errorf("trace: unsupported format version")
 // prefix — a torn tail from a crashed recorder, or corruption — is simply
 // not returned; callers report it via the offset.
 func ScanTrace(r io.Reader) (recs []Record, validSize int64, err error) {
-	var hdr [headerSize]byte
-	if _, herr := io.ReadFull(r, hdr[:]); herr != nil {
+	// A read error ends the stream as EOF does: the bytes before it are
+	// scanned, and the rest counts as torn.
+	b, _ := io.ReadAll(r)
+	if len(b) < headerSize || string(b[:8]) != Magic {
 		return nil, 0, nil
 	}
-	if string(hdr[:8]) != Magic {
-		return nil, 0, nil
-	}
-	if v := getU32(hdr[8:12]); v != FormatVersion {
+	if v := binary.LittleEndian.Uint32(b[8:12]); v != FormatVersion {
 		return nil, 0, fmt.Errorf("%w: trace format v%d, reader supports v%d", ErrVersion, v, FormatVersion)
 	}
-	validSize = headerSize
-	// Records are variable-length, so scan over a growing buffer: read the
-	// fixed prefix, then the args the length field promises.
-	buf := make([]byte, 0, 4096)
-	var scratch [4096]byte
-	var lastSeq uint64
+	off := headerSize
 	for {
-		// Top the buffer up until it holds a whole candidate record (or the
-		// stream ends, which terminates the valid prefix).
-		for {
-			if len(buf) >= recPrefix {
-				nargs := getU32(buf[33:37])
-				if nargs > maxArgs {
-					return recs, validSize, nil
-				}
-				if len(buf) >= recPrefix+8*int(nargs)+crcSize {
-					break
-				}
-			}
-			n, rerr := r.Read(scratch[:])
-			buf = append(buf, scratch[:n]...)
-			if rerr != nil {
-				if len(buf) < recPrefix {
-					return recs, validSize, nil
-				}
-				if nargs := getU32(buf[33:37]); nargs > maxArgs || len(buf) < recPrefix+8*int(nargs)+crcSize {
-					return recs, validSize, nil
-				}
-				break
-			}
+		// Sequences run contiguously from 1.
+		rec, n, ok := decodeRecord(b[off:])
+		if !ok || rec.Seq != uint64(len(recs))+1 {
+			return recs, int64(off), nil
 		}
-		rec, n, ok := decodeRecord(buf)
-		if !ok || rec.Seq == 0 || (lastSeq != 0 && rec.Seq != lastSeq+1) || (lastSeq == 0 && rec.Seq != 1) {
-			return recs, validSize, nil
-		}
-		lastSeq = rec.Seq
 		recs = append(recs, rec)
-		validSize += int64(n)
-		buf = buf[n:]
+		off += n
 	}
 }
 

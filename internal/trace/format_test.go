@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"os"
 	"path/filepath"
@@ -118,7 +119,7 @@ func TestScanTraceCorruption(t *testing.T) {
 		{"oversize nargs", func(b []byte) []byte {
 			c := append([]byte{}, b[:offsets[3]]...)
 			bad := appendRecord(nil, recs[3])
-			putU32(bad[33:37], maxArgs+1) // CRC now wrong too, but nargs bound trips first
+			binary.LittleEndian.PutUint32(bad[33:37], maxArgs+1) // CRC now wrong too, but nargs bound trips first
 			return append(c, bad...)
 		}, 3, int64(offsets[3])},
 		{"garbage tail", func(b []byte) []byte {
@@ -144,7 +145,7 @@ func TestScanTraceCorruption(t *testing.T) {
 
 func TestScanTraceForeignVersion(t *testing.T) {
 	buf := encodeTrace(sampleRecords())
-	putU32(buf[8:12], FormatVersion+1)
+	binary.LittleEndian.PutUint32(buf[8:12], FormatVersion+1)
 	if _, _, err := ScanTrace(bytes.NewReader(buf)); !errors.Is(err, ErrVersion) {
 		t.Fatalf("foreign version: err = %v, want ErrVersion", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"resistecc/internal/graph"
 	"resistecc/internal/trace"
 )
 
@@ -11,9 +12,8 @@ import (
 // translating the trace's external node ids through the same label mapping
 // the recording server used so digests come out bit-identical.
 type indexExecutor struct {
-	d          *DynamicIndex
-	toExternal []int64
-	toInternal map[int64]int
+	d   *DynamicIndex
+	ids *graph.IDMap
 }
 
 // TraceExecutor adapts a DynamicIndex into a trace replay target.
@@ -22,15 +22,11 @@ type indexExecutor struct {
 // digests all pass through it. The executor serializes operations the way
 // the replayer issues them — it adds no locking of its own.
 func TraceExecutor(d *DynamicIndex, toExternal []int64) trace.Executor {
-	inv := make(map[int64]int, len(toExternal))
-	for i, ext := range toExternal {
-		inv[ext] = i
-	}
-	return &indexExecutor{d: d, toExternal: toExternal, toInternal: inv}
+	return &indexExecutor{d: d, ids: graph.NewIDMap(toExternal)}
 }
 
 func (e *indexExecutor) resolve(ext int64) (int, error) {
-	i, ok := e.toInternal[ext]
+	i, ok := e.ids.Internal(ext)
 	if !ok {
 		return 0, fmt.Errorf("resistecc: trace references unknown node %d", ext)
 	}
@@ -84,9 +80,9 @@ func (e *indexExecutor) query(ext []int64) (trace.OpResult, error) {
 	res := make([]trace.EccResult, len(out))
 	for i, ecc := range out {
 		res[i] = trace.EccResult{
-			Node:     e.toExternal[ecc.Node],
+			Node:     e.ids.ToExternal[ecc.Node],
 			Ecc:      ecc.Value,
-			Farthest: e.toExternal[ecc.Farthest],
+			Farthest: e.ids.ToExternal[ecc.Farthest],
 		}
 	}
 	return trace.OpResult{Gen: snap.Generation, Digest: trace.DigestQuery(res)}, nil
