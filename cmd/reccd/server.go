@@ -976,8 +976,10 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	})
 }
 
-// handleRebuild implements POST /v1/rebuild: force a background rebuild
-// regardless of drift (e.g. after a burst of stale-mode mutations).
+// handleRebuild implements POST /v1/rebuild: queue one full rebuild behind
+// the pending mutations, regardless of drift (e.g. after a failed rebuild
+// left the index stale), and answer 202 without waiting for it. Each request
+// queues its own build.
 func (s *server) handleRebuild(w http.ResponseWriter, _ *http.Request) {
 	sv := s.current()
 	// Read the snapshot before triggering: the stamped generation must be

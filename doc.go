@@ -20,7 +20,8 @@
 //     optima for small instances, and the DE/PK/PATH/RAND baselines.
 //   - Dynamic serving: DynamicIndex keeps a FastIndex live across online
 //     edge mutations with generation-numbered immutable snapshots, rank-1
-//     incremental sketch updates, and cancellable background rebuilds.
+//     incremental sketch updates, and cancellable full rebuilds that run
+//     between mutations while reads continue.
 //
 // # Quick start
 //

@@ -19,7 +19,7 @@ const (
 	MutationIncremental MutationMode = MutationMode(lifecycle.ModeIncremental)
 	// MutationStale: the mutation landed on the master graph but the served
 	// index could not absorb it incrementally; answers lag until the
-	// scheduled background rebuild swaps in.
+	// rebuild it trips swaps in.
 	MutationStale MutationMode = MutationMode(lifecycle.ModeStale)
 )
 
@@ -32,7 +32,8 @@ type MutationResult struct {
 	// Drift is the accumulated incremental-error bound after this mutation;
 	// serving error stays within ε + Drift until the next rebuild resets it.
 	Drift float64
-	// RebuildScheduled reports whether a background rebuild is now pending.
+	// RebuildScheduled reports whether this mutation tripped a rebuild,
+	// which runs before the next mutation is applied.
 	RebuildScheduled bool
 }
 
@@ -60,7 +61,6 @@ type DynamicStats struct {
 	Stale              bool
 	Rebuilds           uint64
 	RebuildFailures    uint64
-	RebuildScheduled   bool
 	RebuildInProgress  bool
 	LastRebuildSeconds float64
 	GraphN, GraphM     int
@@ -69,10 +69,13 @@ type DynamicStats struct {
 
 // DynamicIndex is a FastIndex that accepts online edge mutations. Queries
 // always hit a complete immutable snapshot (RCU: no locks on the read path);
-// AddEdge/RemoveEdge apply cheap incremental sketch updates when safe and
-// fall back to a cancellable background rebuild once the accumulated drift,
-// or the deletion count, crosses its threshold. A quiesced index (WaitIdle)
-// serves exactly what a cold NewFastIndex of the current graph would.
+// AddEdge/RemoveEdge apply cheap incremental sketch updates when safe. A
+// mutation that takes the accumulated drift, or the deletion count, past
+// its threshold (or that the update cannot absorb) is answered first, and a
+// full rebuild then runs before the next mutation: reads continue on the
+// published generation meanwhile, and later mutations queue behind it. A
+// rebuilt index serves exactly what a cold NewFastIndex of the current
+// graph would.
 //
 // Build one with NewDynamicIndex; WithEpsilon is required, and
 // WithDriftThreshold / WithMaxDeletions / WithMutationQueue tune the
@@ -89,10 +92,10 @@ type DynamicIndex struct {
 }
 
 // NewDynamicIndex builds the initial index (generation 1) from g and starts
-// the mutation and rebuild workers. The graph must be connected
-// (ErrDisconnected otherwise); g is cloned, so later changes to it do not
-// affect the index. ctx cancels the initial build and, after it, all
-// background rebuilds; Close releases the workers.
+// the worker that applies mutations and rebuilds. The graph must be
+// connected (ErrDisconnected otherwise); g is cloned, so later changes to it
+// do not affect the index. ctx bounds the initial build; Close stops the
+// worker and cancels a rebuild in flight.
 func NewDynamicIndex(ctx context.Context, g *Graph, opts ...Option) (*DynamicIndex, error) {
 	c := applyOptions(opts)
 	params := paramsOf(c)
@@ -142,14 +145,17 @@ func convMutation(r lifecycle.ApplyResult, err error) (MutationResult, error) {
 	}, nil
 }
 
-// TriggerRebuild schedules a background rebuild regardless of drift. A
-// no-op on follower indexes (WithFollower), which never rebuild locally.
+// TriggerRebuild queues a full rebuild regardless of drift, behind the
+// mutations already queued, and returns without waiting for it (it waits
+// only for queue space). Each call queues one build. A no-op on follower
+// indexes (WithFollower), which never rebuild locally.
 func (d *DynamicIndex) TriggerRebuild() { d.m.TriggerRebuild() }
 
-// RebuildAndWait schedules a rebuild and blocks until the index settles,
-// returning the generation that was serving when the rebuild was requested.
-// Trace replay uses it to absorb a recorded rebuild synchronously before the
-// next operation runs.
+// RebuildAndWait queues a rebuild and blocks until it has finished,
+// returning the generation that was serving when the rebuild was requested
+// and the build's error if it failed. Trace replay uses it to absorb a
+// recorded rebuild before the next operation runs. On a follower index it
+// only waits for the queued mutations.
 func (d *DynamicIndex) RebuildAndWait(ctx context.Context) (uint64, error) {
 	return d.m.RebuildAndWait(ctx)
 }
@@ -166,8 +172,9 @@ func (d *DynamicIndex) Seq() uint64 { return d.m.Seq() }
 // serving and mutations.
 func (d *DynamicIndex) ReplicationStore() *persist.Store { return d.store }
 
-// WaitIdle blocks until no mutation is queued and no rebuild is pending or
-// running — the point at which served answers match a cold rebuild.
+// WaitIdle blocks until every mutation queued before it has been applied
+// and every rebuild queued or tripped before it has finished. Unless a
+// rebuild failed, the served index then reflects the current graph.
 func (d *DynamicIndex) WaitIdle(ctx context.Context) error { return d.m.WaitIdle(ctx) }
 
 // Stats reports the lifecycle state for health and metrics endpoints.
@@ -182,7 +189,6 @@ func (d *DynamicIndex) Stats() DynamicStats {
 		Stale:              s.Stale,
 		Rebuilds:           s.Rebuilds,
 		RebuildFailures:    s.RebuildFailures,
-		RebuildScheduled:   s.RebuildScheduled,
 		RebuildInProgress:  s.RebuildInProgress,
 		LastRebuildSeconds: s.LastRebuildSeconds,
 		GraphN:             s.GraphN,

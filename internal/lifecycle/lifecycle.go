@@ -1,9 +1,11 @@
 // Package lifecycle owns the dynamic-serving core of the repository: a
-// generation-numbered FASTQUERY index behind an RCU-style atomic pointer, a
-// serialized mutation queue (AddEdge/RemoveEdge) that applies cheap
-// Sherman–Morrison embedding updates in place of full rebuilds, and a
-// cancellable background rebuild that re-sketches from scratch once the
-// accumulated drift or the deletion count crosses a threshold.
+// generation-numbered FASTQUERY index behind an RCU-style atomic pointer and
+// one worker goroutine that drains a FIFO of ops. An op is an edge add or
+// removal (AddEdge/RemoveEdge), which applies a cheap Sherman–Morrison
+// embedding update in place of a full rebuild; a rebuild request; or a
+// WaitIdle barrier. A mutation that takes the accumulated drift or the
+// deletion count past its threshold is answered first, and the worker then
+// re-sketches from scratch before it takes the next op.
 //
 // The paper's optimization half (§VI–VII) is all about changing the graph —
 // FARMINRECC/MINRECC add edges and re-score — while FASTQUERY's index is a
@@ -16,16 +18,16 @@
 //
 //   - Readers call Current() and query the returned Snapshot; snapshots are
 //     immutable after publication, so no locks are taken on the query path.
-//   - Mutations are serialized through one worker goroutine. Each successful
-//     incremental mutation publishes a new snapshot with Gen+1. A mutation
-//     whose embedding update is unsafe (bridge-like removal, solver failure)
-//     is still applied to the master graph but leaves the served index
-//     stale and forces a rebuild ("stale" mode).
-//   - The background rebuild re-sketches the master graph with the original
-//     options (same seeds), so a quiesced manager serves exactly what a cold
-//     build of the current graph would. Rebuilds that lose a race with new
-//     mutations are discarded and rerun (coalescing), never swapped in over
-//     fresher data.
+//   - Ops run one at a time, in arrival order. Each successful incremental
+//     mutation publishes a new snapshot with Gen+1. A mutation whose
+//     embedding update is unsafe (bridge-like removal, solver failure) is
+//     still applied to the master graph but leaves the served index stale
+//     and trips a rebuild ("stale" mode).
+//   - A rebuild re-sketches the master graph with the original options
+//     (same seeds), so it serves exactly what a cold build of the current
+//     graph would. It runs on the worker, so no mutation can overtake it:
+//     reads continue on the published generation, and mutations queue
+//     behind it.
 //   - Accumulated drift is the sum of per-update relative-error bounds (see
 //     internal/sketch/update.go); serving error is bounded by ε + drift
 //     between rebuilds.
@@ -49,19 +51,19 @@ import (
 var ErrClosed = errors.New("lifecycle: manager closed")
 
 // ErrStale is returned by CheckpointState while the served index lags the
-// master graph (a rebuild is pending): checkpointing then would persist an
-// index inconsistent with its graph. Wait for the rebuild and retry.
+// master graph (a rebuild is pending, or the last one failed):
+// checkpointing then would persist an index inconsistent with its graph.
+// Wait for the rebuild and retry.
 var ErrStale = errors.New("lifecycle: index is stale; rebuild pending")
 
 // Journal observes committed state for durability (internal/persist wires a
-// WAL + snapshot store through it). AppendMutation runs on the mutation
-// worker after each commit with the post-mutation sequence number;
-// Checkpoint runs after every rebuild swap with a state that exactly
-// reflects Seq. Neither touches the lock-free query path, but both run on
-// the serialized workers, so implementations should not dawdle (an appended
-// WAL record, one snapshot write). Errors are counted in
-// Stats.JournalFailures and otherwise ignored — durability trouble must not
-// take down serving.
+// WAL + snapshot store through it). AppendMutation runs on the worker after
+// each commit with the post-mutation sequence number; Checkpoint runs after
+// every rebuild swap with a state that exactly reflects Seq. Neither touches
+// the lock-free query path, but both hold up the next op, so
+// implementations should not dawdle (an appended WAL record, one snapshot
+// write). Errors are counted in Stats.JournalFailures and otherwise
+// ignored — durability trouble must not take down serving.
 type Journal interface {
 	AppendMutation(seq uint64, add bool, u, v int) error
 	Checkpoint(cs CheckpointState) error
@@ -91,17 +93,16 @@ type Config struct {
 	// MaxDeletions schedules a rebuild after this many edge removals since
 	// the last full build, regardless of drift. Zero means 16.
 	MaxDeletions int
-	// QueueSize is the mutation queue capacity; enqueueing blocks (with the
+	// QueueSize is the op queue capacity; enqueueing blocks (with the
 	// caller's context as the way out) when full. Zero means 64.
 	QueueSize int
-	// Follower disables local rebuild scheduling: the manager's state then
-	// changes only through applied mutations, so it is a pure deterministic
-	// function of the base state (a restored snapshot) and the mutation
-	// sequence. Replication replicas rely on this for bit-identical
-	// convergence with the writer — a locally-timed rebuild would diverge.
-	// A follower that goes stale stays stale until its owner swaps in a
-	// fresh base (re-fetching the writer's snapshot); WaitIdle accordingly
-	// treats a drained-but-stale follower as idle.
+	// Follower disables local rebuilds: the manager's state then changes
+	// only through applied mutations, so it is a pure deterministic function
+	// of the base state (a restored snapshot) and the mutation sequence.
+	// Replication replicas rely on this for bit-identical convergence with
+	// the writer — a local rebuild would diverge. A follower that goes stale
+	// stays stale until its owner swaps in a fresh base (re-fetching the
+	// writer's snapshot), and a rebuild request on it is only a barrier.
 	Follower bool
 }
 
@@ -136,10 +137,8 @@ const (
 	ModeIncremental Mode = "incremental"
 	// ModeStale: the mutation was applied to the master graph but the served
 	// index does not reflect it — the incremental update was unavailable
-	// (bridge-like removal, solver failure), skipped because the index was
-	// already stale, or discarded after a concurrent rebuild superseded its
-	// base snapshot. The index stays stale until the scheduled rebuild
-	// swaps in.
+	// (bridge-like removal, solver failure) or skipped because the index was
+	// already stale. The index stays stale until a rebuild swaps in.
 	ModeStale Mode = "stale"
 )
 
@@ -151,14 +150,16 @@ type ApplyResult struct {
 	Mode Mode
 	// Drift is the accumulated drift bound after this mutation.
 	Drift float64
-	// RebuildScheduled reports whether this mutation tripped (or found
-	// already tripped) the rebuild trigger.
+	// RebuildScheduled reports whether this mutation tripped the rebuild
+	// trigger: the worker rebuilds before it takes the next op.
 	RebuildScheduled bool
 }
 
 // Stats is a point-in-time view of the manager for health and metrics.
 type Stats struct {
-	Generation         uint64
+	Generation uint64
+	// QueueDepth counts ops queued or running: mutations (until the rebuild
+	// they tripped has finished), rebuild requests and WaitIdle barriers.
 	QueueDepth         int
 	Drift              float64
 	Updates            int
@@ -166,7 +167,6 @@ type Stats struct {
 	Stale              bool
 	Rebuilds           uint64
 	RebuildFailures    uint64
-	RebuildScheduled   bool
 	RebuildInProgress  bool
 	LastRebuildSeconds float64
 	// JournalFailures counts attached-journal calls (AppendMutation or
@@ -179,40 +179,52 @@ type Stats struct {
 	IndexN, IndexM int
 }
 
-type mutation struct {
-	add  bool
+// opKind is what one queued op asks of the worker.
+type opKind uint8
+
+const (
+	opAdd opKind = iota
+	opRemove
+	opRebuild
+	opBarrier
+)
+
+// op is one entry of the worker's FIFO. done is buffered: a mutation's
+// answer is sent as soon as it is applied, a rebuild's or a barrier's once
+// it has finished.
+type op struct {
+	kind opKind
 	u, v int
-	resp chan mutResult
+	done chan opResult
 }
 
-type mutResult struct {
+type opResult struct {
 	res ApplyResult
 	err error
 }
 
 // Manager owns the index lifecycle. Construct with New; callers may query
 // (Current) from any goroutine and mutate (AddEdge/RemoveEdge) from any
-// goroutine; mutations are serialized internally.
+// goroutine; one worker runs every op in arrival order.
 type Manager struct {
 	cfg  Config
 	fopt ecc.FastOptions
 	hopt hull.Options
 
 	cur     atomic.Pointer[Snapshot]
-	queue   chan mutation
-	pending atomic.Int64 // enqueued but unanswered mutations
+	queue   chan op
+	pending atomic.Int64 // queued or running ops (Stats.QueueDepth)
 
 	// The durable layer's store lock nests strictly inside the manager
-	// lock: persistence hooks run from worker goroutines that already
-	// hold (or have released) mu, and the store never calls back up.
+	// lock: the one worker calls the journal holding mu (a mutation's WAL
+	// append) or after releasing it (a rebuild's checkpoint), and the store
+	// never calls back up.
 	//recclint:lockrank lifecycle.Manager.mu < persist.Store.mu
 	mu                sync.Mutex
-	latest            *graph.Graph  // guarded by mu; master graph: mutation worker + rebuild clone
+	latest            *graph.Graph  // guarded by mu; master graph, mutated only by the worker
 	mutSeq            uint64        // guarded by mu; bumps on every applied mutation
-	rebuildEpoch      uint64        // guarded by mu; bumps every time a rebuild swaps a snapshot in
 	deletions         int           // guarded by mu
 	stale             bool          // guarded by mu
-	rebuildScheduled  bool          // guarded by mu
 	rebuildInProgress bool          // guarded by mu
 	rebuilds          uint64        // guarded by mu
 	rebuildFailures   uint64        // guarded by mu
@@ -220,21 +232,15 @@ type Manager struct {
 	journal           Journal       // guarded by mu
 	journalFailures   uint64        // guarded by mu
 
-	trigger chan struct{}
-	ctx     context.Context
-	cancel  context.CancelFunc
-	wg      sync.WaitGroup
-
-	// testHookAfterSolve, when set, runs on the mutation worker between the
-	// unlocked solve and the commit — the window a concurrent rebuild can
-	// swap a snapshot into. Tests use it to exercise that race.
-	testHookAfterSolve func()
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
 }
 
 // New builds the generation-1 index over g (which must be connected — serve
 // the largest connected component, the paper's standard preprocessing) and
-// starts the mutation and rebuild workers. The manager keeps its own copy of
-// g. ctx bounds only the initial build; use Close to stop the manager.
+// starts the worker. The manager keeps its own copy of g. ctx bounds only
+// the initial build; use Close to stop the manager.
 func New(ctx context.Context, g *graph.Graph, cfg Config) (*Manager, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("lifecycle: index requires a connected graph: %w", graph.ErrDisconnected)
@@ -289,26 +295,24 @@ func NewFromState(g *graph.Graph, fast *ecc.Fast, rs Restored, cfg Config) (*Man
 }
 
 // start takes ownership of g, publishes the initial snapshot and launches
-// the workers. Common tail of New and NewFromState.
+// the worker. Common tail of New and NewFromState.
 //
-//recclint:ctxroot the workers outlive every caller; their lifetime is bounded by Manager.Close, not a request context
+//recclint:ctxroot the worker outlives every caller; its lifetime is bounded by Manager.Close, not a request context
 func start(g *graph.Graph, fast *ecc.Fast, gen, seq uint64, cfg Config, fopt ecc.FastOptions, hopt hull.Options) *Manager {
 	bctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:     cfg,
-		fopt:    fopt,
-		hopt:    hopt,
-		queue:   make(chan mutation, cfg.QueueSize),
-		latest:  g,
-		mutSeq:  seq,
-		trigger: make(chan struct{}, 1),
-		ctx:     bctx,
-		cancel:  cancel,
+		cfg:    cfg,
+		fopt:   fopt,
+		hopt:   hopt,
+		queue:  make(chan op, cfg.QueueSize),
+		latest: g,
+		mutSeq: seq,
+		ctx:    bctx,
+		cancel: cancel,
 	}
 	m.cur.Store(&Snapshot{Gen: gen, Fast: fast, N: g.N(), M: g.M()})
-	m.wg.Add(2)
-	go m.mutationWorker()
-	go m.rebuildWorker()
+	m.wg.Add(1)
+	go m.worker()
 	return m
 }
 
@@ -344,32 +348,40 @@ func (m *Manager) Current() *Snapshot { return m.cur.Load() }
 
 // AddEdge inserts (u,v), updating the served index incrementally when safe.
 func (m *Manager) AddEdge(ctx context.Context, u, v int) (ApplyResult, error) {
-	return m.mutate(ctx, mutation{add: true, u: u, v: v})
+	return m.do(ctx, op{kind: opAdd, u: u, v: v})
 }
 
 // RemoveEdge deletes (u,v). Removals that would disconnect the graph are
 // rejected with ErrDisconnected (the index only serves connected graphs).
 func (m *Manager) RemoveEdge(ctx context.Context, u, v int) (ApplyResult, error) {
-	return m.mutate(ctx, mutation{add: false, u: u, v: v})
+	return m.do(ctx, op{kind: opRemove, u: u, v: v})
 }
 
-// mutate enqueues and waits. If ctx expires after enqueueing, the mutation
-// may still be applied by the worker — callers observing a ctx error should
-// treat the outcome as unknown, not as a rollback.
-func (m *Manager) mutate(ctx context.Context, mut mutation) (ApplyResult, error) {
-	mut.resp = make(chan mutResult, 1)
+// send queues o, waiting for queue space.
+func (m *Manager) send(ctx context.Context, o op) error {
 	m.pending.Add(1)
 	select {
-	case m.queue <- mut:
+	case m.queue <- o:
+		return nil
 	case <-ctx.Done():
 		m.pending.Add(-1)
-		return ApplyResult{}, ctx.Err()
+		return ctx.Err()
 	case <-m.ctx.Done():
 		m.pending.Add(-1)
-		return ApplyResult{}, ErrClosed
+		return ErrClosed
+	}
+}
+
+// do queues o and waits for its answer. If ctx expires after enqueueing,
+// the op may still run — callers observing a ctx error should treat the
+// outcome as unknown, not as a rollback.
+func (m *Manager) do(ctx context.Context, o op) (ApplyResult, error) {
+	o.done = make(chan opResult, 1)
+	if err := m.send(ctx, o); err != nil {
+		return ApplyResult{}, err
 	}
 	select {
-	case r := <-mut.resp:
+	case r := <-o.done:
 		return r.res, r.err
 	case <-ctx.Done():
 		return ApplyResult{}, ctx.Err()
@@ -378,30 +390,27 @@ func (m *Manager) mutate(ctx context.Context, mut mutation) (ApplyResult, error)
 	}
 }
 
-// TriggerRebuild schedules a background full rebuild regardless of drift.
-// A no-op in follower mode (followers never rebuild locally).
+// TriggerRebuild queues a full rebuild regardless of drift, behind the ops
+// already queued; like a mutation, it waits for queue space. Each call
+// queues one build. A no-op in follower mode (followers never rebuild
+// locally) and after Close.
 func (m *Manager) TriggerRebuild() {
-	if m.cfg.Follower {
-		return
-	}
-	m.mu.Lock()
-	m.scheduleRebuildLocked()
-	m.mu.Unlock()
+	// send fails only once the manager is closed, when there is nothing to
+	// rebuild.
+	_ = m.send(m.ctx, op{kind: opRebuild, done: make(chan opResult, 1)})
 }
 
-// RebuildAndWait schedules a rebuild and blocks until the manager settles,
-// returning the generation that was serving when the rebuild was requested.
-// It is the deterministic re-execution entry point: trace replay needs the
-// rebuild fully absorbed before the next operation runs, and needs the
-// pre-rebuild generation because that is what the recording server stamped
-// on its acceptance.
+// RebuildAndWait queues a rebuild and waits for it, returning the
+// generation that was serving when the rebuild was requested, and the
+// build's error if it failed. It is the deterministic re-execution entry
+// point: trace replay needs the rebuild fully absorbed before the next
+// operation runs, and needs the pre-rebuild generation because that is what
+// the recording server stamped on its acceptance. On a follower it is a
+// barrier.
 func (m *Manager) RebuildAndWait(ctx context.Context) (uint64, error) {
 	gen := m.Current().Gen
-	m.TriggerRebuild()
-	if err := m.WaitIdle(ctx); err != nil {
-		return gen, err
-	}
-	return gen, nil
+	_, err := m.do(ctx, op{kind: opRebuild})
+	return gen, err
 }
 
 // Seq returns the number of mutations applied since the manager's base
@@ -413,29 +422,13 @@ func (m *Manager) Seq() uint64 {
 	return m.mutSeq
 }
 
-// WaitIdle blocks until the mutation queue is drained and no rebuild is
-// scheduled or running — the point at which Current() serves exactly a cold
-// build of the master graph (unless drift-free incremental generations are
-// still within threshold, which is also a settled state).
+// WaitIdle queues a barrier and waits for it: every op queued before it
+// has then finished, including the rebuilds its mutations tripped. Unless
+// a rebuild failed (the manager then stays stale until the next one
+// succeeds), Current() then reflects the master graph.
 func (m *Manager) WaitIdle(ctx context.Context) error {
-	tick := time.NewTicker(2 * time.Millisecond)
-	defer tick.Stop()
-	for {
-		m.mu.Lock()
-		idle := m.pending.Load() == 0 && !m.rebuildScheduled && !m.rebuildInProgress &&
-			(!m.stale || m.cfg.Follower)
-		m.mu.Unlock()
-		if idle {
-			return nil
-		}
-		select {
-		case <-ctx.Done():
-			return ctx.Err()
-		case <-m.ctx.Done():
-			return ErrClosed
-		case <-tick.C:
-		}
-	}
+	_, err := m.do(ctx, op{kind: opBarrier})
+	return err
 }
 
 // Stats reports lifecycle gauges for /healthz and /metrics.
@@ -452,7 +445,6 @@ func (m *Manager) Stats() Stats {
 		Stale:              m.stale,
 		Rebuilds:           m.rebuilds,
 		RebuildFailures:    m.rebuildFailures,
-		RebuildScheduled:   m.rebuildScheduled,
 		RebuildInProgress:  m.rebuildInProgress,
 		LastRebuildSeconds: m.lastRebuildDur.Seconds(),
 		JournalFailures:    m.journalFailures,
@@ -463,7 +455,7 @@ func (m *Manager) Stats() Stats {
 	}
 }
 
-// Close stops both workers and cancels any in-flight rebuild. Queries
+// Close stops the worker and cancels any in-flight rebuild. Queries
 // against already-obtained snapshots keep working; mutations fail with
 // ErrClosed.
 func (m *Manager) Close() {
@@ -471,26 +463,48 @@ func (m *Manager) Close() {
 	m.wg.Wait()
 }
 
-func (m *Manager) mutationWorker() {
+func (m *Manager) worker() {
 	defer m.wg.Done()
 	for {
 		select {
 		case <-m.ctx.Done():
 			return
-		case mut := <-m.queue:
-			res, err := m.apply(mut)
-			mut.resp <- mutResult{res, err}
-			m.pending.Add(-1)
+		case o := <-m.queue:
+			m.run(o)
 		}
 	}
 }
 
+// run executes one op. A mutation is answered as soon as it is applied;
+// the rebuild it trips runs before run returns, so no op overtakes it, and
+// the mutation stays counted in QueueDepth until then. A rebuild request or
+// a barrier is answered once it has finished.
+func (m *Manager) run(o op) {
+	if o.kind == opAdd || o.kind == opRemove {
+		res, err := m.apply(o)
+		o.done <- opResult{res, err}
+		if res.RebuildScheduled {
+			m.rebuild() // a failure is counted; the next trip retries
+		}
+		m.pending.Add(-1)
+		return
+	}
+	var err error
+	if o.kind == opRebuild && !m.cfg.Follower {
+		err = m.rebuild()
+	}
+	// Uncount the op before answering, so a WaitIdle caller reads the
+	// settled QueueDepth.
+	m.pending.Add(-1)
+	o.done <- opResult{err: err}
+}
+
 // apply validates and executes one mutation. The worker is the sole mutator
-// of m.latest; the lock is dropped during the expensive solve + hull pass
-// and retaken to commit, which is safe because no other mutation can
-// interleave.
-func (m *Manager) apply(mut mutation) (ApplyResult, error) {
-	u, v := mut.u, mut.v
+// of m.latest; the lock is dropped during the expensive solve + hull pass,
+// so Stats and CheckpointState never wait on it, and retaken to commit,
+// which is safe because no other op can interleave.
+func (m *Manager) apply(o op) (ApplyResult, error) {
+	u, v, add := o.u, o.v, o.kind == opAdd
 
 	m.mu.Lock()
 	n := m.latest.N()
@@ -502,7 +516,7 @@ func (m *Manager) apply(mut mutation) (ApplyResult, error) {
 		m.mu.Unlock()
 		return ApplyResult{}, fmt.Errorf("%w: node %d", graph.ErrSelfLoop, u)
 	}
-	if mut.add {
+	if add {
 		if m.latest.HasEdge(u, v) {
 			m.mu.Unlock()
 			return ApplyResult{}, fmt.Errorf("%w: (%d,%d)", graph.ErrDuplicateEdge, u, v)
@@ -533,9 +547,8 @@ func (m *Manager) apply(mut mutation) (ApplyResult, error) {
 	// While the index is stale the master graph is already ahead of the
 	// served sketch, so the incremental precondition ("csr is the graph the
 	// sketch was built on") cannot hold — skip the solve and apply the
-	// mutation graph-only; the pending rebuild picks it up.
+	// mutation graph-only; the rebuild it trips picks it up.
 	stale := m.stale
-	epoch := m.rebuildEpoch
 	var csr *graph.CSR
 	var base *Snapshot
 	if !stale {
@@ -551,7 +564,7 @@ func (m *Manager) apply(mut mutation) (ApplyResult, error) {
 	if !stale {
 		var newSk *sketch.Sketch
 		var err error
-		if mut.add {
+		if add {
 			newSk, _, err = base.Fast.Sk.AddEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
 		} else {
 			newSk, _, err = base.Fast.Sk.RemoveEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
@@ -563,14 +576,11 @@ func (m *Manager) apply(mut mutation) (ApplyResult, error) {
 		// (bridge-like removal, solver trouble); the mutation still lands on
 		// the master graph and the rebuild repairs the index ("stale" mode).
 	}
-	if m.testHookAfterSolve != nil {
-		m.testHookAfterSolve()
-	}
 
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	var commitErr error
-	if mut.add {
+	if add {
 		commitErr = m.latest.AddEdge(u, v)
 	} else {
 		commitErr = m.latest.RemoveEdge(u, v)
@@ -583,22 +593,12 @@ func (m *Manager) apply(mut mutation) (ApplyResult, error) {
 		// Log the committed mutation before publishing: once the caller sees
 		// the result, the record is on its way to disk. Failures only degrade
 		// durability (counted; recovery's gap check refuses a holed WAL).
-		if jerr := m.journal.AppendMutation(m.mutSeq, mut.add, u, v); jerr != nil {
+		if jerr := m.journal.AppendMutation(m.mutSeq, add, u, v); jerr != nil {
 			m.journalFailures++
 		}
 	}
-	if !mut.add {
+	if !add {
 		m.deletions++
-	}
-	if newFast != nil && m.rebuildEpoch != epoch {
-		// A rebuild swapped a snapshot in while the solve ran (its mutSeq
-		// check passed because this mutation had not committed yet). The
-		// rank-1 result builds on the snapshot that rebuild replaced;
-		// publishing it would overwrite the fresh index with superseded data
-		// — and silently reinstate any staleness the rebuild just repaired.
-		// Discard it and fall back to stale mode; the rebuild scheduled
-		// below picks this mutation up.
-		newFast = nil
 	}
 	res := ApplyResult{}
 	if newFast != nil {
@@ -618,112 +618,60 @@ func (m *Manager) apply(mut mutation) (ApplyResult, error) {
 		res.Mode = ModeStale
 		res.Drift = m.cur.Load().Fast.Sk.Drift
 	}
-	if !m.cfg.Follower &&
-		(m.stale || m.deletions >= m.cfg.MaxDeletions || res.Drift > m.cfg.DriftThreshold) {
-		m.scheduleRebuildLocked()
-	}
-	res.RebuildScheduled = m.rebuildScheduled
+	res.RebuildScheduled = !m.cfg.Follower &&
+		(m.stale || m.deletions >= m.cfg.MaxDeletions || res.Drift > m.cfg.DriftThreshold)
 	return res, nil
 }
 
-// scheduleRebuildLocked arms the rebuild trigger (idempotent). Callers hold mu.
-func (m *Manager) scheduleRebuildLocked() {
-	if m.rebuildScheduled {
-		return
-	}
-	m.rebuildScheduled = true
-	select {
-	case m.trigger <- struct{}{}:
-	default:
-	}
-}
+// rebuild re-sketches the master graph, publishes the result and hands the
+// journal its checkpoint. It runs on the worker, so no mutation can land
+// while it builds. A failed build is counted and leaves the served index as
+// it was (still stale if it was stale); the next op that trips the trigger
+// tries again.
+func (m *Manager) rebuild() error {
+	m.mu.Lock()
+	seq := m.mutSeq
+	gclone := m.latest.Clone()
+	m.rebuildInProgress = true
+	m.mu.Unlock()
 
-func (m *Manager) rebuildWorker() {
-	defer m.wg.Done()
-	failStreak := 0
-	for {
-		select {
-		case <-m.ctx.Done():
-			return
-		case <-m.trigger:
+	start := time.Now()
+	fast, err := ecc.NewFastContext(m.ctx, gclone, m.fopt)
+	dur := time.Since(start)
+
+	m.mu.Lock()
+	m.rebuildInProgress = false
+	if err != nil {
+		if m.ctx.Err() == nil {
+			m.rebuildFailures++
 		}
-		// Rebuild until the result reflects the latest graph: a rebuild that
-		// loses a race with concurrent mutations is discarded and rerun, so
-		// a full build is never swapped in over fresher incremental data.
-		for {
+		m.mu.Unlock()
+		return fmt.Errorf("lifecycle: rebuild: %w", err)
+	}
+	next := &Snapshot{
+		Gen:  m.cur.Load().Gen + 1,
+		Fast: fast,
+		N:    gclone.N(),
+		M:    gclone.M(),
+	}
+	m.cur.Store(next)
+	m.rebuilds++
+	m.lastRebuildDur = dur
+	m.deletions = 0
+	m.stale = false
+	j := m.journal
+	m.mu.Unlock()
+	if j != nil {
+		// Checkpoint the freshly swapped index outside the lock: gclone is
+		// the exact graph fast was built from, and after the swap nothing
+		// else references it, so the journal takes ownership. The snapshot
+		// write may fsync megabytes; queries, Stats and CheckpointState must
+		// not wait on it.
+		if jerr := j.Checkpoint(CheckpointState{Seq: seq, Gen: next.Gen, Graph: gclone, Fast: fast}); jerr != nil {
 			m.mu.Lock()
-			seq := m.mutSeq
-			gclone := m.latest.Clone()
-			m.rebuildInProgress = true
+			m.journalFailures++
 			m.mu.Unlock()
-
-			start := time.Now()
-			fast, err := ecc.NewFastContext(m.ctx, gclone, m.fopt)
-			dur := time.Since(start)
-
-			m.mu.Lock()
-			m.rebuildInProgress = false
-			if err != nil {
-				if m.ctx.Err() != nil {
-					m.mu.Unlock()
-					return
-				}
-				m.rebuildFailures++
-				failStreak++
-				// Leave rebuildScheduled armed and retry with backoff:
-				// clearing it would strand a stale index (and a lying
-				// WaitIdle) until some future mutation re-trips the trigger.
-				m.mu.Unlock()
-				select {
-				case <-m.ctx.Done():
-					return
-				case <-time.After(rebuildBackoff(failStreak)):
-				}
-				continue
-			}
-			failStreak = 0
-			if m.mutSeq != seq {
-				m.mu.Unlock()
-				continue
-			}
-			next := &Snapshot{
-				Gen:  m.cur.Load().Gen + 1,
-				Fast: fast,
-				N:    gclone.N(),
-				M:    gclone.M(),
-			}
-			m.cur.Store(next)
-			m.rebuildEpoch++
-			m.rebuilds++
-			m.lastRebuildDur = dur
-			m.deletions = 0
-			m.stale = false
-			m.rebuildScheduled = false
-			j := m.journal
-			m.mu.Unlock()
-			if j != nil {
-				// Checkpoint the freshly swapped index outside the lock:
-				// gclone is the exact graph fast was built from (the mutSeq
-				// race check above proved nothing moved), and after the swap
-				// nothing else references it, so the journal takes ownership.
-				// The snapshot write may fsync megabytes; queries and
-				// mutations must not wait on it.
-				if jerr := j.Checkpoint(CheckpointState{Seq: seq, Gen: next.Gen, Graph: gclone, Fast: fast}); jerr != nil {
-					m.mu.Lock()
-					m.journalFailures++
-					m.mu.Unlock()
-				}
-			}
-			break
 		}
 	}
-}
-
-// rebuildBackoff is the delay before the streak-th consecutive retry of a
-// failed rebuild: 10ms doubling to a 1.28s cap.
-func rebuildBackoff(streak int) time.Duration {
-	if streak > 8 {
-		streak = 8
-	}
-	return time.Duration(1<<uint(streak-1)) * 10 * time.Millisecond
+	return nil
 }

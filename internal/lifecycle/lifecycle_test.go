@@ -4,12 +4,15 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
 
+	"resistecc/internal/dataset"
 	"resistecc/internal/ecc"
 	"resistecc/internal/graph"
+	"resistecc/internal/hull"
 	"resistecc/internal/sketch"
 )
 
@@ -113,8 +116,8 @@ func TestMutationValidation(t *testing.T) {
 
 // TestStaleRemovalSchedulesRebuild: removing a cycle edge keeps the graph
 // connected but its resistance (n-1)/n ≈ 0.975 is past the Sherman–Morrison
-// safety limit, so the mutation lands in stale mode and the background
-// rebuild repairs the index to exactly a cold build.
+// safety limit, so the mutation lands in stale mode and the rebuild it trips
+// repairs the index to exactly a cold build.
 func TestStaleRemovalSchedulesRebuild(t *testing.T) {
 	g := graph.Cycle(40)
 	cfg := testConfig()
@@ -233,7 +236,7 @@ func TestIncrementalAccuracy(t *testing.T) {
 func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 	g := graph.Cycle(32)
 	cfg := testConfig()
-	cfg.DriftThreshold = 0.05 // force frequent background rebuilds
+	cfg.DriftThreshold = 0.05 // force frequent rebuilds
 	m := newManager(t, g, cfg)
 
 	stop := make(chan struct{})
@@ -330,53 +333,6 @@ func TestStaleSkipsIncremental(t *testing.T) {
 	sameIndex(t, m.Current().Fast, cold, want.N())
 }
 
-// TestRebuildWinsCommitRace: a rebuild that swaps in while a mutation's
-// solve is running (possible because apply drops the lock for the solve)
-// must not be overwritten by that mutation's rank-1 result — the rank-1
-// snapshot builds on the superseded base. The mutation falls back to
-// ModeStale and the rescheduled rebuild picks it up.
-func TestRebuildWinsCommitRace(t *testing.T) {
-	g := graph.Cycle(24)
-	cfg := testConfig()
-	m := newManager(t, g, cfg)
-	m.testHookAfterSolve = func() {
-		m.TriggerRebuild()
-		deadline := time.Now().Add(30 * time.Second)
-		for m.Stats().Rebuilds < 1 {
-			if time.Now().After(deadline) {
-				t.Error("rebuild did not commit inside the solve window")
-				return
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-	res, err := m.AddEdge(context.Background(), 0, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeStale || !res.RebuildScheduled {
-		t.Fatalf("mode=%q scheduled=%v, want stale + scheduled after losing the race", res.Mode, res.RebuildScheduled)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := m.WaitIdle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	st := m.Stats()
-	if st.Stale || st.Rebuilds < 2 {
-		t.Fatalf("post-race stats: %+v", st)
-	}
-	want := g.Clone()
-	if err := want.AddEdge(0, 12); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := ecc.NewFast(want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameIndex(t, m.Current().Fast, cold, want.N())
-}
-
 // TestMaxDeletionsTriggersAtThreshold: the rebuild fires once the deletion
 // count reaches MaxDeletions, matching the documented "after this many edge
 // removals" (not MaxDeletions+1).
@@ -400,6 +356,106 @@ func TestMaxDeletionsTriggersAtThreshold(t *testing.T) {
 	}
 	if !res.RebuildScheduled {
 		t.Fatalf("second removal with MaxDeletions=2 did not schedule a rebuild: %+v", res)
+	}
+}
+
+// TestRebuildsKeepUpWithBackToBackWrites: adds sent with no gap between
+// them, on the Unicode-language proxy at reccd's shipped build values. Each
+// rebuild an add trips runs before the next add, so every tripped rebuild
+// lands, and no ack carries more drift than the threshold (which bounds the
+// base generation) plus one add's own term r/(1+r) < 1.
+func TestRebuildsKeepUpWithBackToBackWrites(t *testing.T) {
+	info, err := dataset.Get("Unicode-language")
+	if err != nil {
+		t.Fatal(err)
+	}
+	proxy, err := info.Proxy(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, _ := proxy.LargestComponent()
+	cfg := Config{
+		Sketch: sketch.Options{Epsilon: 0.2, Dim: 128, Seed: 1},
+		Hull:   hull.Options{MaxVertices: 64},
+	}
+	m := newManager(t, g, cfg)
+	limit := cfg.withDefaults().DriftThreshold + 1
+	ctx := context.Background()
+	rng := rand.New(rand.NewSource(22))
+	var tripped uint64
+	for acks := 0; acks < 12; {
+		u, v := rng.Intn(g.N()), rng.Intn(g.N())
+		if u == v || g.HasEdge(u, v) {
+			continue
+		}
+		if err := g.AddEdge(u, v); err != nil {
+			t.Fatal(err)
+		}
+		res, err := m.AddEdge(ctx, u, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		acks++
+		if res.Drift >= limit {
+			t.Fatalf("add %d (%d,%d): drift %g, want below %g (%d rebuilds for %d trips so far)",
+				acks, u, v, res.Drift, limit, m.Stats().Rebuilds, tripped)
+		}
+		if res.RebuildScheduled {
+			tripped++
+		}
+	}
+	wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
+	if err := m.WaitIdle(wctx); err != nil {
+		t.Fatal(err)
+	}
+	st := m.Stats()
+	if st.Rebuilds != tripped {
+		t.Fatalf("%d rebuilds for %d tripped acks: %+v", st.Rebuilds, tripped, st)
+	}
+	t.Logf("12 adds: %d tripped a rebuild, %d rebuilds landed", tripped, st.Rebuilds)
+}
+
+// TestFailedRebuildDoesNotSpin: with a one-iteration solver cap every
+// add's solve fails, so the add goes stale and trips a rebuild, and that
+// rebuild fails too. The failure is counted once per trip, the index stays
+// stale, and WaitIdle returns instead of waiting on retries.
+func TestFailedRebuildDoesNotSpin(t *testing.T) {
+	g := graph.BarabasiAlbert(150, 3, 5)
+	cfg := testConfig()
+	fast, err := ecc.NewFast(g, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg.Sketch.Solver.MaxIter = 1
+	m, err := NewFromState(g, fast, Restored{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(m.Close)
+	ctx := context.Background()
+	round := uint64(0)
+	for v := 1; round < 2; v++ {
+		if g.HasEdge(0, v) {
+			continue
+		}
+		round++
+		res, err := m.AddEdge(ctx, 0, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Mode != ModeStale || !res.RebuildScheduled {
+			t.Fatalf("round %d: mode=%q scheduled=%v, want stale + scheduled", round, res.Mode, res.RebuildScheduled)
+		}
+		wctx, cancel := context.WithTimeout(ctx, 2*time.Second)
+		err = m.WaitIdle(wctx)
+		cancel()
+		if err != nil {
+			t.Fatalf("round %d: WaitIdle: %v", round, err)
+		}
+		if st := m.Stats(); !st.Stale || st.RebuildFailures != round {
+			t.Fatalf("round %d: stale=%v rebuild failures=%d, want stale and %d", round, st.Stale, st.RebuildFailures, round)
+		}
 	}
 }
 

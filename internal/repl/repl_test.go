@@ -222,6 +222,31 @@ func TestTailerCaughtUpGenerationMismatchResyncs(t *testing.T) {
 	}
 }
 
+// TestTailerRebasesWhenGenerationsCoincide: the follower applies record 1
+// before the writer rebuilds at seq 1 (snapshot generation 3) and then
+// applies record 2 (generation 4). Applying record 2 on its old base puts
+// the follower at generation 3, the snapshot's number, so only the
+// snapshot's identity, not its generation, shows that re-basing helps.
+func TestTailerRebasesWhenGenerationsCoincide(t *testing.T) {
+	tw := newTestWriter(t)
+	tw.checkpoint(t, 0, 1)
+	f := &fakeFollower{}
+	tl := newTestTailer(t, tw, f)
+	tw.append(t, 0, 1)
+	if err := tl.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	tw.checkpoint(t, 1, 3)
+	tw.append(t, 1, 1)
+	if err := tl.Sync(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if f.restores != 2 || f.Seq() != 2 || f.Generation() != tw.gen.Load() {
+		t.Fatalf("restores %d, follower seq %d gen %d, writer gen %d",
+			f.restores, f.Seq(), f.Generation(), tw.gen.Load())
+	}
+}
+
 func TestTailerApplyErrorResyncs(t *testing.T) {
 	tw := newTestWriter(t)
 	tw.checkpoint(t, 0, 1)

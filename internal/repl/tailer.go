@@ -73,7 +73,7 @@ type TailerStats struct {
 type Tailer struct {
 	cfg TailerConfig
 
-	mu          sync.Mutex // guards the stats fields below
+	mu          sync.Mutex // guards the fields below
 	upstreamSeq uint64     // guarded by mu
 	upstreamGen uint64     // guarded by mu
 	resyncs     uint64     // guarded by mu
@@ -82,6 +82,11 @@ type Tailer struct {
 	failures    uint64     // guarded by mu
 	lastContact time.Time  // guarded by mu
 	lastError   string     // guarded by mu
+
+	// baseSeq/baseGen name the writer snapshot the follower was last
+	// restored from: its state is that snapshot plus the records applied
+	// since.
+	baseSeq, baseGen uint64 // guarded by mu
 
 	started  atomic.Bool // set by Start; Stop only waits on a started loop
 	stopOnce sync.Once
@@ -238,11 +243,14 @@ func (t *Tailer) poll(ctx context.Context) error {
 			continue // drain: more records may be waiting
 		}
 		// Caught up on sequence. A generation mismatch means the writer
-		// rebuilt without a new mutation (drift rebuild, manual trigger):
-		// our answers have diverged and only a fresh snapshot reconverges
-		// them — but only if the writer has checkpointed the rebuild yet.
+		// rebuilt since our base snapshot: our answers have diverged and
+		// only a fresh snapshot reconverges them — but only once the writer
+		// has checkpointed a snapshot other than our base, since re-basing
+		// on the base again would land exactly here. Generation numbers
+		// alone cannot tell: a follower that applied a record the writer
+		// applied after a rebuild can hold the rebuild snapshot's number.
 		if f.Seq() == frame.LastSeq && f.Generation() != frame.WriterGen &&
-			frame.SnapGen != f.Generation() && !resynced {
+			!t.grewFrom(frame.SnapSeq, frame.SnapGen) && !resynced {
 			if err := t.resync(ctx); err != nil {
 				t.recordFailure(err)
 				return err
@@ -266,8 +274,17 @@ func (t *Tailer) resync(ctx context.Context) error {
 	}
 	t.mu.Lock()
 	t.resyncs++
+	t.baseSeq, t.baseGen = t.cfg.Follower.Seq(), t.cfg.Follower.Generation()
 	t.mu.Unlock()
 	return nil
+}
+
+// grewFrom reports whether the follower was last restored from the writer
+// snapshot at (seq, gen).
+func (t *Tailer) grewFrom(seq, gen uint64) bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.baseSeq == seq && t.baseGen == gen
 }
 
 // fetchTail fetches one tail frame; gone=true reports a 410 WAL gap.

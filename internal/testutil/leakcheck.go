@@ -1,7 +1,7 @@
 // Package testutil holds test-only infrastructure shared across the repo's
 // test suites. Its centerpiece is a stdlib-only goroutine-leak checker: the
 // lifecycle manager and the reccd server both own background goroutines
-// (rebuild workers, mutation workers, HTTP serving), and a test that forgets
+// (the lifecycle worker, HTTP serving), and a test that forgets
 // to Close one leaks workers that outlive the test and poison later timing-
 // or race-sensitive tests in the same binary. CheckFiles does the same for
 // files a test's error paths leave open.

@@ -180,6 +180,7 @@ type health struct {
 	Generation        uint64 `json:"generation"`
 	Rebuilds          uint64 `json:"rebuilds"`
 	RebuildInProgress bool   `json:"rebuildInProgress"`
+	QueueDepth        int    `json:"queueDepth"`
 }
 
 func (e *HTTPExecutor) healthz(ctx context.Context) (health, error) {
@@ -199,8 +200,10 @@ func (e *HTTPExecutor) healthz(ctx context.Context) (health, error) {
 
 // rebuild triggers a rebuild and polls /v1/healthz until it completes, so
 // the next record executes against the post-rebuild index exactly as it did
-// when recorded. The reported generation is the pre-rebuild one the
-// recording server stamped on its 202.
+// when recorded. The requested rebuild queues behind any rebuild the
+// previous mutation tripped, which can advance the counter first, so the
+// queue must also have drained. The reported generation is the pre-rebuild
+// one the recording server stamped on its 202.
 func (e *HTTPExecutor) rebuild(ctx context.Context) (OpResult, error) {
 	before, err := e.healthz(ctx)
 	if err != nil {
@@ -218,7 +221,7 @@ func (e *HTTPExecutor) rebuild(ctx context.Context) (OpResult, error) {
 		if err != nil {
 			return OpResult{}, err
 		}
-		if h.Rebuilds > before.Rebuilds && !h.RebuildInProgress {
+		if h.Rebuilds > before.Rebuilds && !h.RebuildInProgress && h.QueueDepth == 0 {
 			return OpResult{Gen: before.Generation, Digest: DigestGen(before.Generation)}, nil
 		}
 		select {

@@ -19,6 +19,11 @@ import (
 type stubServer struct {
 	gen      atomic.Uint64
 	rebuilds atomic.Uint64
+	// queued is 1 from a POST /v1/rebuild until the next healthz poll, which
+	// reports the advanced rebuild counter with queueDepth 1: an earlier
+	// rebuild landed while the requested one still waits in the queue.
+	queued  atomic.Int64
+	healthz atomic.Int64
 	// failEvery makes every Nth query answer 503 (0 = never).
 	failEvery int64
 	queries   atomic.Int64
@@ -60,12 +65,18 @@ func (s *stubServer) handler() http.Handler {
 	mux.HandleFunc("POST /v1/rebuild", func(w http.ResponseWriter, r *http.Request) {
 		s.rebuilds.Add(1)
 		s.gen.Add(1)
+		s.queued.Store(1)
 		w.WriteHeader(http.StatusAccepted)
 		fmt.Fprint(w, `{"scheduled":true}`)
 	})
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		fmt.Fprintf(w, `{"generation":%d,"rebuilds":%d,"rebuildInProgress":false}`,
-			s.gen.Load(), s.rebuilds.Load())
+		s.healthz.Add(1)
+		depth := 0
+		if s.queued.CompareAndSwap(1, 0) {
+			depth = 1
+		}
+		fmt.Fprintf(w, `{"generation":%d,"rebuilds":%d,"rebuildInProgress":false,"queueDepth":%d}`,
+			s.gen.Load(), s.rebuilds.Load(), depth)
 	})
 	mux.HandleFunc("POST /v1/checkpoint", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Index-Generation", strconv.FormatUint(s.gen.Load(), 10))
@@ -104,6 +115,11 @@ func TestHTTPExecutorOps(t *testing.T) {
 	}
 	if res.Gen != 1 || res.Digest != DigestGen(1) {
 		t.Fatalf("rebuild result %+v, want pre-rebuild gen 1", res)
+	}
+	// One poll before the request, one that sees the counter advanced with
+	// queueDepth 1, and one that sees the queue drained.
+	if n := stub.healthz.Load(); n != 3 {
+		t.Fatalf("rebuild returned after %d healthz polls, want 3 (it must wait for queueDepth 0)", n)
 	}
 
 	res, err = ex.Do(ctx, Record{Seq: 4, Op: OpCheckpoint})
