@@ -47,17 +47,22 @@ func cmdSnapshot(ctx context.Context, args []string) error {
 			return err
 		}
 		defer d.Close()
-		if info.Warm {
-			// The store already held this exact state; refresh the snapshot
-			// anyway so its WAL is absorbed and the age gauge resets.
-			if err := d.Checkpoint(); err != nil {
-				return err
-			}
-			fmt.Fprintf(os.Stderr, "recc: store %s was already warm; snapshot refreshed\n", *dataDir)
-		} else {
-			fmt.Fprintf(os.Stderr, "recc: cold build (%s) checkpointed into %s\n", info.Reason, *dataDir)
+		// Opening checkpoints whatever the store did not hold: the cold
+		// build, or the state its WAL replayed to. Checkpoint writes only
+		// what that left out.
+		if err := d.Checkpoint(); err != nil {
+			return err
 		}
 		ps := d.PersistStats()
+		switch {
+		case !info.Warm:
+			fmt.Fprintf(os.Stderr, "recc: cold build (%s) checkpointed into %s\n", info.Reason, *dataDir)
+		case ps.Checkpoints == 0:
+			fmt.Fprintf(os.Stderr, "recc: store %s was already warm and current; nothing written\n", *dataDir)
+		default:
+			fmt.Fprintf(os.Stderr, "recc: store %s was warm; %d replayed WAL records absorbed into a fresh snapshot\n",
+				*dataDir, info.ReplayedMutations)
+		}
 		fmt.Printf("snapshot seq %d, generation %d, %d nodes, %d edges\n",
 			ps.SnapshotSeq, ps.SnapshotGeneration, g.N(), g.M())
 		return nil

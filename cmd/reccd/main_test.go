@@ -7,6 +7,7 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -349,6 +350,44 @@ func TestMetricsEndpoint(t *testing.T) {
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestSolverGaugesFollowServedGeneration: the sketch and solver gauges on
+// /metrics report the served generation, as /v1/healthz does, not the
+// generation-1 build a rebuild has replaced.
+func TestSolverGaugesFollowServedGeneration(t *testing.T) {
+	srv := testServer(t)
+	h := testHandler(t, srv)
+	for _, body := range []string{`{"u":0,"v":60}`, `{"u":1,"v":90}`} {
+		if rec := do(t, h, http.MethodPost, "/v1/edges", body); rec.Code != http.StatusOK {
+			t.Fatalf("add %s: status %d (%s)", body, rec.Code, rec.Body.String())
+		}
+	}
+	if rec := do(t, h, http.MethodPost, "/v1/rebuild", ""); rec.Code != http.StatusAccepted {
+		t.Fatalf("rebuild: status %d", rec.Code)
+	}
+	waitIdle(t, srv)
+	health := decodeObj(t, get(t, h, "/v1/healthz"))
+	metrics := get(t, h, "/v1/metrics").Body.String()
+	for metric, field := range map[string]string{
+		"reccd_index_sketch_dim":          "sketchDim",
+		"reccd_index_solver_total_iters":  "solverIters",
+		"reccd_index_solver_max_iters":    "solverMaxIter",
+		"reccd_index_solver_max_residual": "solverMaxRes",
+	} {
+		_, line, ok := strings.Cut(metrics, "\n"+metric+" ")
+		if !ok {
+			t.Fatalf("metrics missing %s:\n%s", metric, metrics)
+		}
+		line, _, _ = strings.Cut(line, "\n")
+		got, err := strconv.ParseFloat(line, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := health[field]; got != want {
+			t.Errorf("%s = %v; healthz %s = %v (generation %v)", metric, got, field, want, health["generation"])
 		}
 	}
 }

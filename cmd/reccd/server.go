@@ -277,18 +277,22 @@ func (s *server) idx() *resistecc.FastIndex {
 	return sv.dyn.Snapshot().Index
 }
 
-// publishBuildGauges exports generation-1 construction statistics as static
-// gauges on /metrics.
+// publishBuildGauges exports the served generation's sketch and solver
+// statistics as live gauges on /metrics, the values /v1/healthz reports,
+// and the process's build (or first-sync) time as a static one.
 func (s *server) publishBuildGauges() {
-	ix := s.idx()
-	if ix == nil {
-		return
+	build := func(f func(resistecc.IndexBuildStats) float64) func() float64 {
+		return func() float64 {
+			if ix := s.idx(); ix != nil {
+				return f(ix.BuildStats())
+			}
+			return 0
+		}
 	}
-	st := ix.BuildStats()
-	s.reg.SetGauge("index_sketch_dim", float64(st.SketchDim))
-	s.reg.SetGauge("index_solver_total_iters", float64(st.SolverTotalIters))
-	s.reg.SetGauge("index_solver_max_iters", float64(st.SolverMaxIters))
-	s.reg.SetGauge("index_solver_max_residual", st.SolverMaxResidual)
+	s.reg.SetGaugeFunc("index_sketch_dim", build(func(st resistecc.IndexBuildStats) float64 { return float64(st.SketchDim) }))
+	s.reg.SetGaugeFunc("index_solver_total_iters", build(func(st resistecc.IndexBuildStats) float64 { return float64(st.SolverTotalIters) }))
+	s.reg.SetGaugeFunc("index_solver_max_iters", build(func(st resistecc.IndexBuildStats) float64 { return float64(st.SolverMaxIters) }))
+	s.reg.SetGaugeFunc("index_solver_max_residual", build(func(st resistecc.IndexBuildStats) float64 { return st.SolverMaxResidual }))
 	s.reg.SetGauge("index_build_seconds", s.buildTime.Seconds())
 }
 

@@ -122,7 +122,8 @@ type RecoveryInfo struct {
 	// Reason explains a cold start ("no snapshot", "snapshot mismatch: …",
 	// "replay failed: …"); empty for a warm start.
 	Reason string
-	// Generation is the served generation after recovery.
+	// Generation is the served generation after recovery: after the WAL
+	// replay and every rebuild it tripped.
 	Generation uint64
 	// ReplayedMutations counts WAL records applied on top of the snapshot.
 	ReplayedMutations int
@@ -137,10 +138,13 @@ type RecoveryInfo struct {
 // landing exactly where a live server that ran those mutations would,
 // including the incremental-vs-rebuild decisions. Any corruption, torn
 // write, version or parameter mismatch falls back to a cold build (never to
-// wrong answers) and resets the store. From then on every committed
-// mutation is appended to the WAL before it is acknowledged, and every
-// rebuild swap checkpoints a fresh snapshot and truncates the log; pair
-// with (*DynamicIndex).Checkpoint for time-based checkpoints.
+// wrong answers) and resets the store. Before it returns, it checkpoints
+// whatever state the store does not hold yet: the cold build, or what a
+// replayed WAL reached, the rebuilds the replay tripped included. From then
+// on every committed mutation is appended to the WAL before it is
+// acknowledged, and every rebuild swap checkpoints a fresh snapshot and
+// truncates the log; pair with (*DynamicIndex).Checkpoint for time-based
+// checkpoints.
 //
 // g must be the same input graph across restarts (reccd passes the LCC of
 // its -in file); if it changes, the stale persisted state is discarded.
@@ -159,8 +163,12 @@ func OpenDynamicIndex(ctx context.Context, dataDir string, g *Graph, opts ...Opt
 		st.Close()
 		return nil, RecoveryInfo{}, err
 	}
-	d.hook = &persist.Hook{Store: st, Params: params, BaseFP: baseFP}
-	d.m.AttachJournal(d.hook)
+	// Attaching queues behind the replay and the rebuilds it tripped; a
+	// failed checkpoint there is counted, and the next one retries.
+	if err := d.m.AttachJournal(ctx, &persist.Hook{Store: st, Params: params, BaseFP: baseFP}); err != nil {
+		d.Close()
+		return nil, RecoveryInfo{}, err
+	}
 	info.Generation = d.m.Current().Gen
 	return d, info, nil
 }
@@ -173,18 +181,14 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 		if err != nil {
 			return nil, RecoveryInfo{}, err
 		}
-		d := &DynamicIndex{m: m, params: params, baseFP: baseFP, store: st}
-		// New lineage: wipe whatever the fallback rejected, then persist the
-		// cold build immediately so the next restart is already warm. A
-		// failed initial checkpoint only degrades durability (it is counted
-		// in PersistStats.CheckpointFailures and retried at the next
-		// rebuild/interval checkpoint).
-		if err := st.Reset(); err == nil {
-			if cs, cerr := m.CheckpointState(); cerr == nil {
-				_ = st.Checkpoint(persist.Capture(cs, params, baseFP))
-			}
+		// New lineage: wipe whatever the fallback rejected. A store that
+		// cannot be wiped would keep the rejected WAL on top of the new
+		// snapshot, so it fails the open.
+		if err := st.Reset(); err != nil {
+			m.Close()
+			return nil, RecoveryInfo{}, fmt.Errorf("resistecc: reset store for a cold start (%s): %w", reason, err)
 		}
-		return d, RecoveryInfo{Warm: false, Reason: reason}, nil
+		return &DynamicIndex{m: m, params: params, baseFP: baseFP, store: st}, RecoveryInfo{Warm: false, Reason: reason}, nil
 	}
 
 	snap, recs, err := st.Recover()
@@ -233,9 +237,10 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 
 // Checkpoint forces a snapshot of the current state into the data
 // directory, absorbing and truncating the WAL. A no-op when the on-disk
-// snapshot is already current. Fails with ErrNotDurable on a non-durable
-// index and with ErrIndexStale while a rebuild is pending (the rebuild's
-// own checkpoint will cover the backlog; callers may retry after WaitIdle).
+// snapshot already holds the served sequence and generation. Fails with
+// ErrNotDurable on a non-durable index and with ErrIndexStale while a
+// rebuild is pending (the rebuild's own checkpoint will cover the backlog;
+// callers may retry after WaitIdle).
 func (d *DynamicIndex) Checkpoint() error {
 	if d.store == nil {
 		return ErrNotDurable
@@ -244,7 +249,7 @@ func (d *DynamicIndex) Checkpoint() error {
 	if err != nil {
 		return err
 	}
-	if st := d.store.Stats(); st.HasSnapshot && st.SnapshotSeq == cs.Seq {
+	if st := d.store.Stats(); st.HasSnapshot && st.SnapshotSeq == cs.Seq && st.SnapshotGen == cs.Gen {
 		return nil
 	}
 	return d.store.Checkpoint(persist.Capture(cs, d.params, d.baseFP))

@@ -431,3 +431,140 @@ func TestErrorPathsCloseFiles(t *testing.T) {
 		t.Fatalf("cancelled replay: %v, want context.Canceled", err)
 	}
 }
+
+// TestWarmStartReplicasConverge: a warm start whose WAL replay trips a
+// rebuild checkpoints what it replayed before OpenDynamicIndex returns, so
+// the store holds the served state and a follower built from the writer's
+// snapshot and WAL tail answers exactly like the writer. Without that
+// checkpoint the follower replays the records onto the old snapshot without
+// the rebuild, and the replica tier's resync never catches it: the follower
+// grew from the writer's newest snapshot.
+func TestWarmStartReplicasConverge(t *testing.T) {
+	type mut struct {
+		add  bool
+		u, v int
+	}
+	cases := []struct {
+		name   string
+		muts   []mut
+		reopen []Option // the replay runs under the write options plus these
+	}{
+		// Replaying the removal trips a rebuild; the add after it does not.
+		{"rebuild mid-replay", []mut{{true, 0, 30}, {false, 0, 30}, {true, 5, 45}}, []Option{WithMaxDeletions(1)}},
+		// The replay's only record trips a rebuild.
+		{"rebuild at the last record", []mut{{true, 0, 30}}, []Option{WithDriftThreshold(1e-9)}},
+	}
+	// High thresholds keep every write incremental, so the WAL holds them all.
+	writeOpts := func() []Option {
+		return append(durableOpts(), WithDriftThreshold(100), WithMaxDeletions(1000))
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			g := durableGraph(t)
+			ctx := context.Background()
+			d, _, err := OpenDynamicIndex(ctx, dir, g, writeOpts()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, mu := range tc.muts {
+				if mu.add {
+					_, err = d.AddEdge(ctx, mu.u, mu.v)
+				} else {
+					_, err = d.RemoveEdge(ctx, mu.u, mu.v)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if ps := d.PersistStats(); ps.WALRecords != len(tc.muts) {
+				t.Fatalf("WAL holds %d records, want %d", ps.WALRecords, len(tc.muts))
+			}
+			d.Close()
+
+			w, info, err := OpenDynamicIndex(ctx, dir, g, append(writeOpts(), tc.reopen...)...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			// Read everything before any wait: OpenDynamicIndex must
+			// return with the replay and its rebuilds absorbed.
+			ps, seq, gen, rebuilds := w.PersistStats(), w.Seq(), w.Snapshot().Generation, w.Stats().Rebuilds
+			if !info.Warm || info.ReplayedMutations != len(tc.muts) {
+				t.Fatalf("reopen: %+v, want warm with %d replayed records", info, len(tc.muts))
+			}
+			if info.Generation != gen {
+				t.Fatalf("RecoveryInfo.Generation %d, served generation %d", info.Generation, gen)
+			}
+			if rebuilds != 1 {
+				t.Fatalf("%d rebuilds had landed when OpenDynamicIndex returned; the replay trips one", rebuilds)
+			}
+			if ps.SnapshotSeq != seq || ps.SnapshotGeneration != gen || ps.WALRecords != 0 {
+				t.Fatalf("store holds snapshot seq %d gen %d and %d WAL records; writer serves seq %d gen %d",
+					ps.SnapshotSeq, ps.SnapshotGeneration, ps.WALRecords, seq, gen)
+			}
+
+			st := w.ReplicationStore()
+			raw, snapSeq, _, err := st.SnapshotBytes()
+			if err != nil {
+				t.Fatal(err)
+			}
+			tail, err := st.TailSince(snapSeq+1, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f, err := LoadSnapshotBytes(raw, WithFollower())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer f.Close()
+			for _, r := range tail.Records {
+				if r.Add {
+					_, err = f.AddEdge(ctx, r.U, r.V)
+				} else {
+					_, err = f.RemoveEdge(ctx, r.U, r.V)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if f.Seq() != seq || f.Snapshot().Generation != gen {
+				t.Fatalf("follower at seq %d gen %d, writer at seq %d gen %d", f.Seq(), f.Snapshot().Generation, seq, gen)
+			}
+			sameDistribution(t, dynDistribution(f), dynDistribution(w), "follower vs writer")
+		})
+	}
+}
+
+// TestCheckpointRewritesRebuiltGeneration: when a rebuild's own checkpoint
+// fails, an on-demand Checkpoint at the same sequence must still write the
+// rebuilt generation; the snapshot on disk is not current just because its
+// sequence matches.
+func TestCheckpointRewritesRebuiltGeneration(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	g := durableGraph(t)
+	ctx := context.Background()
+	d, _, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	if err := os.RemoveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d.RebuildAndWait(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if ps := d.PersistStats(); ps.JournalFailures != 1 {
+		t.Fatalf("rebuild into a removed store: %+v, want 1 journal failure", ps)
+	}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if ps, gen := d.PersistStats(), d.Snapshot().Generation; ps.SnapshotGeneration != gen {
+		t.Fatalf("snapshot holds generation %d after Checkpoint; %d is served", ps.SnapshotGeneration, gen)
+	}
+}

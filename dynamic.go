@@ -88,7 +88,6 @@ type DynamicIndex struct {
 	params persist.Params
 	baseFP uint64
 	store  *persist.Store
-	hook   *persist.Hook
 }
 
 // NewDynamicIndex builds the initial index (generation 1) from g and starts

@@ -12,7 +12,7 @@
 //
 // Intended order is declared per file with
 //
-//	//recclint:lockrank lifecycle.Manager.mu < persist.Store.mu
+//	//recclint:lockrank pkg.Outer.mu < pkg.Inner.mu
 //
 // and an observed edge contradicting the declared (transitive) order gets a
 // targeted finding even before it closes a cycle. The v1 //recclint:holds

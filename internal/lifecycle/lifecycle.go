@@ -2,8 +2,9 @@
 // generation-numbered FASTQUERY index behind an RCU-style atomic pointer and
 // one worker goroutine that drains a FIFO of ops. An op is an edge add or
 // removal (AddEdge/RemoveEdge), which applies a cheap Sherman–Morrison
-// embedding update in place of a full rebuild; a rebuild request; or a
-// WaitIdle barrier. A mutation that takes the accumulated drift or the
+// embedding update in place of a full rebuild; a rebuild request; a
+// journal's registration (AttachJournal); or a WaitIdle barrier. A
+// mutation that takes the accumulated drift or the
 // deletion count past its threshold is answered first, and the worker then
 // re-sketches from scratch before it takes the next op.
 //
@@ -16,8 +17,12 @@
 //
 // Consistency model:
 //
-//   - Readers call Current() and query the returned Snapshot; snapshots are
-//     immutable after publication, so no locks are taken on the query path.
+//   - The worker is the only writer of lifecycle state. It publishes one
+//     immutable state through an atomic pointer: the served Snapshot, the
+//     master graph, the mutation sequence and the counters Stats reports.
+//     Readers (Current, Stats, Seq, CheckpointState) load it once and take
+//     no lock. Nothing modifies a published state, its graph included: a
+//     mutation builds the next master graph from a clone.
 //   - Ops run one at a time, in arrival order. Each successful incremental
 //     mutation publishes a new snapshot with Gen+1. A mutation whose
 //     embedding update is unsafe (bridge-like removal, solver failure) is
@@ -57,13 +62,15 @@ var ErrClosed = errors.New("lifecycle: manager closed")
 var ErrStale = errors.New("lifecycle: index is stale; rebuild pending")
 
 // Journal observes committed state for durability (internal/persist wires a
-// WAL + snapshot store through it). AppendMutation runs on the worker after
-// each commit with the post-mutation sequence number; Checkpoint runs after
-// every rebuild swap with a state that exactly reflects Seq. Neither touches
-// the lock-free query path, but both hold up the next op, so
-// implementations should not dawdle (an appended WAL record, one snapshot
-// write). Errors are counted in Stats.JournalFailures and otherwise
-// ignored — durability trouble must not take down serving.
+// WAL + snapshot store through it). Both methods run on the worker.
+// AppendMutation runs after each mutation is applied and before it is
+// published, with the post-mutation sequence number. Checkpoint runs when
+// the journal is attached (see AttachJournal) and after every rebuild's
+// publish, with a cut that exactly reflects its Seq. Neither touches the
+// lock-free query path, but both hold up the next op, so implementations
+// should not dawdle (an appended WAL record, one snapshot write). Errors
+// are counted in Stats.JournalFailures and otherwise ignored — durability
+// trouble must not take down serving.
 type Journal interface {
 	AppendMutation(seq uint64, add bool, u, v int) error
 	Checkpoint(cs CheckpointState) error
@@ -71,8 +78,8 @@ type Journal interface {
 
 // CheckpointState is a consistent cut of a manager: Graph is the master
 // graph after exactly Seq mutations and Fast is the index reflecting that
-// same graph. Graph ownership transfers to the receiver (the manager hands
-// over a private clone); Fast is the usual immutable published index.
+// same graph. Both are the published ones, shared and read-only: the
+// manager never modifies them, and receivers must not either.
 type CheckpointState struct {
 	Seq   uint64
 	Gen   uint64
@@ -186,21 +193,49 @@ const (
 	opAdd opKind = iota
 	opRemove
 	opRebuild
+	opAttach
 	opBarrier
 )
 
 // op is one entry of the worker's FIFO. done is buffered: a mutation's
-// answer is sent as soon as it is applied, a rebuild's or a barrier's once
-// it has finished.
+// answer is sent as soon as it is applied, any other op's once it has
+// finished.
 type op struct {
-	kind opKind
-	u, v int
-	done chan opResult
+	kind    opKind
+	u, v    int
+	journal Journal // opAttach only
+	done    chan opResult
 }
 
 type opResult struct {
 	res ApplyResult
 	err error
+}
+
+// state is one published cut of the lifecycle. The worker builds each state
+// from a copy of the last and publishes it whole; nothing modifies a state,
+// or the graph it holds, once published.
+type state struct {
+	snap *Snapshot
+	// graph is the master graph after seq mutations; while stale, it is
+	// ahead of the graph snap reflects.
+	graph             *graph.Graph
+	seq               uint64
+	deletions         int
+	stale             bool
+	rebuildInProgress bool
+	rebuilds          uint64
+	rebuildFailures   uint64
+	lastRebuildDur    time.Duration
+	journalFailures   uint64
+}
+
+// cut is the checkpoint cut of s: ErrStale while its index lags its graph.
+func (s *state) cut() (CheckpointState, error) {
+	if s.stale {
+		return CheckpointState{}, ErrStale
+	}
+	return CheckpointState{Seq: s.seq, Gen: s.snap.Gen, Graph: s.graph, Fast: s.snap.Fast}, nil
 }
 
 // Manager owns the index lifecycle. Construct with New; callers may query
@@ -211,26 +246,13 @@ type Manager struct {
 	fopt ecc.FastOptions
 	hopt hull.Options
 
-	cur     atomic.Pointer[Snapshot]
+	st      atomic.Pointer[state] // the published state; see publish
 	queue   chan op
 	pending atomic.Int64 // queued or running ops (Stats.QueueDepth)
 
-	// The durable layer's store lock nests strictly inside the manager
-	// lock: the one worker calls the journal holding mu (a mutation's WAL
-	// append) or after releasing it (a rebuild's checkpoint), and the store
-	// never calls back up.
-	//recclint:lockrank lifecycle.Manager.mu < persist.Store.mu
-	mu                sync.Mutex
-	latest            *graph.Graph  // guarded by mu; master graph, mutated only by the worker
-	mutSeq            uint64        // guarded by mu; bumps on every applied mutation
-	deletions         int           // guarded by mu
-	stale             bool          // guarded by mu
-	rebuildInProgress bool          // guarded by mu
-	rebuilds          uint64        // guarded by mu
-	rebuildFailures   uint64        // guarded by mu
-	lastRebuildDur    time.Duration // guarded by mu
-	journal           Journal       // guarded by mu
-	journalFailures   uint64        // guarded by mu
+	// Only the worker reads or writes these.
+	journal  Journal
+	restored *Restored // the position NewFromState resumed from; nil for New
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -255,7 +277,7 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: initial build: %w", err)
 	}
-	return start(g.Clone(), fast, 1, 0, cfg, fopt, hopt), nil
+	return start(g.Clone(), fast, nil, cfg, fopt, hopt), nil
 }
 
 // Restored names the persisted position a manager resumes from.
@@ -287,64 +309,63 @@ func NewFromState(g *graph.Graph, fast *ecc.Fast, rs Restored, cfg Config) (*Man
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: restored build options: %w", err)
 	}
-	gen := rs.Gen
-	if gen == 0 {
-		gen = 1
+	if rs.Gen == 0 {
+		rs.Gen = 1
 	}
-	return start(g.Clone(), fast, gen, rs.Seq, cfg, fopt, hopt), nil
+	return start(g.Clone(), fast, &rs, cfg, fopt, hopt), nil
 }
 
-// start takes ownership of g, publishes the initial snapshot and launches
-// the worker. Common tail of New and NewFromState.
+// start takes ownership of g, publishes the initial state (at rs, or
+// generation 1 and sequence 0 when rs is nil) and launches the worker.
+// Common tail of New and NewFromState.
 //
 //recclint:ctxroot the worker outlives every caller; its lifetime is bounded by Manager.Close, not a request context
-func start(g *graph.Graph, fast *ecc.Fast, gen, seq uint64, cfg Config, fopt ecc.FastOptions, hopt hull.Options) *Manager {
+func start(g *graph.Graph, fast *ecc.Fast, rs *Restored, cfg Config, fopt ecc.FastOptions, hopt hull.Options) *Manager {
+	pos := Restored{Gen: 1}
+	if rs != nil {
+		pos = *rs
+	}
 	bctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:    cfg,
-		fopt:   fopt,
-		hopt:   hopt,
-		queue:  make(chan op, cfg.QueueSize),
-		latest: g,
-		mutSeq: seq,
-		ctx:    bctx,
-		cancel: cancel,
+		cfg:      cfg,
+		fopt:     fopt,
+		hopt:     hopt,
+		queue:    make(chan op, cfg.QueueSize),
+		restored: rs,
+		ctx:      bctx,
+		cancel:   cancel,
 	}
-	m.cur.Store(&Snapshot{Gen: gen, Fast: fast, N: g.N(), M: g.M()})
+	m.publish(state{snap: &Snapshot{Gen: pos.Gen, Fast: fast, N: g.N(), M: g.M()}, graph: g, seq: pos.Seq})
 	m.wg.Add(1)
 	go m.worker()
 	return m
 }
 
-// AttachJournal registers j to observe committed mutations and rebuild
-// swaps from now on. Attach only after any WAL replay has drained
-// (WaitIdle), so replayed mutations are not logged twice. A nil j detaches.
-func (m *Manager) AttachJournal(j Journal) {
-	m.mu.Lock()
-	m.journal = j
-	m.mu.Unlock()
+// publish makes a copy of s the state every reader loads, so the caller may
+// go on editing its own s. Only start and the worker call it, so each
+// published state follows from the one before.
+func (m *Manager) publish(s state) { m.st.Store(&s) }
+
+// AttachJournal registers j to observe the mutations and rebuilds that
+// follow it. It is an op: it runs after every op queued before it, so a WAL
+// replay's mutations, and the rebuilds they tripped, are never logged
+// twice. It then hands j a checkpoint of the served state, unless that is
+// the position NewFromState restored, which j's store already holds. A
+// failed checkpoint is counted in Stats.JournalFailures, not returned;
+// while the index is stale there is no consistent cut, and the rebuild that
+// ends it checkpoints. A nil j detaches. The error is ctx's, or ErrClosed.
+func (m *Manager) AttachJournal(ctx context.Context, j Journal) error {
+	_, err := m.do(ctx, op{kind: opAttach, journal: j})
+	return err
 }
 
-// CheckpointState returns a consistent cut for an on-demand checkpoint: a
-// clone of the master graph plus the served index, valid only while the two
+// CheckpointState returns a consistent cut for an on-demand checkpoint: the
+// published master graph plus the served index, valid only while the two
 // agree (ErrStale otherwise — trigger or await the rebuild and retry).
-func (m *Manager) CheckpointState() (CheckpointState, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.stale {
-		return CheckpointState{}, ErrStale
-	}
-	snap := m.cur.Load()
-	return CheckpointState{
-		Seq:   m.mutSeq,
-		Gen:   snap.Gen,
-		Graph: m.latest.Clone(),
-		Fast:  snap.Fast,
-	}, nil
-}
+func (m *Manager) CheckpointState() (CheckpointState, error) { return m.st.Load().cut() }
 
 // Current returns the snapshot queries should use. Never nil.
-func (m *Manager) Current() *Snapshot { return m.cur.Load() }
+func (m *Manager) Current() *Snapshot { return m.st.Load().snap }
 
 // AddEdge inserts (u,v), updating the served index incrementally when safe.
 func (m *Manager) AddEdge(ctx context.Context, u, v int) (ApplyResult, error) {
@@ -416,11 +437,7 @@ func (m *Manager) RebuildAndWait(ctx context.Context) (uint64, error) {
 // Seq returns the number of mutations applied since the manager's base
 // state (the restored sequence for NewFromState managers, zero for New).
 // Replication uses it as the WAL tailing position.
-func (m *Manager) Seq() uint64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.mutSeq
-}
+func (m *Manager) Seq() uint64 { return m.st.Load().seq }
 
 // WaitIdle queues a barrier and waits for it: every op queued before it
 // has then finished, including the rebuilds its mutations tripped. Unless
@@ -433,25 +450,23 @@ func (m *Manager) WaitIdle(ctx context.Context) error {
 
 // Stats reports lifecycle gauges for /healthz and /metrics.
 func (m *Manager) Stats() Stats {
-	snap := m.cur.Load()
-	m.mu.Lock()
-	defer m.mu.Unlock()
+	s := m.st.Load()
 	return Stats{
-		Generation:         snap.Gen,
+		Generation:         s.snap.Gen,
 		QueueDepth:         int(m.pending.Load()),
-		Drift:              snap.Fast.Sk.Drift,
-		Updates:            snap.Fast.Sk.Updates,
-		Deletions:          m.deletions,
-		Stale:              m.stale,
-		Rebuilds:           m.rebuilds,
-		RebuildFailures:    m.rebuildFailures,
-		RebuildInProgress:  m.rebuildInProgress,
-		LastRebuildSeconds: m.lastRebuildDur.Seconds(),
-		JournalFailures:    m.journalFailures,
-		GraphN:             m.latest.N(),
-		GraphM:             m.latest.M(),
-		IndexN:             snap.N,
-		IndexM:             snap.M,
+		Drift:              s.snap.Fast.Sk.Drift,
+		Updates:            s.snap.Fast.Sk.Updates,
+		Deletions:          s.deletions,
+		Stale:              s.stale,
+		Rebuilds:           s.rebuilds,
+		RebuildFailures:    s.rebuildFailures,
+		RebuildInProgress:  s.rebuildInProgress,
+		LastRebuildSeconds: s.lastRebuildDur.Seconds(),
+		JournalFailures:    s.journalFailures,
+		GraphN:             s.graph.N(),
+		GraphM:             s.graph.M(),
+		IndexN:             s.snap.N,
+		IndexM:             s.snap.M,
 	}
 }
 
@@ -477,8 +492,8 @@ func (m *Manager) worker() {
 
 // run executes one op. A mutation is answered as soon as it is applied;
 // the rebuild it trips runs before run returns, so no op overtakes it, and
-// the mutation stays counted in QueueDepth until then. A rebuild request or
-// a barrier is answered once it has finished.
+// the mutation stays counted in QueueDepth until then. Any other op is
+// answered once it has finished.
 func (m *Manager) run(o op) {
 	if o.kind == opAdd || o.kind == opRemove {
 		res, err := m.apply(o)
@@ -490,8 +505,15 @@ func (m *Manager) run(o op) {
 		return
 	}
 	var err error
-	if o.kind == opRebuild && !m.cfg.Follower {
+	switch {
+	case o.kind == opRebuild && !m.cfg.Follower:
 		err = m.rebuild()
+	case o.kind == opAttach:
+		m.journal = o.journal
+		s := m.st.Load()
+		if m.restored == nil || *m.restored != (Restored{Gen: s.snap.Gen, Seq: s.seq}) {
+			m.checkpoint()
+		}
 	}
 	// Uncount the op before answering, so a WaitIdle caller reads the
 	// settled QueueDepth.
@@ -499,75 +521,47 @@ func (m *Manager) run(o op) {
 	o.done <- opResult{err: err}
 }
 
-// apply validates and executes one mutation. The worker is the sole mutator
-// of m.latest; the lock is dropped during the expensive solve + hull pass,
-// so Stats and CheckpointState never wait on it, and retaken to commit,
-// which is safe because no other op can interleave.
+// apply validates and executes one mutation: it applies the edge to a clone
+// of the published master graph, logs it, and publishes the clone with the
+// updated index (or, when the index cannot absorb it, marked stale).
 func (m *Manager) apply(o op) (ApplyResult, error) {
 	u, v, add := o.u, o.v, o.kind == opAdd
-
-	m.mu.Lock()
-	n := m.latest.N()
+	cur := m.st.Load()
+	n := cur.graph.N()
 	if u < 0 || v < 0 || u >= n || v >= n {
-		m.mu.Unlock()
 		return ApplyResult{}, fmt.Errorf("%w: (%d,%d) with n=%d", graph.ErrNodeRange, u, v, n)
 	}
 	if u == v {
-		m.mu.Unlock()
 		return ApplyResult{}, fmt.Errorf("%w: node %d", graph.ErrSelfLoop, u)
 	}
+	next := cur.graph.Clone()
+	var err error
 	if add {
-		if m.latest.HasEdge(u, v) {
-			m.mu.Unlock()
-			return ApplyResult{}, fmt.Errorf("%w: (%d,%d)", graph.ErrDuplicateEdge, u, v)
-		}
-	} else {
-		if !m.latest.HasEdge(u, v) {
-			m.mu.Unlock()
-			return ApplyResult{}, fmt.Errorf("%w: (%d,%d)", graph.ErrEdgeNotFound, u, v)
-		}
-		// Structural safety: removing a bridge would disconnect the graph,
-		// which the index cannot serve. Check exactly with a BFS on the
-		// temporarily-removed edge (O(n+m), cheap next to the solve).
-		if err := m.latest.RemoveEdge(u, v); err != nil {
-			m.mu.Unlock()
-			return ApplyResult{}, err
-		}
-		connected := m.latest.Connected()
-		if err := m.latest.AddEdge(u, v); err != nil {
-			m.mu.Unlock()
-			return ApplyResult{}, fmt.Errorf("lifecycle: restoring probed edge (%d,%d): %w", u, v, err)
-		}
-		if !connected {
-			m.mu.Unlock()
-			return ApplyResult{}, fmt.Errorf("lifecycle: removing (%d,%d) would disconnect the graph: %w",
-				u, v, graph.ErrDisconnected)
-		}
+		err = next.AddEdge(u, v) // ErrDuplicateEdge if present
+	} else if err = next.RemoveEdge(u, v); err == nil && !next.Connected() {
+		// Removing a bridge would disconnect the graph, which the index
+		// cannot serve. The BFS is exact and O(n+m), cheap next to the solve.
+		err = fmt.Errorf("lifecycle: removing (%d,%d) would disconnect the graph: %w",
+			u, v, graph.ErrDisconnected)
 	}
+	if err != nil {
+		return ApplyResult{}, err
+	}
+
 	// While the index is stale the master graph is already ahead of the
 	// served sketch, so the incremental precondition ("csr is the graph the
 	// sketch was built on") cannot hold — skip the solve and apply the
 	// mutation graph-only; the rebuild it trips picks it up.
-	stale := m.stale
-	var csr *graph.CSR
-	var base *Snapshot
-	if !stale {
-		// Pre-mutation CSR snapshot for the Sherman–Morrison solve.
-		csr = m.latest.ToCSR()
-		base = m.cur.Load()
-	}
-	m.mu.Unlock()
-
-	// Expensive part, outside the lock: one Laplacian solve, an O(n·d)
-	// embedding pass, and an APPROXCH re-derivation of the hull boundary.
 	var newFast *ecc.Fast
-	if !stale {
+	if !cur.stale {
+		// One Laplacian solve over the pre-mutation graph, an O(n·d)
+		// embedding pass, and an APPROXCH re-derivation of the hull boundary.
+		csr := cur.graph.ToCSR()
 		var newSk *sketch.Sketch
-		var err error
 		if add {
-			newSk, _, err = base.Fast.Sk.AddEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
+			newSk, _, err = cur.snap.Fast.Sk.AddEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
 		} else {
-			newSk, _, err = base.Fast.Sk.RemoveEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
+			newSk, _, err = cur.snap.Fast.Sk.RemoveEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
 		}
 		if err == nil {
 			newFast, err = ecc.NewFastFromSketch(newSk, m.hopt)
@@ -577,49 +571,30 @@ func (m *Manager) apply(o op) (ApplyResult, error) {
 		// the master graph and the rebuild repairs the index ("stale" mode).
 	}
 
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var commitErr error
-	if add {
-		commitErr = m.latest.AddEdge(u, v)
-	} else {
-		commitErr = m.latest.RemoveEdge(u, v)
-	}
-	if commitErr != nil {
-		return ApplyResult{}, fmt.Errorf("lifecycle: committing (%d,%d): %w", u, v, commitErr)
-	}
-	m.mutSeq++
+	s := *cur
+	s.graph = next
+	s.seq++
 	if m.journal != nil {
-		// Log the committed mutation before publishing: once the caller sees
-		// the result, the record is on its way to disk. Failures only degrade
+		// Log the mutation before publishing: once the caller sees the
+		// result, the record is on its way to disk. Failures only degrade
 		// durability (counted; recovery's gap check refuses a holed WAL).
-		if jerr := m.journal.AppendMutation(m.mutSeq, add, u, v); jerr != nil {
-			m.journalFailures++
+		if jerr := m.journal.AppendMutation(s.seq, add, u, v); jerr != nil {
+			s.journalFailures++
 		}
 	}
 	if !add {
-		m.deletions++
+		s.deletions++
 	}
-	res := ApplyResult{}
+	res := ApplyResult{Gen: s.snap.Gen, Mode: ModeStale, Drift: s.snap.Fast.Sk.Drift}
 	if newFast != nil {
-		next := &Snapshot{
-			Gen:  m.cur.Load().Gen + 1,
-			Fast: newFast,
-			N:    m.latest.N(),
-			M:    m.latest.M(),
-		}
-		m.cur.Store(next)
-		res.Gen = next.Gen
-		res.Mode = ModeIncremental
-		res.Drift = newFast.Sk.Drift
+		s.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: newFast, N: next.N(), M: next.M()}
+		res = ApplyResult{Gen: s.snap.Gen, Mode: ModeIncremental, Drift: newFast.Sk.Drift}
 	} else {
-		m.stale = true
-		res.Gen = m.cur.Load().Gen
-		res.Mode = ModeStale
-		res.Drift = m.cur.Load().Fast.Sk.Drift
+		s.stale = true
 	}
+	m.publish(s)
 	res.RebuildScheduled = !m.cfg.Follower &&
-		(m.stale || m.deletions >= m.cfg.MaxDeletions || res.Drift > m.cfg.DriftThreshold)
+		(s.stale || s.deletions >= m.cfg.MaxDeletions || res.Drift > m.cfg.DriftThreshold)
 	return res, nil
 }
 
@@ -629,49 +604,44 @@ func (m *Manager) apply(o op) (ApplyResult, error) {
 // it was (still stale if it was stale); the next op that trips the trigger
 // tries again.
 func (m *Manager) rebuild() error {
-	m.mu.Lock()
-	seq := m.mutSeq
-	gclone := m.latest.Clone()
-	m.rebuildInProgress = true
-	m.mu.Unlock()
+	s := *m.st.Load()
+	s.rebuildInProgress = true
+	m.publish(s)
 
 	start := time.Now()
-	fast, err := ecc.NewFastContext(m.ctx, gclone, m.fopt)
-	dur := time.Since(start)
-
-	m.mu.Lock()
-	m.rebuildInProgress = false
+	fast, err := ecc.NewFastContext(m.ctx, s.graph, m.fopt)
+	s.rebuildInProgress = false
 	if err != nil {
 		if m.ctx.Err() == nil {
-			m.rebuildFailures++
+			s.rebuildFailures++
 		}
-		m.mu.Unlock()
+		m.publish(s)
 		return fmt.Errorf("lifecycle: rebuild: %w", err)
 	}
-	next := &Snapshot{
-		Gen:  m.cur.Load().Gen + 1,
-		Fast: fast,
-		N:    gclone.N(),
-		M:    gclone.M(),
-	}
-	m.cur.Store(next)
-	m.rebuilds++
-	m.lastRebuildDur = dur
-	m.deletions = 0
-	m.stale = false
-	j := m.journal
-	m.mu.Unlock()
-	if j != nil {
-		// Checkpoint the freshly swapped index outside the lock: gclone is
-		// the exact graph fast was built from, and after the swap nothing
-		// else references it, so the journal takes ownership. The snapshot
-		// write may fsync megabytes; queries, Stats and CheckpointState must
-		// not wait on it.
-		if jerr := j.Checkpoint(CheckpointState{Seq: seq, Gen: next.Gen, Graph: gclone, Fast: fast}); jerr != nil {
-			m.mu.Lock()
-			m.journalFailures++
-			m.mu.Unlock()
-		}
-	}
+	s.lastRebuildDur = time.Since(start)
+	s.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: fast, N: s.graph.N(), M: s.graph.M()}
+	s.rebuilds++
+	s.deletions = 0
+	s.stale = false
+	m.publish(s)
+	// Readers already see the new generation while the snapshot write,
+	// which may fsync megabytes, runs.
+	m.checkpoint()
 	return nil
+}
+
+// checkpoint hands the journal the published state's cut, counting a
+// failure in Stats.JournalFailures. A stale state has no consistent cut;
+// the rebuild that ends it checkpoints.
+func (m *Manager) checkpoint() {
+	s := m.st.Load()
+	cs, err := s.cut()
+	if m.journal == nil || err != nil {
+		return
+	}
+	if err := m.journal.Checkpoint(cs); err != nil {
+		next := *s
+		next.journalFailures++
+		m.publish(next)
+	}
 }

@@ -3,6 +3,7 @@ package lifecycle
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -229,10 +230,14 @@ func TestIncrementalAccuracy(t *testing.T) {
 	}
 }
 
-// TestConcurrentQueriesDuringSwaps hammers Current()+query from many
-// goroutines while mutations and rebuilds churn generations. Run under
-// -race this is the swap-safety test; in any mode it asserts per-reader
-// generation monotonicity and that every snapshot is internally consistent.
+// TestConcurrentQueriesDuringSwaps hammers Current()+query, Stats, Seq and
+// CheckpointState from many goroutines while mutations and rebuilds churn
+// generations. Run under -race this is the swap-safety test for every
+// lock-free state read; in any mode it asserts that each reader sees
+// sequence and generation never decrease, that every snapshot is internally
+// consistent, and that every checkpoint cut pairs an index with the graph
+// of its own sequence: the base Cycle(32) plus one distinct add per
+// sequence number.
 func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 	g := graph.Cycle(32)
 	cfg := testConfig()
@@ -246,7 +251,15 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 		wg.Add(1)
 		go func(seed int) {
 			defer wg.Done()
-			lastGen := uint64(0)
+			lastGen, lastSeq := uint64(0), uint64(0)
+			// monotone records one (sequence, generation) observation.
+			monotone := func(seq, gen uint64) error {
+				if seq < lastSeq || gen < lastGen {
+					return fmt.Errorf("seq %d gen %d after seq %d gen %d", seq, gen, lastSeq, lastGen)
+				}
+				lastSeq, lastGen = seq, gen
+				return nil
+			}
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -254,14 +267,33 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 				default:
 				}
 				snap := m.Current()
-				if snap.Gen < lastGen {
-					errCh <- errors.New("generation went backwards")
+				if err := monotone(m.Seq(), snap.Gen); err != nil {
+					errCh <- err
 					return
 				}
-				lastGen = snap.Gen
 				val := snap.Fast.Eccentricity((seed + i) % snap.N)
 				if val.Ecc <= 0 || val.Farthest < 0 || val.Farthest >= snap.N {
 					errCh <- errors.New("inconsistent snapshot answer")
+					return
+				}
+				gen := m.Stats().Generation
+				if err := monotone(m.Seq(), gen); err != nil {
+					errCh <- err
+					return
+				}
+				cs, err := m.CheckpointState()
+				if errors.Is(err, ErrStale) {
+					continue
+				}
+				if err == nil {
+					err = monotone(cs.Seq, cs.Gen)
+				}
+				if err == nil && (cs.Fast.Sk.N != cs.Graph.N() || uint64(cs.Graph.M()) != 32+cs.Seq) {
+					err = fmt.Errorf("cut at seq %d: index n=%d over graph n=%d m=%d",
+						cs.Seq, cs.Fast.Sk.N, cs.Graph.N(), cs.Graph.M())
+				}
+				if err != nil {
+					errCh <- err
 					return
 				}
 			}
@@ -301,9 +333,9 @@ func TestStaleSkipsIncremental(t *testing.T) {
 	// Force the state a failed incremental update leaves behind, without
 	// arming the rebuild yet, so the next mutation deterministically sees
 	// stale=true.
-	m.mu.Lock()
-	m.stale = true
-	m.mu.Unlock()
+	s := *m.st.Load()
+	s.stale = true
+	m.publish(s)
 	res, err := m.AddEdge(context.Background(), 0, 12)
 	if err != nil {
 		t.Fatal(err)

@@ -432,9 +432,10 @@ func (st *Store) Close() error {
 }
 
 // Hook adapts a Store to lifecycle.Journal: committed mutations append WAL
-// records; every rebuild swap checkpoints the fresh index (absorbing and
-// truncating the log). Params and BaseFP stamp each snapshot so recovery
-// can prove it matches the serving configuration.
+// records; attaching the journal, and every rebuild swap after it,
+// checkpoints the served index (absorbing and truncating the log). Params
+// and BaseFP stamp each snapshot so recovery can prove it matches the
+// serving configuration.
 type Hook struct {
 	Store  *Store
 	Params Params
