@@ -47,9 +47,10 @@ func cmdSnapshot(ctx context.Context, args []string) error {
 			return err
 		}
 		defer d.Close()
-		// Opening checkpoints whatever the store did not hold: the cold
-		// build, or the state its WAL replayed to. Checkpoint writes only
-		// what that left out.
+		// Opening checkpoints whatever the store did not hold (the cold
+		// build, or the state its WAL replayed to) or fails. Checkpoint then
+		// writes nothing, and fails with ErrIndexStale when the replay's
+		// last rebuild failed and left nothing consistent to store.
 		if err := d.Checkpoint(); err != nil {
 			return err
 		}

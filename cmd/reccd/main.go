@@ -4,8 +4,8 @@
 //   - writer (default): loads an edge-list network, reduces it to its largest
 //     connected component, builds a FASTQUERY index, and keeps it live across
 //     online edge mutations — a generation-numbered DynamicIndex absorbs adds
-//     and removals with incremental sketch updates and rebuilds in the
-//     background when the accumulated drift crosses its threshold. With
+//     and removals with incremental sketch updates, and rebuilds before the
+//     next mutation once the accumulated drift crosses its threshold. With
 //     -data-dir the index is durable (checksummed snapshots + a mutation WAL,
 //     warm restarts) and the writer additionally serves the replication feed
 //     under /v1/repl/.
@@ -40,8 +40,8 @@
 //	POST   /v1/edges  {"u":3,"v":9}     → add an edge between existing nodes
 //	DELETE /v1/edges?u=3&v=9            → remove an edge (refused if it would
 //	                                      disconnect the graph)
-//	POST   /v1/rebuild                  → force a background index rebuild
-//	POST   /v1/checkpoint               → persist a snapshot now (-data-dir only)
+//	POST   /v1/rebuild                  → queue an index rebuild behind pending mutations
+//	POST   /v1/checkpoint               → persist a snapshot behind pending mutations (-data-dir only)
 //	GET    /v1/repl/status              → replication state of this process
 //	GET    /v1/repl/{snapshot,wal,ids}  → replication feed (durable writer only)
 //	GET    /debug/pprof/...             → net/http/pprof (only with -pprof)
@@ -97,7 +97,7 @@ func main() {
 		"max wait for in-flight requests on SIGINT/SIGTERM")
 	flag.BoolVar(&cfg.Server.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
 	flag.Float64Var(&cfg.Server.DriftThreshold, "drift-threshold", 0,
-		"accumulated incremental-update drift that triggers a background rebuild (0 = library default)")
+		"accumulated incremental-update drift that trips a rebuild before the next mutation (0 = library default)")
 	flag.IntVar(&cfg.Server.MaxDeletions, "max-deletions", 0,
 		"edge removals absorbed before forcing a rebuild (0 = library default)")
 	flag.IntVar(&cfg.Server.MutationQueue, "mutation-queue", 0,

@@ -318,6 +318,98 @@ func TestReplSetResyncsAfterWriterRebuild(t *testing.T) {
 	}
 }
 
+// TestReplRefusedRebuildKeepsReplicaConverged executes the failure matrix's
+// "writer rebuild whose checkpoint fails" row: the writer publishes nothing,
+// so writer and replica keep serving the same generation with the same
+// answers, and the rebuild after the disk heals re-bases the replica.
+func TestReplRefusedRebuildKeepsReplicaConverged(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	dir := t.TempDir()
+	writer := durableServerCfg(t, dir, func(c *serverConfig) { c.DriftThreshold = 100 })
+	defer writer.close()
+	writerTS := httptest.NewServer(writer.handler(log.New(io.Discard, "", 0)))
+	defer writerTS.Close()
+	replica, replicaTS := startReplica(t, ctx, writerTS.URL)
+	defer replicaTS.Close()
+	defer replica.close()
+
+	post := func(path, body string, want int) {
+		t.Helper()
+		resp, err := http.Post(writerTS.URL+path, "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("POST %s: %d (%s), want %d", path, resp.StatusCode, b, want)
+		}
+	}
+	rebuild := func() {
+		t.Helper()
+		post("/v1/rebuild", "", http.StatusAccepted)
+		if err := writer.current().dyn.WaitIdle(ctx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	post("/v1/edges", `{"u":0,"v":100}`, http.StatusOK)
+	gen := writer.current().dyn.Snapshot().Generation
+
+	// The rebuild's snapshot cannot be renamed onto a directory.
+	blocked := filepath.Join(dir, "snapshot-0000000000000001.snap")
+	if err := os.MkdirAll(blocked, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(blocked, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rebuild()
+	var health struct {
+		Generation uint64 `json:"generation"`
+		Rebuilds   uint64 `json:"rebuilds"`
+		Persist    struct {
+			JournalFailures uint64 `json:"journalFailures"`
+		} `json:"persist"`
+	}
+	_, body, _ := httpGet(t, writerTS.URL+"/v1/healthz", nil)
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Rebuilds != 0 || health.Generation != gen || health.Persist.JournalFailures != 1 {
+		t.Fatalf("writer after a rebuild whose checkpoint failed: %s; want 0 rebuilds, generation %d and 1 journal failure", body, gen)
+	}
+
+	waitConverged(t, writer, replica)
+	time.Sleep(5 * 20 * time.Millisecond) // a few polls, for a resync that must not come
+	for _, p := range []string{"/v1/summary", "/v1/eccentricity?node=0,7,33,100,119"} {
+		_, wBody, wHdr := httpGet(t, writerTS.URL+p, nil)
+		_, rBody, rHdr := httpGet(t, replicaTS.URL+p, nil)
+		if rBody != wBody || rHdr.Get("X-Index-Generation") != wHdr.Get("X-Index-Generation") {
+			t.Fatalf("%s: replica at generation %s answers\n%s\nwriter at generation %s answers\n%s",
+				p, rHdr.Get("X-Index-Generation"), rBody, wHdr.Get("X-Index-Generation"), wBody)
+		}
+	}
+
+	if err := os.RemoveAll(blocked); err != nil {
+		t.Fatal(err)
+	}
+	resyncs := replica.tailer.Stats().Resyncs
+	rebuild()
+	waitConverged(t, writer, replica)
+	// The tailer swaps the restored index in before it counts the resync.
+	deadline := time.Now().Add(10 * time.Second)
+	for replica.tailer.Stats().Resyncs == resyncs && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if got := replica.tailer.Stats().Resyncs; got != resyncs+1 {
+		t.Fatalf("replica resynced %d times after the healed rebuild, want 1", got-resyncs)
+	}
+	if got := writer.current().dyn.Snapshot().Generation; got != gen+1 {
+		t.Fatalf("writer at generation %d after the healed rebuild, want %d", got, gen+1)
+	}
+}
+
 // Killing a replica mid-traffic never surfaces a 5xx through the router: the
 // health loop ejects it and in-flight retries move to the next candidate. A
 // restarted replica rejoins and serves again.

@@ -37,7 +37,8 @@ type serverConfig struct {
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
 	// DriftThreshold is the lifecycle ε_drift: accumulated incremental-update
-	// error that triggers a background rebuild (0 = library default 0.5).
+	// error that trips a rebuild, which runs before the next mutation
+	// (0 = library default 0.5).
 	DriftThreshold float64
 	// MaxDeletions forces a rebuild after this many removals (0 = default 16).
 	MaxDeletions int
@@ -242,8 +243,10 @@ func publishTraceMetrics(reg *obs.Registry, rec *trace.Recorder) {
 }
 
 // startCheckpointTicker checkpoints every CheckpointInterval so the WAL (and
-// restart replay time) stays bounded even when no rebuild ever triggers. A
-// stale or already-current index makes the call a cheap no-op.
+// restart replay time) stays bounded even when no rebuild ever triggers.
+// Each checkpoint queues behind pending mutations; an already-current store
+// makes it a cheap no-op, and a stale index (the last rebuild failed) skips
+// it.
 func (s *server) startCheckpointTicker() {
 	if s.cfg.CheckpointInterval <= 0 {
 		return
@@ -946,11 +949,13 @@ func (s *server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
 	s.writeMutation(w, trace.OpRemoveEdge, uExt, vExt, res)
 }
 
-// handleCheckpoint implements POST /v1/checkpoint: force an immediate
-// snapshot into the data directory, absorbing the WAL (e.g. before a planned
-// restart, so it comes up warm with nothing to replay). Requires -data-dir;
-// while a rebuild is pending the state is inconsistent and the request is
-// answered 409 — the rebuild's own checkpoint will cover the backlog.
+// handleCheckpoint implements POST /v1/checkpoint: snapshot the served state
+// into the data directory, absorbing the WAL (e.g. before a planned restart,
+// so it comes up warm with nothing to replay). Requires -data-dir. The
+// checkpoint runs behind pending mutations and the rebuilds they tripped,
+// and writes nothing when the store already holds the served state. After
+// a failed rebuild the index is stale and has no consistent state to
+// persist: the request is answered 409 until a rebuild succeeds.
 func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if !s.durable {
 		writeError(w, http.StatusConflict, "not_durable",
@@ -961,7 +966,7 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if err := sv.dyn.Checkpoint(); err != nil {
 		if errors.Is(err, resistecc.ErrIndexStale) {
 			writeError(w, http.StatusConflict, "index_stale",
-				"a rebuild is pending; its checkpoint will persist the backlog")
+				"the last rebuild failed; POST /v1/rebuild and retry")
 			return
 		}
 		writeError(w, http.StatusInternalServerError, "checkpoint_failed", "%v", err)

@@ -32,14 +32,28 @@ func identityIDs(n int) []int64 {
 // recorded operation bit-identically.
 func traceTestIndex(t *testing.T) *resistecc.DynamicIndex {
 	t.Helper()
+	return traceTarget(t, "", resistecc.WithDriftThreshold(100))
+}
+
+// traceTarget builds a replay target over the test servers' graph with
+// their build options plus extra: durable in dataDir, or in memory when
+// dataDir is empty.
+func traceTarget(t *testing.T, dataDir string, extra ...resistecc.Option) *resistecc.DynamicIndex {
+	t.Helper()
 	g, err := resistecc.ScaleFreeMixed(120, 1, 4, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := resistecc.NewDynamicIndex(context.Background(), g,
+	opts := append([]resistecc.Option{
 		resistecc.WithEpsilon(0.3), resistecc.WithDim(64),
 		resistecc.WithSeed(5), resistecc.WithMaxHullVertices(24),
-		resistecc.WithDriftThreshold(100))
+	}, extra...)
+	var d *resistecc.DynamicIndex
+	if dataDir == "" {
+		d, err = resistecc.NewDynamicIndex(context.Background(), g, opts...)
+	} else {
+		d, _, err = resistecc.OpenDynamicIndex(context.Background(), dataDir, g, opts...)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,8 +67,8 @@ func traceTestIndex(t *testing.T) *resistecc.DynamicIndex {
 // graph and seeds, both in-process and over HTTP against a second server.
 func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ops.trc")
-	// Drift rebuilds are asynchronous; a high threshold keeps the recorded
-	// run serially deterministic, matching how the replayer re-executes it.
+	// A read right after a mutation's ack may race the rebuild it tripped;
+	// a high threshold trips none, so every read replays exactly.
 	srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) {
 		cfg.TraceOut = tracePath
 		cfg.TraceSync = 8
@@ -144,6 +158,61 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	}
 	if rep2.Checked != len(recs) {
 		t.Fatalf("HTTP replay checked %d of %d digests", rep2.Checked, len(recs))
+	}
+}
+
+// TestTraceCheckpointAfterTrippedRebuild: at the default drift threshold an
+// add trips a rebuild, and a checkpoint right after it runs behind that
+// rebuild, on the recording server and on every replay target alike. So
+// the checkpoint record and the read after it replay exactly, against a
+// durable and an in-memory index and over HTTP.
+func TestTraceCheckpointAfterTrippedRebuild(t *testing.T) {
+	ctx := context.Background()
+	for run := 0; run < 20; run++ {
+		tracePath := filepath.Join(t.TempDir(), "ops.trc")
+		srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) { cfg.TraceOut = tracePath })
+		t.Cleanup(srv.close)
+		h := srv.handler(log.New(io.Discard, "", 0))
+		rec := do(t, h, http.MethodPost, "/v1/edges", `{"u":33,"v":119}`) // drift 0.73
+		if rec.Code != http.StatusOK || decodeObj(t, rec)["rebuildScheduled"] != true {
+			t.Fatalf("add: %d (%s), want 200 with a tripped rebuild", rec.Code, rec.Body.String())
+		}
+		if rec := do(t, h, http.MethodPost, "/v1/checkpoint", ""); rec.Code != http.StatusOK {
+			t.Fatalf("checkpoint: %d (%s)", rec.Code, rec.Body.String())
+		}
+		if rec := get(t, h, "/v1/eccentricity?node=33,119"); rec.Code != http.StatusOK {
+			t.Fatalf("query: %d (%s)", rec.Code, rec.Body.String())
+		}
+		srv.close() // flushes the recorder
+		recs, _, err := trace.ReadFile(tracePath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recs) != 3 {
+			t.Fatalf("recorded %d operations, want 3", len(recs))
+		}
+
+		target := durableServerCfg(t, t.TempDir(), nil)
+		t.Cleanup(target.close)
+		ts := httptest.NewServer(target.handler(log.New(io.Discard, "", 0)))
+		t.Cleanup(ts.Close)
+		targets := []struct {
+			name string
+			exec trace.Executor
+		}{
+			{"durable index", resistecc.TraceExecutor(traceTarget(t, t.TempDir()), identityIDs(120))},
+			{"in-memory index", resistecc.TraceExecutor(traceTarget(t, ""), identityIDs(120))},
+			{"HTTP", &trace.HTTPExecutor{Base: ts.URL}},
+		}
+		for _, tg := range targets {
+			rep, err := trace.Replay(ctx, recs, tg.exec, trace.ReplayOptions{})
+			if err != nil {
+				t.Fatalf("run %d, %s: %v", run, tg.name, err)
+			}
+			if !rep.OK() || rep.Checked != len(recs) {
+				t.Fatalf("run %d, %s: replay %+v, want all %d records checked and matching", run, tg.name, rep, len(recs))
+			}
+		}
 	}
 }
 

@@ -11,10 +11,12 @@ import (
 	"resistecc/internal/persist"
 )
 
-// ErrIndexStale is returned by SaveSnapshot and Checkpoint while the served
-// index lags the master graph (a background rebuild is pending): persisting
-// then would pair a graph with an index that does not reflect it. Trigger or
-// await the rebuild (WaitIdle) and retry.
+// ErrIndexStale is returned while the served index lags the master graph:
+// persisting then would pair a graph with an index that does not reflect
+// it. SaveSnapshot returns it while a rebuild is pending (WaitIdle and
+// retry) or after the last one failed; Checkpoint waits for pending
+// rebuilds, so from it ErrIndexStale means the last rebuild failed
+// (RebuildAndWait and retry).
 var ErrIndexStale = lifecycle.ErrStale
 
 // ErrSnapshotMismatch is returned by LoadSnapshot when explicitly supplied
@@ -140,11 +142,11 @@ type RecoveryInfo struct {
 // write, version or parameter mismatch falls back to a cold build (never to
 // wrong answers) and resets the store. Before it returns, it checkpoints
 // whatever state the store does not hold yet: the cold build, or what a
-// replayed WAL reached, the rebuilds the replay tripped included. From then
-// on every committed mutation is appended to the WAL before it is
-// acknowledged, and every rebuild swap checkpoints a fresh snapshot and
-// truncates the log; pair with (*DynamicIndex).Checkpoint for time-based
-// checkpoints.
+// replayed WAL reached, the rebuilds the replay tripped included; if that
+// checkpoint fails, so does the open. From then on every committed mutation
+// is appended to the WAL before it is acknowledged, and every rebuild
+// checkpoints a fresh snapshot and truncates the log before it is served;
+// pair with (*DynamicIndex).Checkpoint for time-based checkpoints.
 //
 // g must be the same input graph across restarts (reccd passes the LCC of
 // its -in file); if it changes, the stale persisted state is discarded.
@@ -163,8 +165,9 @@ func OpenDynamicIndex(ctx context.Context, dataDir string, g *Graph, opts ...Opt
 		st.Close()
 		return nil, RecoveryInfo{}, err
 	}
-	// Attaching queues behind the replay and the rebuilds it tripped; a
-	// failed checkpoint there is counted, and the next one retries.
+	// Attaching queues behind the replay and the rebuilds it tripped. A
+	// failed checkpoint there fails the open: the index would serve a state
+	// its store cannot reproduce.
 	if err := d.m.AttachJournal(ctx, &persist.Hook{Store: st, Params: params, BaseFP: baseFP}); err != nil {
 		d.Close()
 		return nil, RecoveryInfo{}, err
@@ -235,24 +238,17 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 	return d, RecoveryInfo{Warm: true, ReplayedMutations: len(recs)}, nil
 }
 
-// Checkpoint forces a snapshot of the current state into the data
-// directory, absorbing and truncating the WAL. A no-op when the on-disk
-// snapshot already holds the served sequence and generation. Fails with
-// ErrNotDurable on a non-durable index and with ErrIndexStale while a
-// rebuild is pending (the rebuild's own checkpoint will cover the backlog;
-// callers may retry after WaitIdle).
+// Checkpoint snapshots the served state into the data directory, absorbing
+// and truncating the WAL. It queues behind pending mutations and the
+// rebuilds they tripped, and writes nothing when the store already holds
+// the served sequence and generation. Fails with ErrNotDurable on a
+// non-durable index, with ErrIndexStale when the last rebuild failed
+// (RebuildAndWait and retry), and with ErrIndexClosed after Close.
 func (d *DynamicIndex) Checkpoint() error {
 	if d.store == nil {
 		return ErrNotDurable
 	}
-	cs, err := d.m.CheckpointState()
-	if err != nil {
-		return err
-	}
-	if st := d.store.Stats(); st.HasSnapshot && st.SnapshotSeq == cs.Seq && st.SnapshotGen == cs.Gen {
-		return nil
-	}
-	return d.store.Checkpoint(persist.Capture(cs, d.params, d.baseFP))
+	return d.m.Checkpoint()
 }
 
 // PersistStats is a point-in-time view of the durability subsystem.

@@ -504,67 +504,182 @@ func TestWarmStartReplicasConverge(t *testing.T) {
 					ps.SnapshotSeq, ps.SnapshotGeneration, ps.WALRecords, seq, gen)
 			}
 
-			st := w.ReplicationStore()
-			raw, snapSeq, _, err := st.SnapshotBytes()
-			if err != nil {
-				t.Fatal(err)
-			}
-			tail, err := st.TailSince(snapSeq+1, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f, err := LoadSnapshotBytes(raw, WithFollower())
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer f.Close()
-			for _, r := range tail.Records {
-				if r.Add {
-					_, err = f.AddEdge(ctx, r.U, r.V)
-				} else {
-					_, err = f.RemoveEdge(ctx, r.U, r.V)
-				}
-				if err != nil {
-					t.Fatal(err)
-				}
-			}
-			if f.Seq() != seq || f.Snapshot().Generation != gen {
-				t.Fatalf("follower at seq %d gen %d, writer at seq %d gen %d", f.Seq(), f.Snapshot().Generation, seq, gen)
-			}
-			sameDistribution(t, dynDistribution(f), dynDistribution(w), "follower vs writer")
+			sameAsFollower(t, w)
 		})
 	}
 }
 
-// TestCheckpointRewritesRebuiltGeneration: when a rebuild's own checkpoint
-// fails, an on-demand Checkpoint at the same sequence must still write the
-// rebuilt generation; the snapshot on disk is not current just because its
-// sequence matches.
-func TestCheckpointRewritesRebuiltGeneration(t *testing.T) {
-	dir := filepath.Join(t.TempDir(), "store")
+// sameAsFollower builds a follower from w's store the way a replica does,
+// restoring the newest snapshot and applying the WAL tail after it, and
+// fails t unless it reaches w's sequence and generation and answers
+// Distribution bit for bit like w.
+func sameAsFollower(t *testing.T, w *DynamicIndex) {
+	t.Helper()
+	ctx := context.Background()
+	st := w.ReplicationStore()
+	raw, snapSeq, _, err := st.SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail, err := st.TailSince(snapSeq+1, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := LoadSnapshotBytes(raw, WithFollower())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	for _, r := range tail.Records {
+		if r.Add {
+			_, err = f.AddEdge(ctx, r.U, r.V)
+		} else {
+			_, err = f.RemoveEdge(ctx, r.U, r.V)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	seq, gen := w.Seq(), w.Snapshot().Generation
+	if f.Seq() != seq || f.Snapshot().Generation != gen {
+		t.Fatalf("follower at seq %d gen %d, writer at seq %d gen %d", f.Seq(), f.Snapshot().Generation, seq, gen)
+	}
+	sameDistribution(t, dynDistribution(f), dynDistribution(w), "follower vs writer")
+}
+
+// plantDir makes path a non-empty directory, so that renaming a snapshot
+// onto it fails and removing it takes os.RemoveAll.
+func plantDir(t *testing.T, path string) {
+	t.Helper()
+	if err := os.MkdirAll(path, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(path, "keep"), nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRefusedRebuildKeepsReplicasConverged: a rebuild whose checkpoint
+// fails publishes nothing, so the writer keeps serving what its store
+// holds and a follower built from that store still answers exactly like
+// it; once the disk heals, the next rebuild publishes and is checkpointed.
+func TestRefusedRebuildKeepsReplicasConverged(t *testing.T) {
+	dir := t.TempDir()
 	g := durableGraph(t)
 	ctx := context.Background()
-	d, _, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
+	d, _, err := OpenDynamicIndex(ctx, dir, g, append(durableOpts(), WithDriftThreshold(100))...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer d.Close()
-	if err := os.RemoveAll(dir); err != nil {
+	if _, err := d.AddEdge(ctx, 0, 30); err != nil {
+		t.Fatal(err)
+	}
+	blocked := filepath.Join(dir, "snapshot-0000000000000001.snap")
+	plantDir(t, blocked)
+	if _, err := d.RebuildAndWait(ctx); err == nil {
+		t.Fatal("a rebuild whose checkpoint cannot land succeeded")
+	}
+	st, ps := d.Stats(), d.PersistStats()
+	if d.Seq() != 1 || st.Generation != 2 || st.Rebuilds != 0 || st.RebuildFailures != 1 ||
+		ps.JournalFailures != 1 || ps.CheckpointFailures != 1 {
+		t.Fatalf("after the refused rebuild: seq %d, %+v, %+v; want seq 1 gen 2 and one failure of each kind", d.Seq(), st, ps)
+	}
+	sameAsFollower(t, d)
+
+	if err := os.RemoveAll(blocked); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := d.RebuildAndWait(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if ps := d.PersistStats(); ps.JournalFailures != 1 {
-		t.Fatalf("rebuild into a removed store: %+v, want 1 journal failure", ps)
+	if ps := d.PersistStats(); ps.SnapshotSeq != 1 || ps.SnapshotGeneration != 3 || ps.WALRecords != 0 ||
+		d.Snapshot().Generation != 3 {
+		t.Fatalf("after the healed rebuild: serving gen %d, %+v; want snapshot seq 1 gen 3 and no WAL records",
+			d.Snapshot().Generation, ps)
 	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	sameAsFollower(t, d)
+}
+
+// TestCheckpointWaitsForTrippedRebuild: a Checkpoint issued right after an
+// add that tripped a rebuild runs behind that rebuild, so it returns with
+// the rebuilt generation served and on disk, and writes nothing of its own.
+func TestCheckpointWaitsForTrippedRebuild(t *testing.T) {
+	g := durableGraph(t)
+	ctx := context.Background()
+	d, _, err := OpenDynamicIndex(ctx, t.TempDir(), g, append(durableOpts(), WithDriftThreshold(1e-9))...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := d.Checkpoint(); err != nil {
+	defer d.Close()
+	added := map[[2]int]bool{}
+	for u, runs := 0, 0; runs < 40; u++ {
+		v := (u*7 + 31) % g.N()
+		if u == v || g.HasEdge(u, v) || added[[2]int{v, u}] {
+			continue
+		}
+		added[[2]int{u, v}] = true
+		runs++
+		before := d.PersistStats().Checkpoints
+		res, err := d.AddEdge(ctx, u, v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.RebuildScheduled {
+			t.Fatalf("run %d: add (%d,%d) tripped no rebuild", runs, u, v)
+		}
+		if err := d.Checkpoint(); err != nil {
+			t.Fatalf("run %d: %v", runs, err)
+		}
+		ps, gen := d.PersistStats(), d.Snapshot().Generation
+		if gen != res.Generation+1 || ps.SnapshotGeneration != gen || ps.Checkpoints != before+1 {
+			t.Fatalf("run %d: add answered at generation %d; Checkpoint returned with generation %d served, %d on disk and %d checkpoints written, want %d, %d and 1",
+				runs, res.Generation, gen, ps.SnapshotGeneration, ps.Checkpoints-before, res.Generation+1, res.Generation+1)
+		}
+	}
+}
+
+// TestCheckpointAfterClose: Checkpoint on a closed index fails with
+// ErrIndexClosed and writes nothing, although the served state is ahead of
+// the store.
+func TestCheckpointAfterClose(t *testing.T) {
+	dir := t.TempDir()
+	g := durableGraph(t)
+	ctx := context.Background()
+	d, _, err := OpenDynamicIndex(ctx, dir, g, append(durableOpts(), WithDriftThreshold(100))...)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if ps, gen := d.PersistStats(), d.Snapshot().Generation; ps.SnapshotGeneration != gen {
-		t.Fatalf("snapshot holds generation %d after Checkpoint; %d is served", ps.SnapshotGeneration, gen)
+	if _, err := d.AddEdge(ctx, 0, 30); err != nil {
+		t.Fatal(err)
+	}
+	d.Close()
+	before, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Checkpoint(); !errors.Is(err, ErrIndexClosed) {
+		t.Fatalf("Checkpoint after Close: %v, want ErrIndexClosed", err)
+	}
+	after, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(after) != len(before) {
+		t.Fatalf("Checkpoint after Close changed the data directory: %v, was %v", after, before)
+	}
+}
+
+// TestColdOpenFailsWhenInitialCheckpointFails: a cold start whose first
+// checkpoint cannot land fails the open, instead of serving a state no
+// restart could reproduce, and closes what it opened.
+func TestColdOpenFailsWhenInitialCheckpointFails(t *testing.T) {
+	testutil.CheckFiles(t)
+	dir := t.TempDir()
+	plantDir(t, filepath.Join(dir, "snapshot-0000000000000000.snap"))
+	d, _, err := OpenDynamicIndex(context.Background(), dir, durableGraph(t), durableOpts()...)
+	if err == nil {
+		d.Close()
+		t.Fatal("OpenDynamicIndex succeeded without its initial checkpoint")
 	}
 }

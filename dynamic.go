@@ -7,7 +7,8 @@ import (
 	"resistecc/internal/persist"
 )
 
-// ErrIndexClosed is returned by DynamicIndex mutations issued after Close.
+// ErrIndexClosed is returned by DynamicIndex mutations and Checkpoint
+// issued after Close.
 var ErrIndexClosed = lifecycle.ErrClosed
 
 // MutationMode reports how a DynamicIndex mutation reached the served index.

@@ -3,10 +3,10 @@
 // one worker goroutine that drains a FIFO of ops. An op is an edge add or
 // removal (AddEdge/RemoveEdge), which applies a cheap Sherman–Morrison
 // embedding update in place of a full rebuild; a rebuild request; a
-// journal's registration (AttachJournal); or a WaitIdle barrier. A
-// mutation that takes the accumulated drift or the
-// deletion count past its threshold is answered first, and the worker then
-// re-sketches from scratch before it takes the next op.
+// checkpoint (Checkpoint, and AttachJournal, which registers the journal
+// first); or a WaitIdle barrier. A mutation that takes the accumulated
+// drift or the deletion count past its threshold is answered first, and the
+// worker then re-sketches from scratch before it takes the next op.
 //
 // The paper's optimization half (§VI–VII) is all about changing the graph —
 // FARMINRECC/MINRECC add edges and re-score — while FASTQUERY's index is a
@@ -32,7 +32,12 @@
 //     (same seeds), so it serves exactly what a cold build of the current
 //     graph would. It runs on the worker, so no mutation can overtake it:
 //     reads continue on the published generation, and mutations queue
-//     behind it.
+//     behind it. With a journal attached, the rebuilt cut is checkpointed
+//     before it is published, so the writer never serves a generation its
+//     store cannot reproduce; a failed checkpoint fails the rebuild.
+//   - The worker is the journal's only checkpoint writer, and every
+//     checkpoint (attach, rebuild, on demand) follows one rule: skip when
+//     the journal already holds the served (sequence, generation).
 //   - Accumulated drift is the sum of per-update relative-error bounds (see
 //     internal/sketch/update.go); serving error is bounded by ε + drift
 //     between rebuilds.
@@ -52,25 +57,25 @@ import (
 	"resistecc/internal/sketch"
 )
 
-// ErrClosed is returned by mutations issued after Close.
+// ErrClosed is returned by mutations and checkpoints issued after Close.
 var ErrClosed = errors.New("lifecycle: manager closed")
 
-// ErrStale is returned by CheckpointState while the served index lags the
-// master graph (a rebuild is pending, or the last one failed):
-// checkpointing then would persist an index inconsistent with its graph.
-// Wait for the rebuild and retry.
+// ErrStale is returned while the served index lags the master graph, so
+// there is no consistent cut to persist: by CheckpointState while a rebuild
+// is pending or after the last one failed, and by Checkpoint, which waits
+// for pending rebuilds, only after a failed one. Rebuild and retry.
 var ErrStale = errors.New("lifecycle: index is stale; rebuild pending")
 
 // Journal observes committed state for durability (internal/persist wires a
-// WAL + snapshot store through it). Both methods run on the worker.
-// AppendMutation runs after each mutation is applied and before it is
-// published, with the post-mutation sequence number. Checkpoint runs when
-// the journal is attached (see AttachJournal) and after every rebuild's
-// publish, with a cut that exactly reflects its Seq. Neither touches the
-// lock-free query path, but both hold up the next op, so implementations
-// should not dawdle (an appended WAL record, one snapshot write). Errors
-// are counted in Stats.JournalFailures and otherwise ignored — durability
-// trouble must not take down serving.
+// WAL + snapshot store through it). Both methods run on the worker, the
+// journal's only caller. AppendMutation runs after each mutation is applied
+// and before it is published, with the post-mutation sequence number; a
+// failure is counted in Stats.JournalFailures and the mutation still lands.
+// Checkpoint gets a cut that exactly reflects its Seq, from the checkpoint
+// op (Checkpoint, AttachJournal) and from every rebuild before its publish;
+// a failure fails that op or rebuild. Neither touches the lock-free query
+// path, but both hold up the next op, so implementations should not dawdle
+// (an appended WAL record, one snapshot write).
 type Journal interface {
 	AppendMutation(seq uint64, add bool, u, v int) error
 	Checkpoint(cs CheckpointState) error
@@ -176,8 +181,8 @@ type Stats struct {
 	RebuildFailures    uint64
 	RebuildInProgress  bool
 	LastRebuildSeconds float64
-	// JournalFailures counts attached-journal calls (AppendMutation or
-	// Checkpoint) that returned an error. Serving continues regardless; a
+	// JournalFailures counts failed WAL appends and failed rebuild
+	// checkpoints (such a rebuild is not published). Serving continues; a
 	// non-zero value means durability is degraded.
 	JournalFailures uint64
 	// GraphN/GraphM describe the master graph (including not-yet-rebuilt
@@ -193,7 +198,7 @@ const (
 	opAdd opKind = iota
 	opRemove
 	opRebuild
-	opAttach
+	opCheckpoint
 	opBarrier
 )
 
@@ -203,7 +208,7 @@ const (
 type op struct {
 	kind    opKind
 	u, v    int
-	journal Journal // opAttach only
+	journal Journal // opCheckpoint: registered first when non-nil
 	done    chan opResult
 }
 
@@ -250,9 +255,11 @@ type Manager struct {
 	queue   chan op
 	pending atomic.Int64 // queued or running ops (Stats.QueueDepth)
 
-	// Only the worker reads or writes these.
-	journal  Journal
-	restored *Restored // the position NewFromState resumed from; nil for New
+	// Only the worker reads or writes these. held is the (generation,
+	// sequence) of the last cut the journal took: NewFromState's position,
+	// which the store it came from already holds, or zero for New.
+	journal Journal
+	held    Restored
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -277,7 +284,7 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Manager, error) {
 	if err != nil {
 		return nil, fmt.Errorf("lifecycle: initial build: %w", err)
 	}
-	return start(g.Clone(), fast, nil, cfg, fopt, hopt), nil
+	return start(g.Clone(), fast, Restored{Gen: 1}, Restored{}, cfg, fopt, hopt), nil
 }
 
 // Restored names the persisted position a manager resumes from.
@@ -312,28 +319,24 @@ func NewFromState(g *graph.Graph, fast *ecc.Fast, rs Restored, cfg Config) (*Man
 	if rs.Gen == 0 {
 		rs.Gen = 1
 	}
-	return start(g.Clone(), fast, &rs, cfg, fopt, hopt), nil
+	return start(g.Clone(), fast, rs, rs, cfg, fopt, hopt), nil
 }
 
-// start takes ownership of g, publishes the initial state (at rs, or
-// generation 1 and sequence 0 when rs is nil) and launches the worker.
+// start takes ownership of g, publishes the initial state at pos, records
+// held as the position a journal already holds, and launches the worker.
 // Common tail of New and NewFromState.
 //
 //recclint:ctxroot the worker outlives every caller; its lifetime is bounded by Manager.Close, not a request context
-func start(g *graph.Graph, fast *ecc.Fast, rs *Restored, cfg Config, fopt ecc.FastOptions, hopt hull.Options) *Manager {
-	pos := Restored{Gen: 1}
-	if rs != nil {
-		pos = *rs
-	}
+func start(g *graph.Graph, fast *ecc.Fast, pos, held Restored, cfg Config, fopt ecc.FastOptions, hopt hull.Options) *Manager {
 	bctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
-		cfg:      cfg,
-		fopt:     fopt,
-		hopt:     hopt,
-		queue:    make(chan op, cfg.QueueSize),
-		restored: rs,
-		ctx:      bctx,
-		cancel:   cancel,
+		cfg:    cfg,
+		fopt:   fopt,
+		hopt:   hopt,
+		queue:  make(chan op, cfg.QueueSize),
+		held:   held,
+		ctx:    bctx,
+		cancel: cancel,
 	}
 	m.publish(state{snap: &Snapshot{Gen: pos.Gen, Fast: fast, N: g.N(), M: g.M()}, graph: g, seq: pos.Seq})
 	m.wg.Add(1)
@@ -347,21 +350,35 @@ func start(g *graph.Graph, fast *ecc.Fast, rs *Restored, cfg Config, fopt ecc.Fa
 func (m *Manager) publish(s state) { m.st.Store(&s) }
 
 // AttachJournal registers j to observe the mutations and rebuilds that
-// follow it. It is an op: it runs after every op queued before it, so a WAL
-// replay's mutations, and the rebuilds they tripped, are never logged
-// twice. It then hands j a checkpoint of the served state, unless that is
-// the position NewFromState restored, which j's store already holds. A
-// failed checkpoint is counted in Stats.JournalFailures, not returned;
-// while the index is stale there is no consistent cut, and the rebuild that
-// ends it checkpoints. A nil j detaches. The error is ctx's, or ErrClosed.
+// follow it, then runs Checkpoint's op. Being an op, it runs after every op
+// queued before it, so a WAL replay's mutations, and the rebuilds they
+// tripped, are never logged twice, and j gets the state they reached unless
+// j's store already holds it (NewFromState's position). A stale index has
+// no consistent cut: j is attached without one. The error is j's failed
+// checkpoint, ctx's, or ErrClosed.
 func (m *Manager) AttachJournal(ctx context.Context, j Journal) error {
-	_, err := m.do(ctx, op{kind: opAttach, journal: j})
+	_, err := m.do(ctx, op{kind: opCheckpoint, journal: j})
+	if errors.Is(err, ErrStale) {
+		return nil
+	}
 	return err
 }
 
-// CheckpointState returns a consistent cut for an on-demand checkpoint: the
-// published master graph plus the served index, valid only while the two
-// agree (ErrStale otherwise — trigger or await the rebuild and retry).
+// Checkpoint hands the attached journal the served state's cut. It is an
+// op, so it runs after every op queued before it and the rebuilds they
+// tripped. It writes nothing when the journal already holds the served
+// (sequence, generation) or none is attached. It fails with ErrStale after
+// a failed rebuild, with the journal's error, and with ErrClosed after
+// Close.
+func (m *Manager) Checkpoint() error {
+	_, err := m.do(m.ctx, op{kind: opCheckpoint})
+	return err
+}
+
+// CheckpointState returns the published state's cut for an export
+// (SaveSnapshot): the master graph plus the served index, valid only while
+// the two agree (ErrStale otherwise — await the rebuild and retry). Unlike
+// Checkpoint it does not wait for queued ops.
 func (m *Manager) CheckpointState() (CheckpointState, error) { return m.st.Load().cut() }
 
 // Current returns the snapshot queries should use. Never nil.
@@ -386,11 +403,20 @@ func (m *Manager) send(ctx context.Context, o op) error {
 		return nil
 	case <-ctx.Done():
 		m.pending.Add(-1)
-		return ctx.Err()
+		return m.ctxErr(ctx)
 	case <-m.ctx.Done():
 		m.pending.Add(-1)
 		return ErrClosed
 	}
+}
+
+// ctxErr is ctx's error, or ErrClosed once the manager is closed, also
+// when ctx is m.ctx itself (Checkpoint).
+func (m *Manager) ctxErr(ctx context.Context) error {
+	if m.ctx.Err() != nil {
+		return ErrClosed
+	}
+	return ctx.Err()
 }
 
 // do queues o and waits for its answer. If ctx expires after enqueueing,
@@ -405,7 +431,7 @@ func (m *Manager) do(ctx context.Context, o op) (ApplyResult, error) {
 	case r := <-o.done:
 		return r.res, r.err
 	case <-ctx.Done():
-		return ApplyResult{}, ctx.Err()
+		return ApplyResult{}, m.ctxErr(ctx)
 	case <-m.ctx.Done():
 		return ApplyResult{}, ErrClosed
 	}
@@ -423,11 +449,11 @@ func (m *Manager) TriggerRebuild() {
 
 // RebuildAndWait queues a rebuild and waits for it, returning the
 // generation that was serving when the rebuild was requested, and the
-// build's error if it failed. It is the deterministic re-execution entry
-// point: trace replay needs the rebuild fully absorbed before the next
-// operation runs, and needs the pre-rebuild generation because that is what
-// the recording server stamped on its acceptance. On a follower it is a
-// barrier.
+// error of the build or of its checkpoint if either failed. It is the
+// deterministic re-execution entry point: trace replay needs the rebuild
+// fully absorbed before the next operation runs, and needs the pre-rebuild
+// generation because that is what the recording server stamped on its
+// acceptance. On a follower it is a barrier.
 func (m *Manager) RebuildAndWait(ctx context.Context) (uint64, error) {
 	gen := m.Current().Gen
 	_, err := m.do(ctx, op{kind: opRebuild})
@@ -508,12 +534,11 @@ func (m *Manager) run(o op) {
 	switch {
 	case o.kind == opRebuild && !m.cfg.Follower:
 		err = m.rebuild()
-	case o.kind == opAttach:
-		m.journal = o.journal
-		s := m.st.Load()
-		if m.restored == nil || *m.restored != (Restored{Gen: s.snap.Gen, Seq: s.seq}) {
-			m.checkpoint()
+	case o.kind == opCheckpoint:
+		if o.journal != nil {
+			m.journal = o.journal
 		}
+		err = m.checkpoint(m.st.Load())
 	}
 	// Uncount the op before answering, so a WaitIdle caller reads the
 	// settled QueueDepth.
@@ -598,11 +623,11 @@ func (m *Manager) apply(o op) (ApplyResult, error) {
 	return res, nil
 }
 
-// rebuild re-sketches the master graph, publishes the result and hands the
-// journal its checkpoint. It runs on the worker, so no mutation can land
-// while it builds. A failed build is counted and leaves the served index as
-// it was (still stale if it was stale); the next op that trips the trigger
-// tries again.
+// rebuild re-sketches the master graph, hands the journal the rebuilt cut
+// and only then publishes it. It runs on the worker, so no mutation can
+// land while it builds. A failed build or checkpoint is counted and leaves
+// the served index as it was (still stale if it was stale); the next op
+// that trips the trigger tries again.
 func (m *Manager) rebuild() error {
 	s := *m.st.Load()
 	s.rebuildInProgress = true
@@ -611,6 +636,19 @@ func (m *Manager) rebuild() error {
 	start := time.Now()
 	fast, err := ecc.NewFastContext(m.ctx, s.graph, m.fopt)
 	s.rebuildInProgress = false
+	next := s
+	if err == nil {
+		next.lastRebuildDur = time.Since(start)
+		next.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: fast, N: s.graph.N(), M: s.graph.M()}
+		next.rebuilds++
+		next.deletions = 0
+		next.stale = false
+		// The store takes the generation before any reader sees it, so
+		// replicas restored from the store never split from the writer.
+		if err = m.checkpoint(&next); err != nil {
+			s.journalFailures++
+		}
+	}
 	if err != nil {
 		if m.ctx.Err() == nil {
 			s.rebuildFailures++
@@ -618,30 +656,27 @@ func (m *Manager) rebuild() error {
 		m.publish(s)
 		return fmt.Errorf("lifecycle: rebuild: %w", err)
 	}
-	s.lastRebuildDur = time.Since(start)
-	s.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: fast, N: s.graph.N(), M: s.graph.M()}
-	s.rebuilds++
-	s.deletions = 0
-	s.stale = false
-	m.publish(s)
-	// Readers already see the new generation while the snapshot write,
-	// which may fsync megabytes, runs.
-	m.checkpoint()
+	m.publish(next)
 	return nil
 }
 
-// checkpoint hands the journal the published state's cut, counting a
-// failure in Stats.JournalFailures. A stale state has no consistent cut;
-// the rebuild that ends it checkpoints.
-func (m *Manager) checkpoint() {
-	s := m.st.Load()
+// checkpoint hands the journal s's cut unless it holds that cut already or
+// no journal is attached. ErrStale when s has no consistent cut.
+func (m *Manager) checkpoint(s *state) error {
+	if m.journal == nil {
+		return nil
+	}
 	cs, err := s.cut()
-	if m.journal == nil || err != nil {
-		return
+	if err != nil {
+		return err
+	}
+	pos := Restored{Gen: cs.Gen, Seq: cs.Seq}
+	if pos == m.held {
+		return nil
 	}
 	if err := m.journal.Checkpoint(cs); err != nil {
-		next := *s
-		next.journalFailures++
-		m.publish(next)
+		return err
 	}
+	m.held = pos
+	return nil
 }

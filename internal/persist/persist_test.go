@@ -321,8 +321,8 @@ func TestCheckpointTruncatesWALAndPrunesSnapshots(t *testing.T) {
 		t.Fatalf("old snapshots not pruned: %v", files)
 	}
 	// An out-of-date checkpoint must not clobber the fresher one: neither
-	// an older sequence nor, at the same sequence, an older generation (a
-	// manual checkpoint cut before a rebuild swap, written after it).
+	// an older sequence nor, at the same sequence, an older generation. The
+	// serving path has one checkpoint writer; this guards direct callers.
 	for _, stale := range []*Snapshot{testSnapshot(t, 1, 2), testSnapshot(t, 3, 3)} {
 		if err := st.Checkpoint(stale); err != nil {
 			t.Fatal(err)

@@ -261,8 +261,9 @@ func (st *Store) SnapshotBytes() ([]byte, uint64, uint64, error) {
 // Checkpoint atomically writes snap as the newest snapshot, deletes older
 // snapshot files and drops WAL records at or below snap.Seq. An out-of-date
 // checkpoint (older than the one already on disk: a lower Seq, or the same
-// Seq at a lower generation) is skipped, so a slow manual checkpoint can
-// never overwrite a fresher rebuild checkpoint.
+// Seq at a lower generation) is skipped. In a serving process the lifecycle
+// worker writes every checkpoint in order, so the guard is a backstop for
+// other callers (benchmarks, tools) that write to the store directly.
 func (st *Store) Checkpoint(snap *Snapshot) error {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -432,10 +433,11 @@ func (st *Store) Close() error {
 }
 
 // Hook adapts a Store to lifecycle.Journal: committed mutations append WAL
-// records; attaching the journal, and every rebuild swap after it,
-// checkpoints the served index (absorbing and truncating the log). Params
-// and BaseFP stamp each snapshot so recovery can prove it matches the
-// serving configuration.
+// records, and the lifecycle worker, the store's only checkpoint writer in
+// a serving process, checkpoints through it when the journal is attached,
+// on demand, and for every rebuild before the rebuilt index is served
+// (absorbing and truncating the log). Params and BaseFP stamp each snapshot
+// so recovery can prove it matches the serving configuration.
 type Hook struct {
 	Store  *Store
 	Params Params

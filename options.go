@@ -60,15 +60,15 @@ func WithMaxHullVertices(l int) Option {
 }
 
 // WithDriftThreshold sets the ε_drift rebuild trigger of a DynamicIndex:
-// once the accumulated incremental-update drift exceeds it, a background
-// rebuild is scheduled (0 = 0.5). Ignored by static indexes.
+// once the accumulated incremental-update drift exceeds it, a rebuild runs
+// before the next mutation (0 = 0.5). Ignored by static indexes.
 func WithDriftThreshold(d float64) Option {
 	return func(c *buildConfig) { c.driftThreshold = d }
 }
 
 // WithMaxDeletions sets how many edge removals a DynamicIndex serves
-// incrementally before forcing a background rebuild (0 = 16). Ignored by
-// static indexes.
+// incrementally before forcing a rebuild (0 = 16). Ignored by static
+// indexes.
 func WithMaxDeletions(k int) Option {
 	return func(c *buildConfig) { c.maxDeletions = k }
 }

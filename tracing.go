@@ -46,12 +46,17 @@ func (e *indexExecutor) Do(ctx context.Context, rec trace.Record) (trace.OpResul
 		}
 		return trace.OpResult{Gen: gen, Digest: trace.DigestGen(gen)}, nil
 	case trace.OpCheckpoint:
-		// Non-durable replay targets skip the disk write; the verification
-		// unit is the serving generation either way.
+		// A checkpoint runs behind the queued ops. A non-durable target
+		// skips the disk write but waits for the same ops, so the generation
+		// it reports is the one the recording server stamped.
+		var err error
 		if e.d.store != nil {
-			if err := e.d.Checkpoint(); err != nil {
-				return trace.OpResult{}, err
-			}
+			err = e.d.Checkpoint()
+		} else {
+			err = e.d.WaitIdle(ctx)
+		}
+		if err != nil {
+			return trace.OpResult{}, err
 		}
 		gen := e.d.Snapshot().Generation
 		return trace.OpResult{Gen: gen, Digest: trace.DigestGen(gen)}, nil
