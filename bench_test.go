@@ -118,7 +118,7 @@ func benchFastQuery(b *testing.B, eps float64) {
 	dim := int(12/(eps*eps)) + 1
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := ecc.NewFast(g, ecc.FastOptions{
+		f, err := ecc.NewFastContext(context.Background(), g, ecc.FastOptions{
 			Sketch: sketch.Options{Epsilon: eps, Dim: dim, Seed: 1},
 			Hull:   hull.Options{MaxVertices: 64},
 		})
@@ -140,7 +140,7 @@ func BenchmarkFig7_FastQueryLarge(b *testing.B) {
 	g := benchProxy(b, "Web-baidu-baike", 0.002) // ≈ 4200 nodes
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f, err := ecc.NewFast(g, ecc.FastOptions{
+		f, err := ecc.NewFastContext(context.Background(), g, ecc.FastOptions{
 			Sketch: benchSketchOpts(64),
 			Hull:   hull.Options{MaxVertices: 48},
 		})
@@ -226,7 +226,7 @@ func BenchmarkFig9_PKBaseline(b *testing.B) {
 
 func benchHullScan(b *testing.B, useHull bool) {
 	g := benchProxy(b, "Politician", 0.1)
-	f, err := ecc.NewFast(g, ecc.FastOptions{
+	f, err := ecc.NewFastContext(context.Background(), g, ecc.FastOptions{
 		Sketch: benchSketchOpts(96),
 		Hull:   hull.Options{MaxVertices: 48},
 	})

@@ -9,7 +9,8 @@ import (
 
 // serverDeps is every in-module package reccd links: the paper's pipeline
 // (graph, solver, sketch, hull, ecc, the optimizers with the PageRank
-// baseline, the Burr statistics) and the serving tier around it. A package
+// baseline, the Burr statistics), the fan-out and loop primitives both
+// share, and the serving tier around it. A package
 // outside that system must not reach the server through an import; adding
 // one here is a deliberate, reviewed change.
 var serverDeps = []string{
@@ -23,6 +24,7 @@ var serverDeps = []string{
 	"resistecc/internal/obs",
 	"resistecc/internal/optimize",
 	"resistecc/internal/pagerank",
+	"resistecc/internal/par",
 	"resistecc/internal/persist",
 	"resistecc/internal/repl",
 	"resistecc/internal/sketch",

@@ -9,6 +9,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"resistecc"
 	"resistecc/internal/graph"
@@ -107,6 +108,48 @@ func TestDurableServerCheckpointAndWarmRestart(t *testing.T) {
 		if !strings.Contains(metrics, want) {
 			t.Fatalf("metrics missing %q:\n%s", want, metrics)
 		}
+	}
+}
+
+// TestCheckpointInterval: with -checkpoint-interval set, a durable writer
+// absorbs its WAL into a fresh snapshot on its own, with no
+// POST /v1/checkpoint, and close stops the ticker before the index closes
+// (the package's leak check fails on a ticker that outlives it).
+func TestCheckpointInterval(t *testing.T) {
+	srv := durableServerCfg(t, t.TempDir(), func(c *serverConfig) {
+		c.CheckpointInterval = 20 * time.Millisecond
+		c.DriftThreshold = 100
+	})
+	h := testHandler(t, srv)
+	persisted := func() map[string]any {
+		t.Helper()
+		p, ok := decodeObj(t, get(t, h, "/v1/healthz"))["persist"].(map[string]any)
+		if !ok {
+			t.Fatal("healthz has no persist block")
+		}
+		return p
+	}
+	before := persisted()["checkpoints"].(float64)
+	for _, e := range [][2]int{{0, 100}, {110, 119}, {111, 118}} {
+		rec := do(t, h, http.MethodPost, "/v1/edges", fmt.Sprintf(`{"u":%d,"v":%d}`, e[0], e[1]))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("add %v: status %d (%s)", e, rec.Code, rec.Body.String())
+		}
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for p := persisted(); p["walRecords"] != float64(0) || p["checkpoints"].(float64) <= before; p = persisted() {
+		if time.Now().After(deadline) {
+			t.Fatalf("no interval checkpoint absorbed the WAL within 2s: %v (checkpoints before the adds: %v)", p, before)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+
+	srv.close()
+	dyn := srv.current().dyn
+	after := dyn.PersistStats().Checkpoints
+	time.Sleep(100 * time.Millisecond)
+	if got := dyn.PersistStats().Checkpoints; got != after {
+		t.Fatalf("checkpoints went from %d to %d after close", after, got)
 	}
 }
 

@@ -164,6 +164,6 @@ func newReplicaServer(ctx context.Context, cfg Config) (*server, error) {
 	s.publishBuildGauges()
 	s.publishLifecycleGauges()
 	s.publishReplicaMetrics()
-	tailer.Start(ctx)
+	s.stop = tailer.Start(ctx)
 	return s, nil
 }

@@ -19,7 +19,7 @@ import (
 // candidate when a replica dies mid-request, falling back to the writer);
 // mutations proxy straight to the writer, single-attempt.
 type routerServer struct {
-	// All four fields are set in newRouterServer before the listener
+	// All five fields are set in newRouterServer before the listener
 	// exists and never reassigned; handlers share them read-only. Mutable
 	// routing state lives inside the pool, which synchronizes itself.
 	pool *repl.Pool
@@ -29,6 +29,9 @@ type routerServer struct {
 	// rec captures proxied operations (-trace-out) through a response tee;
 	// nil when recording is off. The recorder serializes its own writes.
 	rec *trace.Recorder
+
+	// stop ends the pool's health loop.
+	stop func()
 }
 
 func newRouterServer(ctx context.Context, cfg Config) (*routerServer, error) {
@@ -44,12 +47,12 @@ func newRouterServer(ctx context.Context, cfg Config) (*routerServer, error) {
 		publishTraceMetrics(rs.reg, rec)
 	}
 	rs.publishRouterMetrics()
-	pool.Start(ctx)
+	rs.stop = pool.Start(ctx)
 	return rs, nil
 }
 
 func (rs *routerServer) close() {
-	rs.pool.Stop()
+	rs.stop()
 	if err := rs.rec.Close(); err != nil {
 		log.Printf("reccd: closing trace recorder: %v", err)
 	}

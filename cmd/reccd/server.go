@@ -16,6 +16,7 @@ import (
 	"resistecc"
 	"resistecc/internal/graph"
 	"resistecc/internal/obs"
+	"resistecc/internal/par"
 	"resistecc/internal/repl"
 	"resistecc/internal/trace"
 )
@@ -96,11 +97,13 @@ type server struct {
 	buildTime              time.Duration
 
 	// recovery reports how a durable index started (warm vs cold and why);
-	// zero when DataDir is unset. stopCheckpoint ends the interval ticker.
-	recovery       resistecc.RecoveryInfo
-	durable        bool
-	stopCheckpoint chan struct{}
-	checkpointWG   sync.WaitGroup
+	// zero when DataDir is unset.
+	recovery resistecc.RecoveryInfo
+	durable  bool
+
+	// stop ends the role's background loop: the writer's checkpoint ticker
+	// or the replica's tailer. nil when the role runs none.
+	stop func()
 
 	// source serves the replication feed (writer with a data directory);
 	// tailer pulls it (replica). Each nil on the roles that lack it.
@@ -190,7 +193,7 @@ func newServer(ctx context.Context, g *resistecc.Graph, ids *graph.IDMap, inputN
 	s.publishLifecycleGauges()
 	if s.durable {
 		s.publishPersistMetrics()
-		s.startCheckpointTicker()
+		s.startCheckpointTicker(ctx)
 		s.source = &repl.Source{
 			Store:      dyn.ReplicationStore(),
 			Generation: func() uint64 { return dyn.Snapshot().Generation },
@@ -200,16 +203,11 @@ func newServer(ctx context.Context, g *resistecc.Graph, ids *graph.IDMap, inputN
 	return s, nil
 }
 
-// close stops the checkpoint ticker and releases the lifecycle workers (used
+// close stops the background loop and releases the lifecycle workers (used
 // by tests and graceful shutdown; the process otherwise ends with the server).
 func (s *server) close() {
-	if s.stopCheckpoint != nil {
-		close(s.stopCheckpoint)
-		s.checkpointWG.Wait()
-		s.stopCheckpoint = nil
-	}
-	if s.tailer != nil {
-		s.tailer.Stop()
+	if s.stop != nil {
+		s.stop()
 	}
 	if sv := s.current(); sv != nil {
 		sv.dyn.Close()
@@ -247,27 +245,15 @@ func publishTraceMetrics(reg *obs.Registry, rec *trace.Recorder) {
 // Each checkpoint queues behind pending mutations; an already-current store
 // makes it a cheap no-op, and a stale index (the last rebuild failed) skips
 // it.
-func (s *server) startCheckpointTicker() {
+func (s *server) startCheckpointTicker(ctx context.Context) {
 	if s.cfg.CheckpointInterval <= 0 {
 		return
 	}
-	s.stopCheckpoint = make(chan struct{})
-	s.checkpointWG.Add(1)
-	go func() {
-		defer s.checkpointWG.Done()
-		t := time.NewTicker(s.cfg.CheckpointInterval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				if err := s.current().dyn.Checkpoint(); err != nil && !errors.Is(err, resistecc.ErrIndexStale) {
-					log.Printf("reccd: interval checkpoint: %v", err)
-				}
-			case <-s.stopCheckpoint:
-				return
-			}
+	s.stop = par.Every(ctx, s.cfg.CheckpointInterval, func(context.Context) {
+		if err := s.current().dyn.Checkpoint(); err != nil && !errors.Is(err, resistecc.ErrIndexStale) {
+			log.Printf("reccd: interval checkpoint: %v", err)
 		}
-	}()
+	})
 }
 
 // idx returns the FastIndex of the current generation (nil on a replica

@@ -89,13 +89,13 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 		if *large {
 			names = nil // nil = full corpus including the asterisked networks
 		}
-		if _, err := experiments.Table2(w, opt, names); err != nil {
+		if _, err := experiments.Table2(ctx, w, opt, names); err != nil {
 			return fmt.Errorf("table2: %w", err)
 		}
 	}
 	if want("fig7") {
 		matched = true
-		if _, err := experiments.Fig7(w, opt); err != nil {
+		if _, err := experiments.Fig7(ctx, w, opt); err != nil {
 			return fmt.Errorf("fig7: %w", err)
 		}
 	}
@@ -124,10 +124,10 @@ func run(ctx context.Context, args []string, w io.Writer) error {
 	}
 	if want("ablation") {
 		matched = true
-		if err := experiments.AblationHull(w, opt, nil); err != nil {
+		if err := experiments.AblationHull(ctx, w, opt, nil); err != nil {
 			return fmt.Errorf("ablation-hull: %w", err)
 		}
-		if err := experiments.AblationSketchDim(w, opt, "", nil); err != nil {
+		if err := experiments.AblationSketchDim(ctx, w, opt, "", nil); err != nil {
 			return fmt.Errorf("ablation-dim: %w", err)
 		}
 		if err := experiments.AblationSolver(ctx, w, opt, ""); err != nil {

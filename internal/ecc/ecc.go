@@ -98,17 +98,11 @@ func (e *Exact) Distribution() []float64 {
 	return out
 }
 
-// NewApprox runs APPROXER (Algorithm 2, lines 1-2) and returns the
+// NewApproxContext runs APPROXER (Algorithm 2, lines 1-2) and returns the
 // APPROXQUERY index: a Fast whose Boundary is all n nodes, with no hull.
-//
-//recclint:ctxroot compatibility shim over NewApproxContext; callers that need cancellation use the Context variant
-func NewApprox(g *graph.Graph, opt sketch.Options) (*Fast, error) {
-	return NewApproxContext(context.Background(), g, opt)
-}
-
-// NewApproxContext is NewApprox with build cancellation. g must be
-// connected (graph.ErrDisconnected otherwise): resistance between two
-// components is infinite, and no sketch can say so.
+// The sketch build stops before its next block of rows once ctx is
+// cancelled. g must be connected (graph.ErrDisconnected otherwise):
+// resistance between two components is infinite, and no sketch can say so.
 func NewApproxContext(ctx context.Context, g *graph.Graph, opt sketch.Options) (*Fast, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("ecc: approx preprocessing requires a connected graph: %w", graph.ErrDisconnected)
@@ -147,19 +141,12 @@ type Fast struct {
 	far atomic.Pointer[[]atomic.Uint32]
 }
 
-// NewFast runs the preprocessing of FASTQUERY (Algorithm 3, lines 1-4):
-// the APPROXER sketch followed by APPROXCH on the embedded points.
-//
-//recclint:ctxroot compatibility shim over NewFastContext; callers that need cancellation use the Context variant
-func NewFast(g *graph.Graph, opt FastOptions) (*Fast, error) {
-	return NewFastContext(context.Background(), g, opt)
-}
-
-// NewFastContext is NewFast with build cancellation: the dominant sketch
-// stage aborts between blocks of solver rows when ctx is cancelled, so
-// background rebuilds (the lifecycle manager) can be torn down mid-flight. Like
-// NewApproxContext, it fails with graph.ErrDisconnected unless g is
-// connected.
+// NewFastContext runs the preprocessing of FASTQUERY (Algorithm 3, lines
+// 1-4): the APPROXER sketch followed by APPROXCH on the embedded points.
+// The dominant sketch stage stops before its next block of solver rows
+// once ctx is cancelled, so background rebuilds (the lifecycle manager) can
+// be torn down mid-flight. Like NewApproxContext, it fails with
+// graph.ErrDisconnected unless g is connected.
 func NewFastContext(ctx context.Context, g *graph.Graph, opt FastOptions) (*Fast, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("ecc: fast preprocessing requires a connected graph: %w", graph.ErrDisconnected)

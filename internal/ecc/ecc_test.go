@@ -124,7 +124,7 @@ func TestApproxQueryTracksExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ap, err := NewApprox(g, sketch.Options{Epsilon: 0.3, Dim: 800, Seed: 11})
+	ap, err := NewApproxContext(context.Background(), g, sketch.Options{Epsilon: 0.3, Dim: 800, Seed: 11})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,7 +156,7 @@ func TestFastQueryTheorem56(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFast(g, FastOptions{Sketch: sketch.Options{Epsilon: eps, Dim: 300, Seed: 23}})
+	f, err := NewFastContext(context.Background(), g, FastOptions{Sketch: sketch.Options{Epsilon: eps, Dim: 300, Seed: 23}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestFastQueryTheorem56(t *testing.T) {
 func TestFastQueryPrunesLongPath(t *testing.T) {
 	n := 1200
 	g := graph.Path(n)
-	f, err := NewFast(g, FastOptions{Sketch: sketch.Options{Epsilon: 0.3, Dim: 96, Seed: 7}})
+	f, err := NewFastContext(context.Background(), g, FastOptions{Sketch: sketch.Options{Epsilon: 0.3, Dim: 96, Seed: 7}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,7 +205,7 @@ func TestFastQueryCappedHull(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := NewFast(g, FastOptions{
+	f, err := NewFastContext(context.Background(), g, FastOptions{
 		Sketch: sketch.Options{Epsilon: 0.3, Dim: 300, Seed: 23},
 		Hull:   hull.Options{Theta: 0.3 / 12, MaxVertices: 32},
 	})
@@ -228,7 +228,7 @@ func TestFastQueryCappedHull(t *testing.T) {
 
 func TestFastQueryBatchAndDefaults(t *testing.T) {
 	g := graph.Lollipop(8, 5)
-	f, err := NewFast(g, FastOptions{
+	f, err := NewFastContext(context.Background(), g, FastOptions{
 		Sketch: sketch.Options{Epsilon: 0.25, Dim: 128, Seed: 5},
 		Hull:   hull.Options{Theta: 0.02},
 	})
@@ -299,7 +299,7 @@ func TestQuickFastLeqApprox(t *testing.T) {
 	f := func(seed int64) bool {
 		g := graph.BarabasiAlbert(60, 2, seed)
 		opt := sketch.Options{Epsilon: 0.3, Dim: 120, Seed: seed}
-		fast, err := NewFast(g, FastOptions{Sketch: opt})
+		fast, err := NewFastContext(context.Background(), g, FastOptions{Sketch: opt})
 		if err != nil {
 			return false
 		}
@@ -323,7 +323,7 @@ func TestQuickFastLeqApprox(t *testing.T) {
 
 func TestFastDiameter(t *testing.T) {
 	g := graph.Path(40)
-	f, err := NewFast(g, FastOptions{Sketch: sketch.Options{Epsilon: 0.3, Dim: 256, Seed: 2}})
+	f, err := NewFastContext(context.Background(), g, FastOptions{Sketch: sketch.Options{Epsilon: 0.3, Dim: 256, Seed: 2}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -44,7 +44,7 @@ func medianTime(fn func() error) (time.Duration, error) {
 // the candidate set differs: all n nodes against the l boundary nodes.
 // Reported per network: hull size l, full-distribution query time with and
 // without the hull (medians of ablationReps runs), and the accuracy cost.
-func AblationHull(w io.Writer, opt Options, names []string) error {
+func AblationHull(ctx context.Context, w io.Writer, opt Options, names []string) error {
 	opt = opt.withDefaults()
 	if names == nil {
 		names = []string{"EmailUN", "Politician"}
@@ -58,7 +58,7 @@ func AblationHull(w io.Writer, opt Options, names []string) error {
 		if err != nil {
 			return err
 		}
-		f, err := ecc.NewFast(g, opt.fastOptions(eps))
+		f, err := ecc.NewFastContext(ctx, g, opt.fastOptions(eps))
 		if err != nil {
 			return err
 		}
@@ -92,7 +92,7 @@ func AblationHull(w io.Writer, opt Options, names []string) error {
 // the sketch dimension, against the theoretical ⌈24 ln n/ε²⌉. The build
 // time is the median of ablationReps builds, each with its first
 // Distribution.
-func AblationSketchDim(w io.Writer, opt Options, name string, dims []int) error {
+func AblationSketchDim(ctx context.Context, w io.Writer, opt Options, name string, dims []int) error {
 	opt = opt.withDefaults()
 	if name == "" {
 		name = "EmailUN"
@@ -119,7 +119,7 @@ func AblationSketchDim(w io.Writer, opt Options, name string, dims []int) error 
 		o.Dim = d
 		var approx []float64
 		dur, err := medianTime(func() error {
-			ap, err := ecc.NewApprox(g, o.sketchOptions(eps))
+			ap, err := ecc.NewApproxContext(ctx, g, o.sketchOptions(eps))
 			if err != nil {
 				return err
 			}

@@ -77,7 +77,7 @@ func TestFig2Smoke(t *testing.T) {
 func TestTable2Smoke(t *testing.T) {
 	var buf bytes.Buffer
 	opt := tinyOpts()
-	rows, err := Table2(&buf, opt, []string{"Unicode-language", "EmailUN"})
+	rows, err := Table2(context.Background(), &buf, opt, []string{"Unicode-language", "EmailUN"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTable2LargeSkipsExact(t *testing.T) {
 	var buf bytes.Buffer
 	opt := tinyOpts()
 	opt.ExactLimit = 10 // force the cap (EmailUN proxy has ≈ 34 nodes here)
-	rows, err := Table2(&buf, opt, []string{"EmailUN"})
+	rows, err := Table2(context.Background(), &buf, opt, []string{"EmailUN"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +121,7 @@ func TestTable2LargeSkipsExact(t *testing.T) {
 
 func TestFig7Smoke(t *testing.T) {
 	var buf bytes.Buffer
-	rows, err := Fig7(&buf, tinyOpts())
+	rows, err := Fig7(context.Background(), &buf, tinyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,10 +254,10 @@ func TestTable3Smoke(t *testing.T) {
 func TestAblationsSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	opt := tinyOpts()
-	if err := AblationHull(&buf, opt, []string{"EmailUN"}); err != nil {
+	if err := AblationHull(context.Background(), &buf, opt, []string{"EmailUN"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := AblationSketchDim(&buf, opt, "EmailUN", []int{16, 64}); err != nil {
+	if err := AblationSketchDim(context.Background(), &buf, opt, "EmailUN", []int{16, 64}); err != nil {
 		t.Fatal(err)
 	}
 	if err := AblationSolver(context.Background(), &buf, opt, "EmailUN"); err != nil {

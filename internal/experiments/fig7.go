@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 
@@ -24,7 +25,7 @@ type Fig7Row struct {
 // distribution of the four largest networks, computed with FASTQUERY
 // (EXACTQUERY is infeasible there). The qualitative claim re-checked here:
 // asymmetry, rightward skew and a pronounced heavy tail on every network.
-func Fig7(w io.Writer, opt Options) ([]Fig7Row, error) {
+func Fig7(ctx context.Context, w io.Writer, opt Options) ([]Fig7Row, error) {
 	opt = opt.withDefaults()
 	header(w, "Figure 7 — FASTQUERY distribution on the largest networks")
 	fmt.Fprintf(w, "large proxies at scale %.4g\n", opt.LargeScale)
@@ -37,7 +38,7 @@ func Fig7(w io.Writer, opt Options) ([]Fig7Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		f, err := ecc.NewFast(g, opt.fastOptions(eps))
+		f, err := ecc.NewFastContext(ctx, g, opt.fastOptions(eps))
 		if err != nil {
 			return nil, fmt.Errorf("experiments: fig7 %s: %w", name, err)
 		}

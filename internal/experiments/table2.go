@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"time"
@@ -45,7 +46,7 @@ func table2Names(includeLarge bool) []string {
 //
 // names narrows the corpus (nil = every scale-free registry network,
 // including the large ones at Options.LargeScale).
-func Table2(w io.Writer, opt Options, names []string) ([]Table2Row, error) {
+func Table2(ctx context.Context, w io.Writer, opt Options, names []string) ([]Table2Row, error) {
 	opt = opt.withDefaults()
 	if names == nil {
 		names = table2Names(true)
@@ -102,7 +103,7 @@ func Table2(w io.Writer, opt Options, names []string) ([]Table2Row, error) {
 			var fastDist []float64
 			var l int
 			d, err := timed(func() error {
-				f, err := ecc.NewFast(g, opt.fastOptions(eps))
+				f, err := ecc.NewFastContext(ctx, g, opt.fastOptions(eps))
 				if err != nil {
 					return err
 				}

@@ -7,10 +7,7 @@ import "testing"
 // runs them once per candidate point per round.
 func TestZeroAllocs(t *testing.T) {
 	pts := fixtureCloud(7, 80, 12, true, 0)
-	res, err := Approx(pts, Options{Theta: 0.05, Seed: 7, SkipRefine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _, _ := seedHull(pts, Options{Theta: 0.05, Seed: 7})
 	hullIdx := res.Vertices
 	g := newGram(pts, hullIdx[0], hullIdx[len(hullIdx)-1])
 	g.extend(hullIdx)

@@ -30,10 +30,7 @@ func TestGramDistanceMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		d := 2 + rng.Intn(40)
 		pts := fixtureCloud(1000+seed, 80, d, seed%2 == 0, 0)
-		seeds, err := Approx(pts, Options{Theta: theta, Seed: seed, SkipRefine: true})
-		if err != nil {
-			t.Fatal(err)
-		}
+		seeds, _, _ := seedHull(pts, Options{Theta: theta, Seed: seed})
 		floor := theta * theta * seeds.Diameter * seeds.Diameter
 		agree := func(got, want float64) bool {
 			return math.Abs(got*got-want*want) <= 1e-9*math.Max(want*want, floor)

@@ -11,8 +11,8 @@
 //  1. Seeding — extreme points along the approximate-diameter axis and a
 //     batch of random directions. The argmax of a linear functional is
 //     always a true hull vertex, so seeds are exact extreme points. Each
-//     pass over the points scores four directions, and the passes run on
-//     runtime.GOMAXPROCS(0) workers.
+//     pass over the points scores four directions, and par.For spreads the
+//     passes over runtime.GOMAXPROCS(0) workers.
 //  2. Greedy refinement — repeatedly find the point farthest from the
 //     current conv(Ŝ) (distance computed by Frank–Wolfe, a.k.a. the
 //     triangle algorithm, with certified upper/lower bounds) and insert it,
@@ -35,12 +35,12 @@
 //   - O(l·d) per inserted vertex, for its row of the Gram matrix, which
 //     keeps only its lower triangle, one row per vertex (≈ l²/2 doubles).
 //
-// Given the hull, points are independent, so each round runs them on
-// runtime.GOMAXPROCS(0) workers. A worker writes only its own points'
-// slots, and the uncovered points are collected in index order. Seeding's
-// workers likewise write only their own directions' argmaxes, each summed
-// in coordinate order, and the seeds go in in direction order. So the
-// Result does not depend on the worker count.
+// Given the hull, points are independent, so each round spreads them over
+// runtime.GOMAXPROCS(0) workers with par.For. A worker writes only its own
+// points' slots, and the uncovered points are collected in index order.
+// Seeding's workers likewise write only their own directions' argmaxes,
+// each summed in coordinate order, and the seeds go in in direction order.
+// So the Result does not depend on the worker count.
 //
 // FASTQUERY uses Ŝ to restrict farthest-point queries: the node farthest
 // from any query point lies on the hull boundary, so scanning Ŝ (size l ≪ n)
@@ -53,8 +53,8 @@ import (
 	"math/rand"
 	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
+
+	"resistecc/internal/par"
 )
 
 // Options configures APPROXCH.
@@ -67,9 +67,6 @@ type Options struct {
 	// MaxVertices caps |Ŝ|; zero means no cap. When the cap binds, the
 	// θ-coverage guarantee may be violated; Result.Certified reports it.
 	MaxVertices int
-	// SkipRefine disables stage 2 (pure directional sampling), leaving
-	// Certified false. Only tests set it, to get the seeding alone.
-	SkipRefine bool
 }
 
 // batchInsert caps how many uncovered vertices a refinement round may
@@ -85,8 +82,7 @@ type Result struct {
 	// coverage threshold (a lower bound makes the threshold conservative).
 	Diameter float64
 	// Certified reports whether every point was certified within θ·D̂ of
-	// conv(Ŝ) when refinement finished (false if MaxVertices bound first or
-	// SkipRefine was set).
+	// conv(Ŝ) when refinement finished (false if MaxVertices bound first).
 	Certified bool
 	// Rounds is the number of greedy refinement insertions performed.
 	Rounds int
@@ -112,46 +108,12 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 		}
 	}
 
-	res := &Result{}
-	in := make([]bool, n) // membership of Ŝ
-	var hullIdx []int
-	full := func() bool { return opt.MaxVertices > 0 && len(hullIdx) >= opt.MaxVertices }
-	addVertex := func(i int) {
-		if !in[i] {
-			in[i] = true
-			hullIdx = append(hullIdx, i)
-		}
-	}
-
-	// --- Stage 0: approximate diameter by double sweep. ---
-	a := argmaxDist(pts, pts[0])
-	b := argmaxDist(pts, pts[a])
-	res.Diameter = math.Sqrt(distSq(pts[a], pts[b]))
-	addVertex(a)
-	if !full() {
-		addVertex(b)
-	}
+	res, a, b := seedHull(pts, opt)
 	if res.Diameter == 0 {
-		// All points coincide; a single representative covers everything.
-		res.Vertices = hullIdx[:1]
-		res.Certified = true
 		return res, nil
 	}
-
-	// --- Stage 1: directional extreme seeding. ---
-	if !full() {
-		for _, i := range seedArgmaxes(pts, min(2*d+8, 64), opt.Seed) {
-			if full() {
-				break
-			}
-			addVertex(i)
-		}
-	}
-
-	if opt.SkipRefine {
-		res.Vertices = hullIdx
-		return res, nil
-	}
+	hullIdx := res.Vertices
+	full := func() bool { return opt.MaxVertices > 0 && len(hullIdx) >= opt.MaxVertices }
 
 	// --- Stage 2: certified greedy refinement. ---
 	threshold := opt.Theta * res.Diameter
@@ -160,7 +122,10 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	maxFW := min(max(int(math.Ceil(1/(opt.Theta*opt.Theta))), 16), 4096)
 	g := newGram(pts, a, b)
 	fws := make([]fw, runtime.GOMAXPROCS(0))
-	covered := make([]bool, n)
+	covered := make([]bool, n) // vertices of Ŝ, and points certified within θ·D̂
+	for _, i := range hullIdx {
+		covered[i] = true
+	}
 	ub := make([]float64, n) // distance upper bound of each uncovered point
 	type scored struct {
 		idx int
@@ -174,14 +139,14 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 		g.extend(hullIdx)
 		pending = pending[:0]
 		for i := 0; i < n; i++ {
-			if !covered[i] && !in[i] {
+			if !covered[i] {
 				pending = append(pending, i)
 			}
 		}
 		for w := range fws {
 			fws[w].size(len(hullIdx), d)
 		}
-		fanOut(len(pending), len(fws), func(w, k int) {
+		par.For(len(pending), len(fws), func(w, k int) {
 			i := pending[k]
 			ub[i], _, covered[i] = fws[w].distToHull(g, pts[i], threshold, maxFW)
 		})
@@ -219,7 +184,8 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 			}
 		}
 		for _, a := range accepted {
-			addVertex(a)
+			covered[a] = true
+			hullIdx = append(hullIdx, a)
 		}
 		res.Rounds++
 	}
@@ -227,37 +193,48 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	return res, nil
 }
 
-// fanOut calls visit(w, k) once for every k in [0, n), spread over at most
-// workers goroutines; w ∈ [0, workers) names the goroutine making the call,
-// so visit can use per-worker scratch. It returns once every call has.
-func fanOut(n, workers int, visit func(w, k int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for k := 0; k < n; k++ {
-			visit(0, k)
+// seedHull runs stages 0 and 1 of APPROXCH: the double-sweep diameter pair
+// (a, b), which also estimates D̂, and the extreme points of random
+// directions. res.Vertices holds the seeds, capped at opt.MaxVertices, and
+// res.Certified is set only when every point coincides.
+func seedHull(pts [][]float64, opt Options) (res *Result, a, b int) {
+	res = &Result{}
+	in := make([]bool, len(pts)) // membership of Ŝ
+	var hullIdx []int
+	full := func() bool { return opt.MaxVertices > 0 && len(hullIdx) >= opt.MaxVertices }
+	addVertex := func(i int) {
+		if !in[i] {
+			in[i] = true
+			hullIdx = append(hullIdx, i)
 		}
-		return
 	}
-	var (
-		next atomic.Int64
-		wg   sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				k := int(next.Add(1)) - 1
-				if k >= n {
-					return
-				}
-				visit(w, k)
+
+	// --- Stage 0: approximate diameter by double sweep. ---
+	a = argmaxDist(pts, pts[0])
+	b = argmaxDist(pts, pts[a])
+	res.Diameter = math.Sqrt(distSq(pts[a], pts[b]))
+	addVertex(a)
+	if !full() {
+		addVertex(b)
+	}
+	if res.Diameter == 0 {
+		// All points coincide; a single representative covers everything.
+		res.Vertices = hullIdx[:1]
+		res.Certified = true
+		return res, a, b
+	}
+
+	// --- Stage 1: directional extreme seeding. ---
+	if !full() {
+		for _, i := range seedArgmaxes(pts, min(2*len(pts[0])+8, 64), opt.Seed) {
+			if full() {
+				break
 			}
-		}()
+			addVertex(i)
+		}
 	}
-	wg.Wait()
+	res.Vertices = hullIdx
+	return res, a, b
 }
 
 func argmaxDist(pts [][]float64, from []float64) int {
@@ -284,7 +261,7 @@ func seedArgmaxes(pts [][]float64, dirs int, seed int64) []int {
 		dir[j] = rng.NormFloat64()
 	}
 	arg := make([]int, 4*passes)
-	fanOut(passes, runtime.GOMAXPROCS(0), func(_, k int) {
+	par.For(passes, runtime.GOMAXPROCS(0), func(_, k int) {
 		argmaxDot4(pts, dir[4*k*d:4*(k+1)*d], (*[4]int)(arg[4*k:]))
 	})
 	return arg[:dirs]

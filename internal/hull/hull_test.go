@@ -167,14 +167,13 @@ func TestMaxVerticesCap(t *testing.T) {
 	}
 }
 
+// Seeding without refinement (stages 0 and 1 alone) yields vertices but
+// certifies nothing.
 func TestSkipRefine(t *testing.T) {
 	pts := [][]float64{{0, 0}, {1, 0}, {0, 1}, {0.2, 0.2}}
-	res, err := Approx(pts, Options{Theta: 0.1, Seed: 2, SkipRefine: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res, _, _ := seedHull(pts, Options{Theta: 0.1, Seed: 2})
 	if res.Certified {
-		t.Fatal("SkipRefine must not certify")
+		t.Fatal("seeding alone must not certify")
 	}
 	if len(res.Vertices) == 0 {
 		t.Fatal("seeding should produce vertices")

@@ -174,7 +174,7 @@ func TestJournalContract(t *testing.T) {
 		if err := want.RemoveEdge(0, 1); err != nil {
 			t.Fatal(err)
 		}
-		cold, err := ecc.NewFast(want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+		cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
 		if err != nil {
 			t.Fatal(err)
 		}

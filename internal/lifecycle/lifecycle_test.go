@@ -143,7 +143,7 @@ func TestStaleRemovalSchedulesRebuild(t *testing.T) {
 	if err := want.RemoveEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ecc.NewFast(want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+	cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,7 +178,7 @@ func TestDriftThresholdTriggersRebuild(t *testing.T) {
 	if err := want.AddEdge(0, 12); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ecc.NewFast(want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+	cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +358,7 @@ func TestStaleSkipsIncremental(t *testing.T) {
 	if err := want.AddEdge(0, 12); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ecc.NewFast(want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+	cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -455,7 +455,7 @@ func TestRebuildsKeepUpWithBackToBackWrites(t *testing.T) {
 func TestFailedRebuildDoesNotSpin(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 5)
 	cfg := testConfig()
-	fast, err := ecc.NewFast(g, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+	fast, err := ecc.NewFastContext(context.Background(), g, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,7 +19,7 @@ func testParams() Params {
 
 func buildFast(t *testing.T, g *graph.Graph, p Params) *ecc.Fast {
 	t.Helper()
-	f, err := ecc.NewFast(g, ecc.FastOptions{Sketch: p.SketchOptions(), Hull: p.HullOptions()})
+	f, err := ecc.NewFastContext(context.Background(), g, ecc.FastOptions{Sketch: p.SketchOptions(), Hull: p.HullOptions()})
 	if err != nil {
 		t.Fatalf("NewFast: %v", err)
 	}

@@ -36,7 +36,7 @@ func newTestWriter(t *testing.T) *testWriter {
 	t.Cleanup(func() { st.Close() })
 	g := graph.RandomConnected(30, 60, 7)
 	p := persist.Params{Epsilon: 0.3, Dim: 32, Seed: 21}
-	f, err := ecc.NewFast(g, ecc.FastOptions{Sketch: p.SketchOptions(), Hull: p.HullOptions()})
+	f, err := ecc.NewFastContext(context.Background(), g, ecc.FastOptions{Sketch: p.SketchOptions(), Hull: p.HullOptions()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -302,8 +302,8 @@ func TestTailerBackgroundLoopConverges(t *testing.T) {
 	if err := tl.Sync(ctx); err != nil {
 		t.Fatal(err)
 	}
-	tl.Start(ctx)
-	defer tl.Stop()
+	stop := tl.Start(ctx)
+	defer stop()
 
 	tw.append(t, 0, 4)
 	deadline := time.Now().Add(5 * time.Second)
@@ -312,6 +312,40 @@ func TestTailerBackgroundLoopConverges(t *testing.T) {
 			t.Fatalf("background loop never converged: seq %d", f.Seq())
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// The stop func Start returns is safe to call from any number of goroutines
+// and more than once: shutdown paths converge (a signal handler, a failing
+// probe and a deferred cleanup can all reach it). Once any call returns, the
+// poll loop has ended.
+func TestTailerStopConcurrent(t *testing.T) {
+	tw := newTestWriter(t)
+	tw.checkpoint(t, 0, 1)
+	f := &fakeFollower{}
+	tl := newTestTailer(t, tw, f)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := tl.Sync(ctx); err != nil {
+		t.Fatal(err)
+	}
+	stop := tl.Start(ctx)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop()
+		}()
+	}
+	wg.Wait()
+	stop()
+
+	fetches := tl.Stats().Fetches
+	time.Sleep(50 * time.Millisecond) // five poll intervals
+	if got := tl.Stats().Fetches; got != fetches {
+		t.Fatalf("tailer polled %d more times after stop", got-fetches)
 	}
 }
 
@@ -468,8 +502,8 @@ func TestPoolHealthLoopEjectsAndReadmits(t *testing.T) {
 	p := NewPool(w.URL, []string{r1.URL}, nil, 5*time.Millisecond)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	p.Start(ctx)
-	defer p.Stop()
+	stop := p.Start(ctx)
+	defer stop()
 
 	waitFor := func(want bool) {
 		deadline := time.Now().Add(5 * time.Second)
@@ -485,4 +519,36 @@ func TestPoolHealthLoopEjectsAndReadmits(t *testing.T) {
 	waitFor(false)
 	fail.Store(false)
 	waitFor(true)
+}
+
+// The pool's stop func, like the tailer's, is safe to call concurrently and
+// repeatedly, and once any call returns the health loop has ended: a
+// backend that fails afterwards stays marked healthy.
+func TestPoolStopConcurrent(t *testing.T) {
+	var fail atomic.Bool
+	w := backendStub(t, 1, &fail)
+	p := NewPool(w.URL, nil, nil, 10*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	stop := p.Start(ctx)
+
+	var wg sync.WaitGroup
+	for i := 0; i < 16; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			stop()
+		}()
+	}
+	wg.Wait()
+	stop()
+
+	if !p.Writer().Healthy() {
+		t.Fatal("writer unhealthy after the initial check")
+	}
+	fail.Store(true)
+	time.Sleep(50 * time.Millisecond) // five check intervals
+	if !p.Writer().Healthy() {
+		t.Fatal("health loop still checking after stop")
+	}
 }

@@ -8,9 +8,10 @@ import (
 	"net/http"
 	"sort"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
+
+	"resistecc/internal/par"
 )
 
 // vnodesPerBackend spreads each backend over the hash ring so load stays
@@ -74,12 +75,6 @@ type Pool struct {
 	writerFallbacks atomic.Uint64
 	proxied         atomic.Uint64
 	noBackend       atomic.Uint64
-
-	startOnce sync.Once
-	stopOnce  sync.Once
-	started   atomic.Bool   // set by Start; Stop only waits on a started loop
-	stop      chan struct{} // closed exactly once, through stopOnce
-	done      chan struct{} // closed by the health loop as it exits
 }
 
 // NewPool builds a pool for one writer URL and its replica URLs. client
@@ -95,8 +90,6 @@ func NewPool(writer string, replicas []string, client *http.Client, interval tim
 		writer:   &Backend{URL: writer, IsWriter: true},
 		client:   client,
 		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
 	}
 	for _, u := range replicas {
 		b := &Backend{URL: u}
@@ -125,53 +118,19 @@ func (p *Pool) Stats() PoolStats {
 	}
 }
 
-// Start launches the health loop after one synchronous sweep, so routing
-// decisions are informed from the first request.
-func (p *Pool) Start(ctx context.Context) {
-	p.startOnce.Do(func() {
-		p.CheckOnce(ctx)
-		p.started.Store(true)
-		go func() {
-			defer close(p.done)
-			ticker := time.NewTicker(p.interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-ctx.Done():
-					return
-				case <-p.stop:
-					return
-				case <-ticker.C:
-					p.CheckOnce(ctx)
-				}
-			}
-		}()
-	})
-}
-
-// Stop ends the health loop and waits for it to exit. A no-op before Start;
-// safe to call from any number of goroutines (the close is serialized
-// through stopOnce — checking the channel first and closing in a default
-// clause would let two callers race to the close and panic).
-func (p *Pool) Stop() {
-	p.stopOnce.Do(func() { close(p.stop) })
-	if p.started.Load() {
-		<-p.done
-	}
+// Start runs one health sweep, so routing decisions are informed from the
+// first request, then sweeps every interval until ctx ends or stop is
+// called. stop cancels the sweep in flight and waits for it.
+func (p *Pool) Start(ctx context.Context) (stop func()) {
+	p.CheckOnce(ctx)
+	return par.Every(ctx, p.interval, p.CheckOnce)
 }
 
 // CheckOnce health-checks every backend concurrently: a 200 from
 // /v1/healthz marks it healthy and records its X-Index-Generation.
 func (p *Pool) CheckOnce(ctx context.Context) {
-	var wg sync.WaitGroup
-	for _, b := range append([]*Backend{p.writer}, p.replicas...) {
-		wg.Add(1)
-		go func(b *Backend) {
-			defer wg.Done()
-			p.checkBackend(ctx, b)
-		}(b)
-	}
-	wg.Wait()
+	all := append([]*Backend{p.writer}, p.replicas...)
+	par.For(len(all), len(all), func(_, k int) { p.checkBackend(ctx, all[k]) })
 }
 
 func (p *Pool) checkBackend(ctx context.Context, b *Backend) {

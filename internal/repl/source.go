@@ -14,6 +14,10 @@
 // checksummed end to end (per-section CRCs in the snapshot, header + per-
 // record CRCs in the tail frame), so a corrupt transfer is rejected before
 // any of it is applied.
+//
+// The replica's tail poll and the router's health sweep are par.Every
+// loops: Tailer.Start and Pool.Start return the loop's only stop func,
+// which cancels the poll or sweep in flight and waits for it.
 package repl
 
 import (
@@ -34,21 +38,19 @@ type Source struct {
 	// Generation reports the writer's currently served index generation,
 	// stamped on tail frames so caught-up replicas can detect divergence.
 	Generation func() uint64
-	// MaxBatch caps records per tail frame (0 = 4096). Fetches asking for
-	// more are truncated; the frame's LastSeq tells the replica to keep
-	// fetching.
-	MaxBatch int
 
-	// Serving counters: Store, Generation, and MaxBatch above are set
-	// before the first request and never reassigned; these are the only
-	// fields handlers mutate, each atomically, snapshotted by Stats.
+	// Serving counters: Store and Generation above are set before the
+	// first request and never reassigned; these are the only fields
+	// handlers mutate, each atomically, snapshotted by Stats.
 	snapshotsServed atomic.Uint64
 	framesServed    atomic.Uint64
 	recordsServed   atomic.Uint64
 	bytesServed     atomic.Uint64
 }
 
-// DefaultMaxBatch is the tail-frame record cap when MaxBatch is 0.
+// DefaultMaxBatch caps records per tail frame, and is what a Tailer asks
+// for unless configured to ask for less. Fetches asking for more are
+// truncated; the frame's LastSeq tells the replica to keep fetching.
 const DefaultMaxBatch = 4096
 
 // SourceStats are cumulative serving counters for metrics.
@@ -88,19 +90,16 @@ func (s *Source) ServeSnapshot(w http.ResponseWriter, r *http.Request) {
 }
 
 // ServeWAL answers GET /v1/repl/wal?from=N with a RECCTAL1 frame of the
-// records with Seq ≥ N (capped at MaxBatch). 410 "wal_gap" when the store
-// cannot vouch for that position: the replica must re-base on the current
-// snapshot.
+// records with Seq ≥ N (capped at DefaultMaxBatch). 410 "wal_gap" when the
+// store cannot vouch for that position: the replica must re-base on the
+// current snapshot.
 func (s *Source) ServeWAL(w http.ResponseWriter, r *http.Request) {
 	from, err := strconv.ParseUint(r.URL.Query().Get("from"), 10, 64)
 	if err != nil {
 		writeErr(w, http.StatusBadRequest, "bad_parameter", "missing or malformed ?from=")
 		return
 	}
-	max := s.MaxBatch
-	if max <= 0 {
-		max = DefaultMaxBatch
-	}
+	max := DefaultMaxBatch
 	// A replica may ask for less (smaller apply batches); never more.
 	if raw := r.URL.Query().Get("max"); raw != "" {
 		if m, err := strconv.Atoi(raw); err == nil && m > 0 && m < max {

@@ -7,9 +7,9 @@ import (
 	"io"
 	"net/http"
 	"sync"
-	"sync/atomic"
 	"time"
 
+	"resistecc/internal/par"
 	"resistecc/internal/persist"
 )
 
@@ -87,11 +87,6 @@ type Tailer struct {
 	// restored from: its state is that snapshot plus the records applied
 	// since.
 	baseSeq, baseGen uint64 // guarded by mu
-
-	started  atomic.Bool // set by Start; Stop only waits on a started loop
-	stopOnce sync.Once
-	stop     chan struct{}
-	done     chan struct{}
 }
 
 // NewTailer validates cfg and fills defaults.
@@ -111,7 +106,7 @@ func NewTailer(cfg TailerConfig) (*Tailer, error) {
 	if cfg.MaxBatch <= 0 {
 		cfg.MaxBatch = DefaultMaxBatch
 	}
-	return &Tailer{cfg: cfg, stop: make(chan struct{}), done: make(chan struct{})}, nil
+	return &Tailer{cfg: cfg}, nil
 }
 
 // Stats returns a point-in-time progress view.
@@ -142,38 +137,14 @@ func (t *Tailer) Sync(ctx context.Context) error {
 	return t.poll(ctx)
 }
 
-// Start launches the background poll loop. Stop (or ctx cancellation) ends
-// it; Start must be called at most once.
-func (t *Tailer) Start(ctx context.Context) {
-	t.started.Store(true)
-	go func() {
-		defer close(t.done)
-		ticker := time.NewTicker(t.cfg.Interval)
-		defer ticker.Stop()
-		for {
-			select {
-			case <-ctx.Done():
-				return
-			case <-t.stop:
-				return
-			case <-ticker.C:
-				if err := t.poll(ctx); err != nil {
-					t.recordFailure(err)
-				}
-			}
+// Start polls every Interval until ctx ends or stop is called. stop
+// cancels the poll in flight and waits for it.
+func (t *Tailer) Start(ctx context.Context) (stop func()) {
+	return par.Every(ctx, t.cfg.Interval, func(ctx context.Context) {
+		if err := t.poll(ctx); err != nil {
+			t.recordFailure(err)
 		}
-	}()
-}
-
-// Stop ends the poll loop and waits for it to exit. A no-op before Start;
-// safe to call from any number of goroutines (the close is serialized
-// through stopOnce, and started is atomic because Stop may run on a
-// different goroutine than the Start that set it).
-func (t *Tailer) Stop() {
-	t.stopOnce.Do(func() { close(t.stop) })
-	if t.started.Load() {
-		<-t.done
-	}
+	})
 }
 
 // poll drains the writer's tail: fetch → apply → repeat until caught up.

@@ -21,6 +21,12 @@
 // its CPU fell from 65% to 55%. Drawing the signs and pushing them through
 // Bᵀ is now about 15% of it.
 //
+// The blocks of four rows are independent, so par.For spreads them over
+// min(GOMAXPROCS, blocks) workers, each with its own solver and lane
+// buffer. Each block writes only its own rows and its own error slot, so
+// neither the sketch nor its BuildStats depends on the worker count, and a
+// failed build reports its lowest failing row.
+//
 // Columns of X̃ embed the nodes as points in R^d whose squared Euclidean
 // distances approximate resistance distances — the geometric view that
 // FASTQUERY's convex-hull pruning (package hull) builds on.
@@ -33,9 +39,10 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"sync"
+	"sync/atomic"
 
 	"resistecc/internal/graph"
+	"resistecc/internal/par"
 	"resistecc/internal/solver"
 )
 
@@ -118,10 +125,11 @@ type Sketch struct {
 }
 
 // NewContext runs APPROXER(G, ε) on the CSR snapshot and returns the sketch.
-// The build checks ctx between blocks of solver.Lanes rows and aborts with
-// ctx.Err(), so background index rebuilds (the lifecycle manager) and
-// optimizer loops can be torn down mid-flight without finishing the
-// remaining Õ(m/ε²) work.
+// The build checks ctx before each block of solver.Lanes rows and fails
+// with an error wrapping ctx.Err(), so background index rebuilds (the
+// lifecycle manager) and optimizer loops can be torn down mid-flight
+// without finishing the remaining Õ(m/ε²) work. A failed solve names the
+// lowest failing row.
 func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, error) {
 	if opt.Epsilon <= 0 || opt.Epsilon >= 1 {
 		return nil, fmt.Errorf("%w, got %g", ErrBadEpsilon, opt.Epsilon)
@@ -145,104 +153,79 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 	// m-vector drawn from row i's own seeded stream. The rows are solved
 	// Lanes at a time, block k holding rows Lanes·k … Lanes·k+Lanes−1, and
 	// the blocks are spread over min(GOMAXPROCS, blocks) workers, each with
-	// its own solver scratch.
+	// its own solver, lane buffer and stats.
 	blocks := (d + solver.Lanes - 1) / solver.Lanes
 	workers := min(runtime.GOMAXPROCS(0), blocks)
-
-	scale := 1 / math.Sqrt(float64(d))
-	var (
-		wg        sync.WaitGroup
-		mu        sync.Mutex
-		firstErr  error
-		abort     = make(chan struct{})
-		abortOnce sync.Once
-	)
-	// fail records the first error and unblocks the feeder, so a build whose
-	// workers all die early (e.g. a disconnected graph failing NewLap) does
-	// not deadlock the block feed.
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
+	laps := make([]*solver.Lap, workers)
+	lanes := make([][][solver.Lanes]float64, workers)
+	stats := make([]BuildStats, workers)
+	for w := range laps {
+		lap, err := solver.NewLap(csr, opt.Solver)
+		if err != nil {
+			return nil, err
 		}
-		mu.Unlock()
-		abortOnce.Do(func() { close(abort) })
+		laps[w], lanes[w] = lap, make([][solver.Lanes]float64, n)
 	}
-	sk.Stats.Workers = workers
-	blockCh := make(chan int)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			lap, err := solver.NewLap(csr, opt.Solver)
-			if err != nil {
-				fail(err)
+
+	// A failed block skips only the blocks above it, and the build reports
+	// the lowest failure: blocks are handed out in increasing order, so
+	// every block below the lowest failing one has run, whatever the
+	// scheduling, and the error names the same row every time.
+	scale := 1 / math.Sqrt(float64(d))
+	errs := make([]error, blocks)
+	var lowestFailed atomic.Int64
+	lowestFailed.Store(int64(blocks))
+	fail := func(k int, err error) {
+		errs[k] = err
+		for {
+			cur := lowestFailed.Load()
+			if int64(k) >= cur || lowestFailed.CompareAndSwap(cur, int64(k)) {
 				return
 			}
-			x := make([][solver.Lanes]float64, n)
-			var rngs [solver.Lanes]*rand.Rand
-			var st [solver.Lanes]solver.LaneStats
-			var local BuildStats
-			defer func() {
-				mu.Lock()
-				sk.Stats.merge(local)
-				mu.Unlock()
-			}()
-			for k := range blockCh {
-				i0 := k * solver.Lanes
-				rows := min(solver.Lanes, d-i0)
-				for j := range rngs {
-					rngs[j] = nil
-					if j < rows {
-						rngs[j] = rand.New(rand.NewSource(opt.Seed + int64(i0+j)*0x9E3779B9))
-					}
-				}
-				pushIncidence(csr, &rngs, scale, x)
-				if err := lap.SolveLanes(x, x, &st); err != nil {
-					for j := range st {
-						if st[j].Err != nil {
-							err = fmt.Errorf("sketch: row %d: %w", i0+j, st[j].Err)
-							break
-						}
-					}
-					fail(err)
-					return
-				}
-				for j := 0; j < rows; j++ {
-					local.Rows++
-					local.TotalIters += st[j].Iters
-					if st[j].Iters > local.MaxIters {
-						local.MaxIters = st[j].Iters
-					}
-					if st[j].Residual > local.MaxResidual {
-						local.MaxResidual = st[j].Residual
-					}
-				}
-				for v := 0; v < n; v++ {
-					copy(sk.pts[v][i0:i0+rows], x[v][:rows])
-				}
-			}
-		}()
-	}
-feed:
-	for k := 0; k < blocks; k++ {
-		select {
-		case blockCh <- k:
-		case <-abort:
-			break feed
-		case <-ctx.Done():
-			mu.Lock()
-			if firstErr == nil {
-				firstErr = fmt.Errorf("sketch: build cancelled: %w", ctx.Err())
-			}
-			mu.Unlock()
-			break feed
 		}
 	}
-	close(blockCh)
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
+	par.For(blocks, workers, func(w, k int) {
+		if int64(k) > lowestFailed.Load() {
+			return
+		}
+		if err := ctx.Err(); err != nil {
+			fail(k, fmt.Errorf("sketch: build cancelled: %w", err))
+			return
+		}
+		x := lanes[w]
+		i0 := k * solver.Lanes
+		rows := min(solver.Lanes, d-i0)
+		var rngs [solver.Lanes]*rand.Rand
+		for j := 0; j < rows; j++ {
+			rngs[j] = rand.New(rand.NewSource(opt.Seed + int64(i0+j)*0x9E3779B9))
+		}
+		pushIncidence(csr, &rngs, scale, x)
+		var st [solver.Lanes]solver.LaneStats
+		if err := laps[w].SolveLanes(x, x, &st); err != nil {
+			for j := range st {
+				if st[j].Err != nil {
+					err = fmt.Errorf("sketch: row %d: %w", i0+j, st[j].Err)
+					break
+				}
+			}
+			fail(k, err)
+			return
+		}
+		for j := 0; j < rows; j++ {
+			stats[w].merge(BuildStats{Rows: 1, TotalIters: st[j].Iters, MaxIters: st[j].Iters, MaxResidual: st[j].Residual})
+		}
+		for v := 0; v < n; v++ {
+			copy(sk.pts[v][i0:i0+rows], x[v][:rows])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	sk.Stats.Workers = workers
+	for _, st := range stats {
+		sk.Stats.merge(st)
 	}
 	return sk, nil
 }

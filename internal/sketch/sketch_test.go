@@ -2,10 +2,12 @@ package sketch
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -171,6 +173,25 @@ func TestBuildStats(t *testing.T) {
 	}
 	if st.Workers != 4 {
 		t.Fatalf("workers %d, want 4", st.Workers)
+	}
+}
+
+// A failed build names the lowest failing row whatever the scheduling: a
+// failure skips only the blocks above it. With one CG iteration every row
+// of a 30×30 grid fails, so every build must report row 0, at any worker
+// count.
+func TestFailedBuildNamesLowestRow(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(runtime.GOMAXPROCS(0), 2)))
+	csr := graph.Grid(30, 30).ToCSR()
+	opt := Options{Epsilon: 0.3, Dim: 64, Seed: 1, Solver: solver.Options{MaxIter: 1}}
+	for i := 0; i < 60; i++ {
+		sk, err := NewContext(context.Background(), csr, opt)
+		if sk != nil || !errors.Is(err, solver.ErrNoConvergence) {
+			t.Fatalf("build %d: sketch %v, error %v; want no sketch and ErrNoConvergence", i, sk != nil, err)
+		}
+		if !strings.HasPrefix(err.Error(), "sketch: row 0: ") {
+			t.Fatalf("build %d: %v; want the error of row 0", i, err)
+		}
 	}
 }
 

@@ -206,12 +206,13 @@ func TestUpdateValidation(t *testing.T) {
 	}
 }
 
-// TestNewContextCancelled: a cancelled context aborts the build.
+// TestNewContextCancelled: a cancelled context aborts the build before its
+// first block and returns no sketch.
 func TestNewContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := NewContext(ctx, graph.Path(64).ToCSR(), Options{Epsilon: 0.3, Dim: 256, Seed: 1})
-	if err == nil || !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled build: got %v, want context.Canceled", err)
+	sk, err := NewContext(ctx, graph.Path(64).ToCSR(), Options{Epsilon: 0.3, Dim: 256, Seed: 1})
+	if sk != nil || !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled build: sketch %v, error %v; want no sketch and context.Canceled", sk != nil, err)
 	}
 }
