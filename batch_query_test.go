@@ -204,7 +204,7 @@ func TestResistanceDiameterDegenerate(t *testing.T) {
 func TestAnswerTablePerGeneration(t *testing.T) {
 	ctx := context.Background()
 	g := durableGraph(t)
-	d, err := NewDynamicIndex(ctx, g, append(durableOpts(), WithDriftThreshold(100), WithMaxDeletions(1000))...)
+	d, err := NewDynamicIndex(ctx, g, append(durableOpts(), WithMaxDeletions(1000))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,7 +25,6 @@ func cmdReplay(ctx context.Context, args []string) error {
 	dim := fs.Int("dim", 128, "sketch dimension override (local replay)")
 	hullCap := fs.Int("hullcap", 64, "max hull vertices (local replay)")
 	seed := fs.Int64("seed", 1, "sketch seed (local replay)")
-	drift := fs.Float64("drift-threshold", 0, "rebuild drift threshold (local replay; 0 = library default)")
 	timed := fs.Bool("timed", false, "honor the recorded arrival deltas instead of replaying as fast as possible")
 	maxMismatches := fs.Int("max-mismatches", 10, "stop after this many divergences (0 = replay everything)")
 	if err := fs.Parse(args); err != nil {
@@ -54,7 +53,7 @@ func cmdReplay(ctx context.Context, args []string) error {
 	if *target != "" {
 		ex = &trace.HTTPExecutor{Base: *target}
 	} else {
-		ex, err = localExecutor(ctx, *in, *eps, *dim, *seed, *hullCap, *drift)
+		ex, err = localExecutor(ctx, *in, *eps, *dim, *seed, *hullCap)
 		if err != nil {
 			return err
 		}
@@ -74,7 +73,7 @@ func cmdReplay(ctx context.Context, args []string) error {
 // localExecutor builds the replay target the way reccd builds its serving
 // index: load the edge list, restrict to the LCC, and translate the trace's
 // external ids through the composed id map.
-func localExecutor(ctx context.Context, in string, eps float64, dim int, seed int64, hullCap int, drift float64) (trace.Executor, error) {
+func localExecutor(ctx context.Context, in string, eps float64, dim int, seed int64, hullCap int) (trace.Executor, error) {
 	lcc, ids, err := loadLCC(in)
 	if err != nil {
 		return nil, err
@@ -82,9 +81,6 @@ func localExecutor(ctx context.Context, in string, eps float64, dim int, seed in
 	opts := []resistecc.Option{
 		resistecc.WithEpsilon(eps), resistecc.WithDim(dim),
 		resistecc.WithSeed(seed), resistecc.WithMaxHullVertices(hullCap),
-	}
-	if drift > 0 {
-		opts = append(opts, resistecc.WithDriftThreshold(drift))
 	}
 	d, err := resistecc.NewDynamicIndex(ctx, lcc, opts...)
 	if err != nil {

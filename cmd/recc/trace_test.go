@@ -16,7 +16,7 @@ import (
 // edge) are dropped and the sequence renumbered.
 func stampDigests(t *testing.T, graphPath string, recs []trace.Record) []trace.Record {
 	t.Helper()
-	ex, err := localExecutor(context.Background(), graphPath, 0.3, 64, 5, 24, 100)
+	ex, err := localExecutor(context.Background(), graphPath, 0.3, 64, 5, 24)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +70,7 @@ func TestLoadgenReplayInspectCommands(t *testing.T) {
 	// An unverified trace replays locally without failures.
 	if err := run(context.Background(), []string{
 		"replay", "-trace", raw, "-in", graphPath,
-		"-eps", "0.3", "-dim", "64", "-seed", "5", "-hullcap", "24", "-drift-threshold", "100",
+		"-eps", "0.3", "-dim", "64", "-seed", "5", "-hullcap", "24",
 	}); err != nil {
 		t.Fatalf("unverified replay: %v", err)
 	}
@@ -87,7 +87,7 @@ func TestLoadgenReplayInspectCommands(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{
 		"replay", "-trace", vpath, "-in", graphPath,
-		"-eps", "0.3", "-dim", "64", "-seed", "5", "-hullcap", "24", "-drift-threshold", "100",
+		"-eps", "0.3", "-dim", "64", "-seed", "5", "-hullcap", "24",
 	}); err != nil {
 		t.Fatalf("verified replay should be bit-exact: %v", err)
 	}
@@ -106,7 +106,7 @@ func TestLoadgenReplayInspectCommands(t *testing.T) {
 	}
 	if err := run(context.Background(), []string{
 		"replay", "-trace", tpath, "-in", graphPath,
-		"-eps", "0.3", "-dim", "64", "-seed", "5", "-hullcap", "24", "-drift-threshold", "100",
+		"-eps", "0.3", "-dim", "64", "-seed", "5", "-hullcap", "24",
 	}); err == nil {
 		t.Fatal("tampered digest should fail the replay")
 	}

@@ -24,7 +24,7 @@ func durableServer(t testing.TB, dir string) *server {
 }
 
 // durableServerCfg is durableServer with a config hook (trace recording,
-// drift thresholds, …) applied before construction.
+// rebuild limits, …) applied before construction.
 func durableServerCfg(t testing.TB, dir string, mutate func(*serverConfig)) *server {
 	t.Helper()
 	g, err := resistecc.ScaleFreeMixed(120, 1, 4, 0.3, 5)
@@ -118,7 +118,6 @@ func TestDurableServerCheckpointAndWarmRestart(t *testing.T) {
 func TestCheckpointInterval(t *testing.T) {
 	srv := durableServerCfg(t, t.TempDir(), func(c *serverConfig) {
 		c.CheckpointInterval = 20 * time.Millisecond
-		c.DriftThreshold = 100
 	})
 	h := testHandler(t, srv)
 	persisted := func() map[string]any {
@@ -159,7 +158,7 @@ func TestCheckpointInterval(t *testing.T) {
 // /v1/summary; a mutation publishes a generation with a table of its own,
 // which reads 0 until queries reach it.
 func TestAnsweredNodesGauge(t *testing.T) {
-	srv := durableServerCfg(t, t.TempDir(), func(c *serverConfig) { c.DriftThreshold = 100 })
+	srv := durableServer(t, t.TempDir())
 	defer srv.close()
 	h := testHandler(t, srv)
 	n := srv.current().dyn.Snapshot().N

@@ -4,8 +4,9 @@
 //   - writer (default): loads an edge-list network, reduces it to its largest
 //     connected component, builds a FASTQUERY index, and keeps it live across
 //     online edge mutations — a generation-numbered DynamicIndex absorbs adds
-//     and removals with incremental sketch updates, and rebuilds before the
-//     next mutation once the accumulated drift crosses its threshold. With
+//     and removals with exact incremental sketch updates, and rebuilds
+//     before the next mutation after a near-bridge removal or once the
+//     removals since the last build reach -max-deletions. With
 //     -data-dir the index is durable (checksummed snapshots + a mutation WAL,
 //     warm restarts) and the writer additionally serves the replication feed
 //     under /v1/repl/.
@@ -96,8 +97,9 @@ func main() {
 	flag.DurationVar(&cfg.Server.ShutdownGrace, "shutdown-grace", cfg.Server.ShutdownGrace,
 		"max wait for in-flight requests on SIGINT/SIGTERM")
 	flag.BoolVar(&cfg.Server.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	flag.Float64Var(&cfg.Server.DriftThreshold, "drift-threshold", 0,
-		"accumulated incremental-update drift that trips a rebuild before the next mutation (0 = library default)")
+	// Sketch updates are exact, so no drift accumulates; the flag name stays
+	// so existing command lines that spell out a threshold keep starting.
+	flag.Float64("drift-threshold", 0, "retired: accepted and ignored; sketch updates are exact and accumulate no drift")
 	flag.IntVar(&cfg.Server.MaxDeletions, "max-deletions", 0,
 		"edge removals absorbed before forcing a rebuild (0 = library default)")
 	flag.IntVar(&cfg.Server.MutationQueue, "mutation-queue", 0,

@@ -31,9 +31,7 @@ func do(t *testing.T, h http.Handler, method, url, body string) *httptest.Respon
 
 // waitIdle blocks until srv's lifecycle settles (queued mutations applied,
 // any rebuild they scheduled swapped in) and returns the generation then
-// current. On the 5-node fixture every add's drift crosses the default
-// threshold, so a test that asserts generations after a mutation waits here
-// instead of racing the drift rebuild.
+// current.
 func waitIdle(t *testing.T, srv *server) uint64 {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -73,15 +71,19 @@ func TestMutationEndpoints(t *testing.T) {
 	}
 	body := decodeObj(t, rec)
 	if body["u"].(float64) != 10 || body["v"].(float64) != 14 ||
-		body["generation"].(float64) != 2 || body["mode"] != "incremental" {
+		body["generation"].(float64) != 2 || body["mode"] != "incremental" ||
+		body["drift"] != 0.0 || body["rebuildScheduled"] != false {
 		t.Fatalf("add body %v", body)
 	}
 	if rec.Header().Get("X-Index-Generation") != "2" {
 		t.Fatalf("add generation header %q", rec.Header().Get("X-Index-Generation"))
 	}
 
-	// Queries see the generation current once the add's drift rebuild lands.
+	// The update is exact and trips no rebuild: queries see generation 2.
 	gen := waitIdle(t, srv)
+	if gen != 2 {
+		t.Fatalf("generation %d after one exact add, want 2", gen)
+	}
 	if q := get(t, h, "/v1/eccentricity?node=10"); q.Header().Get("X-Index-Generation") != strconv.FormatUint(gen, 10) {
 		t.Fatalf("query generation header %q, want %d", q.Header().Get("X-Index-Generation"), gen)
 	}
@@ -163,7 +165,8 @@ func TestSummaryCachePerGeneration(t *testing.T) {
 
 // TestMixedWorkloadNoDowntime is the acceptance scenario of the dynamic
 // serving core: readers hammer /v1/eccentricity while a writer streams edge
-// additions whose drift forces background rebuilds. Requirements: zero 5xx,
+// additions, each followed by a POST /v1/rebuild whose build runs behind
+// it, racing the readers. Requirements: zero 5xx,
 // a monotone non-decreasing X-Index-Generation per client, and — once the
 // queue drains and the final rebuild lands — answers bit-identical to a cold
 // build of the final graph.
@@ -178,9 +181,6 @@ func TestMixedWorkloadNoDowntime(t *testing.T) {
 	}
 	cfg := defaultConfig()
 	cfg.MaxInFlight = 0 // shedding is a 503; this test demands zero 5xx
-	// Every mutation crosses the drift threshold, so each add schedules a
-	// background rebuild racing the readers.
-	cfg.DriftThreshold = 1e-9
 	// Keep a pristine copy for the cold reference build (the server clones
 	// its input, so g itself also stays untouched — this is belt and braces).
 	final := g.Clone()
@@ -245,6 +245,9 @@ func TestMixedWorkloadNoDowntime(t *testing.T) {
 		if rec.Code != http.StatusOK {
 			t.Errorf("add %v: status %d (%s)", e, rec.Code, rec.Body.String())
 		}
+		if rec := do(t, h, http.MethodPost, "/v1/rebuild", ""); rec.Code != http.StatusAccepted {
+			t.Errorf("rebuild after add %v: status %d (%s)", e, rec.Code, rec.Body.String())
+		}
 	}
 	close(writerDone)
 	wg.Wait()
@@ -265,7 +268,7 @@ func TestMixedWorkloadNoDowntime(t *testing.T) {
 	if st.Rebuilds < 1 {
 		t.Fatalf("expected at least one background rebuild, stats %+v", st)
 	}
-	if st.Drift != 0 || st.QueueDepth != 0 {
+	if st.QueueDepth != 0 {
 		t.Fatalf("lifecycle not settled after WaitIdle: %+v", st)
 	}
 

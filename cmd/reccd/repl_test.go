@@ -326,7 +326,7 @@ func TestReplRefusedRebuildKeepsReplicaConverged(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dir := t.TempDir()
-	writer := durableServerCfg(t, dir, func(c *serverConfig) { c.DriftThreshold = 100 })
+	writer := durableServer(t, dir)
 	defer writer.close()
 	writerTS := httptest.NewServer(writer.handler(log.New(io.Discard, "", 0)))
 	defer writerTS.Close()
@@ -407,6 +407,106 @@ func TestReplRefusedRebuildKeepsReplicaConverged(t *testing.T) {
 	}
 	if got := writer.current().dyn.Snapshot().Generation; got != gen+1 {
 		t.Fatalf("writer at generation %d after the healed rebuild, want %d", got, gen+1)
+	}
+}
+
+// TestReplExactUpdatesConverge: a replica applies the writer's exact sketch
+// updates from the shipped WAL and snapshot and stays bit-identical, with
+// no resync after its initial sync. The writer adds two edges, checkpoints
+// on demand, which cuts its WAL at the replica's position, then removes a
+// build-time edge, taking the column the build drew for it out of the
+// projection on both sides.
+func TestReplExactUpdatesConverge(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	writer := durableServer(t, t.TempDir())
+	defer writer.close()
+	writerTS := httptest.NewServer(writer.handler(log.New(io.Discard, "", 0)))
+	defer writerTS.Close()
+	replica, replicaTS := startReplica(t, ctx, writerTS.URL)
+	defer replicaTS.Close()
+	defer replica.close()
+	waitConverged(t, writer, replica)
+	resyncs := func() string {
+		t.Helper()
+		_, metrics, _ := httpGet(t, replicaTS.URL+"/v1/metrics", nil)
+		for _, line := range strings.Split(metrics, "\n") {
+			if v, ok := strings.CutPrefix(line, "reccd_repl_resyncs_total "); ok {
+				return v
+			}
+		}
+		t.Fatalf("replica metrics lack reccd_repl_resyncs_total:\n%s", metrics)
+		return ""
+	}
+	before := resyncs()
+
+	mutate := func(method, path, body string) {
+		t.Helper()
+		req, err := http.NewRequest(method, writerTS.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var ack struct {
+			Mode             string   `json:"mode"`
+			Drift            *float64 `json:"drift"`
+			RebuildScheduled bool     `json:"rebuildScheduled"`
+		}
+		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s %s: %d, %v", method, path, resp.StatusCode, err)
+		}
+		if ack.Mode != "incremental" || ack.Drift == nil || *ack.Drift != 0 || ack.RebuildScheduled {
+			t.Fatalf("%s %s: ack %+v, want an incremental update with drift 0 and no rebuild", method, path, ack)
+		}
+	}
+	mutate(http.MethodPost, "/v1/edges", `{"u":0,"v":100}`)
+	mutate(http.MethodPost, "/v1/edges", `{"u":7,"v":119}`)
+	waitConverged(t, writer, replica)
+	resp, err := http.Post(writerTS.URL+"/v1/checkpoint", "application/json", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("checkpoint: %d", resp.StatusCode)
+	}
+	g, err := resistecc.ScaleFreeMixed(120, 1, 4, 0.3, 5) // durableServer's graph
+	if err != nil {
+		t.Fatal(err)
+	}
+	var built [2]int
+	for _, e := range g.Edges() {
+		h := g.Clone()
+		if h.RemoveEdge(e[0], e[1]) == nil && h.Connected() {
+			built = e
+			break
+		}
+	}
+	mutate(http.MethodDelete, fmt.Sprintf("/v1/edges?u=%d&v=%d", built[0], built[1]), "")
+	waitConverged(t, writer, replica)
+
+	for _, p := range []string{
+		"/v1/summary",
+		"/v1/eccentricity?node=0,7,33,100,119",
+		fmt.Sprintf("/v1/resistance?u=%d&v=%d", built[0], built[1]),
+		"/v1/resistance?u=0&v=100",
+	} {
+		_, wBody, wHdr := httpGet(t, writerTS.URL+p, nil)
+		_, rBody, rHdr := httpGet(t, replicaTS.URL+p, nil)
+		if rBody != wBody || rHdr.Get("X-Index-Generation") != wHdr.Get("X-Index-Generation") {
+			t.Fatalf("%s: replica at generation %s answers\n%s\nwriter at generation %s answers\n%s",
+				p, rHdr.Get("X-Index-Generation"), rBody, wHdr.Get("X-Index-Generation"), wBody)
+		}
+	}
+	if gen := writer.current().dyn.Snapshot().Generation; gen != 4 {
+		t.Fatalf("writer at generation %d after three exact updates, want 4", gen)
+	}
+	if after := resyncs(); after != before {
+		t.Fatalf("replica resyncs went from %s to %s; exact updates need none", before, after)
 	}
 }
 

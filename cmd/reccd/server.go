@@ -37,10 +37,6 @@ type serverConfig struct {
 	ShutdownGrace time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
-	// DriftThreshold is the lifecycle ε_drift: accumulated incremental-update
-	// error that trips a rebuild, which runs before the next mutation
-	// (0 = library default 0.5).
-	DriftThreshold float64
 	// MaxDeletions forces a rebuild after this many removals (0 = default 16).
 	MaxDeletions int
 	// MutationQueue is the mutation queue capacity (0 = default 64).
@@ -161,7 +157,6 @@ func newServer(ctx context.Context, g *resistecc.Graph, ids *graph.IDMap, inputN
 	opts []resistecc.Option, cfg serverConfig) (*server, error) {
 	start := time.Now()
 	opts = append(opts,
-		resistecc.WithDriftThreshold(cfg.DriftThreshold),
 		resistecc.WithMaxDeletions(cfg.MaxDeletions),
 		resistecc.WithMutationQueue(cfg.MutationQueue),
 	)
@@ -309,7 +304,9 @@ func (s *server) publishLifecycleGauges() {
 		return 0
 	})
 	s.reg.SetGaugeFunc("mutation_queue_depth", stat(func(st resistecc.DynamicStats) float64 { return float64(st.QueueDepth) }))
-	s.reg.SetGaugeFunc("index_drift", stat(func(st resistecc.DynamicStats) float64 { return st.Drift }))
+	// Sketch updates are exact, so there is no drift to report; the gauge
+	// stays, reading 0, while dashboards still scrape it.
+	s.reg.SetGaugeFunc("index_drift", func() float64 { return 0 })
 	s.reg.SetGaugeFunc("index_updates", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Updates) }))
 	s.reg.SetGaugeFunc("index_deletions", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Deletions) }))
 	s.reg.SetGaugeFunc("index_rebuilds", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Rebuilds) }))
@@ -623,7 +620,7 @@ func (s *server) handleHealth(w http.ResponseWriter, _ *http.Request) {
 		"indexBuildSec":     s.buildTime.Seconds(),
 		"maxBatch":          s.cfg.MaxBatch,
 		"generation":        snap.Generation,
-		"drift":             dst.Drift,
+		"drift":             0, // retired with exact updates; kept for clients that wait on it
 		"queueDepth":        dst.QueueDepth,
 		"rebuilds":          dst.Rebuilds,
 		"rebuildInProgress": dst.RebuildInProgress,
@@ -804,8 +801,9 @@ type edgeRequest struct {
 }
 
 // mutationResponse reports an accepted mutation: the generation now serving
-// it, whether it was absorbed incrementally or awaits a rebuild, and the
-// accumulated drift bound.
+// it, whether it was absorbed incrementally or awaits a rebuild, and
+// whether it tripped one. Drift always reads 0: sketch updates are exact.
+// The field stays for clients that still read it.
 type mutationResponse struct {
 	U                int64   `json:"u"`
 	V                int64   `json:"v"`
@@ -866,12 +864,11 @@ func writeMutationError(w http.ResponseWriter, uExt, vExt int64, err error) {
 func (s *server) writeMutation(w http.ResponseWriter, op trace.Op, uExt, vExt int64, res resistecc.MutationResult) {
 	setGeneration(w, res.Generation)
 	s.rec.Record(op, res.Generation,
-		trace.DigestMutation(res.Generation, string(res.Mode), res.Drift), uExt, vExt)
+		trace.DigestMutation(res.Generation, string(res.Mode), 0), uExt, vExt)
 	writeJSON(w, http.StatusOK, mutationResponse{
 		U: uExt, V: vExt,
 		Generation:       res.Generation,
 		Mode:             string(res.Mode),
-		Drift:            res.Drift,
 		RebuildScheduled: res.RebuildScheduled,
 	})
 }
@@ -972,9 +969,8 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleRebuild implements POST /v1/rebuild: queue one full rebuild behind
-// the pending mutations, regardless of drift (e.g. after a failed rebuild
-// left the index stale), and answer 202 without waiting for it. Each request
-// queues its own build.
+// the pending mutations (e.g. after a failed rebuild left the index stale),
+// and answer 202 without waiting for it. Each request queues its own build.
 func (s *server) handleRebuild(w http.ResponseWriter, _ *http.Request) {
 	sv := s.current()
 	// Read the snapshot before triggering: the stamped generation must be

@@ -32,7 +32,7 @@ func identityIDs(n int) []int64 {
 // recorded operation bit-identically.
 func traceTestIndex(t *testing.T) *resistecc.DynamicIndex {
 	t.Helper()
-	return traceTarget(t, "", resistecc.WithDriftThreshold(100))
+	return traceTarget(t, "")
 }
 
 // traceTarget builds a replay target over the test servers' graph with
@@ -67,12 +67,11 @@ func traceTarget(t *testing.T, dataDir string, extra ...resistecc.Option) *resis
 // graph and seeds, both in-process and over HTTP against a second server.
 func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ops.trc")
-	// A read right after a mutation's ack may race the rebuild it tripped;
-	// a high threshold trips none, so every read replays exactly.
+	// A read right after a mutation's ack may race a rebuild the mutation
+	// tripped; the adds below trip none, so every read replays exactly.
 	srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) {
 		cfg.TraceOut = tracePath
 		cfg.TraceSync = 8
-		cfg.DriftThreshold = 100
 	})
 	h := srv.handler(log.New(io.Discard, "", 0))
 
@@ -143,9 +142,7 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 
 	// HTTP replay against a second fresh server: the live surface reproduces
 	// the same bits, rebuild completion observed through /v1/healthz.
-	srv2 := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) {
-		cfg.DriftThreshold = 100
-	})
+	srv2 := durableServer(t, t.TempDir())
 	defer srv2.close()
 	ts := httptest.NewServer(srv2.handler(log.New(io.Discard, "", 0)))
 	defer ts.Close()
@@ -161,21 +158,28 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCheckpointAfterTrippedRebuild: at the default drift threshold an
-// add trips a rebuild, and a checkpoint right after it runs behind that
+// TestTraceCheckpointAfterTrippedRebuild: with -max-deletions 1 a removal
+// trips a rebuild, and a checkpoint right after it runs behind that
 // rebuild, on the recording server and on every replay target alike. So
 // the checkpoint record and the read after it replay exactly, against a
 // durable and an in-memory index and over HTTP.
 func TestTraceCheckpointAfterTrippedRebuild(t *testing.T) {
 	ctx := context.Background()
+	oneDeletion := func(cfg *serverConfig) { cfg.MaxDeletions = 1 }
 	for run := 0; run < 20; run++ {
 		tracePath := filepath.Join(t.TempDir(), "ops.trc")
-		srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) { cfg.TraceOut = tracePath })
+		srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) {
+			cfg.TraceOut = tracePath
+			oneDeletion(cfg)
+		})
 		t.Cleanup(srv.close)
 		h := srv.handler(log.New(io.Discard, "", 0))
-		rec := do(t, h, http.MethodPost, "/v1/edges", `{"u":33,"v":119}`) // drift 0.73
+		if rec := do(t, h, http.MethodPost, "/v1/edges", `{"u":33,"v":119}`); rec.Code != http.StatusOK {
+			t.Fatalf("add: %d (%s)", rec.Code, rec.Body.String())
+		}
+		rec := do(t, h, http.MethodDelete, "/v1/edges?u=33&v=119", "")
 		if rec.Code != http.StatusOK || decodeObj(t, rec)["rebuildScheduled"] != true {
-			t.Fatalf("add: %d (%s), want 200 with a tripped rebuild", rec.Code, rec.Body.String())
+			t.Fatalf("remove: %d (%s), want 200 with a tripped rebuild", rec.Code, rec.Body.String())
 		}
 		if rec := do(t, h, http.MethodPost, "/v1/checkpoint", ""); rec.Code != http.StatusOK {
 			t.Fatalf("checkpoint: %d (%s)", rec.Code, rec.Body.String())
@@ -188,11 +192,11 @@ func TestTraceCheckpointAfterTrippedRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 3 {
-			t.Fatalf("recorded %d operations, want 3", len(recs))
+		if len(recs) != 4 {
+			t.Fatalf("recorded %d operations, want 4", len(recs))
 		}
 
-		target := durableServerCfg(t, t.TempDir(), nil)
+		target := durableServerCfg(t, t.TempDir(), oneDeletion)
 		t.Cleanup(target.close)
 		ts := httptest.NewServer(target.handler(log.New(io.Discard, "", 0)))
 		t.Cleanup(ts.Close)
@@ -200,8 +204,8 @@ func TestTraceCheckpointAfterTrippedRebuild(t *testing.T) {
 			name string
 			exec trace.Executor
 		}{
-			{"durable index", resistecc.TraceExecutor(traceTarget(t, t.TempDir()), identityIDs(120))},
-			{"in-memory index", resistecc.TraceExecutor(traceTarget(t, ""), identityIDs(120))},
+			{"durable index", resistecc.TraceExecutor(traceTarget(t, t.TempDir(), resistecc.WithMaxDeletions(1)), identityIDs(120))},
+			{"in-memory index", resistecc.TraceExecutor(traceTarget(t, "", resistecc.WithMaxDeletions(1)), identityIDs(120))},
 			{"HTTP", &trace.HTTPExecutor{Base: ts.URL}},
 		}
 		for _, tg := range targets {

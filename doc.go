@@ -19,7 +19,7 @@
 //     (Simple, FarMinRecc, CenMinRecc, ChMinRecc, MinRecc), exhaustive
 //     optima for small instances, and the DE/PK/PATH/RAND baselines.
 //   - Dynamic serving: DynamicIndex keeps a FastIndex live across online
-//     edge mutations with generation-numbered immutable snapshots, rank-1
+//     edge mutations with generation-numbered immutable snapshots, exact
 //     incremental sketch updates, and cancellable full rebuilds that run
 //     between mutations while reads continue.
 //

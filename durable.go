@@ -44,12 +44,11 @@ func paramsOf(c buildConfig) persist.Params {
 // plus the caller's dynamic-only knobs.
 func lifecycleConfig(p persist.Params, c buildConfig) lifecycle.Config {
 	return lifecycle.Config{
-		Sketch:         p.SketchOptions(),
-		Hull:           p.HullOptions(),
-		DriftThreshold: c.driftThreshold,
-		MaxDeletions:   c.maxDeletions,
-		QueueSize:      c.queueSize,
-		Follower:       c.follower,
+		Sketch:       p.SketchOptions(),
+		Hull:         p.HullOptions(),
+		MaxDeletions: c.maxDeletions,
+		QueueSize:    c.queueSize,
+		Follower:     c.follower,
 	}
 }
 
@@ -72,7 +71,7 @@ func (d *DynamicIndex) SaveSnapshot(path string) error {
 // answer identically to the index that was saved. The restored generation
 // starts with an empty answer table, which fills as queries arrive. Build
 // parameters come from the snapshot itself; opts may add dynamic knobs
-// (WithDriftThreshold, WithMaxDeletions, WithMutationQueue).
+// (WithMaxDeletions, WithMutationQueue).
 // Build-parameter options, when given, must match the stored ones
 // (ErrSnapshotMismatch otherwise).
 // Corrupt files fail with persist errors, and files written by another

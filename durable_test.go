@@ -98,9 +98,9 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	g := durableGraph(t)
 	ctx := context.Background()
 
-	// High rebuild thresholds keep every mutation on the incremental path, so
+	// A high deletion limit keeps every mutation on the incremental path, so
 	// no rebuild checkpoint absorbs the WAL before the "crash".
-	opts := append(durableOpts(), WithDriftThreshold(100), WithMaxDeletions(1000))
+	opts := append(durableOpts(), WithMaxDeletions(1000))
 	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -212,9 +212,9 @@ func TestRecoveryOlderFormatStartsColdOnce(t *testing.T) {
 	g := durableGraph(t)
 	ctx := context.Background()
 
-	// A high drift threshold keeps both adds incremental, so they stay in
-	// the WAL instead of being absorbed by a rebuild checkpoint.
-	opts := append(durableOpts(), WithDriftThreshold(100))
+	// Adds trip no rebuild, so both stay in the WAL instead of being
+	// absorbed by a rebuild checkpoint.
+	opts := durableOpts()
 	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -406,7 +406,7 @@ func TestErrorPathsCloseFiles(t *testing.T) {
 	dir := t.TempDir()
 	g := durableGraph(t)
 	ctx := context.Background()
-	opts := append(durableOpts(), WithDriftThreshold(1e9)) // no rebuild absorbs the WAL
+	opts := durableOpts() // adds trip no rebuild, so none absorbs the WAL
 	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -451,12 +451,13 @@ func TestWarmStartReplicasConverge(t *testing.T) {
 	}{
 		// Replaying the removal trips a rebuild; the add after it does not.
 		{"rebuild mid-replay", []mut{{true, 0, 30}, {false, 0, 30}, {true, 5, 45}}, []Option{WithMaxDeletions(1)}},
-		// The replay's only record trips a rebuild.
-		{"rebuild at the last record", []mut{{true, 0, 30}}, []Option{WithDriftThreshold(1e-9)}},
+		// The replay's last record trips a rebuild.
+		{"rebuild at the last record", []mut{{true, 0, 30}, {false, 0, 30}}, []Option{WithMaxDeletions(1)}},
 	}
-	// High thresholds keep every write incremental, so the WAL holds them all.
+	// A high deletion limit keeps every write incremental, so the WAL holds
+	// them all.
 	writeOpts := func() []Option {
-		return append(durableOpts(), WithDriftThreshold(100), WithMaxDeletions(1000))
+		return append(durableOpts(), WithMaxDeletions(1000))
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -567,7 +568,7 @@ func TestRefusedRebuildKeepsReplicasConverged(t *testing.T) {
 	dir := t.TempDir()
 	g := durableGraph(t)
 	ctx := context.Background()
-	d, _, err := OpenDynamicIndex(ctx, dir, g, append(durableOpts(), WithDriftThreshold(100))...)
+	d, _, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -601,13 +602,14 @@ func TestRefusedRebuildKeepsReplicasConverged(t *testing.T) {
 	sameAsFollower(t, d)
 }
 
-// TestCheckpointWaitsForTrippedRebuild: a Checkpoint issued right after an
-// add that tripped a rebuild runs behind that rebuild, so it returns with
-// the rebuilt generation served and on disk, and writes nothing of its own.
+// TestCheckpointWaitsForTrippedRebuild: a Checkpoint issued right after a
+// removal that tripped a rebuild runs behind that rebuild, so it returns
+// with the rebuilt generation served and on disk, and writes nothing of its
+// own. Each run adds an edge, then removes it, tripping the rebuild.
 func TestCheckpointWaitsForTrippedRebuild(t *testing.T) {
 	g := durableGraph(t)
 	ctx := context.Background()
-	d, _, err := OpenDynamicIndex(ctx, t.TempDir(), g, append(durableOpts(), WithDriftThreshold(1e-9))...)
+	d, _, err := OpenDynamicIndex(ctx, t.TempDir(), g, append(durableOpts(), WithMaxDeletions(1))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -620,21 +622,113 @@ func TestCheckpointWaitsForTrippedRebuild(t *testing.T) {
 		}
 		added[[2]int{u, v}] = true
 		runs++
+		if _, err := d.AddEdge(ctx, u, v); err != nil {
+			t.Fatal(err)
+		}
 		before := d.PersistStats().Checkpoints
-		res, err := d.AddEdge(ctx, u, v)
+		res, err := d.RemoveEdge(ctx, u, v)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !res.RebuildScheduled {
-			t.Fatalf("run %d: add (%d,%d) tripped no rebuild", runs, u, v)
+			t.Fatalf("run %d: removal (%d,%d) tripped no rebuild", runs, u, v)
 		}
 		if err := d.Checkpoint(); err != nil {
 			t.Fatalf("run %d: %v", runs, err)
 		}
 		ps, gen := d.PersistStats(), d.Snapshot().Generation
 		if gen != res.Generation+1 || ps.SnapshotGeneration != gen || ps.Checkpoints != before+1 {
-			t.Fatalf("run %d: add answered at generation %d; Checkpoint returned with generation %d served, %d on disk and %d checkpoints written, want %d, %d and 1",
+			t.Fatalf("run %d: removal answered at generation %d; Checkpoint returned with generation %d served, %d on disk and %d checkpoints written, want %d, %d and 1",
 				runs, res.Generation, gen, ps.SnapshotGeneration, ps.Checkpoints-before, res.Generation+1, res.Generation+1)
+		}
+	}
+}
+
+// TestExactUpdatesSurviveRestore: a checkpoint carries the projection the
+// writer's exact updates extended, so a warm restart and a follower
+// restored from the snapshot bytes draw and remove the same columns as the
+// writer. After two adds and a removal, an on-demand checkpoint, then one
+// more add and the removal of a build-time edge on all three, each restore
+// answers bit for bit as the writer does.
+func TestExactUpdatesSurviveRestore(t *testing.T) {
+	dir := t.TempDir()
+	g := durableGraph(t)
+	ctx := context.Background()
+	w, _, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	mutate := func(d *DynamicIndex, add bool, u, v int) {
+		t.Helper()
+		var res MutationResult
+		if add {
+			res, err = d.AddEdge(ctx, u, v)
+		} else {
+			res, err = d.RemoveEdge(ctx, u, v)
+		}
+		if err != nil || res.Mode != MutationIncremental || res.RebuildScheduled {
+			t.Fatalf("mutation (%d,%d): %+v, %v; want an exact update and no rebuild", u, v, res, err)
+		}
+	}
+	mutate(w, true, 0, 30)
+	mutate(w, true, 5, 45)
+	mutate(w, false, 0, 30)
+	if err := w.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+
+	warmDir := t.TempDir()
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err == nil {
+			err = os.WriteFile(filepath.Join(warmDir, e.Name()), b, 0o644)
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	warm, rec, err := OpenDynamicIndex(ctx, warmDir, g, durableOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer warm.Close()
+	if !rec.Warm || rec.ReplayedMutations != 0 {
+		t.Fatalf("restart: %+v, want a warm start with nothing to replay", rec)
+	}
+	raw, _, _, err := w.ReplicationStore().SnapshotBytes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	follower, err := LoadSnapshotBytes(raw, WithFollower())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer follower.Close()
+
+	built := g.Edges()[17] // a build-time edge whose removal keeps g connected
+	for _, d := range []*DynamicIndex{w, warm, follower} {
+		mutate(d, true, 2, 50)
+		mutate(d, false, built[0], built[1])
+	}
+	want := dynDistribution(w)
+	for name, d := range map[string]*DynamicIndex{"warm restart": warm, "follower": follower} {
+		if d.Seq() != w.Seq() || d.Snapshot().Generation != w.Snapshot().Generation {
+			t.Fatalf("%s at seq %d gen %d, writer at seq %d gen %d",
+				name, d.Seq(), d.Snapshot().Generation, w.Seq(), w.Snapshot().Generation)
+		}
+		sameDistribution(t, dynDistribution(d), want, name+" vs writer")
+		for u := 0; u < g.N(); u += 7 {
+			for v := u + 1; v < g.N(); v += 5 {
+				got, exp := d.Snapshot().Index.Resistance(u, v), w.Snapshot().Index.Resistance(u, v)
+				if got != exp {
+					t.Fatalf("%s: resistance (%d,%d) = %g, writer %g", name, u, v, got, exp)
+				}
+			}
 		}
 	}
 }
@@ -646,7 +740,7 @@ func TestCheckpointAfterClose(t *testing.T) {
 	dir := t.TempDir()
 	g := durableGraph(t)
 	ctx := context.Background()
-	d, _, err := OpenDynamicIndex(ctx, dir, g, append(durableOpts(), WithDriftThreshold(100))...)
+	d, _, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}

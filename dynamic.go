@@ -15,8 +15,9 @@ var ErrIndexClosed = lifecycle.ErrClosed
 type MutationMode string
 
 const (
-	// MutationIncremental: the sketch embedding was patched by a rank-1
-	// Sherman–Morrison update and a new generation published immediately.
+	// MutationIncremental: the sketch was moved to the new graph by its
+	// exact Sherman–Morrison update and a new generation published
+	// immediately.
 	MutationIncremental MutationMode = MutationMode(lifecycle.ModeIncremental)
 	// MutationStale: the mutation landed on the master graph but the served
 	// index could not absorb it incrementally; answers lag until the
@@ -30,9 +31,6 @@ type MutationResult struct {
 	Generation uint64
 	// Mode is MutationIncremental or MutationStale.
 	Mode MutationMode
-	// Drift is the accumulated incremental-error bound after this mutation;
-	// serving error stays within ε + Drift until the next rebuild resets it.
-	Drift float64
 	// RebuildScheduled reports whether this mutation tripped a rebuild,
 	// which runs before the next mutation is applied.
 	RebuildScheduled bool
@@ -56,7 +54,6 @@ type IndexSnapshot struct {
 type DynamicStats struct {
 	Generation         uint64
 	QueueDepth         int
-	Drift              float64
 	Updates            int
 	Deletions          int
 	Stale              bool
@@ -70,17 +67,17 @@ type DynamicStats struct {
 
 // DynamicIndex is a FastIndex that accepts online edge mutations. Queries
 // always hit a complete immutable snapshot (RCU: no locks on the read path);
-// AddEdge/RemoveEdge apply cheap incremental sketch updates when safe. A
-// mutation that takes the accumulated drift, or the deletion count, past
-// its threshold (or that the update cannot absorb) is answered first, and a
-// full rebuild then runs before the next mutation: reads continue on the
-// published generation meanwhile, and later mutations queue behind it. A
-// rebuilt index serves exactly what a cold NewFastIndex of the current
-// graph would.
+// AddEdge/RemoveEdge apply cheap, exact incremental sketch updates when
+// safe: each publishes the sketch of the new graph under the sketch's
+// updated projection. A mutation the update cannot absorb (a near-bridge
+// removal), or one that takes the deletion count to its limit, is answered
+// first, and a full rebuild then runs before the next mutation: reads
+// continue on the published generation meanwhile, and later mutations
+// queue behind it. A rebuilt index serves exactly what a cold NewFastIndex
+// of the current graph would.
 //
 // Build one with NewDynamicIndex; WithEpsilon is required, and
-// WithDriftThreshold / WithMaxDeletions / WithMutationQueue tune the
-// rebuild policy.
+// WithMaxDeletions / WithMutationQueue tune the rebuild policy.
 type DynamicIndex struct {
 	m *lifecycle.Manager
 
@@ -140,15 +137,14 @@ func convMutation(r lifecycle.ApplyResult, err error) (MutationResult, error) {
 	return MutationResult{
 		Generation:       r.Gen,
 		Mode:             MutationMode(r.Mode),
-		Drift:            r.Drift,
 		RebuildScheduled: r.RebuildScheduled,
 	}, nil
 }
 
-// TriggerRebuild queues a full rebuild regardless of drift, behind the
-// mutations already queued, and returns without waiting for it (it waits
-// only for queue space). Each call queues one build. A no-op on follower
-// indexes (WithFollower), which never rebuild locally.
+// TriggerRebuild queues a full rebuild behind the mutations already
+// queued, and returns without waiting for it (it waits only for queue
+// space). Each call queues one build. A no-op on follower indexes
+// (WithFollower), which never rebuild locally.
 func (d *DynamicIndex) TriggerRebuild() { d.m.TriggerRebuild() }
 
 // RebuildAndWait queues a rebuild and blocks until it has finished,
@@ -183,7 +179,6 @@ func (d *DynamicIndex) Stats() DynamicStats {
 	return DynamicStats{
 		Generation:         s.Generation,
 		QueueDepth:         s.QueueDepth,
-		Drift:              s.Drift,
 		Updates:            s.Updates,
 		Deletions:          s.Deletions,
 		Stale:              s.Stale,

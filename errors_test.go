@@ -133,10 +133,7 @@ func TestBatchQueryOutOfRange(t *testing.T) {
 // DynamicIndex surfaces the same sentinels for mutations.
 func TestDynamicIndexSentinels(t *testing.T) {
 	ctx := context.Background()
-	// The add (0,6) below reaches drift 0.75: past the default threshold,
-	// the rebuild it trips would race the generation asserted after it.
-	d, err := NewDynamicIndex(ctx, CycleGraph(12),
-		WithEpsilon(0.3), WithDim(16), WithSeed(2), WithDriftThreshold(2))
+	d, err := NewDynamicIndex(ctx, CycleGraph(12), WithEpsilon(0.3), WithDim(16), WithSeed(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -73,8 +73,8 @@ func TestJournalContract(t *testing.T) {
 
 	t.Run("rebuild cut precedes its publish", func(t *testing.T) {
 		cfg := testConfig()
-		cfg.DriftThreshold = 1e-9 // every add trips a rebuild
-		m, j := attached(t, graph.Cycle(24), cfg)
+		cfg.MaxDeletions = 1 // every removal trips a rebuild
+		m, j := attached(t, graph.Complete(8), cfg)
 		// A reader loads Current while the fake loads it on the worker.
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -97,8 +97,8 @@ func TestJournalContract(t *testing.T) {
 				last = gen
 			}
 		}()
-		if res, err := m.AddEdge(ctx, 0, 12); err != nil || !res.RebuildScheduled {
-			t.Fatalf("add: %+v, %v; want a tripped rebuild", res, err)
+		if res, err := m.RemoveEdge(ctx, 0, 1); err != nil || !res.RebuildScheduled {
+			t.Fatalf("remove: %+v, %v; want a tripped rebuild", res, err)
 		}
 		if _, err := m.RebuildAndWait(ctx); err != nil {
 			t.Fatal(err)
@@ -186,9 +186,7 @@ func TestJournalContract(t *testing.T) {
 	})
 
 	t.Run("checkpoint skips what the journal holds", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.DriftThreshold = 100
-		m, j := attached(t, graph.Cycle(24), cfg)
+		m, j := attached(t, graph.Cycle(24), testConfig())
 		if _, err := m.AddEdge(ctx, 0, 12); err != nil {
 			t.Fatal(err)
 		}
@@ -204,11 +202,9 @@ func TestJournalContract(t *testing.T) {
 	})
 
 	t.Run("checkpoint after close", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.DriftThreshold = 100
 		// Close races the queue send and the answer, so repeat.
 		for i := 0; i < 10; i++ {
-			m, j := attached(t, graph.Cycle(24), cfg)
+			m, j := attached(t, graph.Cycle(24), testConfig())
 			if _, err := m.AddEdge(ctx, 0, 12); err != nil {
 				t.Fatal(err)
 			}

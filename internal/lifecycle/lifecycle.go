@@ -1,12 +1,12 @@
 // Package lifecycle owns the dynamic-serving core of the repository: a
 // generation-numbered FASTQUERY index behind an RCU-style atomic pointer and
 // one worker goroutine that drains a FIFO of ops. An op is an edge add or
-// removal (AddEdge/RemoveEdge), which applies a cheap Sherman–Morrison
-// embedding update in place of a full rebuild; a rebuild request; a
+// removal (AddEdge/RemoveEdge), which applies the sketch's exact
+// Sherman–Morrison update in place of a full rebuild; a rebuild request; a
 // checkpoint (Checkpoint, and AttachJournal, which registers the journal
-// first); or a WaitIdle barrier. A mutation that takes the accumulated
-// drift or the deletion count past its threshold is answered first, and the
-// worker then re-sketches from scratch before it takes the next op.
+// first); or a WaitIdle barrier. A mutation the update cannot absorb, or
+// one that takes the deletion count to its limit, is answered first, and
+// the worker then re-sketches from scratch before it takes the next op.
 //
 // The paper's optimization half (§VI–VII) is all about changing the graph —
 // FARMINRECC/MINRECC add edges and re-score — while FASTQUERY's index is a
@@ -38,9 +38,9 @@
 //   - The worker is the journal's only checkpoint writer, and every
 //     checkpoint (attach, rebuild, on demand) follows one rule: skip when
 //     the journal already holds the served (sequence, generation).
-//   - Accumulated drift is the sum of per-update relative-error bounds (see
-//     internal/sketch/update.go); serving error is bounded by ε + drift
-//     between rebuilds.
+//   - An incremental generation is the sketch of the master graph under
+//     the updated projection (internal/sketch/update.go), so it carries the
+//     same (1±ε) bound as a cold build, though not a cold build's bits.
 package lifecycle
 
 import (
@@ -99,11 +99,8 @@ type Config struct {
 	Sketch sketch.Options
 	// Hull configures APPROXCH; zero Theta means ε/12 as in FASTQUERY.
 	Hull hull.Options
-	// DriftThreshold is ε_drift: a full rebuild is scheduled once the sum of
-	// incremental-update error contributions exceeds it. Zero means 0.5.
-	DriftThreshold float64
 	// MaxDeletions schedules a rebuild after this many edge removals since
-	// the last full build, regardless of drift. Zero means 16.
+	// the last full build. Zero means 16.
 	MaxDeletions int
 	// QueueSize is the op queue capacity; enqueueing blocks (with the
 	// caller's context as the way out) when full. Zero means 64.
@@ -119,9 +116,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.DriftThreshold <= 0 {
-		c.DriftThreshold = 0.5
-	}
 	if c.MaxDeletions <= 0 {
 		c.MaxDeletions = 16
 	}
@@ -160,8 +154,6 @@ type ApplyResult struct {
 	Gen uint64
 	// Mode is ModeIncremental or ModeStale.
 	Mode Mode
-	// Drift is the accumulated drift bound after this mutation.
-	Drift float64
 	// RebuildScheduled reports whether this mutation tripped the rebuild
 	// trigger: the worker rebuilds before it takes the next op.
 	RebuildScheduled bool
@@ -173,7 +165,6 @@ type Stats struct {
 	// QueueDepth counts ops queued or running: mutations (until the rebuild
 	// they tripped has finished), rebuild requests and WaitIdle barriers.
 	QueueDepth         int
-	Drift              float64
 	Updates            int
 	Deletions          int
 	Stale              bool
@@ -302,7 +293,10 @@ type Restored struct {
 // entirely. internal/persist uses it for warm restarts from a snapshot; the
 // caller owns proving that fast was built from g with cfg's options (the
 // persist layer checks stored build params and graph fingerprints before
-// calling this). The manager clones g.
+// calling this). A fast whose sketch reflects another edge set is still
+// accepted, for callers that rebuild at once; a mutation before that
+// rebuild goes stale when the edge counts differ, since the sketch refuses
+// an update on a graph its projection does not match. The manager clones g.
 func NewFromState(g *graph.Graph, fast *ecc.Fast, rs Restored, cfg Config) (*Manager, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("lifecycle: index requires a connected graph: %w", graph.ErrDisconnected)
@@ -437,10 +431,9 @@ func (m *Manager) do(ctx context.Context, o op) (ApplyResult, error) {
 	}
 }
 
-// TriggerRebuild queues a full rebuild regardless of drift, behind the ops
-// already queued; like a mutation, it waits for queue space. Each call
-// queues one build. A no-op in follower mode (followers never rebuild
-// locally) and after Close.
+// TriggerRebuild queues a full rebuild behind the ops already queued; like
+// a mutation, it waits for queue space. Each call queues one build. A no-op
+// in follower mode (followers never rebuild locally) and after Close.
 func (m *Manager) TriggerRebuild() {
 	// send fails only once the manager is closed, when there is nothing to
 	// rebuild.
@@ -480,7 +473,6 @@ func (m *Manager) Stats() Stats {
 	return Stats{
 		Generation:         s.snap.Gen,
 		QueueDepth:         int(m.pending.Load()),
-		Drift:              s.snap.Fast.Sk.Drift,
 		Updates:            s.snap.Fast.Sk.Updates,
 		Deletions:          s.deletions,
 		Stale:              s.stale,
@@ -592,8 +584,9 @@ func (m *Manager) apply(o op) (ApplyResult, error) {
 			newFast, err = ecc.NewFastFromSketch(newSk, m.hopt)
 		}
 		// err != nil here means the incremental path is unavailable
-		// (bridge-like removal, solver trouble); the mutation still lands on
-		// the master graph and the rebuild repairs the index ("stale" mode).
+		// (bridge-like removal, solver trouble, an index whose projection
+		// does not match the graph); the mutation still lands on the master
+		// graph and the rebuild repairs the index ("stale" mode).
 	}
 
 	s := *cur
@@ -610,16 +603,15 @@ func (m *Manager) apply(o op) (ApplyResult, error) {
 	if !add {
 		s.deletions++
 	}
-	res := ApplyResult{Gen: s.snap.Gen, Mode: ModeStale, Drift: s.snap.Fast.Sk.Drift}
+	res := ApplyResult{Gen: s.snap.Gen, Mode: ModeStale}
 	if newFast != nil {
 		s.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: newFast, N: next.N(), M: next.M()}
-		res = ApplyResult{Gen: s.snap.Gen, Mode: ModeIncremental, Drift: newFast.Sk.Drift}
+		res = ApplyResult{Gen: s.snap.Gen, Mode: ModeIncremental}
 	} else {
 		s.stale = true
 	}
 	m.publish(s)
-	res.RebuildScheduled = !m.cfg.Follower &&
-		(s.stale || s.deletions >= m.cfg.MaxDeletions || res.Drift > m.cfg.DriftThreshold)
+	res.RebuildScheduled = !m.cfg.Follower && (s.stale || s.deletions >= m.cfg.MaxDeletions)
 	return res, nil
 }
 

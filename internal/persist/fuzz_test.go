@@ -82,7 +82,10 @@ func FuzzReadSnapshot(f *testing.F) {
 func FuzzSnapshotSections(f *testing.F) {
 	p := sectionPayloads(wideSnapshot())
 	f.Add(p[0][:len(p[0])-4], p[1], p[2], p[3]) // a field cut to half width
-	for _, secs := range [][][]byte{p, forgedNodeCount(), forgedSketchDim(), trailingByte(0)} {
+	for _, secs := range [][][]byte{p, forgedNodeCount(), forgedSketchDim(), trailingByte(0), trailingByte(2)} {
+		f.Add(secs[0], secs[1], secs[2], secs[3])
+	}
+	for _, secs := range forgedProjection() {
 		f.Add(secs[0], secs[1], secs[2], secs[3])
 	}
 	f.Fuzz(func(t *testing.T, meta, graph, sketch, hull []byte) {

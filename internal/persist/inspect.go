@@ -92,8 +92,8 @@ func (rep *Report) describe(sec section) string {
 		}
 	case secSketch:
 		if decodeSketch(sec.payload, &s) == nil {
-			return fmt.Sprintf("d=%d n=%d drift=%g updates=%d",
-				s.SketchMeta.Dim, s.SketchMeta.N, s.SketchMeta.Drift, s.SketchMeta.Updates)
+			return fmt.Sprintf("d=%d n=%d m=%d updates=%d",
+				s.SketchMeta.Dim, s.SketchMeta.N, s.SketchMeta.M, s.SketchMeta.Updates)
 		}
 	case secHull:
 		if decodeHull(sec.payload, &s) == nil {

@@ -43,7 +43,7 @@ import (
 // FormatVersion is the current snapshot/WAL format version. Readers reject
 // any other version (a mismatch degrades to a cold build, by design: the
 // artifact is a cache, not a source of truth).
-const FormatVersion = 2
+const FormatVersion = 3
 
 var (
 	// ErrCorrupt marks a snapshot or WAL whose structure or checksums do not
@@ -99,9 +99,12 @@ type Snapshot struct {
 
 	// Graph is the master graph at Seq.
 	Graph *graph.Graph
-	// SketchMeta + Points carry the APPROXER state bit-exactly.
+	// SketchMeta, Points and Signs carry the APPROXER state bit-exactly:
+	// Signs is the projection, whose columns are Graph's edges, which the
+	// sketch's exact updates read and extend.
 	SketchMeta sketch.Meta
 	Points     []float64
+	Signs      []uint64
 	// Boundary is the hull boundary Ŝ; Diameter/Certified/Rounds are the
 	// APPROXCH diagnostics of hull.Result.
 	Boundary  []int
@@ -126,6 +129,7 @@ func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, _ ...bo
 		Graph:         cs.Graph,
 		SketchMeta:    f.Sk.Meta(),
 		Points:        f.Sk.AppendPoints(make([]float64, 0, f.Sk.N*f.Sk.Dim)),
+		Signs:         append([]uint64(nil), f.Sk.Signs()...),
 		Boundary:      append([]int(nil), f.Boundary...),
 		Diameter:      f.HullInfo.Diameter,
 		Certified:     f.HullInfo.Certified,
@@ -136,7 +140,7 @@ func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, _ ...bo
 // Index reconstructs the FASTQUERY index from the snapshot, bit-identical
 // to the one Capture saw, with an empty witness table of its own.
 func (s *Snapshot) Index() (*ecc.Fast, error) {
-	sk, err := sketch.Restore(s.SketchMeta, s.Points)
+	sk, err := sketch.Restore(s.SketchMeta, s.Points, s.Signs)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
@@ -171,6 +175,13 @@ func (s *Snapshot) validate() error {
 	if d := s.SketchMeta.Dim; d < 0 || d > len(s.Points) || len(s.Points) != s.SketchMeta.N*d {
 		return fmt.Errorf("%w: sketch matrix has %d values, want %d",
 			ErrCorrupt, len(s.Points), s.SketchMeta.N*s.SketchMeta.Dim)
+	}
+	// A projection has one column per graph edge and one row per sketch
+	// row. d and m are both bounded by their payloads here, so the product
+	// cannot wrap.
+	if m := s.Graph.M(); s.SketchMeta.M != m || len(s.Signs) != s.SketchMeta.Dim*sketch.SignWords(m) {
+		return fmt.Errorf("%w: projection of %d edges in %d words, want %d edges in d·⌈m/64⌉ = %d",
+			ErrCorrupt, s.SketchMeta.M, len(s.Signs), m, s.SketchMeta.Dim*sketch.SignWords(m))
 	}
 	for _, v := range s.Boundary {
 		if v < 0 || v >= n {

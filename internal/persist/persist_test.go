@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"resistecc/internal/ecc"
@@ -64,6 +65,9 @@ func TestSnapshotRoundTrip(t *testing.T) {
 		if got.Points[i] != s.Points[i] {
 			t.Fatalf("point %d not bit-identical", i)
 		}
+	}
+	if !slices.Equal(got.Signs, s.Signs) || len(s.Signs) != s.SketchMeta.Dim*sketch.SignWords(s.Graph.M()) {
+		t.Fatalf("projection of %d words came back as %d words, or differs", len(s.Signs), len(got.Signs))
 	}
 	if len(got.Boundary) != len(s.Boundary) {
 		t.Fatalf("boundary mismatch")
@@ -407,7 +411,7 @@ func TestSketchRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sketch.Restore(sk.Meta(), sk.AppendPoints(nil))
+	got, err := sketch.Restore(sk.Meta(), sk.AppendPoints(nil), append([]uint64(nil), sk.Signs()...))
 	if err != nil {
 		t.Fatal(err)
 	}

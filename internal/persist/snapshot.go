@@ -192,12 +192,11 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 	return g, nil
 }
 
-func encodeSketch(meta sketch.Meta, points []float64) []byte {
-	e := enc{b: make([]byte, 0, 80+8*len(points))}
+func encodeSketch(meta sketch.Meta, points []float64, signs []uint64) []byte {
+	e := enc{b: make([]byte, 0, 88+8*len(points)+8*len(signs))}
 	e.i64(int64(meta.Dim))
 	e.i64(int64(meta.N))
 	e.f64(meta.Epsilon)
-	e.f64(meta.Drift)
 	e.i64(int64(meta.Updates))
 	e.i64(int64(meta.Stats.Rows))
 	e.i64(int64(meta.Stats.TotalIters))
@@ -208,15 +207,22 @@ func encodeSketch(meta sketch.Meta, points []float64) []byte {
 	for _, x := range points {
 		e.f64(x)
 	}
+	e.i64(int64(meta.M))
+	e.u64(uint64(len(signs)))
+	for _, w := range signs {
+		e.u64(w)
+	}
 	return e.b
 }
 
+// decodeSketch reads the sketch section. The seed that draws added edges'
+// columns is not in it: ReadSnapshot takes it from the meta section's
+// Params.
 func decodeSketch(b []byte, s *Snapshot) error {
 	d := dec{b: b}
 	s.SketchMeta.Dim = int(d.i64())
 	s.SketchMeta.N = int(d.i64())
 	s.SketchMeta.Epsilon = d.f64()
-	s.SketchMeta.Drift = d.f64()
 	s.SketchMeta.Updates = int(d.i64())
 	s.SketchMeta.Stats.Rows = int(d.i64())
 	s.SketchMeta.Stats.TotalIters = int(d.i64())
@@ -227,6 +233,12 @@ func decodeSketch(b []byte, s *Snapshot) error {
 	s.Points = make([]float64, k)
 	for i := range s.Points {
 		s.Points[i] = d.f64()
+	}
+	s.SketchMeta.M = int(d.i64())
+	k = d.intLen(d.u64(), 8)
+	s.Signs = make([]uint64, k)
+	for i := range s.Signs {
+		s.Signs[i] = d.u64()
 	}
 	if d.err != nil {
 		return d.err
@@ -296,7 +308,7 @@ func WriteSnapshot(w io.Writer, s *Snapshot) error {
 	}{
 		{secMeta, encodeMeta(s)},
 		{secGraph, encodeGraph(s.Graph)},
-		{secSketch, encodeSketch(s.SketchMeta, s.Points)},
+		{secSketch, encodeSketch(s.SketchMeta, s.Points, s.Signs)},
 		{secHull, encodeHull(s)},
 	}
 	var hdr enc
@@ -465,6 +477,7 @@ func ReadSnapshot(b []byte) (*Snapshot, error) {
 	if err := decodeSketch(secs[secSketch], s); err != nil {
 		return nil, err
 	}
+	s.SketchMeta.Seed = s.Params.Seed
 	if err := decodeHull(secs[secHull], s); err != nil {
 		return nil, err
 	}

@@ -39,7 +39,7 @@ func wideSnapshot() *Snapshot {
 		Params: Params{Epsilon: f(), Dim: i(), Seed: int64(u()), HullMaxVertices: i()},
 		Graph:  g,
 		SketchMeta: sketch.Meta{
-			Dim: 3, N: g.N(), Epsilon: f(), Drift: f(), Updates: i(),
+			Dim: 3, N: g.N(), M: g.M(), Epsilon: f(), Updates: i(),
 			Stats: sketch.BuildStats{Rows: i(), TotalIters: i(), MaxIters: i(), MaxResidual: f(), Workers: i()},
 		},
 		Boundary:  []int{7, 0, 3},
@@ -47,8 +47,12 @@ func wideSnapshot() *Snapshot {
 		Certified: true,
 		Rounds:    i(),
 	}
+	s.SketchMeta.Seed = s.Params.Seed // the meta section carries it
 	for k := 0; k < 3*g.N(); k++ {
 		s.Points = append(s.Points, f())
+	}
+	for k := 0; k < 3*sketch.SignWords(g.M()); k++ {
+		s.Signs = append(s.Signs, u())
 	}
 	return s
 }
@@ -191,7 +195,7 @@ func frameSnapshot(payloads ...[]byte) []byte {
 
 // sectionPayloads returns the four section payloads of s.
 func sectionPayloads(s *Snapshot) [][]byte {
-	return [][]byte{encodeMeta(s), encodeGraph(s.Graph), encodeSketch(s.SketchMeta, s.Points), encodeHull(s)}
+	return [][]byte{encodeMeta(s), encodeGraph(s.Graph), encodeSketch(s.SketchMeta, s.Points, s.Signs), encodeHull(s)}
 }
 
 // trailingByte returns the sections of a valid snapshot with one byte
@@ -248,6 +252,37 @@ func forgedSketchDim() [][]byte {
 	s := wideSnapshot()
 	s.SketchMeta.Dim, s.SketchMeta.Epsilon, s.Points = 1<<61, 0.5, nil
 	return sectionPayloads(s)
+}
+
+// forgedProjection returns the sections of a valid snapshot whose
+// projection does not fit its graph and sketch: edges counts other than the
+// graph's m, and word counts other than d·⌈m/64⌉.
+func forgedProjection() map[string][][]byte {
+	out := map[string][][]byte{}
+	for name, edit := range map[string]func(s *Snapshot){
+		"an edge short":  func(s *Snapshot) { s.SketchMeta.M-- },
+		"an edge over":   func(s *Snapshot) { s.SketchMeta.M++ },
+		"2^62 edges":     func(s *Snapshot) { s.SketchMeta.M = 1 << 62 },
+		"a word short":   func(s *Snapshot) { s.Signs = s.Signs[1:] },
+		"a row too many": func(s *Snapshot) { s.Signs = append(s.Signs, s.Signs[:sketch.SignWords(s.Graph.M())]...) },
+		"no projection":  func(s *Snapshot) { s.Signs = nil },
+	} {
+		s := wideSnapshot()
+		edit(s)
+		out[name] = sectionPayloads(s)
+	}
+	return out
+}
+
+// A projection whose shape does not match the graph section's m and the
+// sketch's d is corrupt, however its section CRC reads.
+func TestProjectionShapeMismatchRejected(t *testing.T) {
+	for name, p := range forgedProjection() {
+		_, err := ReadSnapshot(frameSnapshot(p...))
+		if want := "projection of"; !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err %v, want ErrCorrupt with %q", name, err, want)
+		}
+	}
 }
 
 // The decoder trusts no count it has not checked: a forged section count,

@@ -201,7 +201,7 @@ func TestTailerCaughtUpGenerationMismatchResyncs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// The writer rebuilt without new mutations (drift/manual): its served
+	// The writer rebuilt without new mutations (e.g. POST /v1/rebuild): its served
 	// generation moved but the snapshot hasn't caught up yet — no resync,
 	// restoring the same snapshot would change nothing.
 	tw.gen.Store(9)
@@ -346,6 +346,50 @@ func TestTailerStopConcurrent(t *testing.T) {
 	time.Sleep(50 * time.Millisecond) // five poll intervals
 	if got := tl.Stats().Fetches; got != fetches {
 		t.Fatalf("tailer polled %d more times after stop", got-fetches)
+	}
+}
+
+// Every failed poll counts once in FetchFailures, and stopping the tailer,
+// which cancels the poll in flight, counts nothing. The writer stub answers
+// tail fetches with 500 until told to hang; polls run one after another, so
+// once a fetch hangs, every failed one before it has been counted.
+func TestTailerCountsEachFailedPollOnce(t *testing.T) {
+	var failed, hung atomic.Int64
+	var hang atomic.Bool
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/v1/repl/wal" && hang.Load() {
+			hung.Add(1)
+			<-r.Context().Done()
+			return
+		}
+		if r.URL.Path == "/v1/repl/wal" {
+			failed.Add(1)
+		}
+		http.Error(w, "broken", http.StatusInternalServerError)
+	}))
+	defer srv.Close()
+	f := &fakeFollower{seq: 3, gen: 2} // holds state, so a poll starts with a tail fetch
+	tl, err := NewTailer(TailerConfig{Upstream: srv.URL, Follower: f, Interval: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitFor := func(n *atomic.Int64, want int64) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); n.Load() < want; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("only %d of %d tail requests in 5s", n.Load(), want)
+			}
+		}
+	}
+	stop := tl.Start(context.Background())
+	waitFor(&failed, 5)
+	hang.Store(true)
+	waitFor(&hung, 1)
+	stop()
+	st := tl.Stats()
+	if st.FetchFailures != uint64(failed.Load()) || st.LastError == "" {
+		t.Fatalf("%d failures recorded (last error %q) for %d failed tail requests and a cancelled one",
+			st.FetchFailures, st.LastError, failed.Load())
 	}
 }
 

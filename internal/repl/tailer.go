@@ -140,23 +140,32 @@ func (t *Tailer) Sync(ctx context.Context) error {
 // Start polls every Interval until ctx ends or stop is called. stop
 // cancels the poll in flight and waits for it.
 func (t *Tailer) Start(ctx context.Context) (stop func()) {
-	return par.Every(ctx, t.cfg.Interval, func(ctx context.Context) {
-		if err := t.poll(ctx); err != nil {
-			t.recordFailure(err)
-		}
-	})
+	return par.Every(ctx, t.cfg.Interval, func(ctx context.Context) { _ = t.poll(ctx) })
 }
 
-// poll drains the writer's tail: fetch → apply → repeat until caught up.
-// At most one snapshot re-base per call keeps a confused writer from
-// driving a hot resync loop; the next poll retries.
+// poll runs one drain and is the one place a failure is counted: once per
+// failed poll, and not at all for a poll whose ctx was cancelled (a stop or
+// a shutdown is not a failure). A clean poll clears the last error.
 func (t *Tailer) poll(ctx context.Context) error {
+	err := t.drain(ctx)
+	switch {
+	case err == nil:
+		t.clearError()
+	case ctx.Err() == nil:
+		t.recordFailure(err)
+	}
+	return err
+}
+
+// drain catches the follower up with the writer's tail: fetch → apply →
+// repeat until caught up. At most one snapshot re-base per call keeps a
+// confused writer from driving a hot resync loop; the next poll retries.
+func (t *Tailer) drain(ctx context.Context) error {
 	resynced := false
 	// Generation 0 means the follower has never held state (the first index
 	// build publishes generation 1): restore before tailing anything.
 	if t.cfg.Follower.Generation() == 0 {
 		if err := t.resync(ctx); err != nil {
-			t.recordFailure(err)
 			return err
 		}
 		resynced = true
@@ -168,19 +177,15 @@ func (t *Tailer) poll(ctx context.Context) error {
 		f := t.cfg.Follower
 		frame, gone, err := t.fetchTail(ctx, f.Seq()+1)
 		if err != nil {
-			t.recordFailure(err)
 			return err
 		}
 		if gone {
 			// The writer truncated past our position (checkpoint after a
 			// rebuild, or our history predates its current snapshot).
 			if resynced {
-				err := errors.New("repl: writer reports a WAL gap immediately after a resync")
-				t.recordFailure(err)
-				return err
+				return errors.New("repl: writer reports a WAL gap immediately after a resync")
 			}
 			if err := t.resync(ctx); err != nil {
-				t.recordFailure(err)
 				return err
 			}
 			resynced = true
@@ -189,22 +194,17 @@ func (t *Tailer) poll(ctx context.Context) error {
 		t.recordFrame(frame)
 		if n := len(frame.Records); n > 0 {
 			if frame.Records[0].Seq != f.Seq()+1 {
-				err := fmt.Errorf("repl: writer answered from %d for position %d",
+				return fmt.Errorf("repl: writer answered from %d for position %d",
 					frame.Records[0].Seq, f.Seq()+1)
-				t.recordFailure(err)
-				return err
 			}
 			for _, rec := range frame.Records {
 				if err := f.Apply(ctx, rec); err != nil {
 					// The follower cannot absorb this mutation incrementally
 					// (e.g. a removal that needs a rebuild): re-base.
 					if resynced {
-						err := fmt.Errorf("repl: apply failed after a resync: %w", err)
-						t.recordFailure(err)
-						return err
+						return fmt.Errorf("repl: apply failed after a resync: %w", err)
 					}
 					if err := t.resync(ctx); err != nil {
-						t.recordFailure(err)
 						return err
 					}
 					resynced = true
@@ -223,13 +223,11 @@ func (t *Tailer) poll(ctx context.Context) error {
 		if f.Seq() == frame.LastSeq && f.Generation() != frame.WriterGen &&
 			!t.grewFrom(frame.SnapSeq, frame.SnapGen) && !resynced {
 			if err := t.resync(ctx); err != nil {
-				t.recordFailure(err)
 				return err
 			}
 			resynced = true
 			continue
 		}
-		t.clearError()
 		return nil
 	}
 }
@@ -327,9 +325,6 @@ func (t *Tailer) recordFrame(f persist.TailFrame) {
 }
 
 func (t *Tailer) recordFailure(err error) {
-	if errors.Is(err, context.Canceled) {
-		return
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	t.failures++

@@ -2,8 +2,8 @@ package sketch
 
 import "testing"
 
-// TestZeroAllocs pins, one case per function, that the query and rank-1
-// update kernels allocate nothing.
+// TestZeroAllocs pins, one case per function, that the query and
+// embedding-update kernels allocate nothing.
 func TestZeroAllocs(t *testing.T) {
 	sk := batchTestSketch(t, 120)
 	srcs := []int{0, 7, 13, 42, 87}

@@ -13,6 +13,38 @@ import (
 // to: row i draws qᵢ from its own stream, pushes it through Bᵀ into an
 // n-vector, and runs one Lap.Solve. Its BuildStats leave Workers zero.
 func referenceSketch(csr *graph.CSR, opt Options) (*Sketch, error) {
+	return referenceRows(csr, opt, func(i int, q []float64, scale float64) {
+		rng := rand.New(rand.NewSource(opt.Seed + int64(i)*0x9E3779B9))
+		for e := range q {
+			if rng.Int63()&1 == 0 {
+				q[e] = scale
+			} else {
+				q[e] = -scale
+			}
+		}
+	})
+}
+
+// referenceOf solves sk's own projection row by row on csr: the sketch of
+// csr under the projection sk holds, which sk equals to solver precision
+// when it reflects csr.
+func referenceOf(csr *graph.CSR, sk *Sketch) (*Sketch, error) {
+	if sk.proj.m != csr.M {
+		return nil, fmt.Errorf("projection has %d columns, graph %d edges", sk.proj.m, csr.M)
+	}
+	return referenceRows(csr, Options{Epsilon: sk.Epsilon, Dim: sk.Dim, Seed: sk.Seed}, func(i int, q []float64, scale float64) {
+		row := sk.proj.row(i)
+		for e := range q {
+			q[e] = scale
+			if row[e>>6]>>(e&63)&1 == 1 {
+				q[e] = -scale
+			}
+		}
+	})
+}
+
+// referenceRows builds a sketch row by row, row i's qᵢ filled in by draw.
+func referenceRows(csr *graph.CSR, opt Options, draw func(i int, q []float64, scale float64)) (*Sketch, error) {
 	n, d := csr.N, opt.Dim
 	sk := &Sketch{Dim: d, N: n, Epsilon: opt.Epsilon, pts: make([][]float64, n)}
 	for v := range sk.pts {
@@ -27,14 +59,7 @@ func referenceSketch(csr *graph.CSR, opt Options) (*Sketch, error) {
 	b := make([]float64, n)
 	x := make([]float64, n)
 	for i := 0; i < d; i++ {
-		rng := rand.New(rand.NewSource(opt.Seed + int64(i)*0x9E3779B9))
-		for e := range q {
-			if rng.Int63()&1 == 0 {
-				q[e] = scale
-			} else {
-				q[e] = -scale
-			}
-		}
+		draw(i, q, scale)
 		incidenceTMul(csr, q, b)
 		clear(x)
 		iters, err := lap.Solve(b, x)

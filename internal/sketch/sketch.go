@@ -27,6 +27,9 @@
 // neither the sketch nor its BuildStats depends on the worker count, and a
 // failed build reports its lowest failing row.
 //
+// The sketch keeps Q itself, one sign bit per edge and row, so that edge
+// updates (update.go) give the exact sketch of the mutated graph.
+//
 // Columns of X̃ embed the nodes as points in R^d whose squared Euclidean
 // distances approximate resistance distances — the geometric view that
 // FASTQUERY's convex-hull pruning (package hull) builds on.
@@ -109,19 +112,18 @@ type Sketch struct {
 	N int
 	// Epsilon echoes the error parameter the sketch was built for.
 	Epsilon float64
+	// Seed is the build's seed; the columns of Q for edges added later are
+	// drawn from it (see update.go).
+	Seed int64
 	// Stats records the solver effort of the build.
 	Stats BuildStats
-	// Drift is the accumulated staleness bound of incremental edge updates
-	// (see update.go): the sum over applied updates of the relative-error
-	// contribution each one may add on top of the JL error ε. A freshly
-	// built sketch has Drift 0; the lifecycle manager schedules a full
-	// rebuild once Drift crosses its threshold.
-	Drift float64
 	// Updates counts the incremental edge updates applied since the last
 	// full build.
 	Updates int
 	// pts holds the node embeddings: pts[v] is the d-vector X̃[:,v].
 	pts [][]float64
+	// proj is Q, with one column per edge of the graph the sketch reflects.
+	proj projection
 }
 
 // NewContext runs APPROXER(G, ε) on the CSR snapshot and returns the sketch.
@@ -139,21 +141,23 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 	if d <= 0 {
 		d = TheoreticalDim(n, opt.Epsilon)
 	}
-	sk := &Sketch{Dim: d, N: n, Epsilon: opt.Epsilon}
+	sk := &Sketch{Dim: d, N: n, Epsilon: opt.Epsilon, Seed: opt.Seed}
 	sk.pts = make([][]float64, n)
 	flat := make([]float64, n*d)
 	for v := 0; v < n; v++ {
 		sk.pts[v] = flat[v*d : (v+1)*d]
 	}
+	sk.proj = newProjection(d, csr.M)
 	if n == 0 {
 		return sk, nil
 	}
 
 	// Row i of X̃ is the solution of L x = Bᵀ qᵢ with qᵢ a random ±1/√d
-	// m-vector drawn from row i's own seeded stream. The rows are solved
-	// Lanes at a time, block k holding rows Lanes·k … Lanes·k+Lanes−1, and
-	// the blocks are spread over min(GOMAXPROCS, blocks) workers, each with
-	// its own solver, lane buffer and stats.
+	// m-vector drawn from row i's own seeded stream and kept as row i of the
+	// sketch's projection. The rows are solved Lanes at a time, block k
+	// holding rows Lanes·k … Lanes·k+Lanes−1, and the blocks are spread over
+	// min(GOMAXPROCS, blocks) workers, each with its own solver, lane buffer
+	// and stats.
 	blocks := (d + solver.Lanes - 1) / solver.Lanes
 	workers := min(runtime.GOMAXPROCS(0), blocks)
 	laps := make([]*solver.Lap, workers)
@@ -195,11 +199,12 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 		x := lanes[w]
 		i0 := k * solver.Lanes
 		rows := min(solver.Lanes, d-i0)
-		var rngs [solver.Lanes]*rand.Rand
+		var signs [solver.Lanes][]uint64
 		for j := 0; j < rows; j++ {
-			rngs[j] = rand.New(rand.NewSource(opt.Seed + int64(i0+j)*0x9E3779B9))
+			sk.proj.drawRow(i0+j, rand.New(rand.NewSource(opt.Seed+int64(i0+j)*0x9E3779B9)))
+			signs[j] = sk.proj.row(i0 + j)
 		}
-		pushIncidence(csr, &rngs, scale, x)
+		pushIncidence(csr, &signs, scale, x)
 		var st [solver.Lanes]solver.LaneStats
 		if err := laps[w].SolveLanes(x, x, &st); err != nil {
 			for j := range st {
@@ -230,29 +235,31 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 	return sk, nil
 }
 
-// pushIncidence writes Bᵀqⱼ into lane j of b for each lane with a stream in
-// rngs, and zero into the others. B is the signed incidence matrix with
-// each edge oriented u→v for u < v, taken in CSR order, and qⱼ draws one
-// ±scale per edge from rngs[j]: the sign is the low bit of Int63. Each lane
-// receives the additions of b[u] += q, b[v] −= q edge by edge, in that
-// order.
-func pushIncidence(csr *graph.CSR, rngs *[solver.Lanes]*rand.Rand, scale float64, b [][solver.Lanes]float64) {
+// pushIncidence writes Bᵀqⱼ into lane j of b for each lane with a sign row
+// in signs, and zero into the others. B is the signed incidence matrix with
+// each edge oriented u→v for u < v, taken in CSR order, and qⱼ is ±scale
+// per edge, negative where bit e of signs[j] is set. Each lane receives the
+// additions of b[u] += q, b[v] −= q edge by edge, in that order.
+func pushIncidence(csr *graph.CSR, signs *[solver.Lanes][]uint64, scale float64, b [][solver.Lanes]float64) {
 	clear(b)
 	pos := math.Float64bits(scale)
+	e := 0
 	for u := 0; u < csr.N; u++ {
 		for _, v := range csr.Neighbors(u) {
 			if int32(u) >= v {
 				continue
 			}
 			bu, bv := &b[u], &b[v]
-			for j, rng := range rngs {
-				if rng == nil {
+			w, o := e>>6, uint(e&63)
+			for j, row := range signs {
+				if row == nil {
 					continue
 				}
-				q := math.Float64frombits(pos | uint64(rng.Int63()&1)<<63)
+				q := math.Float64frombits(pos | (row[w]>>o&1)<<63)
 				bu[j] += q
 				bv[j] -= q
 			}
+			e++
 		}
 	}
 }

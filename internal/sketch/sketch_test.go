@@ -251,8 +251,9 @@ func unicodeProxy(t testing.TB) *graph.CSR {
 
 // TestPushIncidenceMatchesDenseIncidence: the right-hand sides the build
 // pushes lane by lane equal Bᵀq computed against the dense incidence
-// matrix, bit for bit, with q drawn from each lane's stream; lanes without a
-// stream stay zero. On the 4-node path the push is also checked by hand.
+// matrix, bit for bit, with q's signs drawn from each lane's stream into a
+// projection row; lanes without a row stay zero. On the 4-node path the
+// push is also checked by hand.
 func TestPushIncidenceMatchesDenseIncidence(t *testing.T) {
 	for _, g := range []*graph.Graph{graph.Path(4), graph.BarabasiAlbert(50, 3, 2), graph.Lollipop(5, 4)} {
 		csr := g.ToCSR()
@@ -272,15 +273,17 @@ func TestPushIncidenceMatchesDenseIncidence(t *testing.T) {
 			t.Fatalf("%d incidence rows, want m = %d", len(dense), csr.M)
 		}
 		for _, scale := range []float64{1, 1 / math.Sqrt(128)} {
-			var rngs [solver.Lanes]*rand.Rand
+			proj := newProjection(3, csr.M)
+			var signs [solver.Lanes][]uint64
 			for j := 0; j < 3; j++ {
-				rngs[j] = rand.New(rand.NewSource(int64(40 + j)))
+				proj.drawRow(j, rand.New(rand.NewSource(int64(40+j))))
+				signs[j] = proj.row(j)
 			}
 			b := make([][solver.Lanes]float64, n)
 			for i := range b {
 				b[i] = [solver.Lanes]float64{7, 7, 7, 7} // stale contents are overwritten
 			}
-			pushIncidence(csr, &rngs, scale, b)
+			pushIncidence(csr, &signs, scale, b)
 			for j := 0; j < solver.Lanes; j++ {
 				want := make([]float64, n)
 				if j < 3 {

@@ -1,41 +1,40 @@
 //recclint:deterministic — incremental updates feed the served sketch; no wall clock or unseeded randomness.
 
-// Incremental sketch maintenance under single-edge graph mutations.
+// Exact sketch maintenance under single-edge graph mutations.
 //
-// The sketch is X̃ = M·L† with M = Q·B fixed at build time. Adding the edge
-// (u,v) replaces L by L' = L + bbᵀ with b = e_u − e_v, and Sherman–Morrison
-// on the pseudoinverse (restricted to 1⊥, where L is invertible) gives
+// The sketch is X̃ = Q·B·L†, and it keeps its projection Q (one sign per
+// edge and row). Adding the edge (u,v), u < v, gives the new graph the
+// incidence row bᵀ with b = e_u − e_v, the projection a new column q, and
+// the Laplacian L' = L + bbᵀ. Sherman–Morrison on the pseudoinverse
+// (restricted to 1⊥, where L is invertible) gives
 //
-//	L'† = L† − (L†b)(L†b)ᵀ / (1 + bᵀL†b),
+//	L'† = L† − x·xᵀ / (1 + r),   x = L†b,   r = bᵀx = x[u] − x[v],
 //
-// so the updated embedding M·L'† follows from the current one by a rank-1
-// correction: with x = L†b (one Laplacian solve on the *old* graph) and
-// r = bᵀL†b = x[u] − x[v] (the effective resistance r(u,v)),
+// where x costs one Laplacian solve on the *old* graph and r is the
+// effective resistance r(u,v). Since Q·B·x = X̃·b = pts[u] − pts[v] = δ,
 //
-//	pts'[w] = pts[w] − (x[w] / (1+r)) · (pts[u] − pts[v]).
+//	Q'·B'·L'† = (Q·B + q·bᵀ)·L'†   ⇒   pts'[w] = pts[w] + x[w]/(1+r)·(q − δ).
 //
-// Removing an edge is the same identity with the opposite sign and 1 − r in
-// the denominator, valid only while r < 1 (r = 1 exactly when the edge is a
-// bridge, whose removal disconnects the graph).
+// Removing the edge is the same identity with the opposite signs, q being
+// the edge's stored column and 1 − r the denominator:
 //
-// The correction is exact for M·L'† but *not* for the true new-graph sketch
-// Q'·B'·L'†, which would carry one extra random projection row for the new
-// incidence column. The missing (addition) or stale (removal) row biases the
-// sketched resistance of a pair (a,b) by at most
+//	pts'[w] = pts[w] + x[w]/(1−r)·(δ − q),
 //
-//	(bᵀL'†(e_a − e_b))² ≤ (bᵀL'†b)·((e_a−e_b)ᵀL'†(e_a−e_b)) = r'(u,v)·r'(a,b)
+// valid only while r < 1 (r = 1 exactly when the edge is a bridge, whose
+// removal disconnects the graph). Either way the result is the sketch of
+// the new graph under the updated projection Q', not an approximation of
+// it, so updates accumulate no error beyond the solves' own. An added
+// edge's column is drawn from a counter-based hash of (seed, u, v) (see
+// addedColumn), so restored and replica sketches draw the same one.
 //
-// by Cauchy–Schwarz in the L'† inner product — a relative error of at most
-// r'(u,v), the effective resistance of the mutated pair in the *new* graph
-// (r/(1+r) for additions, r/(1−r) for removals). That quantity is the drift
-// contribution accumulated in Sketch.Drift; the lifecycle manager triggers a
-// full rebuild once the sum crosses its ε_drift threshold, so serving error
-// stays bounded by ε + Drift at all times.
+// Each update costs one solve, one O(n·d) embedding pass and an
+// O(d·m/64) copy of the projection, versus d solves for a full rebuild.
 package sketch
 
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"resistecc/internal/graph"
 	"resistecc/internal/solver"
@@ -43,36 +42,45 @@ import (
 
 // ErrUnsafeUpdate reports that an incremental removal was refused because
 // the edge's effective resistance is too close to 1 (a bridge or nearly so):
-// the Sherman–Morrison denominator 1 − r degenerates and the drift bound
-// becomes vacuous. Callers should fall back to a full rebuild.
+// the Sherman–Morrison denominator 1 − r degenerates and amplifies the
+// solve's error. Callers should fall back to a full rebuild.
 var ErrUnsafeUpdate = errors.New("sketch: incremental update unsafe (edge resistance ≈ 1; bridge-like)")
 
 // removeSafeLimit is the largest edge resistance for which an incremental
 // removal is attempted; above it, ErrUnsafeUpdate is returned.
 const removeSafeLimit = 0.95
 
-// AddEdgeUpdate returns a new sketch approximating the graph csr ∪ {(u,v)},
-// together with the drift contribution of the update. csr must be the
-// pre-insertion graph the receiver was built on (the edge must not be
-// present). The receiver is not modified; cost is one Laplacian solve plus
-// an O(n·d) embedding pass — versus d solves for a full rebuild.
+// AddEdgeUpdate returns the sketch of the graph csr ∪ {(u,v)}. csr must be
+// the graph the receiver reflects, without the edge; a graph whose edge
+// count differs from the receiver's projection is refused. The receiver is
+// not modified; cost is one Laplacian solve plus an O(n·d) embedding pass —
+// versus d solves for a full rebuild. The float64 result is always 0: the
+// update is exact, so it adds no error term.
 func (s *Sketch) AddEdgeUpdate(csr *graph.CSR, u, v int, sopt solver.Options) (*Sketch, float64, error) {
+	u, v, e, err := s.locate(csr, u, v, false)
+	if err != nil {
+		return nil, 0, err
+	}
 	x, r, err := s.updateSolve(csr, u, v, sopt)
 	if err != nil {
 		return nil, 0, err
 	}
-	// New-graph resistance of the inserted edge bounds the relative bias.
-	contrib := r / (1 + r)
-	out := s.applyRank1(x, u, v, -1/(1+r), contrib)
-	return out, contrib, nil
+	col := addedColumn(s.Seed, u, v, s.Dim)
+	out := s.applyUpdate(x, u, v, col, 1/(1+r))
+	out.proj = s.proj.withColumn(e, col)
+	return out, 0, nil
 }
 
-// RemoveEdgeUpdate returns a new sketch approximating csr \ {(u,v)} and the
-// drift contribution. csr must be the pre-removal graph (edge present, and
-// not a bridge — removal must leave the graph connected, which the caller is
-// responsible for checking structurally). Returns ErrUnsafeUpdate when the
-// edge resistance is so close to 1 that the rank-1 downdate degenerates.
+// RemoveEdgeUpdate returns the sketch of csr \ {(u,v)}. csr must be the
+// graph the receiver reflects, with the edge, and the removal must leave it
+// connected, which the caller checks structurally. Returns ErrUnsafeUpdate
+// when the edge resistance is so close to 1 that the downdate degenerates.
+// The float64 result is always 0, as for AddEdgeUpdate.
 func (s *Sketch) RemoveEdgeUpdate(csr *graph.CSR, u, v int, sopt solver.Options) (*Sketch, float64, error) {
+	u, v, e, err := s.locate(csr, u, v, true)
+	if err != nil {
+		return nil, 0, err
+	}
 	x, r, err := s.updateSolve(csr, u, v, sopt)
 	if err != nil {
 		return nil, 0, err
@@ -80,22 +88,41 @@ func (s *Sketch) RemoveEdgeUpdate(csr *graph.CSR, u, v int, sopt solver.Options)
 	if r >= removeSafeLimit {
 		return nil, 0, fmt.Errorf("%w: r(%d,%d)=%.4f", ErrUnsafeUpdate, u, v, r)
 	}
-	contrib := r / (1 - r)
-	out := s.applyRank1(x, u, v, 1/(1-r), contrib)
-	return out, contrib, nil
+	out := s.applyUpdate(x, u, v, s.proj.column(e), -1/(1-r))
+	out.proj = s.proj.withoutColumn(e)
+	return out, 0, nil
+}
+
+// locate validates an update of (u,v) against csr and returns the edge
+// oriented u < v, as B orients it, with its rank in csr's edge order.
+// present says whether the update needs the edge to be in csr (a removal)
+// or absent from it (an add).
+func (s *Sketch) locate(csr *graph.CSR, u, v int, present bool) (int, int, int, error) {
+	if csr.N != s.N {
+		return 0, 0, 0, fmt.Errorf("sketch: update on %d-node graph, sketch has %d", csr.N, s.N)
+	}
+	if csr.M != s.proj.m {
+		return 0, 0, 0, fmt.Errorf("sketch: update on a graph of %d edges, projection has %d", csr.M, s.proj.m)
+	}
+	if u < 0 || v < 0 || u >= s.N || v >= s.N {
+		return 0, 0, 0, fmt.Errorf("%w: (%d,%d) with n=%d", graph.ErrNodeRange, u, v, s.N)
+	}
+	if u == v {
+		return 0, 0, 0, fmt.Errorf("%w: node %d", graph.ErrSelfLoop, u)
+	}
+	u, v = min(u, v), max(u, v)
+	e, has := edgeRank(csr, u, v)
+	switch {
+	case present && !has:
+		return 0, 0, 0, fmt.Errorf("%w: (%d,%d)", graph.ErrEdgeNotFound, u, v)
+	case !present && has:
+		return 0, 0, 0, fmt.Errorf("%w: (%d,%d)", graph.ErrDuplicateEdge, u, v)
+	}
+	return u, v, e, nil
 }
 
 // updateSolve computes x = L†(e_u − e_v) on csr and r = x[u] − x[v].
 func (s *Sketch) updateSolve(csr *graph.CSR, u, v int, sopt solver.Options) ([]float64, float64, error) {
-	if csr.N != s.N {
-		return nil, 0, fmt.Errorf("sketch: update on %d-node graph, sketch has %d", csr.N, s.N)
-	}
-	if u < 0 || v < 0 || u >= s.N || v >= s.N {
-		return nil, 0, fmt.Errorf("%w: (%d,%d) with n=%d", graph.ErrNodeRange, u, v, s.N)
-	}
-	if u == v {
-		return nil, 0, fmt.Errorf("%w: node %d", graph.ErrSelfLoop, u)
-	}
 	lap, err := solver.NewLap(csr, sopt)
 	if err != nil {
 		return nil, 0, fmt.Errorf("sketch: incremental update: %w", err)
@@ -113,16 +140,17 @@ func (s *Sketch) updateSolve(csr *graph.CSR, u, v int, sopt solver.Options) ([]f
 	return x, r, nil
 }
 
-// applyRank1 returns a fresh sketch with pts'[w] = pts[w] + scale·x[w]·δ,
-// δ = pts[u] − pts[v], and the drift/update accounting advanced by contrib.
-func (s *Sketch) applyRank1(x []float64, u, v int, scale, contrib float64) *Sketch {
+// applyUpdate returns a fresh sketch, without a projection yet, with
+// pts'[w] = pts[w] + c·x[w]·(q − δ), where δ = pts[u] − pts[v] and q is the
+// edge's column of Q, given as sign words.
+func (s *Sketch) applyUpdate(x []float64, u, v int, col []uint64, c float64) *Sketch {
 	d, n := s.Dim, s.N
 	out := &Sketch{
 		Dim:     d,
 		N:       n,
 		Epsilon: s.Epsilon,
+		Seed:    s.Seed,
 		Stats:   s.Stats,
-		Drift:   s.Drift + contrib,
 		Updates: s.Updates + 1,
 	}
 	out.pts = make([][]float64, n)
@@ -130,25 +158,27 @@ func (s *Sketch) applyRank1(x []float64, u, v int, scale, contrib float64) *Sket
 	for w := 0; w < n; w++ {
 		out.pts[w] = flat[w*d : (w+1)*d]
 	}
-	delta := make([]float64, d)
+	pos := math.Float64bits(1 / math.Sqrt(float64(d)))
+	g := make([]float64, d)
 	pu, pv := s.pts[u], s.pts[v]
-	for i := 0; i < d; i++ {
-		delta[i] = pu[i] - pv[i]
+	for i := range g {
+		q := math.Float64frombits(pos | (col[i>>6]>>(i&63)&1)<<63)
+		g[i] = q - (pu[i] - pv[i])
 	}
 	for w := 0; w < n; w++ {
-		addScaledRow(out.pts[w], s.pts[w], delta, scale*x[w])
+		addScaledRow(out.pts[w], s.pts[w], g, c*x[w])
 	}
 	return out
 }
 
-// addScaledRow writes dst = src + c·delta elementwise: the O(d) inner kernel
-// of the rank-1 embedding correction, run once per node per update.
-func addScaledRow(dst, src, delta []float64, c float64) {
+// addScaledRow writes dst = src + c·g elementwise: the O(d) inner kernel
+// of the embedding update, run once per node per update.
+func addScaledRow(dst, src, g []float64, c float64) {
 	if c == 0 {
 		copy(dst, src)
 		return
 	}
 	for i := range dst {
-		dst[i] = src[i] + c*delta[i]
+		dst[i] = src[i] + c*g[i]
 	}
 }

@@ -65,9 +65,11 @@ func DigestQuery(res []EccResult) uint64 {
 }
 
 // DigestMutation hashes a mutation response: the generation now serving it,
-// how it was absorbed (incremental vs stale), and the accumulated drift
-// bound — the fields that must match bit-exactly when the same mutation
-// sequence is replayed against a same-seed index.
+// how it was absorbed (incremental vs stale), and the response's drift
+// field — the fields that must match bit-exactly when the same mutation
+// sequence is replayed against a same-seed index. Sketch updates are exact,
+// so reccd's drift field reads 0; the input stays until the wire field
+// goes.
 func DigestMutation(gen uint64, mode string, drift float64) uint64 {
 	return uint64(newDigest().u64(gen).str(mode).f64(drift))
 }

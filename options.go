@@ -27,10 +27,9 @@ type buildConfig struct {
 	hull HullOptions
 
 	// DynamicIndex-only knobs.
-	driftThreshold float64
-	maxDeletions   int
-	queueSize      int
-	follower       bool
+	maxDeletions int
+	queueSize    int
+	follower     bool
 }
 
 // Option configures an index constructor (NewFastIndex, NewApproxIndex,
@@ -57,13 +56,6 @@ func WithSeed(seed int64) Option {
 // WithMaxHullVertices caps the hull boundary size l (0 = no cap).
 func WithMaxHullVertices(l int) Option {
 	return func(c *buildConfig) { c.hull.MaxVertices = l }
-}
-
-// WithDriftThreshold sets the ε_drift rebuild trigger of a DynamicIndex:
-// once the accumulated incremental-update drift exceeds it, a rebuild runs
-// before the next mutation (0 = 0.5). Ignored by static indexes.
-func WithDriftThreshold(d float64) Option {
-	return func(c *buildConfig) { c.driftThreshold = d }
 }
 
 // WithMaxDeletions sets how many edge removals a DynamicIndex serves
