@@ -9,6 +9,10 @@ import (
 	"strings"
 )
 
+// maxLine is the longest edge-list line ReadEdgeList accepts, newline
+// included; a longer one fails with bufio.ErrTooLong.
+const maxLine = 1 << 20
+
 // ReadEdgeList parses a whitespace-separated edge-list stream, the common
 // interchange format of KONECT and NetworkRepository. Lines starting with
 // '#' or '%' are comments. Node labels may be arbitrary non-negative
@@ -19,7 +23,9 @@ import (
 // It returns the graph plus the original labels indexed by compact id.
 func ReadEdgeList(r io.Reader) (*Graph, []int64, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines up to 1 MB parse; the buffer starts small and grows only for
+	// long lines.
+	sc.Buffer(nil, maxLine)
 	ids := make(map[int64]int)
 	var labels []int64
 	intern := func(raw int64) int {

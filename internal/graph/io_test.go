@@ -1,7 +1,9 @@
 package graph
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
@@ -40,6 +42,24 @@ func TestReadEdgeListErrors(t *testing.T) {
 	}
 	if _, _, err := ReadEdgeList(strings.NewReader("a b\n")); err == nil {
 		t.Fatal("non-integer should fail")
+	}
+}
+
+// ReadEdgeList's scanner buffer starts small and grows on demand up to
+// maxLine: a line past bufio's 64 KB default still parses, and one past
+// maxLine fails with bufio.ErrTooLong.
+func TestReadEdgeListLongLines(t *testing.T) {
+	long := "1 2" + strings.Repeat(" 7", 40_000) + "\n2 3\n"
+	g, labels, err := ReadEdgeList(strings.NewReader(long))
+	if err != nil {
+		t.Fatalf("%d-byte line: %v", len(long), err)
+	}
+	if g.N() != 3 || g.M() != 2 || labels[0] != 1 || labels[2] != 3 {
+		t.Fatalf("%d-byte line: n=%d m=%d labels %v, want n=3 m=2 [1 2 3]", len(long), g.N(), g.M(), labels)
+	}
+	tooLong := "1 2 " + strings.Repeat("7", maxLine) + "\n"
+	if _, _, err := ReadEdgeList(strings.NewReader(tooLong)); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("%d-byte line: err %v, want bufio.ErrTooLong", len(tooLong), err)
 	}
 }
 

@@ -9,10 +9,10 @@ func TestZeroAllocs(t *testing.T) {
 	pts := fixtureCloud(7, 80, 12, true, 0)
 	res, _, _ := seedHull(pts, Options{Theta: 0.05, Seed: 7})
 	hullIdx := res.Vertices
-	g := newGram(pts, hullIdx[0], hullIdx[len(hullIdx)-1])
+	g := newGram(pts, hullIdx[0], hullIdx[len(hullIdx)-1], len(hullIdx))
 	g.extend(hullIdx)
 	var f fw
-	f.size(len(hullIdx), len(pts[0]))
+	f.size(len(hullIdx), len(hullIdx), len(pts[0]))
 	p := pts[hullIdx[0]]
 	q := make([]float64, len(p)) // the centroid: inside the hull, never a vertex
 	for _, x := range pts {
@@ -34,9 +34,12 @@ func TestZeroAllocs(t *testing.T) {
 		{"argmaxDist", func() { sinkI = argmaxDist(pts, p) }},
 		{"argmaxDot4", func() { argmaxDot4(pts, dir4, &arg4) }},
 		{"distSq", func() { sinkF = distSq(p, q) }},
-		{"gram.step", func() { sinkI, sinkF = g.step(1, 0.5, f.v, f.lam, f.pq) }},
+		{"distSq4", func() { sinkF, _, _, _ = distSq4(q, p, pts[1], pts[2], pts[3]) }},
+		{"gram.step", func() { sinkI, sinkF = g.step(1, 0.5, f.v, f.pq) }},
 		{"fw.distToHull", func() { sinkF, _, _ = f.distToHull(g, q, 0, 300) }},
 		{"fw.materialise", func() { sinkF = f.materialise(g, q) }},
+		// Replays the whole history of the last distToHull run.
+		{"fw.weights", func() { f.done = 0; sinkF = f.weights()[0] }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

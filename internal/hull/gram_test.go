@@ -6,15 +6,16 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+	"testing/quick"
 )
 
 // gramDist runs the Gram-form Frank–Wolfe distance of p to
 // conv({pts[i] : i ∈ hullIdx}) and also returns the final iterate's weights.
 func gramDist(pts [][]float64, hullIdx []int, p []float64, earlyStop float64, maxIters int) (ub, lb float64, covered bool, lam []float64) {
-	g := newGram(pts, hullIdx[0], hullIdx[len(hullIdx)-1])
+	g := newGram(pts, hullIdx[0], hullIdx[len(hullIdx)-1], len(hullIdx))
 	g.extend(hullIdx)
 	var f fw
-	f.size(len(hullIdx), len(p))
+	f.size(len(hullIdx), len(hullIdx), len(p))
 	ub, lb, covered = f.distToHull(g, p, earlyStop, maxIters)
 	return ub, lb, covered, f.lam
 }
@@ -152,5 +153,65 @@ func TestMaxVerticesSmallCaps(t *testing.T) {
 			t.Errorf("cap %d: vertices %v certified=%v rounds=%d, want %v uncertified after 0 rounds",
 				c, res.Vertices, res.Certified, res.Rounds, want[c])
 		}
+	}
+}
+
+// eagerStep is the reference weight update, applied at every step:
+// λ ← (1−γ)·λ + γ·e_s, every weight multiplied in index order, then γ added
+// to λ_s.
+func eagerStep(lam []float64, s int, gamma float64) {
+	keep := 1 - gamma
+	for a := range lam {
+		lam[a] *= keep
+	}
+	lam[s] += gamma
+}
+
+// Property: whatever steps a run takes, and however often λ is read along
+// the way, weights returns the eager update's λ bit for bit. The step sizes
+// include full steps, which zero every other weight, and steps so short or
+// so long that the products go subnormal.
+func TestWeightsReplayMatchesEager(t *testing.T) {
+	check := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		l := 1 + rng.Intn(40)
+		var f fw
+		f.size(l, l, 1)
+		eager := make([]float64, l)
+		for run := 0; run < 3; run++ { // runs share the scratch, as a worker's do
+			start := rng.Intn(l)
+			f.hist, f.done = append(f.hist[:0], fwStep{start, 1}), 0
+			eagerStep(eager, start, 1)
+			for k, steps := 0, rng.Intn(300); k <= steps; k++ {
+				if k > 0 {
+					var gamma float64
+					switch rng.Intn(5) {
+					case 0:
+						gamma = 1
+					case 1:
+						gamma = 1 - math.Ldexp(rng.Float64(), -50)
+					case 2:
+						gamma = math.Ldexp(1+rng.Float64(), -1000-rng.Intn(70))
+					default:
+						gamma = rng.Float64()
+					}
+					s := rng.Intn(l)
+					f.hist = append(f.hist, fwStep{s, gamma})
+					eagerStep(eager, s, gamma)
+				}
+				if k == steps || rng.Intn(10) == 0 {
+					for a, w := range f.weights() {
+						if math.Float64bits(w) != math.Float64bits(eager[a]) {
+							t.Logf("seed %d, run %d, step %d: λ[%d] = %.17g, eager %.17g", seed, run, k, a, w, eager[a])
+							return false
+						}
+					}
+				}
+			}
+		}
+		return true
+	}
+	if err := quick.Check(check, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
 	}
 }

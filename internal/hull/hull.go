@@ -23,17 +23,32 @@
 // O(n·l·(d + θ⁻²)) of Lemma 5.3 with l = |Ŝ|.
 //
 // Frank–Wolfe runs in Gram coordinates. Its iterate is always a convex
-// combination y = Σ λ_a q_a of hull vertices, so it is carried as the
-// weights λ, the inner products v_a = ⟨y,q_a⟩, ⟨y,y⟩ and ⟨y,p⟩. Given the
-// hull's Gram matrix and ⟨p,q_a⟩, each step (linear minimisation, duality
-// gap, exact line search, ‖y−p‖²) costs O(l) instead of O(l·d). A point is
-// declared covered only after y is materialised in R^d and ‖y−p‖ ≤ θ·D̂ is
-// checked there. Per refinement round the cost is:
+// combination y = Σ λ_a q_a of hull vertices, so it is carried as the inner
+// products v_a = ⟨y,q_a⟩, ⟨y,y⟩ and ⟨y,p⟩. Given the hull's Gram matrix and
+// ⟨p,q_a⟩, each step (linear minimisation, duality gap, exact line search,
+// ‖y−p‖²) costs O(l) instead of O(l·d): one walk along row s of the matrix
+// and down its column s. The weights λ are needed only to materialise y, so
+// a step just records its (s, γ), and the record is replayed into λ, with
+// the multiply and the add of the per-step update in the same order, when
+// y is materialised. A point is declared covered only after y is
+// materialised in R^d and ‖y−p‖ ≤ θ·D̂ is checked there. Per refinement
+// round the cost is:
 //
-//   - O(n·l·d) for the exact nearest-vertex start, which also yields ⟨p,q_a⟩;
-//   - O(l) per Frank–Wolfe step;
-//   - O(l·d) per inserted vertex, for its row of the Gram matrix, which
-//     keeps only its lower triangle, one row per vertex (≈ l²/2 doubles).
+//   - O(n·l·d) for the exact nearest-vertex start, which scores four
+//     vertices per pass over the point and also yields ⟨p,q_a⟩;
+//   - O(l) per Frank–Wolfe step, plus O(l) per step of a run whose iterate
+//     is materialised, for the replay;
+//   - O(l·d) per inserted vertex, for its row of the Gram matrix, four
+//     entries per pass; the matrix keeps only its lower triangle, one row
+//     per vertex (≈ l²/2 doubles).
+//
+// Every four-way kernel keeps one accumulator per entry, summed in
+// coordinate order, so it returns the one-entry loop's bits. Two faster
+// layouts were measured on the build workload's points and left out, both
+// for memory: a full symmetric Gram matrix, which turns the column walk into
+// a row walk but doubles the matrix (2.9 MB at l = 605), and a cache of
+// each pending point's squared distances to the vertices, carried across
+// rounds. Each raised that workload's peak RSS by 9–16%.
 //
 // Given the hull, points are independent, so each round spreads them over
 // runtime.GOMAXPROCS(0) workers with par.For. A worker writes only its own
@@ -52,6 +67,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 
 	"resistecc/internal/par"
@@ -120,21 +136,22 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 	// Frank–Wolfe steps per distance query: ⌈1/θ²⌉, the θ⁻² term of
 	// Lemma 5.3, clamped to [16, 4096].
 	maxFW := min(max(int(math.Ceil(1/(opt.Theta*opt.Theta))), 16), 4096)
-	g := newGram(pts, a, b)
+	lmax := n
+	if opt.MaxVertices > 0 {
+		lmax = min(n, opt.MaxVertices)
+	}
+	g := newGram(pts, a, b, lmax)
 	fws := make([]fw, runtime.GOMAXPROCS(0))
 	covered := make([]bool, n) // vertices of Ŝ, and points certified within θ·D̂
 	for _, i := range hullIdx {
 		covered[i] = true
 	}
 	ub := make([]float64, n) // distance upper bound of each uncovered point
-	type scored struct {
-		idx int
-		ub  float64
-	}
-	var (
-		pending   []int
-		uncovered []scored
-	)
+	// Each round's pending points are a subset of the first round's, so
+	// pending never grows past its first size, and the uncovered points are
+	// sorted in place at its front.
+	pending := make([]int, 0, n-len(hullIdx))
+	accepted := make([]int, 0, batchInsert)
 	for !full() {
 		g.extend(hullIdx)
 		pending = pending[:0]
@@ -144,16 +161,16 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 			}
 		}
 		for w := range fws {
-			fws[w].size(len(hullIdx), d)
+			fws[w].size(len(hullIdx), lmax, d)
 		}
 		par.For(len(pending), len(fws), func(w, k int) {
 			i := pending[k]
 			ub[i], _, covered[i] = fws[w].distToHull(g, pts[i], threshold, maxFW)
 		})
-		uncovered = uncovered[:0]
+		uncovered := pending[:0]
 		for _, i := range pending {
 			if !covered[i] {
-				uncovered = append(uncovered, scored{i, ub[i]})
+				uncovered = append(uncovered, i)
 			}
 		}
 		if len(uncovered) == 0 {
@@ -163,9 +180,9 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 		// Insert a spaced batch: points within 2θ·D̂ of an accepted one may
 		// become covered by it, so only mutually distant candidates go in
 		// together. Candidates are taken in decreasing distance-to-hull.
-		sort.Slice(uncovered, func(a, b int) bool { return uncovered[a].ub > uncovered[b].ub })
-		var accepted []int
-		for _, cand := range uncovered {
+		sort.Slice(uncovered, func(a, b int) bool { return ub[uncovered[a]] > ub[uncovered[b]] })
+		accepted = accepted[:0]
+		for _, i := range uncovered {
 			if len(accepted) >= batchInsert {
 				break
 			}
@@ -174,13 +191,13 @@ func Approx(pts [][]float64, opt Options) (*Result, error) {
 			}
 			ok := true
 			for _, a := range accepted {
-				if distSq(pts[cand.idx], pts[a]) <= 4*threshold*threshold {
+				if distSq(pts[i], pts[a]) <= 4*threshold*threshold {
 					ok = false
 					break
 				}
 			}
 			if ok {
-				accepted = append(accepted, cand.idx)
+				accepted = append(accepted, i)
 			}
 		}
 		for _, a := range accepted {
@@ -311,6 +328,22 @@ func distSq(x, y []float64) float64 {
 	return s
 }
 
+// distSq4 returns ‖q_t − p‖² for four points q0…q3 in one pass over p. Each
+// point keeps its own accumulator, summed in coordinate order, so each answer
+// is distSq(q_t, p) to the bit.
+func distSq4(p, q0, q1, q2, q3 []float64) (s0, s1, s2, s3 float64) {
+	d := len(p)
+	q0, q1, q2, q3 = q0[:d], q1[:d], q2[:d], q3[:d]
+	for j, x := range p {
+		d0, d1, d2, d3 := q0[j]-x, q1[j]-x, q2[j]-x, q3[j]-x
+		s0 += d0 * d0
+		s1 += d1 * d1
+		s2 += d2 * d2
+		s3 += d3 * d3
+	}
+	return s0, s1, s2, s3
+}
+
 // gram is the Gram matrix of the hull vertices q_a = pts[idx[a]], taken
 // about the centre c (the midpoint of the diameter pair, so entries stay
 // O(D²) whatever the input's offset). It keeps the lower triangle only: row
@@ -323,23 +356,43 @@ type gram struct {
 	rows [][]float64
 }
 
-func newGram(pts [][]float64, a, b int) *gram {
+// newGram centres the Gram matrix on the midpoint of pts[a] and pts[b] and
+// reserves room for the rows of lmax vertices, the most the hull can have.
+func newGram(pts [][]float64, a, b, lmax int) *gram {
 	c := make([]float64, len(pts[a]))
 	for j := range c {
 		c[j] = (pts[a][j] + pts[b][j]) / 2
 	}
-	return &gram{pts: pts, c: c}
+	return &gram{pts: pts, c: c, rows: make([][]float64, 0, lmax)}
 }
 
 // extend appends a row for every vertex of hullIdx beyond those it holds.
+// Each row is computed four entries per pass over q_a; every entry keeps its
+// own accumulator, summed in coordinate order, so it is the one-entry dot
+// product to the bit.
 func (g *gram) extend(hullIdx []int) {
+	c := g.c
+	d := len(c)
 	for a := len(g.rows); a < len(hullIdx); a++ {
-		qa := g.pts[hullIdx[a]]
+		qa := g.pts[hullIdx[a]][:d]
 		row := make([]float64, a+1)
-		for b := range row {
-			qb := g.pts[hullIdx[b]]
+		b := 0
+		for ; b+4 <= len(row); b += 4 {
+			q0, q1, q2, q3 := g.pts[hullIdx[b]][:d], g.pts[hullIdx[b+1]][:d], g.pts[hullIdx[b+2]][:d], g.pts[hullIdx[b+3]][:d]
+			var s0, s1, s2, s3 float64
+			for j, cj := range c {
+				x := qa[j] - cj
+				s0 += x * (q0[j] - cj)
+				s1 += x * (q1[j] - cj)
+				s2 += x * (q2[j] - cj)
+				s3 += x * (q3[j] - cj)
+			}
+			row[b], row[b+1], row[b+2], row[b+3] = s0, s1, s2, s3
+		}
+		for ; b < len(row); b++ {
+			qb := g.pts[hullIdx[b]][:d]
 			s := 0.0
-			for j, cj := range g.c {
+			for j, cj := range c {
 				s += (qa[j] - cj) * (qb[j] - cj)
 			}
 			row[b] = s
@@ -351,29 +404,33 @@ func (g *gram) extend(hullIdx []int) {
 
 func (g *gram) diag(a int) float64 { return g.rows[a][a] }
 
-// step moves the iterate toward vertex s by gamma, v ← (1−γ)·v + γ·G[s,:]
-// and λ ← (1−γ)·λ + γ·e_s, and returns the next linear-minimisation vertex:
-// the first a minimising v_a − pq_a, which is ⟨y−p, q_a−c⟩ up to a term
-// that does not depend on a.
-func (g *gram) step(s int, gamma float64, v, lam, pq []float64) (arg int, best float64) {
+// step moves the iterate toward vertex s by gamma, v ← (1−γ)·v + γ·G[s,:],
+// and returns the next linear-minimisation vertex: the first a minimising
+// v_a − pq_a, which is ⟨y−p, q_a−c⟩ up to a term that does not depend on a.
+// The weights λ are not touched here: fw records (s, γ), and weights replays
+// the record only when λ is read.
+func (g *gram) step(s int, gamma float64, v, pq []float64) (arg int, best float64) {
 	keep := 1 - gamma
 	best, arg = math.Inf(1), -1
-	for a, gsa := range g.rows[s] {
-		v[a] = keep*v[a] + gamma*gsa
-		lam[a] *= keep
-		if x := v[a] - pq[a]; x < best {
+	row := g.rows[s]
+	vr, pqr := v[:len(row)], pq[:len(row)]
+	for a, gsa := range row {
+		x := keep*vr[a] + gamma*gsa
+		vr[a] = x
+		if x -= pqr[a]; x < best {
 			best, arg = x, a
 		}
 	}
 	// The rest of row s is column s of the later rows: G[a][s] for a > s.
-	for a := s + 1; a < len(v); a++ {
-		v[a] = keep*v[a] + gamma*g.rows[a][s]
-		lam[a] *= keep
-		if x := v[a] - pq[a]; x < best {
-			best, arg = x, a
+	later := g.rows[s+1 : len(v)]
+	vc, pqc := v[s+1:][:len(later)], pq[s+1:][:len(later)]
+	for k, ra := range later {
+		x := keep*vc[k] + gamma*ra[s]
+		vc[k] = x
+		if x -= pqc[k]; x < best {
+			best, arg = x, s+1+k
 		}
 	}
-	lam[s] += gamma
 	return arg, best
 }
 
@@ -385,18 +442,33 @@ const coverSlack = 1e-9
 
 // fw is one worker's Frank–Wolfe scratch.
 type fw struct {
-	pq  []float64 // ⟨p−c, q_a−c⟩; first the squared distances ‖p−q_a‖²
-	v   []float64 // ⟨y−c, q_a−c⟩
-	lam []float64 // y = Σ λ_a q_a
-	r   []float64 // y − p in R^d
+	pq   []float64 // ⟨p−c, q_a−c⟩; first the squared distances ‖p−q_a‖²
+	v    []float64 // ⟨y−c, q_a−c⟩
+	lam  []float64 // y = Σ λ_a q_a, as of the first done steps of hist
+	hist []fwStep  // every step of the current run, the start included
+	done int       // how many steps of hist lam reflects
+	r    []float64 // y − p in R^d
 }
 
-// size makes the scratch fit a hull of l vertices in R^d.
-func (f *fw) size(l, d int) {
+// fwStep is one Frank–Wolfe step, y ← (1−γ)·y + γ·q_s.
+type fwStep struct {
+	s     int
+	gamma float64
+}
+
+// shortRun is the history a worker starts with. Most Frank–Wolfe runs end
+// within a few dozen steps; the first that outgrows it takes room for all
+// maxIters steps at once, so a worker's history is allocated at most twice.
+const shortRun = 64
+
+// size makes the scratch fit a hull of l vertices in R^d, leaving room to
+// grow to twice that, or to lmax, the most the hull can have.
+func (f *fw) size(l, lmax, d int) {
 	if cap(f.pq) < l {
-		f.pq = make([]float64, l, 2*l)
-		f.v = make([]float64, l, 2*l)
-		f.lam = make([]float64, l, 2*l)
+		c := max(l, min(2*l, lmax))
+		f.pq = make([]float64, l, c)
+		f.v = make([]float64, l, c)
+		f.lam = make([]float64, l, c)
 	}
 	f.pq, f.v, f.lam = f.pq[:l], f.v[:l], f.lam[:l]
 	if len(f.r) != d {
@@ -413,21 +485,35 @@ func (f *fw) size(l, d int) {
 // usefully), or after maxIters steps. When it reports covered, f.lam holds
 // the weights of the covering iterate.
 func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (ub, lb float64, covered bool) {
-	pq, v, lam := f.pq, f.v, f.lam
+	pq, v := f.pq, f.v
+	// The nearest vertex, four vertices per pass over p; strict < keeps
+	// the first of equals, as a one-vertex scan would.
+	idx, pts := g.idx, g.pts
 	bestD, start := math.Inf(1), 0
-	for a, i := range g.idx {
-		dd := distSq(g.pts[i], p)
-		pq[a] = dd
-		if dd < bestD {
-			bestD, start = dd, a
+	a := 0
+	for ; a+4 <= len(idx); a += 4 {
+		pq[a], pq[a+1], pq[a+2], pq[a+3] = distSq4(p, pts[idx[a]], pts[idx[a+1]], pts[idx[a+2]], pts[idx[a+3]])
+		for k, x := range pq[a : a+4] {
+			if x < bestD {
+				bestD, start = x, a+k
+			}
 		}
 	}
-	for a := range lam {
-		lam[a] = 0
+	for ; a < len(idx); a++ {
+		x := distSq(pts[idx[a]], p)
+		pq[a] = x
+		if x < bestD {
+			bestD, start = x, a
+		}
 	}
-	lam[start] = 1
+	// y = q_start is a full step toward it from anywhere.
+	if f.hist == nil {
+		f.hist = make([]fwStep, 0, shortRun)
+	}
+	f.hist, f.done = append(f.hist[:0], fwStep{start, 1}), 0
 	ub = math.Sqrt(bestD)
 	if ub <= earlyStop {
+		f.weights()
 		return ub, 0, true
 	}
 	// ⟨p−c, q_a−c⟩ = (‖p−c‖² + ‖q_a−c‖² − ‖p−q_a‖²) / 2.
@@ -435,9 +521,9 @@ func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (
 	for a := range pq {
 		pq[a] = (pp + g.diag(a) - pq[a]) / 2
 	}
-	// y = q_start: a full step sets v = G[start,:] whatever v held. Then
-	// yy = ‖y−c‖², yp = ⟨y−c, p−c⟩ and fy = ‖y−p‖².
-	s, sDot := g.step(start, 1, v, lam, pq)
+	// A full step sets v = G[start,:] whatever v held. Then yy = ‖y−c‖²,
+	// yp = ⟨y−c, p−c⟩ and fy = ‖y−p‖².
+	s, sDot := g.step(start, 1, v, pq)
 	yy, yp, fy := g.diag(start), pq[start], bestD
 	for it := 0; it < maxIters; it++ {
 		// The duality gap ⟨∇f(y), y − q_s⟩ = 2·⟨y−p, y − q_s⟩ bounds
@@ -467,7 +553,11 @@ func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (
 		yy = keep*keep*yy + 2*gamma*keep*v[s] + gamma*gamma*gss
 		yp = keep*yp + gamma*pq[s]
 		fy = yy - 2*yp + pp
-		s, sDot = g.step(s, gamma, v, lam, pq)
+		if len(f.hist) == cap(f.hist) {
+			f.hist = slices.Grow(f.hist, maxIters+1-len(f.hist))
+		}
+		f.hist = append(f.hist, fwStep{s, gamma})
+		s, sDot = g.step(s, gamma, v, pq)
 		u := 0.0
 		if fy > 0 {
 			u = math.Sqrt(fy)
@@ -485,6 +575,27 @@ func (f *fw) distToHull(g *gram, p []float64, earlyStop float64, maxIters int) (
 	return ub, lb, false
 }
 
+// weights brings f.lam up to date with the iterate and returns it. It
+// replays the steps recorded since its last call, each as the update
+// λ ← (1−γ)·λ + γ·e_s: every weight multiplied by 1−γ, in index order, then
+// γ added to λ_s. So λ holds the bits that updating it at every step would
+// give, while a run that never reads λ never pays for it.
+func (f *fw) weights() []float64 {
+	lam := f.lam
+	if f.done == 0 {
+		clear(lam)
+	}
+	for _, st := range f.hist[f.done:] {
+		keep := 1 - st.gamma
+		for a := range lam {
+			lam[a] *= keep
+		}
+		lam[st.s] += st.gamma
+	}
+	f.done = len(f.hist)
+	return lam
+}
+
 // materialise forms y − p = Σ λ_a (q_a − c) − (p − c) in R^d and returns its
 // norm.
 func (f *fw) materialise(g *gram, p []float64) float64 {
@@ -492,7 +603,7 @@ func (f *fw) materialise(g *gram, p []float64) float64 {
 	for j, cj := range g.c {
 		r[j] = cj - p[j]
 	}
-	for a, w := range f.lam {
+	for a, w := range f.weights() {
 		if w == 0 {
 			continue
 		}

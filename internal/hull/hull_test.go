@@ -263,3 +263,20 @@ func TestFrankWolfeDistance(t *testing.T) {
 		}
 	}
 }
+
+// Rounding decides these squared distances: each point is 1, 1 and 1e8 away
+// from p in some order, and the squares sum to 1e16+2 when both 1s come
+// before the 1e16 but to 1e16 otherwise. Each of the four answers must be
+// the one-point scan's, which sums in coordinate order.
+func TestDistSq4SummationOrder(t *testing.T) {
+	p := []float64{1, 1, 1}
+	q := [4][]float64{{2, 2, 1e8 + 1}, {1e8 + 1, 2, 2}, {2, 1e8 + 1, 0}, {0, 0, 1e8 + 1}}
+	want := [4]float64{1e16 + 2, 1e16, 1e16, 1e16 + 2}
+	var got [4]float64
+	got[0], got[1], got[2], got[3] = distSq4(p, q[0], q[1], q[2], q[3])
+	for k := range got {
+		if ref := distSq(q[k], p); math.Float64bits(got[k]) != math.Float64bits(ref) || ref != want[k] {
+			t.Errorf("point %d: distSq4 %.17g, distSq %.17g, want %.17g", k, got[k], ref, want[k])
+		}
+	}
+}

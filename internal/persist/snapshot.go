@@ -192,23 +192,28 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 	return g, nil
 }
 
+// encodeSketch writes the sketch section: the build fields and the point
+// count, the points, then M and the sign-word count, and the sign words,
+// each 8 bytes. The payload's size follows from those lists, so the
+// encoding allocates once.
 func encodeSketch(meta sketch.Meta, points []float64, signs []uint64) []byte {
-	e := enc{b: make([]byte, 0, 88+8*len(points)+8*len(signs))}
-	e.i64(int64(meta.Dim))
-	e.i64(int64(meta.N))
-	e.f64(meta.Epsilon)
-	e.i64(int64(meta.Updates))
-	e.i64(int64(meta.Stats.Rows))
-	e.i64(int64(meta.Stats.TotalIters))
-	e.i64(int64(meta.Stats.MaxIters))
-	e.f64(meta.Stats.MaxResidual)
-	e.i64(int64(meta.Stats.Workers))
-	e.u64(uint64(len(points)))
+	st := meta.Stats
+	head := [...]uint64{
+		uint64(meta.Dim), uint64(meta.N), math.Float64bits(meta.Epsilon), uint64(meta.Updates),
+		uint64(st.Rows), uint64(st.TotalIters), uint64(st.MaxIters), math.Float64bits(st.MaxResidual),
+		uint64(st.Workers), uint64(len(points)),
+	}
+	mid := [...]uint64{uint64(meta.M), uint64(len(signs))}
+	e := enc{b: make([]byte, 0, 8*(len(head)+len(points)+len(mid)+len(signs)))}
+	for _, x := range head {
+		e.u64(x)
+	}
 	for _, x := range points {
 		e.f64(x)
 	}
-	e.i64(int64(meta.M))
-	e.u64(uint64(len(signs)))
+	for _, x := range mid {
+		e.u64(x)
+	}
 	for _, w := range signs {
 		e.u64(w)
 	}
@@ -342,7 +347,10 @@ func WriteSnapshotFile(path string, s *Snapshot) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	bw := bufio.NewWriterSize(tmp, 1<<20)
+	// Every section payload is already in memory, and a bufio.Writer hands
+	// a write larger than its buffer straight to the file, so the default
+	// size only gathers the small section headers.
+	bw := bufio.NewWriter(tmp)
 	if err = WriteSnapshot(bw, s); err != nil {
 		return fmt.Errorf("persist: encoding snapshot: %w", err)
 	}

@@ -107,6 +107,20 @@ func TestSnapshotWideRoundTrip(t *testing.T) {
 	}
 }
 
+// encodeSketch sizes its buffer from the fields it writes, so a checkpoint
+// builds the sketch section, the bulk of a snapshot, in one allocation and
+// never copies it to grow.
+func TestEncodeSketchAllocatesOnce(t *testing.T) {
+	s := wideSnapshot()
+	var b []byte
+	if allocs := testing.AllocsPerRun(20, func() { b = encodeSketch(s.SketchMeta, s.Points, s.Signs) }); allocs != 1 {
+		t.Errorf("encodeSketch allocates %.1f times, want 1", allocs)
+	}
+	if len(b) != cap(b) {
+		t.Errorf("encodeSketch wrote %d bytes into %d reserved", len(b), cap(b))
+	}
+}
+
 func TestWALWideRoundTrip(t *testing.T) {
 	want := wideRecords()
 	b := encodeWAL(want)

@@ -163,12 +163,16 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 	laps := make([]*solver.Lap, workers)
 	lanes := make([][][solver.Lanes]float64, workers)
 	stats := make([]BuildStats, workers)
+	// Row i's signs are the stream of a source seeded with
+	// opt.Seed + i·0x9E3779B9. Reseeding one source per worker for each row
+	// gives that stream without a new source's ~5 KB of state per row.
+	rngs := make([]*rand.Rand, workers)
 	for w := range laps {
 		lap, err := solver.NewLap(csr, opt.Solver)
 		if err != nil {
 			return nil, err
 		}
-		laps[w], lanes[w] = lap, make([][solver.Lanes]float64, n)
+		laps[w], lanes[w], rngs[w] = lap, make([][solver.Lanes]float64, n), rand.New(rand.NewSource(0))
 	}
 
 	// A failed block skips only the blocks above it, and the build reports
@@ -201,7 +205,8 @@ func NewContext(ctx context.Context, csr *graph.CSR, opt Options) (*Sketch, erro
 		rows := min(solver.Lanes, d-i0)
 		var signs [solver.Lanes][]uint64
 		for j := 0; j < rows; j++ {
-			sk.proj.drawRow(i0+j, rand.New(rand.NewSource(opt.Seed+int64(i0+j)*0x9E3779B9)))
+			rngs[w].Seed(opt.Seed + int64(i0+j)*0x9E3779B9)
+			sk.proj.drawRow(i0+j, rngs[w])
 			signs[j] = sk.proj.row(i0 + j)
 		}
 		pushIncidence(csr, &signs, scale, x)
