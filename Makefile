@@ -61,7 +61,9 @@ race:
 # End-to-end replication smoke: boots a durable writer, two WAL-tailing
 # replicas and a consistent-hash router as real HTTP servers, then asserts
 # bit-identical replica answers, read-your-writes through the router,
-# resync-after-rebuild and zero 5xx across a replica kill/restart.
+# exact updates (a near-bridge removal included) tailed with no resync,
+# resync after a requested writer rebuild (the only kind there is) and
+# zero 5xx across a replica kill/restart.
 repl-smoke:
 	$(GO) test -race -count=1 -run '^TestRepl' ./cmd/reccd/
 

@@ -48,12 +48,8 @@ func cmdSnapshot(ctx context.Context, args []string) error {
 		}
 		defer d.Close()
 		// Opening checkpoints whatever the store did not hold (the cold
-		// build, or the state its WAL replayed to) or fails. Checkpoint then
-		// writes nothing, and fails with ErrIndexStale when the replay's
-		// last rebuild failed and left nothing consistent to store.
-		if err := d.Checkpoint(); err != nil {
-			return err
-		}
+		// build, or the state its WAL replayed to) or fails, so the store
+		// now holds the served state.
 		ps := d.PersistStats()
 		switch {
 		case !info.Warm:

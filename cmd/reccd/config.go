@@ -68,6 +68,9 @@ func (c *Config) Validate() error {
 		if len(c.Replicas) > 0 {
 			return fmt.Errorf("%w: -replicas is for routers", ErrRoleConflict)
 		}
+		if c.Server.CheckpointInterval != 0 && c.Server.DataDir == "" {
+			return fmt.Errorf("%w: -checkpoint-interval needs -data-dir to checkpoint into", ErrMissingFlag)
+		}
 	case roleReplica:
 		if c.Upstream == "" {
 			return fmt.Errorf("%w: -role=replica needs -upstream", ErrMissingFlag)

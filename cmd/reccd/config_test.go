@@ -27,6 +27,12 @@ func TestConfigValidateRoleMatrix(t *testing.T) {
 		{"writer without -in", Config{Role: roleWriter}, ErrMissingFlag},
 		{"writer with -upstream", func() Config { c := writer(); c.Upstream = "http://x"; return c }(), ErrRoleConflict},
 		{"writer with -replicas", func() Config { c := writer(); c.Replicas = []string{"http://x"}; return c }(), ErrRoleConflict},
+		{"writer with -checkpoint-interval without -data-dir", func() Config { c := writer(); c.Server.CheckpointInterval = time.Minute; return c }(), ErrMissingFlag},
+		{"writer with -checkpoint-interval and -data-dir", func() Config {
+			c := writer()
+			c.Server.CheckpointInterval, c.Server.DataDir = time.Minute, "/tmp/x"
+			return c
+		}(), nil},
 		{"replica without -upstream", Config{Role: roleReplica}, ErrMissingFlag},
 		{"replica with -in", func() Config { c := replica(); c.In = "g.txt"; return c }(), ErrRoleConflict},
 		{"replica with -data-dir", func() Config { c := replica(); c.Server.DataDir = "/tmp/x"; return c }(), ErrRoleConflict},
@@ -36,6 +42,7 @@ func TestConfigValidateRoleMatrix(t *testing.T) {
 		{"router without -replicas", Config{Role: roleRouter, Upstream: "http://w"}, ErrMissingFlag},
 		{"router with -in", func() Config { c := router(); c.In = "g.txt"; return c }(), ErrRoleConflict},
 		{"router with -data-dir", func() Config { c := router(); c.Server.DataDir = "/tmp/x"; return c }(), ErrRoleConflict},
+		{"router with -checkpoint-interval", func() Config { c := router(); c.Server.CheckpointInterval = time.Minute; return c }(), ErrRoleConflict},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

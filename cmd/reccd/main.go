@@ -3,13 +3,12 @@
 //
 //   - writer (default): loads an edge-list network, reduces it to its largest
 //     connected component, builds a FASTQUERY index, and keeps it live across
-//     online edge mutations — a generation-numbered DynamicIndex absorbs adds
-//     and removals with exact incremental sketch updates, and rebuilds
-//     before the next mutation after a near-bridge removal or once the
-//     removals since the last build reach -max-deletions. With
-//     -data-dir the index is durable (checksummed snapshots + a mutation WAL,
-//     warm restarts) and the writer additionally serves the replication feed
-//     under /v1/repl/.
+//     online edge mutations — a generation-numbered DynamicIndex absorbs
+//     every add and every removal that keeps the graph connected with an
+//     exact incremental sketch update, and rebuilds only on POST /v1/rebuild.
+//     With -data-dir the index is durable (checksummed snapshots + a
+//     mutation WAL, warm restarts) and the writer additionally serves the
+//     replication feed under /v1/repl/.
 //
 //   - replica (-role=replica -upstream=URL): holds no input file; it restores
 //     the writer's shipped snapshot, tails its WAL, and serves the same read
@@ -97,17 +96,16 @@ func main() {
 	flag.DurationVar(&cfg.Server.ShutdownGrace, "shutdown-grace", cfg.Server.ShutdownGrace,
 		"max wait for in-flight requests on SIGINT/SIGTERM")
 	flag.BoolVar(&cfg.Server.Pprof, "pprof", false, "mount net/http/pprof under /debug/pprof/")
-	// Sketch updates are exact, so no drift accumulates; the flag name stays
-	// so existing command lines that spell out a threshold keep starting.
+	// Sketch updates are exact, so no drift accumulates, no removal forces a
+	// rebuild, and the queue has one capacity; the flag names stay so
+	// existing command lines that spell them out keep starting.
 	flag.Float64("drift-threshold", 0, "retired: accepted and ignored; sketch updates are exact and accumulate no drift")
-	flag.IntVar(&cfg.Server.MaxDeletions, "max-deletions", 0,
-		"edge removals absorbed before forcing a rebuild (0 = library default)")
-	flag.IntVar(&cfg.Server.MutationQueue, "mutation-queue", 0,
-		"mutation queue capacity (0 = library default)")
+	flag.Int("max-deletions", 0, "retired: accepted and ignored; every removal that keeps the graph connected is absorbed exactly")
+	flag.Int("mutation-queue", 0, "retired: accepted and ignored; the mutation queue holds 64 ops")
 	flag.StringVar(&cfg.Server.DataDir, "data-dir", "",
 		"durable index directory: snapshot + mutation WAL, warm restarts, replication feed (writer only)")
 	flag.DurationVar(&cfg.Server.CheckpointInterval, "checkpoint-interval", 0,
-		"time-based checkpoint period on top of after-rebuild checkpoints (0 = off; needs -data-dir)")
+		"time-based checkpoint period, the bound on WAL growth under mutations (0 = off; needs -data-dir)")
 	// The unversioned aliases are gone; the flag name stays so existing
 	// command lines that spell out -legacy-routes=false keep starting.
 	flag.BoolFunc("legacy-routes", "retired: only false is accepted; the API is served under /v1/ only",

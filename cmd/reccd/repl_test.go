@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"resistecc"
+	"resistecc/internal/graph"
 	"resistecc/internal/obs"
 	"resistecc/internal/persist"
 )
@@ -170,7 +171,7 @@ func waitConverged(t testing.TB, w *server, r *server) {
 
 // The replica serves bit-identical answers to the writer at the same
 // generation: same eccentricities, same resistances, same summary, byte for
-// byte — the follower never rebuilds, so its state is a pure function of the
+// byte — the replica never rebuilds, so its state is a pure function of the
 // shipped snapshot plus the applied WAL.
 func TestReplicaBitIdenticalToWriter(t *testing.T) {
 	rs := startReplSet(t)
@@ -427,18 +428,7 @@ func TestReplExactUpdatesConverge(t *testing.T) {
 	defer replicaTS.Close()
 	defer replica.close()
 	waitConverged(t, writer, replica)
-	resyncs := func() string {
-		t.Helper()
-		_, metrics, _ := httpGet(t, replicaTS.URL+"/v1/metrics", nil)
-		for _, line := range strings.Split(metrics, "\n") {
-			if v, ok := strings.CutPrefix(line, "reccd_repl_resyncs_total "); ok {
-				return v
-			}
-		}
-		t.Fatalf("replica metrics lack reccd_repl_resyncs_total:\n%s", metrics)
-		return ""
-	}
-	before := resyncs()
+	before := resyncsOf(t, replicaTS.URL)
 
 	mutate := func(method, path, body string) {
 		t.Helper()
@@ -505,8 +495,121 @@ func TestReplExactUpdatesConverge(t *testing.T) {
 	if gen := writer.current().dyn.Snapshot().Generation; gen != 4 {
 		t.Fatalf("writer at generation %d after three exact updates, want 4", gen)
 	}
-	if after := resyncs(); after != before {
+	if after := resyncsOf(t, replicaTS.URL); after != before {
 		t.Fatalf("replica resyncs went from %s to %s; exact updates need none", before, after)
+	}
+}
+
+// resyncsOf reads reccd_repl_resyncs_total from the replica at base.
+func resyncsOf(t *testing.T, base string) string {
+	t.Helper()
+	_, metrics, _ := httpGet(t, base+"/v1/metrics", nil)
+	for _, line := range strings.Split(metrics, "\n") {
+		if v, ok := strings.CutPrefix(line, "reccd_repl_resyncs_total "); ok {
+			return v
+		}
+	}
+	t.Fatalf("replica metrics lack reccd_repl_resyncs_total:\n%s", metrics)
+	return ""
+}
+
+// TestReplNearBridgeRemovalIsTailed: the writer serves the test graph with
+// a path of 30 new nodes hung between its nodes 0 and 60, closing a cycle
+// of more than 30 nodes, and removes an edge of that path, whose resistance
+// is above 0.95. The removal is an exact update like any other: the ack
+// reads "incremental" with no rebuild scheduled, the writer runs no
+// rebuild, and the replica tails the record. It then answers byte for byte
+// as the writer does, at the same generation, with no resync.
+func TestReplNearBridgeRemovalIsTailed(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	base, err := resistecc.ScaleFreeMixed(120, 1, 4, 0.3, 5) // durableServer's graph
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 30
+	n := base.N()
+	edges, prev := base.Edges(), 0
+	for i := n; i < n+k; i++ {
+		edges, prev = append(edges, [2]int{prev, i}), i
+	}
+	g, err := resistecc.FromEdges(n+k, append(edges, [2]int{prev, 60}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := resistecc.NewExactIndex(ctx, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	u, v := n+k/2, n+k/2+1
+	if r := ex.Resistance(u, v); r < 0.95 {
+		t.Fatalf("r(%d,%d) = %.4f, want a near-bridge edge (at least 0.95)", u, v, r)
+	}
+	cfg := defaultConfig()
+	cfg.DataDir = t.TempDir()
+	writer, err := newServer(ctx, g, graph.ComposeIDs(g.N(), nil, nil), g.N(), g.M(), []resistecc.Option{
+		resistecc.WithEpsilon(0.3), resistecc.WithDim(64),
+		resistecc.WithSeed(5), resistecc.WithMaxHullVertices(24),
+	}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer writer.close()
+	writerTS := httptest.NewServer(writer.handler(log.New(io.Discard, "", 0)))
+	defer writerTS.Close()
+	replica, replicaTS := startReplica(t, ctx, writerTS.URL)
+	defer replicaTS.Close()
+	defer replica.close()
+	waitConverged(t, writer, replica)
+	before := resyncsOf(t, replicaTS.URL)
+
+	req, err := http.NewRequest(http.MethodDelete, writerTS.URL+fmt.Sprintf("/v1/edges?u=%d&v=%d", u, v), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	var ack struct {
+		Generation       uint64 `json:"generation"`
+		Mode             string `json:"mode"`
+		RebuildScheduled bool   `json:"rebuildScheduled"`
+	}
+	if err := json.Unmarshal(b, &ack); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("DELETE (%d,%d): %d (%s)", u, v, resp.StatusCode, b)
+	}
+	if ack.Mode != "incremental" || ack.RebuildScheduled || ack.Generation != 2 {
+		t.Fatalf("removal ack %s, want an incremental update at generation 2 and no rebuild", b)
+	}
+	waitConverged(t, writer, replica)
+	var health struct {
+		Generation uint64 `json:"generation"`
+		Rebuilds   uint64 `json:"rebuilds"`
+	}
+	_, body, _ := httpGet(t, writerTS.URL+"/v1/healthz", nil)
+	if err := json.Unmarshal([]byte(body), &health); err != nil {
+		t.Fatal(err)
+	}
+	if health.Rebuilds != 0 || health.Generation != 2 {
+		t.Fatalf("writer after the removal: %s; want generation 2 and 0 rebuilds", body)
+	}
+	for _, p := range []string{
+		"/v1/summary",
+		fmt.Sprintf("/v1/eccentricity?node=0,60,%d,%d,%d", u, v, n+k-1),
+		fmt.Sprintf("/v1/resistance?u=%d&v=%d", u, v),
+	} {
+		_, wBody, wHdr := httpGet(t, writerTS.URL+p, nil)
+		_, rBody, rHdr := httpGet(t, replicaTS.URL+p, nil)
+		if rBody != wBody || rHdr.Get("X-Index-Generation") != wHdr.Get("X-Index-Generation") {
+			t.Fatalf("%s: replica at generation %s answers\n%s\nwriter at generation %s answers\n%s",
+				p, rHdr.Get("X-Index-Generation"), rBody, wHdr.Get("X-Index-Generation"), wBody)
+		}
+	}
+	if after := resyncsOf(t, replicaTS.URL); after != before {
+		t.Fatalf("replica resyncs went from %s to %s; a tailed removal needs none", before, after)
 	}
 }
 

@@ -18,8 +18,8 @@ import (
 )
 
 // replicaFollower adapts the server's swappable engine to repl.Follower: a
-// restore loads the shipped snapshot as a follower-mode DynamicIndex (never
-// rebuilds locally, so its state is a pure function of snapshot + applied
+// restore loads the shipped snapshot as a DynamicIndex (a replica never
+// requests a rebuild, so its state is a pure function of snapshot + applied
 // records — bit-identical to the writer at the same sequence), fetches the
 // writer's id mapping, and swaps both in as one unit.
 type replicaFollower struct {
@@ -43,10 +43,10 @@ func (rf *replicaFollower) Generation() uint64 {
 }
 
 // Apply replays one writer mutation. Records carry internal LCC ids, so no
-// translation happens here. A mutation the follower cannot absorb
-// incrementally leaves it stale (it keeps serving the pre-rebuild answers
-// the writer also served until its own rebuild finished); the tailer's
-// generation-mismatch rule re-bases once the writer checkpoints.
+// translation happens here. The writer logs only mutations its exact
+// update absorbed, and the replica runs the same update on the same bits;
+// should it fail here all the same, the error changes nothing and the
+// tailer re-bases on the writer's snapshot.
 func (rf *replicaFollower) Apply(ctx context.Context, rec persist.Record) error {
 	sv := rf.s.current()
 	if sv == nil {
@@ -65,7 +65,7 @@ func (rf *replicaFollower) Apply(ctx context.Context, rec persist.Record) error 
 // closed after the swap; snapshots already pinned by in-flight requests
 // keep answering (RCU — closing an index never invalidates its snapshots).
 func (rf *replicaFollower) Restore(ctx context.Context, snapshot []byte) error {
-	dyn, err := resistecc.LoadSnapshotBytes(snapshot, resistecc.WithFollower())
+	dyn, err := resistecc.LoadSnapshotBytes(snapshot)
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"resistecc/internal/obs"
 )
@@ -96,14 +95,6 @@ func TestRouteSurface(t *testing.T) {
 		roleRouter:  rs.routerTS.URL,
 	}
 	for _, role := range allRoles {
-		// The writer's rebuild from the previous role must finish first, or
-		// a checkpoint answers 409 index_stale.
-		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-		if err := rs.writer.current().dyn.WaitIdle(ctx); err != nil {
-			t.Fatal(err)
-		}
-		cancel()
-
 		methods := map[string]map[string]bool{} // path -> methods this role serves
 		for _, r := range routeTable {
 			if methods[r.path] == nil {

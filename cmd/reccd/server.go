@@ -37,17 +37,14 @@ type serverConfig struct {
 	ShutdownGrace time.Duration
 	// Pprof mounts net/http/pprof under /debug/pprof/ when set.
 	Pprof bool
-	// MaxDeletions forces a rebuild after this many removals (0 = default 16).
-	MaxDeletions int
-	// MutationQueue is the mutation queue capacity (0 = default 64).
-	MutationQueue int
 	// DataDir enables durability: index state lives there as a checksummed
 	// snapshot plus a mutation WAL, and startup warm-restores from it
 	// (resistecc.OpenDynamicIndex). Empty = in-memory only.
 	DataDir string
 	// CheckpointInterval adds time-based checkpoints on top of the automatic
-	// after-every-rebuild ones, bounding WAL growth (and replay time) during
-	// long stretches of incremental-only mutations. 0 disables the ticker.
+	// after-every-rebuild ones. Mutations never checkpoint on their own, so
+	// it is what bounds WAL growth (and replay time) under mutation
+	// traffic. 0 disables the ticker.
 	CheckpointInterval time.Duration
 	// TraceOut records every accepted API operation — queries, mutations,
 	// rebuilds, checkpoints — into a RECCTRC1 trace file for bit-exact
@@ -156,10 +153,6 @@ type summaryResponse struct {
 func newServer(ctx context.Context, g *resistecc.Graph, ids *graph.IDMap, inputNodes, inputEdges int,
 	opts []resistecc.Option, cfg serverConfig) (*server, error) {
 	start := time.Now()
-	opts = append(opts,
-		resistecc.WithMaxDeletions(cfg.MaxDeletions),
-		resistecc.WithMutationQueue(cfg.MutationQueue),
-	)
 	var dyn *resistecc.DynamicIndex
 	var rec resistecc.RecoveryInfo
 	var err error
@@ -236,16 +229,15 @@ func publishTraceMetrics(reg *obs.Registry, rec *trace.Recorder) {
 }
 
 // startCheckpointTicker checkpoints every CheckpointInterval so the WAL (and
-// restart replay time) stays bounded even when no rebuild ever triggers.
+// restart replay time) stays bounded even when no rebuild is requested.
 // Each checkpoint queues behind pending mutations; an already-current store
-// makes it a cheap no-op, and a stale index (the last rebuild failed) skips
-// it.
+// makes it a cheap no-op.
 func (s *server) startCheckpointTicker(ctx context.Context) {
 	if s.cfg.CheckpointInterval <= 0 {
 		return
 	}
 	s.stop = par.Every(ctx, s.cfg.CheckpointInterval, func(context.Context) {
-		if err := s.current().dyn.Checkpoint(); err != nil && !errors.Is(err, resistecc.ErrIndexStale) {
+		if err := s.current().dyn.Checkpoint(); err != nil {
 			log.Printf("reccd: interval checkpoint: %v", err)
 		}
 	})
@@ -287,8 +279,8 @@ func (s *server) publishLifecycleGauges() {
 		return func() float64 { return f(s.stats()) }
 	}
 	s.reg.SetGaugeFunc("index_generation", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Generation) }))
-	s.reg.SetGaugeFunc("index_nodes", stat(func(st resistecc.DynamicStats) float64 { return float64(st.IndexN) }))
-	s.reg.SetGaugeFunc("index_edges", stat(func(st resistecc.DynamicStats) float64 { return float64(st.IndexM) }))
+	s.reg.SetGaugeFunc("index_nodes", stat(func(st resistecc.DynamicStats) float64 { return float64(st.N) }))
+	s.reg.SetGaugeFunc("index_edges", stat(func(st resistecc.DynamicStats) float64 { return float64(st.M) }))
 	s.reg.SetGaugeFunc("index_hull_size", func() float64 {
 		if ix := s.idx(); ix != nil {
 			return float64(ix.BoundarySize())
@@ -308,7 +300,6 @@ func (s *server) publishLifecycleGauges() {
 	// stays, reading 0, while dashboards still scrape it.
 	s.reg.SetGaugeFunc("index_drift", func() float64 { return 0 })
 	s.reg.SetGaugeFunc("index_updates", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Updates) }))
-	s.reg.SetGaugeFunc("index_deletions", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Deletions) }))
 	s.reg.SetGaugeFunc("index_rebuilds", stat(func(st resistecc.DynamicStats) float64 { return float64(st.Rebuilds) }))
 	s.reg.SetGaugeFunc("index_rebuild_failures", stat(func(st resistecc.DynamicStats) float64 { return float64(st.RebuildFailures) }))
 	s.reg.SetGaugeFunc("index_rebuild_in_progress", stat(func(st resistecc.DynamicStats) float64 {
@@ -800,10 +791,10 @@ type edgeRequest struct {
 	V *int64 `json:"v"`
 }
 
-// mutationResponse reports an accepted mutation: the generation now serving
-// it, whether it was absorbed incrementally or awaits a rebuild, and
-// whether it tripped one. Drift always reads 0: sketch updates are exact.
-// The field stays for clients that still read it.
+// mutationResponse reports an accepted mutation: the generation it
+// published. Every accepted mutation is absorbed by an exact update, so
+// Mode always reads "incremental", Drift 0 and RebuildScheduled false; the
+// fields stay for clients that still read them.
 type mutationResponse struct {
 	U                int64   `json:"u"`
 	V                int64   `json:"v"`
@@ -863,14 +854,8 @@ func writeMutationError(w http.ResponseWriter, uExt, vExt int64, err error) {
 
 func (s *server) writeMutation(w http.ResponseWriter, op trace.Op, uExt, vExt int64, res resistecc.MutationResult) {
 	setGeneration(w, res.Generation)
-	s.rec.Record(op, res.Generation,
-		trace.DigestMutation(res.Generation, string(res.Mode), 0), uExt, vExt)
-	writeJSON(w, http.StatusOK, mutationResponse{
-		U: uExt, V: vExt,
-		Generation:       res.Generation,
-		Mode:             string(res.Mode),
-		RebuildScheduled: res.RebuildScheduled,
-	})
+	s.rec.Record(op, res.Generation, trace.DigestMutation(res.Generation, trace.ModeIncremental, 0), uExt, vExt)
+	writeJSON(w, http.StatusOK, mutationResponse{U: uExt, V: vExt, Generation: res.Generation, Mode: trace.ModeIncremental})
 }
 
 // handleAddEdge implements POST /v1/edges with body {"u":…,"v":…}.
@@ -935,10 +920,8 @@ func (s *server) handleRemoveEdge(w http.ResponseWriter, r *http.Request) {
 // handleCheckpoint implements POST /v1/checkpoint: snapshot the served state
 // into the data directory, absorbing the WAL (e.g. before a planned restart,
 // so it comes up warm with nothing to replay). Requires -data-dir. The
-// checkpoint runs behind pending mutations and the rebuilds they tripped,
-// and writes nothing when the store already holds the served state. After
-// a failed rebuild the index is stale and has no consistent state to
-// persist: the request is answered 409 until a rebuild succeeds.
+// checkpoint runs behind pending mutations and rebuilds, and writes
+// nothing when the store already holds the served state.
 func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	if !s.durable {
 		writeError(w, http.StatusConflict, "not_durable",
@@ -947,11 +930,6 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 	}
 	sv := s.current()
 	if err := sv.dyn.Checkpoint(); err != nil {
-		if errors.Is(err, resistecc.ErrIndexStale) {
-			writeError(w, http.StatusConflict, "index_stale",
-				"the last rebuild failed; POST /v1/rebuild and retry")
-			return
-		}
 		writeError(w, http.StatusInternalServerError, "checkpoint_failed", "%v", err)
 		return
 	}
@@ -969,8 +947,8 @@ func (s *server) handleCheckpoint(w http.ResponseWriter, _ *http.Request) {
 }
 
 // handleRebuild implements POST /v1/rebuild: queue one full rebuild behind
-// the pending mutations (e.g. after a failed rebuild left the index stale),
-// and answer 202 without waiting for it. Each request queues its own build.
+// the pending mutations, and answer 202 without waiting for it. Each
+// request queues its own build; it is the only way the index rebuilds.
 func (s *server) handleRebuild(w http.ResponseWriter, _ *http.Request) {
 	sv := s.current()
 	// Read the snapshot before triggering: the stamped generation must be

@@ -36,18 +36,18 @@ func traceTestIndex(t *testing.T) *resistecc.DynamicIndex {
 }
 
 // traceTarget builds a replay target over the test servers' graph with
-// their build options plus extra: durable in dataDir, or in memory when
-// dataDir is empty.
-func traceTarget(t *testing.T, dataDir string, extra ...resistecc.Option) *resistecc.DynamicIndex {
+// their build options: durable in dataDir, or in memory when dataDir is
+// empty.
+func traceTarget(t *testing.T, dataDir string) *resistecc.DynamicIndex {
 	t.Helper()
 	g, err := resistecc.ScaleFreeMixed(120, 1, 4, 0.3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := append([]resistecc.Option{
+	opts := []resistecc.Option{
 		resistecc.WithEpsilon(0.3), resistecc.WithDim(64),
 		resistecc.WithSeed(5), resistecc.WithMaxHullVertices(24),
-	}, extra...)
+	}
 	var d *resistecc.DynamicIndex
 	if dataDir == "" {
 		d, err = resistecc.NewDynamicIndex(context.Background(), g, opts...)
@@ -67,8 +67,6 @@ func traceTarget(t *testing.T, dataDir string, extra ...resistecc.Option) *resis
 // graph and seeds, both in-process and over HTTP against a second server.
 func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	tracePath := filepath.Join(t.TempDir(), "ops.trc")
-	// A read right after a mutation's ack may race a rebuild the mutation
-	// tripped; the adds below trip none, so every read replays exactly.
 	srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) {
 		cfg.TraceOut = tracePath
 		cfg.TraceSync = 8
@@ -158,45 +156,43 @@ func TestTraceRecordReplayRoundTrip(t *testing.T) {
 	}
 }
 
-// TestTraceCheckpointAfterTrippedRebuild: with -max-deletions 1 a removal
-// trips a rebuild, and a checkpoint right after it runs behind that
-// rebuild, on the recording server and on every replay target alike. So
-// the checkpoint record and the read after it replay exactly, against a
-// durable and an in-memory index and over HTTP.
+// TestTraceCheckpointAfterTrippedRebuild: a checkpoint right after
+// POST /v1/rebuild runs behind the rebuild it queued, on the recording
+// server and on every replay target alike. The server records an add, its
+// removal, the rebuild, the checkpoint and a read; the checkpoint record
+// and the read after it replay exactly, against a durable and an in-memory
+// index and over HTTP.
 func TestTraceCheckpointAfterTrippedRebuild(t *testing.T) {
 	ctx := context.Background()
-	oneDeletion := func(cfg *serverConfig) { cfg.MaxDeletions = 1 }
 	for run := 0; run < 20; run++ {
 		tracePath := filepath.Join(t.TempDir(), "ops.trc")
-		srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) {
-			cfg.TraceOut = tracePath
-			oneDeletion(cfg)
-		})
+		srv := durableServerCfg(t, t.TempDir(), func(cfg *serverConfig) { cfg.TraceOut = tracePath })
 		t.Cleanup(srv.close)
 		h := srv.handler(log.New(io.Discard, "", 0))
-		if rec := do(t, h, http.MethodPost, "/v1/edges", `{"u":33,"v":119}`); rec.Code != http.StatusOK {
-			t.Fatalf("add: %d (%s)", rec.Code, rec.Body.String())
-		}
-		rec := do(t, h, http.MethodDelete, "/v1/edges?u=33&v=119", "")
-		if rec.Code != http.StatusOK || decodeObj(t, rec)["rebuildScheduled"] != true {
-			t.Fatalf("remove: %d (%s), want 200 with a tripped rebuild", rec.Code, rec.Body.String())
-		}
-		if rec := do(t, h, http.MethodPost, "/v1/checkpoint", ""); rec.Code != http.StatusOK {
-			t.Fatalf("checkpoint: %d (%s)", rec.Code, rec.Body.String())
-		}
-		if rec := get(t, h, "/v1/eccentricity?node=33,119"); rec.Code != http.StatusOK {
-			t.Fatalf("query: %d (%s)", rec.Code, rec.Body.String())
+		for _, s := range []struct {
+			method, url, body string
+			want              int
+		}{
+			{http.MethodPost, "/v1/edges", `{"u":33,"v":119}`, http.StatusOK},
+			{http.MethodDelete, "/v1/edges?u=33&v=119", "", http.StatusOK},
+			{http.MethodPost, "/v1/rebuild", "", http.StatusAccepted},
+			{http.MethodPost, "/v1/checkpoint", "", http.StatusOK},
+			{http.MethodGet, "/v1/eccentricity?node=33,119", "", http.StatusOK},
+		} {
+			if rec := do(t, h, s.method, s.url, s.body); rec.Code != s.want {
+				t.Fatalf("%s %s: %d (%s), want %d", s.method, s.url, rec.Code, rec.Body.String(), s.want)
+			}
 		}
 		srv.close() // flushes the recorder
 		recs, _, err := trace.ReadFile(tracePath)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(recs) != 4 {
-			t.Fatalf("recorded %d operations, want 4", len(recs))
+		if len(recs) != 5 {
+			t.Fatalf("recorded %d operations, want 5", len(recs))
 		}
 
-		target := durableServerCfg(t, t.TempDir(), oneDeletion)
+		target := durableServer(t, t.TempDir())
 		t.Cleanup(target.close)
 		ts := httptest.NewServer(target.handler(log.New(io.Discard, "", 0)))
 		t.Cleanup(ts.Close)
@@ -204,8 +200,8 @@ func TestTraceCheckpointAfterTrippedRebuild(t *testing.T) {
 			name string
 			exec trace.Executor
 		}{
-			{"durable index", resistecc.TraceExecutor(traceTarget(t, t.TempDir(), resistecc.WithMaxDeletions(1)), identityIDs(120))},
-			{"in-memory index", resistecc.TraceExecutor(traceTarget(t, "", resistecc.WithMaxDeletions(1)), identityIDs(120))},
+			{"durable index", resistecc.TraceExecutor(traceTarget(t, t.TempDir()), identityIDs(120))},
+			{"in-memory index", resistecc.TraceExecutor(traceTestIndex(t), identityIDs(120))},
 			{"HTTP", &trace.HTTPExecutor{Base: ts.URL}},
 		}
 		for _, tg := range targets {

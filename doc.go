@@ -19,9 +19,10 @@
 //     (Simple, FarMinRecc, CenMinRecc, ChMinRecc, MinRecc), exhaustive
 //     optima for small instances, and the DE/PK/PATH/RAND baselines.
 //   - Dynamic serving: DynamicIndex keeps a FastIndex live across online
-//     edge mutations with generation-numbered immutable snapshots, exact
-//     incremental sketch updates, and cancellable full rebuilds that run
-//     between mutations while reads continue.
+//     edge mutations with generation-numbered immutable snapshots and
+//     exact incremental sketch updates, which absorb every edit that keeps
+//     the graph connected; a requested full rebuild is cancellable and
+//     runs between mutations while reads continue.
 //
 // # Quick start
 //

@@ -11,14 +11,6 @@ import (
 	"resistecc/internal/persist"
 )
 
-// ErrIndexStale is returned while the served index lags the master graph:
-// persisting then would pair a graph with an index that does not reflect
-// it. SaveSnapshot returns it while a rebuild is pending (WaitIdle and
-// retry) or after the last one failed; Checkpoint waits for pending
-// rebuilds, so from it ErrIndexStale means the last rebuild failed
-// (RebuildAndWait and retry).
-var ErrIndexStale = lifecycle.ErrStale
-
 // ErrSnapshotMismatch is returned by LoadSnapshot when explicitly supplied
 // build options conflict with the parameters stored in the snapshot.
 var ErrSnapshotMismatch = persist.ErrMismatch
@@ -29,8 +21,7 @@ var ErrSnapshotMismatch = persist.ErrMismatch
 var ErrNotDurable = errors.New("resistecc: index has no data directory (use OpenDynamicIndex)")
 
 // paramsOf extracts the content-determining build parameters from an
-// applied option set. Queue and rebuild tuning are excluded: they change
-// policy, never index content.
+// applied option set.
 func paramsOf(c buildConfig) persist.Params {
 	return persist.Params{
 		Epsilon:         c.sk.Epsilon,
@@ -40,40 +31,27 @@ func paramsOf(c buildConfig) persist.Params {
 	}
 }
 
-// lifecycleConfig assembles the manager config from stored build params
-// plus the caller's dynamic-only knobs.
-func lifecycleConfig(p persist.Params, c buildConfig) lifecycle.Config {
-	return lifecycle.Config{
-		Sketch:       p.SketchOptions(),
-		Hull:         p.HullOptions(),
-		MaxDeletions: c.maxDeletions,
-		QueueSize:    c.queueSize,
-		Follower:     c.follower,
-	}
+// lifecycleConfig assembles the manager config from stored build params.
+func lifecycleConfig(p persist.Params) lifecycle.Config {
+	return lifecycle.Config{Sketch: p.SketchOptions(), Hull: p.HullOptions()}
 }
 
 // SaveSnapshot writes the current index state — graph, sketch matrix and
 // hull boundary, each section checksummed — to a single file, atomically
 // (temp file + fsync + rename). The file holds exactly what LoadSnapshot
-// reads, and the saved index answers bit-identically after it. Fails with
-// ErrIndexStale while a rebuild is pending, since graph and index would
-// disagree.
+// reads, and the saved index answers bit-identically after it. It does not
+// wait for queued mutations: it saves the generation served when it is
+// called.
 func (d *DynamicIndex) SaveSnapshot(path string) error {
-	cs, err := d.m.CheckpointState()
-	if err != nil {
-		return err
-	}
-	return persist.WriteSnapshotFile(path, persist.Capture(cs, d.params, d.baseFP))
+	return persist.WriteSnapshotFile(path, persist.Capture(d.m.CheckpointState(), d.params, d.baseFP))
 }
 
 // LoadSnapshot rebuilds a DynamicIndex from a SaveSnapshot file without any
 // solver work: the stored sketch matrix is restored bit-exactly, so queries
 // answer identically to the index that was saved. The restored generation
 // starts with an empty answer table, which fills as queries arrive. Build
-// parameters come from the snapshot itself; opts may add dynamic knobs
-// (WithMaxDeletions, WithMutationQueue).
-// Build-parameter options, when given, must match the stored ones
-// (ErrSnapshotMismatch otherwise).
+// parameters come from the snapshot itself; options, when given, must
+// match the stored ones (ErrSnapshotMismatch otherwise).
 // Corrupt files fail with persist errors, and files written by another
 // format version (an older release's included) with persist.ErrVersion —
 // callers wanting automatic cold-build fallback use OpenDynamicIndex.
@@ -86,9 +64,9 @@ func LoadSnapshot(path string, opts ...Option) (*DynamicIndex, error) {
 }
 
 // LoadSnapshotBytes is LoadSnapshot over an in-memory encoding — the form a
-// replication replica receives from the writer's snapshot endpoint. Combine
-// with WithFollower so the restored index never rebuilds locally and stays
-// bit-identical to the writer it tails.
+// replication replica receives from the writer's snapshot endpoint. The
+// restored index rebuilds only on request, so applying the writer's WAL
+// records keeps it bit-identical to the writer it tails.
 func LoadSnapshotBytes(b []byte, opts ...Option) (*DynamicIndex, error) {
 	snap, err := persist.ReadSnapshot(b)
 	if err != nil {
@@ -108,7 +86,7 @@ func loadSnapshot(snap *persist.Snapshot, opts []Option) (*DynamicIndex, error) 
 		return nil, err
 	}
 	m, err := lifecycle.NewFromState(snap.Graph, fast,
-		lifecycle.Restored{Gen: snap.Gen, Seq: snap.Seq}, lifecycleConfig(snap.Params, c))
+		lifecycle.Restored{Gen: snap.Gen, Seq: snap.Seq}, lifecycleConfig(snap.Params))
 	if err != nil {
 		return nil, err
 	}
@@ -123,8 +101,8 @@ type RecoveryInfo struct {
 	// Reason explains a cold start ("no snapshot", "snapshot mismatch: …",
 	// "replay failed: …"); empty for a warm start.
 	Reason string
-	// Generation is the served generation after recovery: after the WAL
-	// replay and every rebuild it tripped.
+	// Generation is the served generation after recovery, after the WAL
+	// replay.
 	Generation uint64
 	// ReplayedMutations counts WAL records applied on top of the snapshot.
 	ReplayedMutations int
@@ -136,16 +114,16 @@ type RecoveryInfo struct {
 // On startup it loads the newest valid snapshot, verifies it matches g and
 // the build options (fingerprint + parameters), restores the index without
 // solver work, and replays WAL records through the ordinary mutation path —
-// landing exactly where a live server that ran those mutations would,
-// including the incremental-vs-rebuild decisions. Any corruption, torn
-// write, version or parameter mismatch falls back to a cold build (never to
-// wrong answers) and resets the store. Before it returns, it checkpoints
-// whatever state the store does not hold yet: the cold build, or what a
-// replayed WAL reached, the rebuilds the replay tripped included; if that
-// checkpoint fails, so does the open. From then on every committed mutation
-// is appended to the WAL before it is acknowledged, and every rebuild
-// checkpoints a fresh snapshot and truncates the log before it is served;
-// pair with (*DynamicIndex).Checkpoint for time-based checkpoints.
+// landing exactly where a live server that ran those mutations would. Any
+// corruption, torn write, version or parameter mismatch falls back to a
+// cold build (never to wrong answers) and resets the store. Before it
+// returns, it checkpoints whatever state the store does not hold yet: the
+// cold build, or what a replayed WAL reached; if that checkpoint fails, so
+// does the open. From then on every committed mutation is appended to the
+// WAL before it is acknowledged, and every rebuild checkpoints a fresh
+// snapshot and truncates the log before it is served. Mutations alone
+// never checkpoint: pair with (*DynamicIndex).Checkpoint for time-based
+// checkpoints.
 //
 // g must be the same input graph across restarts (reccd passes the LCC of
 // its -in file); if it changes, the stale persisted state is discarded.
@@ -153,7 +131,7 @@ func OpenDynamicIndex(ctx context.Context, dataDir string, g *Graph, opts ...Opt
 	c := applyOptions(opts)
 	params := paramsOf(c)
 	baseFP := persist.Fingerprint(g.inner())
-	cfg := lifecycleConfig(params, c)
+	cfg := lifecycleConfig(params)
 
 	st, err := persist.Open(dataDir)
 	if err != nil {
@@ -164,9 +142,8 @@ func OpenDynamicIndex(ctx context.Context, dataDir string, g *Graph, opts ...Opt
 		st.Close()
 		return nil, RecoveryInfo{}, err
 	}
-	// Attaching queues behind the replay and the rebuilds it tripped. A
-	// failed checkpoint there fails the open: the index would serve a state
-	// its store cannot reproduce.
+	// Attaching queues behind the replay. A failed checkpoint there fails
+	// the open: the index would serve a state its store cannot reproduce.
 	if err := d.m.AttachJournal(ctx, &persist.Hook{Store: st, Params: params, BaseFP: baseFP}); err != nil {
 		d.Close()
 		return nil, RecoveryInfo{}, err
@@ -215,9 +192,9 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 	if err != nil {
 		return cold(fmt.Sprintf("snapshot unusable: %v", err))
 	}
-	// Replay the log through the live mutation path: each record takes the
-	// same incremental/stale route it took originally, and structural
-	// surprises (a record that no longer applies) abandon the warm start.
+	// Replay the log through the live mutation path: each record gets the
+	// same exact update it got originally, and surprises (a record that no
+	// longer applies, a failed update) abandon the warm start.
 	for i, r := range recs {
 		var merr error
 		if r.Add {
@@ -238,11 +215,10 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 }
 
 // Checkpoint snapshots the served state into the data directory, absorbing
-// and truncating the WAL. It queues behind pending mutations and the
-// rebuilds they tripped, and writes nothing when the store already holds
-// the served sequence and generation. Fails with ErrNotDurable on a
-// non-durable index, with ErrIndexStale when the last rebuild failed
-// (RebuildAndWait and retry), and with ErrIndexClosed after Close.
+// and truncating the WAL. It queues behind pending mutations and rebuilds,
+// and writes nothing when the store already holds the served sequence and
+// generation. Fails with ErrNotDurable on a non-durable index, with the
+// store's error, and with ErrIndexClosed after Close.
 func (d *DynamicIndex) Checkpoint() error {
 	if d.store == nil {
 		return ErrNotDurable

@@ -98,9 +98,9 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	g := durableGraph(t)
 	ctx := context.Background()
 
-	// A high deletion limit keeps every mutation on the incremental path, so
-	// no rebuild checkpoint absorbs the WAL before the "crash".
-	opts := append(durableOpts(), WithMaxDeletions(1000))
+	// Mutations trip no rebuild, so no rebuild checkpoint absorbs the WAL
+	// before the "crash".
+	opts := durableOpts()
 	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -145,7 +145,7 @@ func TestCrashRecoveryReplaysWAL(t *testing.T) {
 	if info.ReplayedMutations != len(muts) {
 		t.Fatalf("replayed %d WAL records, want %d: %+v", info.ReplayedMutations, len(muts), info)
 	}
-	if got := d2.Stats().GraphM; got != final.M() {
+	if got := d2.Stats().M; got != final.M() {
 		t.Fatalf("recovered graph has %d edges, want %d", got, final.M())
 	}
 
@@ -212,8 +212,8 @@ func TestRecoveryOlderFormatStartsColdOnce(t *testing.T) {
 	g := durableGraph(t)
 	ctx := context.Background()
 
-	// Adds trip no rebuild, so both stay in the WAL instead of being
-	// absorbed by a rebuild checkpoint.
+	// Mutations trip no rebuild, so both adds stay in the WAL instead of
+	// being absorbed by a rebuild checkpoint.
 	opts := durableOpts()
 	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
 	if err != nil {
@@ -406,7 +406,7 @@ func TestErrorPathsCloseFiles(t *testing.T) {
 	dir := t.TempDir()
 	g := durableGraph(t)
 	ctx := context.Background()
-	opts := durableOpts() // adds trip no rebuild, so none absorbs the WAL
+	opts := durableOpts() // mutations trip no rebuild, so none absorbs the WAL
 	d, _, err := OpenDynamicIndex(ctx, dir, g, opts...)
 	if err != nil {
 		t.Fatal(err)
@@ -432,39 +432,31 @@ func TestErrorPathsCloseFiles(t *testing.T) {
 	}
 }
 
-// TestWarmStartReplicasConverge: a warm start whose WAL replay trips a
-// rebuild checkpoints what it replayed before OpenDynamicIndex returns, so
-// the store holds the served state and a follower built from the writer's
-// snapshot and WAL tail answers exactly like the writer. Without that
-// checkpoint the follower replays the records onto the old snapshot without
-// the rebuild, and the replica tier's resync never catches it: the follower
-// grew from the writer's newest snapshot.
+// TestWarmStartReplicasConverge: a warm start replays its WAL with no
+// rebuild, removals included, and checkpoints the replayed position before
+// OpenDynamicIndex returns, so the store holds the served state and a
+// follower built from the writer's snapshot and WAL tail answers exactly
+// like the writer. Each case is named for the place in the replay where a
+// rebuild must not happen: a removal mid-replay, and one as the last
+// record.
 func TestWarmStartReplicasConverge(t *testing.T) {
 	type mut struct {
 		add  bool
 		u, v int
 	}
 	cases := []struct {
-		name   string
-		muts   []mut
-		reopen []Option // the replay runs under the write options plus these
+		name string
+		muts []mut
 	}{
-		// Replaying the removal trips a rebuild; the add after it does not.
-		{"rebuild mid-replay", []mut{{true, 0, 30}, {false, 0, 30}, {true, 5, 45}}, []Option{WithMaxDeletions(1)}},
-		// The replay's last record trips a rebuild.
-		{"rebuild at the last record", []mut{{true, 0, 30}, {false, 0, 30}}, []Option{WithMaxDeletions(1)}},
-	}
-	// A high deletion limit keeps every write incremental, so the WAL holds
-	// them all.
-	writeOpts := func() []Option {
-		return append(durableOpts(), WithMaxDeletions(1000))
+		{"rebuild mid-replay", []mut{{true, 0, 30}, {false, 0, 30}, {true, 5, 45}}},
+		{"rebuild at the last record", []mut{{true, 0, 30}, {false, 0, 30}}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			g := durableGraph(t)
 			ctx := context.Background()
-			d, _, err := OpenDynamicIndex(ctx, dir, g, writeOpts()...)
+			d, _, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -483,13 +475,13 @@ func TestWarmStartReplicasConverge(t *testing.T) {
 			}
 			d.Close()
 
-			w, info, err := OpenDynamicIndex(ctx, dir, g, append(writeOpts(), tc.reopen...)...)
+			w, info, err := OpenDynamicIndex(ctx, dir, g, durableOpts()...)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer w.Close()
 			// Read everything before any wait: OpenDynamicIndex must
-			// return with the replay and its rebuilds absorbed.
+			// return with the replay absorbed and checkpointed.
 			ps, seq, gen, rebuilds := w.PersistStats(), w.Seq(), w.Snapshot().Generation, w.Stats().Rebuilds
 			if !info.Warm || info.ReplayedMutations != len(tc.muts) {
 				t.Fatalf("reopen: %+v, want warm with %d replayed records", info, len(tc.muts))
@@ -497,8 +489,9 @@ func TestWarmStartReplicasConverge(t *testing.T) {
 			if info.Generation != gen {
 				t.Fatalf("RecoveryInfo.Generation %d, served generation %d", info.Generation, gen)
 			}
-			if rebuilds != 1 {
-				t.Fatalf("%d rebuilds had landed when OpenDynamicIndex returned; the replay trips one", rebuilds)
+			if rebuilds != 0 || gen != 1+uint64(len(tc.muts)) {
+				t.Fatalf("%d rebuilds, generation %d after replaying %d records; want no rebuild and one generation per record",
+					rebuilds, gen, len(tc.muts))
 			}
 			if ps.SnapshotSeq != seq || ps.SnapshotGeneration != gen || ps.WALRecords != 0 {
 				t.Fatalf("store holds snapshot seq %d gen %d and %d WAL records; writer serves seq %d gen %d",
@@ -526,7 +519,7 @@ func sameAsFollower(t *testing.T, w *DynamicIndex) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f, err := LoadSnapshotBytes(raw, WithFollower())
+	f, err := LoadSnapshotBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -602,14 +595,14 @@ func TestRefusedRebuildKeepsReplicasConverged(t *testing.T) {
 	sameAsFollower(t, d)
 }
 
-// TestCheckpointWaitsForTrippedRebuild: a Checkpoint issued right after a
-// removal that tripped a rebuild runs behind that rebuild, so it returns
-// with the rebuilt generation served and on disk, and writes nothing of its
-// own. Each run adds an edge, then removes it, tripping the rebuild.
+// TestCheckpointWaitsForTrippedRebuild: a Checkpoint issued right after
+// TriggerRebuild runs behind that rebuild, so it returns with the rebuilt
+// generation served and on disk, and writes nothing of its own. Each run
+// adds an edge, removes it, and requests the rebuild.
 func TestCheckpointWaitsForTrippedRebuild(t *testing.T) {
 	g := durableGraph(t)
 	ctx := context.Background()
-	d, _, err := OpenDynamicIndex(ctx, t.TempDir(), g, append(durableOpts(), WithMaxDeletions(1))...)
+	d, _, err := OpenDynamicIndex(ctx, t.TempDir(), g, durableOpts()...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -630,9 +623,7 @@ func TestCheckpointWaitsForTrippedRebuild(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.RebuildScheduled {
-			t.Fatalf("run %d: removal (%d,%d) tripped no rebuild", runs, u, v)
-		}
+		d.TriggerRebuild()
 		if err := d.Checkpoint(); err != nil {
 			t.Fatalf("run %d: %v", runs, err)
 		}
@@ -661,14 +652,15 @@ func TestExactUpdatesSurviveRestore(t *testing.T) {
 	defer w.Close()
 	mutate := func(d *DynamicIndex, add bool, u, v int) {
 		t.Helper()
+		gen := d.Snapshot().Generation
 		var res MutationResult
 		if add {
 			res, err = d.AddEdge(ctx, u, v)
 		} else {
 			res, err = d.RemoveEdge(ctx, u, v)
 		}
-		if err != nil || res.Mode != MutationIncremental || res.RebuildScheduled {
-			t.Fatalf("mutation (%d,%d): %+v, %v; want an exact update and no rebuild", u, v, res, err)
+		if err != nil || res.Generation != gen+1 || d.Stats().Rebuilds != 0 {
+			t.Fatalf("mutation (%d,%d) at generation %d: %+v, %v; want generation %d and no rebuild", u, v, gen, res, err, gen+1)
 		}
 	}
 	mutate(w, true, 0, 30)
@@ -704,7 +696,7 @@ func TestExactUpdatesSurviveRestore(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := LoadSnapshotBytes(raw, WithFollower())
+	follower, err := LoadSnapshotBytes(raw)
 	if err != nil {
 		t.Fatal(err)
 	}

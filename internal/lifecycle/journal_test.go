@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"resistecc/internal/ecc"
 	"resistecc/internal/graph"
 )
 
@@ -14,18 +13,31 @@ var errDisk = errors.New("disk full")
 
 // fakeJournal records every cut it is handed, and the generation the
 // manager was serving when each arrived (read through Current on the
-// worker). Checkpoint fails with fail while it is set; appends always
-// succeed.
+// worker), and counts appends. Checkpoint fails with fail while it is set;
+// appends always succeed.
 type fakeJournal struct {
 	m *Manager
 
-	mu     sync.Mutex
-	cuts   []CheckpointState
-	served []uint64 // Current().Gen when each cut arrived
-	fail   error
+	mu      sync.Mutex
+	cuts    []CheckpointState
+	served  []uint64 // Current().Gen when each cut arrived
+	appends int
+	fail    error
 }
 
-func (j *fakeJournal) AppendMutation(uint64, bool, int, int) error { return nil }
+func (j *fakeJournal) AppendMutation(uint64, bool, int, int) error {
+	j.mu.Lock()
+	j.appends++
+	j.mu.Unlock()
+	return nil
+}
+
+// appended returns the number of appends so far.
+func (j *fakeJournal) appended() int {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.appends
+}
 
 func (j *fakeJournal) Checkpoint(cs CheckpointState) error {
 	served := j.m.Current().Gen
@@ -72,9 +84,7 @@ func TestJournalContract(t *testing.T) {
 	ctx := context.Background()
 
 	t.Run("rebuild cut precedes its publish", func(t *testing.T) {
-		cfg := testConfig()
-		cfg.MaxDeletions = 1 // every removal trips a rebuild
-		m, j := attached(t, graph.Complete(8), cfg)
+		m, j := attached(t, graph.Complete(8), testConfig())
 		// A reader loads Current while the fake loads it on the worker.
 		stop := make(chan struct{})
 		var wg sync.WaitGroup
@@ -97,14 +107,15 @@ func TestJournalContract(t *testing.T) {
 				last = gen
 			}
 		}()
-		if res, err := m.RemoveEdge(ctx, 0, 1); err != nil || !res.RebuildScheduled {
-			t.Fatalf("remove: %+v, %v; want a tripped rebuild", res, err)
+		if _, err := m.RemoveEdge(ctx, 0, 1); err != nil {
+			t.Fatal(err)
 		}
+		m.TriggerRebuild()
 		if _, err := m.RebuildAndWait(ctx); err != nil {
 			t.Fatal(err)
 		}
 		cuts, served := j.taken()
-		// The attach cut, then the tripped and the requested rebuild.
+		// The attach cut, then the two requested rebuilds.
 		if len(cuts) != 3 {
 			t.Fatalf("journal took %d cuts, want 3", len(cuts))
 		}
@@ -136,52 +147,6 @@ func TestJournalContract(t *testing.T) {
 		cuts, _ := j.taken()
 		if last, gen := cuts[len(cuts)-1], m.Current().Gen; gen != before+1 || last.Gen != gen {
 			t.Fatalf("healed rebuild serves generation %d, journal holds %d; want both %d", gen, last.Gen, before+1)
-		}
-	})
-
-	t.Run("stale index stays stale", func(t *testing.T) {
-		g := graph.Cycle(40)
-		cfg := testConfig()
-		m, j := attached(t, g, cfg)
-		before := m.Current().Gen
-		j.setFail(errDisk)
-		// A near-bridge removal goes stale and trips a rebuild, which the
-		// failing journal refuses.
-		res, err := m.RemoveEdge(ctx, 0, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Mode != ModeStale || !res.RebuildScheduled {
-			t.Fatalf("mode=%q scheduled=%v, want stale + scheduled", res.Mode, res.RebuildScheduled)
-		}
-		if err := m.WaitIdle(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if st := m.Stats(); !st.Stale || st.Generation != before || st.RebuildFailures != 1 || st.JournalFailures != 1 {
-			t.Fatalf("after a refused rebuild: %+v, want stale at generation %d with 1 rebuild and 1 journal failure", st, before)
-		}
-		if err := m.Checkpoint(); !errors.Is(err, ErrStale) {
-			t.Fatalf("Checkpoint on a stale index: %v, want ErrStale", err)
-		}
-		j.setFail(nil)
-		if _, err := m.RebuildAndWait(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if m.Stats().Stale {
-			t.Fatal("still stale after the healed rebuild")
-		}
-		want := g.Clone()
-		if err := want.RemoveEdge(0, 1); err != nil {
-			t.Fatal(err)
-		}
-		cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
-		if err != nil {
-			t.Fatal(err)
-		}
-		sameIndex(t, m.Current().Fast, cold, want.N())
-		cuts, _ := j.taken()
-		if last := cuts[len(cuts)-1]; last.Seq != 1 || last.Gen != m.Current().Gen {
-			t.Fatalf("journal holds seq %d gen %d, want seq 1 gen %d", last.Seq, last.Gen, m.Current().Gen)
 		}
 	})
 

@@ -4,9 +4,7 @@
 // removal (AddEdge/RemoveEdge), which applies the sketch's exact
 // Sherman–Morrison update in place of a full rebuild; a rebuild request; a
 // checkpoint (Checkpoint, and AttachJournal, which registers the journal
-// first); or a WaitIdle barrier. A mutation the update cannot absorb, or
-// one that takes the deletion count to its limit, is answered first, and
-// the worker then re-sketches from scratch before it takes the next op.
+// first); or a WaitIdle barrier. Every op is answered once it has finished.
 //
 // The paper's optimization half (§VI–VII) is all about changing the graph —
 // FARMINRECC/MINRECC add edges and re-score — while FASTQUERY's index is a
@@ -23,18 +21,21 @@
 //     Readers (Current, Stats, Seq, CheckpointState) load it once and take
 //     no lock. Nothing modifies a published state, its graph included: a
 //     mutation builds the next master graph from a clone.
-//   - Ops run one at a time, in arrival order. Each successful incremental
-//     mutation publishes a new snapshot with Gen+1. A mutation whose
-//     embedding update is unsafe (bridge-like removal, solver failure) is
-//     still applied to the master graph but leaves the served index stale
-//     and trips a rebuild ("stale" mode).
-//   - A rebuild re-sketches the master graph with the original options
-//     (same seeds), so it serves exactly what a cold build of the current
-//     graph would. It runs on the worker, so no mutation can overtake it:
-//     reads continue on the published generation, and mutations queue
-//     behind it. With a journal attached, the rebuilt cut is checkpointed
-//     before it is published, so the writer never serves a generation its
-//     store cannot reproduce; a failed checkpoint fails the rebuild.
+//   - Ops run one at a time, in arrival order. A mutation is validated, the
+//     sketch is updated, the hull is re-derived, the journal appends, and
+//     the state is published with Gen+1: every edit that keeps the graph
+//     connected is absorbed exactly. An update that fails (a solver
+//     failure, a sketch whose projection does not match the graph) fails
+//     the mutation, which then changes nothing. So the served index always
+//     reflects the master graph.
+//   - A rebuild runs only on request (TriggerRebuild, RebuildAndWait). It
+//     re-sketches the master graph with the original options (same seeds),
+//     so it serves exactly what a cold build of the current graph would. It
+//     runs on the worker, so no mutation can overtake it: reads continue on
+//     the published generation, and mutations queue behind it. With a
+//     journal attached, the rebuilt cut is checkpointed before it is
+//     published, so the writer never serves a generation its store cannot
+//     reproduce; a failed checkpoint fails the rebuild.
 //   - The worker is the journal's only checkpoint writer, and every
 //     checkpoint (attach, rebuild, on demand) follows one rule: skip when
 //     the journal already holds the served (sequence, generation).
@@ -60,17 +61,12 @@ import (
 // ErrClosed is returned by mutations and checkpoints issued after Close.
 var ErrClosed = errors.New("lifecycle: manager closed")
 
-// ErrStale is returned while the served index lags the master graph, so
-// there is no consistent cut to persist: by CheckpointState while a rebuild
-// is pending or after the last one failed, and by Checkpoint, which waits
-// for pending rebuilds, only after a failed one. Rebuild and retry.
-var ErrStale = errors.New("lifecycle: index is stale; rebuild pending")
-
 // Journal observes committed state for durability (internal/persist wires a
 // WAL + snapshot store through it). Both methods run on the worker, the
 // journal's only caller. AppendMutation runs after each mutation is applied
 // and before it is published, with the post-mutation sequence number; a
 // failure is counted in Stats.JournalFailures and the mutation still lands.
+// A mutation whose update fails is not appended.
 // Checkpoint gets a cut that exactly reflects its Seq, from the checkpoint
 // op (Checkpoint, AttachJournal) and from every rebuild before its publish;
 // a failure fails that op or rebuild. Neither touches the lock-free query
@@ -99,75 +95,33 @@ type Config struct {
 	Sketch sketch.Options
 	// Hull configures APPROXCH; zero Theta means ε/12 as in FASTQUERY.
 	Hull hull.Options
-	// MaxDeletions schedules a rebuild after this many edge removals since
-	// the last full build. Zero means 16.
-	MaxDeletions int
-	// QueueSize is the op queue capacity; enqueueing blocks (with the
-	// caller's context as the way out) when full. Zero means 64.
-	QueueSize int
-	// Follower disables local rebuilds: the manager's state then changes
-	// only through applied mutations, so it is a pure deterministic function
-	// of the base state (a restored snapshot) and the mutation sequence.
-	// Replication replicas rely on this for bit-identical convergence with
-	// the writer — a local rebuild would diverge. A follower that goes stale
-	// stays stale until its owner swaps in a fresh base (re-fetching the
-	// writer's snapshot), and a rebuild request on it is only a barrier.
-	Follower bool
 }
 
-func (c Config) withDefaults() Config {
-	if c.MaxDeletions <= 0 {
-		c.MaxDeletions = 16
-	}
-	if c.QueueSize <= 0 {
-		c.QueueSize = 64
-	}
-	return c
-}
+// queueSize is the op queue's capacity; enqueueing blocks (with the
+// caller's context as the way out) when it is full.
+const queueSize = 64
 
 // Snapshot is one immutable generation of the served index. N and M describe
-// the graph this index reflects (for stale generations they lag the master
-// graph until the rebuild lands).
+// the graph this index reflects.
 type Snapshot struct {
 	Gen  uint64
 	Fast *ecc.Fast
 	N, M int
 }
 
-// Mode reports how a mutation reached the served index.
-type Mode string
-
-const (
-	// ModeIncremental: the embedding was updated in O(solve + n·d) and a new
-	// generation was published immediately.
-	ModeIncremental Mode = "incremental"
-	// ModeStale: the mutation was applied to the master graph but the served
-	// index does not reflect it — the incremental update was unavailable
-	// (bridge-like removal, solver failure) or skipped because the index was
-	// already stale. The index stays stale until a rebuild swaps in.
-	ModeStale Mode = "stale"
-)
-
 // ApplyResult describes the outcome of one accepted mutation.
 type ApplyResult struct {
-	// Gen is the generation serving the mutation (unchanged for ModeStale).
+	// Gen is the generation the mutation published.
 	Gen uint64
-	// Mode is ModeIncremental or ModeStale.
-	Mode Mode
-	// RebuildScheduled reports whether this mutation tripped the rebuild
-	// trigger: the worker rebuilds before it takes the next op.
-	RebuildScheduled bool
 }
 
 // Stats is a point-in-time view of the manager for health and metrics.
 type Stats struct {
 	Generation uint64
-	// QueueDepth counts ops queued or running: mutations (until the rebuild
-	// they tripped has finished), rebuild requests and WaitIdle barriers.
+	// QueueDepth counts ops queued or running: mutations, rebuild requests,
+	// checkpoints and WaitIdle barriers.
 	QueueDepth         int
 	Updates            int
-	Deletions          int
-	Stale              bool
 	Rebuilds           uint64
 	RebuildFailures    uint64
 	RebuildInProgress  bool
@@ -176,10 +130,8 @@ type Stats struct {
 	// checkpoints (such a rebuild is not published). Serving continues; a
 	// non-zero value means durability is degraded.
 	JournalFailures uint64
-	// GraphN/GraphM describe the master graph (including not-yet-rebuilt
-	// stale mutations); IndexN/IndexM the graph the served index reflects.
-	GraphN, GraphM int
-	IndexN, IndexM int
+	// N and M describe the master graph, which the served index reflects.
+	N, M int
 }
 
 // opKind is what one queued op asks of the worker.
@@ -193,9 +145,8 @@ const (
 	opBarrier
 )
 
-// op is one entry of the worker's FIFO. done is buffered: a mutation's
-// answer is sent as soon as it is applied, any other op's once it has
-// finished.
+// op is one entry of the worker's FIFO. done is buffered, and gets the
+// op's answer once it has finished.
 type op struct {
 	kind    opKind
 	u, v    int
@@ -213,12 +164,10 @@ type opResult struct {
 // or the graph it holds, once published.
 type state struct {
 	snap *Snapshot
-	// graph is the master graph after seq mutations; while stale, it is
-	// ahead of the graph snap reflects.
+	// graph is the master graph after seq mutations, the graph snap
+	// reflects.
 	graph             *graph.Graph
 	seq               uint64
-	deletions         int
-	stale             bool
 	rebuildInProgress bool
 	rebuilds          uint64
 	rebuildFailures   uint64
@@ -226,12 +175,9 @@ type state struct {
 	journalFailures   uint64
 }
 
-// cut is the checkpoint cut of s: ErrStale while its index lags its graph.
-func (s *state) cut() (CheckpointState, error) {
-	if s.stale {
-		return CheckpointState{}, ErrStale
-	}
-	return CheckpointState{Seq: s.seq, Gen: s.snap.Gen, Graph: s.graph, Fast: s.snap.Fast}, nil
+// cut is the checkpoint cut of s.
+func (s *state) cut() CheckpointState {
+	return CheckpointState{Seq: s.seq, Gen: s.snap.Gen, Graph: s.graph, Fast: s.snap.Fast}
 }
 
 // Manager owns the index lifecycle. Construct with New; callers may query
@@ -265,7 +211,6 @@ func New(ctx context.Context, g *graph.Graph, cfg Config) (*Manager, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("lifecycle: index requires a connected graph: %w", graph.ErrDisconnected)
 	}
-	cfg = cfg.withDefaults()
 	fopt := ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull}
 	hopt, err := ecc.HullOptionsFor(fopt)
 	if err != nil {
@@ -295,8 +240,8 @@ type Restored struct {
 // persist layer checks stored build params and graph fingerprints before
 // calling this). A fast whose sketch reflects another edge set is still
 // accepted, for callers that rebuild at once; a mutation before that
-// rebuild goes stale when the edge counts differ, since the sketch refuses
-// an update on a graph its projection does not match. The manager clones g.
+// rebuild fails when the edge counts differ, since the sketch refuses an
+// update on a graph its projection does not match. The manager clones g.
 func NewFromState(g *graph.Graph, fast *ecc.Fast, rs Restored, cfg Config) (*Manager, error) {
 	if !g.Connected() {
 		return nil, fmt.Errorf("lifecycle: index requires a connected graph: %w", graph.ErrDisconnected)
@@ -304,7 +249,6 @@ func NewFromState(g *graph.Graph, fast *ecc.Fast, rs Restored, cfg Config) (*Man
 	if fast == nil || fast.Sk == nil || fast.Sk.N != g.N() {
 		return nil, fmt.Errorf("lifecycle: restored index does not match graph (n=%d)", g.N())
 	}
-	cfg = cfg.withDefaults()
 	fopt := ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull}
 	hopt, err := ecc.HullOptionsFor(fopt)
 	if err != nil {
@@ -327,7 +271,7 @@ func start(g *graph.Graph, fast *ecc.Fast, pos, held Restored, cfg Config, fopt 
 		cfg:    cfg,
 		fopt:   fopt,
 		hopt:   hopt,
-		queue:  make(chan op, cfg.QueueSize),
+		queue:  make(chan op, queueSize),
 		held:   held,
 		ctx:    bctx,
 		cancel: cancel,
@@ -345,24 +289,19 @@ func (m *Manager) publish(s state) { m.st.Store(&s) }
 
 // AttachJournal registers j to observe the mutations and rebuilds that
 // follow it, then runs Checkpoint's op. Being an op, it runs after every op
-// queued before it, so a WAL replay's mutations, and the rebuilds they
-// tripped, are never logged twice, and j gets the state they reached unless
-// j's store already holds it (NewFromState's position). A stale index has
-// no consistent cut: j is attached without one. The error is j's failed
-// checkpoint, ctx's, or ErrClosed.
+// queued before it, so a WAL replay's mutations are never logged twice,
+// and j gets the state they reached unless j's store already holds it
+// (NewFromState's position). The error is j's failed checkpoint, ctx's,
+// or ErrClosed.
 func (m *Manager) AttachJournal(ctx context.Context, j Journal) error {
 	_, err := m.do(ctx, op{kind: opCheckpoint, journal: j})
-	if errors.Is(err, ErrStale) {
-		return nil
-	}
 	return err
 }
 
 // Checkpoint hands the attached journal the served state's cut. It is an
-// op, so it runs after every op queued before it and the rebuilds they
-// tripped. It writes nothing when the journal already holds the served
-// (sequence, generation) or none is attached. It fails with ErrStale after
-// a failed rebuild, with the journal's error, and with ErrClosed after
+// op, so it runs after every op queued before it. It writes nothing when
+// the journal already holds the served (sequence, generation) or none is
+// attached. It fails with the journal's error, and with ErrClosed after
 // Close.
 func (m *Manager) Checkpoint() error {
 	_, err := m.do(m.ctx, op{kind: opCheckpoint})
@@ -370,21 +309,21 @@ func (m *Manager) Checkpoint() error {
 }
 
 // CheckpointState returns the published state's cut for an export
-// (SaveSnapshot): the master graph plus the served index, valid only while
-// the two agree (ErrStale otherwise — await the rebuild and retry). Unlike
-// Checkpoint it does not wait for queued ops.
-func (m *Manager) CheckpointState() (CheckpointState, error) { return m.st.Load().cut() }
+// (SaveSnapshot): the master graph plus the served index reflecting it.
+// Unlike Checkpoint it does not wait for queued ops.
+func (m *Manager) CheckpointState() CheckpointState { return m.st.Load().cut() }
 
 // Current returns the snapshot queries should use. Never nil.
 func (m *Manager) Current() *Snapshot { return m.st.Load().snap }
 
-// AddEdge inserts (u,v), updating the served index incrementally when safe.
+// AddEdge inserts (u,v) and publishes the index of the new graph.
 func (m *Manager) AddEdge(ctx context.Context, u, v int) (ApplyResult, error) {
 	return m.do(ctx, op{kind: opAdd, u: u, v: v})
 }
 
-// RemoveEdge deletes (u,v). Removals that would disconnect the graph are
-// rejected with ErrDisconnected (the index only serves connected graphs).
+// RemoveEdge deletes (u,v) and publishes the index of the new graph.
+// Removals that would disconnect the graph are rejected with
+// ErrDisconnected (the index only serves connected graphs).
 func (m *Manager) RemoveEdge(ctx context.Context, u, v int) (ApplyResult, error) {
 	return m.do(ctx, op{kind: opRemove, u: u, v: v})
 }
@@ -433,7 +372,7 @@ func (m *Manager) do(ctx context.Context, o op) (ApplyResult, error) {
 
 // TriggerRebuild queues a full rebuild behind the ops already queued; like
 // a mutation, it waits for queue space. Each call queues one build. A no-op
-// in follower mode (followers never rebuild locally) and after Close.
+// after Close.
 func (m *Manager) TriggerRebuild() {
 	// send fails only once the manager is closed, when there is nothing to
 	// rebuild.
@@ -446,7 +385,7 @@ func (m *Manager) TriggerRebuild() {
 // deterministic re-execution entry point: trace replay needs the rebuild
 // fully absorbed before the next operation runs, and needs the pre-rebuild
 // generation because that is what the recording server stamped on its
-// acceptance. On a follower it is a barrier.
+// acceptance.
 func (m *Manager) RebuildAndWait(ctx context.Context) (uint64, error) {
 	gen := m.Current().Gen
 	_, err := m.do(ctx, op{kind: opRebuild})
@@ -459,9 +398,7 @@ func (m *Manager) RebuildAndWait(ctx context.Context) (uint64, error) {
 func (m *Manager) Seq() uint64 { return m.st.Load().seq }
 
 // WaitIdle queues a barrier and waits for it: every op queued before it
-// has then finished, including the rebuilds its mutations tripped. Unless
-// a rebuild failed (the manager then stays stale until the next one
-// succeeds), Current() then reflects the master graph.
+// has then finished.
 func (m *Manager) WaitIdle(ctx context.Context) error {
 	_, err := m.do(ctx, op{kind: opBarrier})
 	return err
@@ -474,17 +411,13 @@ func (m *Manager) Stats() Stats {
 		Generation:         s.snap.Gen,
 		QueueDepth:         int(m.pending.Load()),
 		Updates:            s.snap.Fast.Sk.Updates,
-		Deletions:          s.deletions,
-		Stale:              s.stale,
 		Rebuilds:           s.rebuilds,
 		RebuildFailures:    s.rebuildFailures,
 		RebuildInProgress:  s.rebuildInProgress,
 		LastRebuildSeconds: s.lastRebuildDur.Seconds(),
 		JournalFailures:    s.journalFailures,
-		GraphN:             s.graph.N(),
-		GraphM:             s.graph.M(),
-		IndexN:             s.snap.N,
-		IndexM:             s.snap.M,
+		N:                  s.snap.N,
+		M:                  s.snap.M,
 	}
 }
 
@@ -508,25 +441,16 @@ func (m *Manager) worker() {
 	}
 }
 
-// run executes one op. A mutation is answered as soon as it is applied;
-// the rebuild it trips runs before run returns, so no op overtakes it, and
-// the mutation stays counted in QueueDepth until then. Any other op is
-// answered once it has finished.
+// run executes one op and answers it.
 func (m *Manager) run(o op) {
-	if o.kind == opAdd || o.kind == opRemove {
-		res, err := m.apply(o)
-		o.done <- opResult{res, err}
-		if res.RebuildScheduled {
-			m.rebuild() // a failure is counted; the next trip retries
-		}
-		m.pending.Add(-1)
-		return
-	}
+	var res ApplyResult
 	var err error
-	switch {
-	case o.kind == opRebuild && !m.cfg.Follower:
+	switch o.kind {
+	case opAdd, opRemove:
+		res, err = m.apply(o)
+	case opRebuild:
 		err = m.rebuild()
-	case o.kind == opCheckpoint:
+	case opCheckpoint:
 		if o.journal != nil {
 			m.journal = o.journal
 		}
@@ -535,58 +459,39 @@ func (m *Manager) run(o op) {
 	// Uncount the op before answering, so a WaitIdle caller reads the
 	// settled QueueDepth.
 	m.pending.Add(-1)
-	o.done <- opResult{err: err}
+	o.done <- opResult{res, err}
 }
 
-// apply validates and executes one mutation: it applies the edge to a clone
-// of the published master graph, logs it, and publishes the clone with the
-// updated index (or, when the index cannot absorb it, marked stale).
+// apply executes one mutation. The sketch update validates it (node range,
+// self loop, presence, and for a removal connectivity) and moves the
+// sketch to the new graph; only then is the edge applied to a clone of the
+// master graph, logged, and published with the re-derived hull. A failed
+// update returns its error and changes nothing.
 func (m *Manager) apply(o op) (ApplyResult, error) {
 	u, v, add := o.u, o.v, o.kind == opAdd
 	cur := m.st.Load()
-	n := cur.graph.N()
-	if u < 0 || v < 0 || u >= n || v >= n {
-		return ApplyResult{}, fmt.Errorf("%w: (%d,%d) with n=%d", graph.ErrNodeRange, u, v, n)
+	// One Laplacian solve, an O(n·d) embedding pass, and an APPROXCH
+	// re-derivation of the hull boundary.
+	update := cur.snap.Fast.Sk.AddEdgeUpdate
+	if !add {
+		update = cur.snap.Fast.Sk.RemoveEdgeUpdate
 	}
-	if u == v {
-		return ApplyResult{}, fmt.Errorf("%w: node %d", graph.ErrSelfLoop, u)
-	}
-	next := cur.graph.Clone()
-	var err error
-	if add {
-		err = next.AddEdge(u, v) // ErrDuplicateEdge if present
-	} else if err = next.RemoveEdge(u, v); err == nil && !next.Connected() {
-		// Removing a bridge would disconnect the graph, which the index
-		// cannot serve. The BFS is exact and O(n+m), cheap next to the solve.
-		err = fmt.Errorf("lifecycle: removing (%d,%d) would disconnect the graph: %w",
-			u, v, graph.ErrDisconnected)
-	}
+	sk, _, err := update(cur.graph.ToCSR(), u, v, m.cfg.Sketch.Solver)
 	if err != nil {
 		return ApplyResult{}, err
 	}
-
-	// While the index is stale the master graph is already ahead of the
-	// served sketch, so the incremental precondition ("csr is the graph the
-	// sketch was built on") cannot hold — skip the solve and apply the
-	// mutation graph-only; the rebuild it trips picks it up.
-	var newFast *ecc.Fast
-	if !cur.stale {
-		// One Laplacian solve over the pre-mutation graph, an O(n·d)
-		// embedding pass, and an APPROXCH re-derivation of the hull boundary.
-		csr := cur.graph.ToCSR()
-		var newSk *sketch.Sketch
-		if add {
-			newSk, _, err = cur.snap.Fast.Sk.AddEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
-		} else {
-			newSk, _, err = cur.snap.Fast.Sk.RemoveEdgeUpdate(csr, u, v, m.cfg.Sketch.Solver)
-		}
-		if err == nil {
-			newFast, err = ecc.NewFastFromSketch(newSk, m.hopt)
-		}
-		// err != nil here means the incremental path is unavailable
-		// (bridge-like removal, solver trouble, an index whose projection
-		// does not match the graph); the mutation still lands on the master
-		// graph and the rebuild repairs the index ("stale" mode).
+	fast, err := ecc.NewFastFromSketch(sk, m.hopt)
+	if err != nil {
+		return ApplyResult{}, err
+	}
+	next := cur.graph.Clone()
+	if add {
+		err = next.AddEdge(u, v)
+	} else {
+		err = next.RemoveEdge(u, v)
+	}
+	if err != nil {
+		return ApplyResult{}, err
 	}
 
 	s := *cur
@@ -600,26 +505,15 @@ func (m *Manager) apply(o op) (ApplyResult, error) {
 			s.journalFailures++
 		}
 	}
-	if !add {
-		s.deletions++
-	}
-	res := ApplyResult{Gen: s.snap.Gen, Mode: ModeStale}
-	if newFast != nil {
-		s.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: newFast, N: next.N(), M: next.M()}
-		res = ApplyResult{Gen: s.snap.Gen, Mode: ModeIncremental}
-	} else {
-		s.stale = true
-	}
+	s.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: fast, N: next.N(), M: next.M()}
 	m.publish(s)
-	res.RebuildScheduled = !m.cfg.Follower && (s.stale || s.deletions >= m.cfg.MaxDeletions)
-	return res, nil
+	return ApplyResult{Gen: s.snap.Gen}, nil
 }
 
 // rebuild re-sketches the master graph, hands the journal the rebuilt cut
 // and only then publishes it. It runs on the worker, so no mutation can
 // land while it builds. A failed build or checkpoint is counted and leaves
-// the served index as it was (still stale if it was stale); the next op
-// that trips the trigger tries again.
+// the served index as it was.
 func (m *Manager) rebuild() error {
 	s := *m.st.Load()
 	s.rebuildInProgress = true
@@ -633,8 +527,6 @@ func (m *Manager) rebuild() error {
 		next.lastRebuildDur = time.Since(start)
 		next.snap = &Snapshot{Gen: s.snap.Gen + 1, Fast: fast, N: s.graph.N(), M: s.graph.M()}
 		next.rebuilds++
-		next.deletions = 0
-		next.stale = false
 		// The store takes the generation before any reader sees it, so
 		// replicas restored from the store never split from the writer.
 		if err = m.checkpoint(&next); err != nil {
@@ -653,15 +545,12 @@ func (m *Manager) rebuild() error {
 }
 
 // checkpoint hands the journal s's cut unless it holds that cut already or
-// no journal is attached. ErrStale when s has no consistent cut.
+// no journal is attached.
 func (m *Manager) checkpoint(s *state) error {
 	if m.journal == nil {
 		return nil
 	}
-	cs, err := s.cut()
-	if err != nil {
-		return err
-	}
+	cs := s.cut()
 	pos := Restored{Gen: cs.Gen, Seq: cs.Seq}
 	if pos == m.held {
 		return nil

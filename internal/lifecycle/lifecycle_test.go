@@ -16,6 +16,7 @@ import (
 	"resistecc/internal/graph"
 	"resistecc/internal/hull"
 	"resistecc/internal/sketch"
+	"resistecc/internal/solver"
 )
 
 func testConfig() Config {
@@ -66,14 +67,8 @@ func TestIncrementalAddPublishesNewGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeIncremental {
-		t.Fatalf("mode %q, want incremental", res.Mode)
-	}
 	if res.Gen != 2 {
 		t.Fatalf("generation %d, want 2", res.Gen)
-	}
-	if res.RebuildScheduled {
-		t.Fatal("an exact add scheduled a rebuild")
 	}
 	s1 := m.Current()
 	if s1.Gen != 2 || s1.M != g.M()+1 {
@@ -107,40 +102,42 @@ func TestMutationValidation(t *testing.T) {
 		t.Fatalf("bridge removal: %v", err)
 	}
 	// Nothing above may have changed the graph or generation.
-	if st := m.Stats(); st.Generation != 1 || st.GraphM != g.M() {
-		t.Fatalf("stats after rejected mutations: gen=%d m=%d", st.Generation, st.GraphM)
+	if st := m.Stats(); st.Generation != 1 || st.M != g.M() || m.Seq() != 0 {
+		t.Fatalf("stats after rejected mutations: gen=%d m=%d seq=%d", st.Generation, st.M, m.Seq())
 	}
 }
 
-// TestStaleRemovalSchedulesRebuild: removing a cycle edge keeps the graph
-// connected but its resistance (n-1)/n ≈ 0.975 is past the Sherman–Morrison
-// safety limit, so the mutation lands in stale mode and the rebuild it trips
-// repairs the index to exactly a cold build.
-func TestStaleRemovalSchedulesRebuild(t *testing.T) {
+// TestNearBridgeRemovalIsIncremental: removing a cycle edge keeps the
+// graph connected, though its resistance (n-1)/n = 0.975 leaves little of
+// 1 − r. The update solves on the graph the removal leaves, so it needs no
+// more: the removal publishes generation 2 from one update and schedules no
+// rebuild. A requested rebuild then serves exactly what a cold build of the
+// path would.
+func TestNearBridgeRemovalIsIncremental(t *testing.T) {
 	g := graph.Cycle(40)
 	cfg := testConfig()
 	m := newManager(t, g, cfg)
-	res, err := m.RemoveEdge(context.Background(), 0, 1)
+	ctx := context.Background()
+	res, err := m.RemoveEdge(ctx, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Mode != ModeStale || !res.RebuildScheduled {
-		t.Fatalf("mode=%q scheduled=%v, want stale + scheduled", res.Mode, res.RebuildScheduled)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
 	if err := m.WaitIdle(ctx); err != nil {
 		t.Fatal(err)
 	}
-	st := m.Stats()
-	if st.Rebuilds < 1 || st.Stale || st.Deletions != 0 {
-		t.Fatalf("post-rebuild stats: %+v", st)
+	cur, st := m.Current(), m.Stats()
+	if res.Gen != 2 || cur.Gen != 2 || st.Rebuilds != 0 || st.Updates != 1 || st.M != g.M()-1 {
+		t.Fatalf("removal at generation %d, serving %d: %+v; want generation 2 from one update, no rebuild and m = %d",
+			res.Gen, cur.Gen, st, g.M()-1)
+	}
+	if _, err := m.RebuildAndWait(ctx); err != nil {
+		t.Fatal(err)
 	}
 	want := g.Clone()
 	if err := want.RemoveEdge(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
+	cold, err := ecc.NewFastContext(ctx, want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,13 +235,8 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 					errCh <- err
 					return
 				}
-				cs, err := m.CheckpointState()
-				if errors.Is(err, ErrStale) {
-					continue
-				}
-				if err == nil {
-					err = monotone(cs.Seq, cs.Gen)
-				}
+				cs := m.CheckpointState()
+				err := monotone(cs.Seq, cs.Gen)
 				if err == nil && (cs.Fast.Sk.N != cs.Graph.N() || uint64(cs.Graph.M()) != 32+cs.Seq) {
 					err = fmt.Errorf("cut at seq %d: index n=%d over graph n=%d m=%d",
 						cs.Seq, cs.Fast.Sk.N, cs.Graph.N(), cs.Graph.M())
@@ -282,91 +274,22 @@ func TestConcurrentQueriesDuringSwaps(t *testing.T) {
 	}
 }
 
-// TestStaleSkipsIncremental: once the index is stale the master graph is
-// ahead of the served sketch, so further mutations must not run the
-// incremental update (its precondition is violated); they land graph-only in
-// ModeStale and the rebuild reflects all of them.
-func TestStaleSkipsIncremental(t *testing.T) {
-	g := graph.Cycle(24)
-	cfg := testConfig()
-	m := newManager(t, g, cfg)
-	// Force the state a failed incremental update leaves behind, without
-	// arming the rebuild yet, so the next mutation deterministically sees
-	// stale=true.
-	s := *m.st.Load()
-	s.stale = true
-	m.publish(s)
-	res, err := m.AddEdge(context.Background(), 0, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeStale || !res.RebuildScheduled {
-		t.Fatalf("mode=%q scheduled=%v, want stale + scheduled", res.Mode, res.RebuildScheduled)
-	}
-	if res.Gen != 1 {
-		t.Fatalf("stale mutation published generation %d, want 1 (unchanged)", res.Gen)
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := m.WaitIdle(ctx); err != nil {
-		t.Fatal(err)
-	}
-	if st := m.Stats(); st.Stale || st.Rebuilds < 1 {
-		t.Fatalf("post-rebuild stats: %+v", st)
-	}
-	want := g.Clone()
-	if err := want.AddEdge(0, 12); err != nil {
-		t.Fatal(err)
-	}
-	cold, err := ecc.NewFastContext(context.Background(), want, ecc.FastOptions{Sketch: cfg.Sketch, Hull: cfg.Hull})
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameIndex(t, m.Current().Fast, cold, want.N())
-}
-
-// TestMaxDeletionsTriggersAtThreshold: the rebuild fires once the deletion
-// count reaches MaxDeletions, matching the documented "after this many edge
-// removals" (not MaxDeletions+1).
-func TestMaxDeletionsTriggersAtThreshold(t *testing.T) {
-	g := graph.Complete(8)
-	cfg := testConfig()
-	cfg.MaxDeletions = 2
-	m := newManager(t, g, cfg)
-	ctx := context.Background()
-	res, err := m.RemoveEdge(ctx, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Mode != ModeIncremental || res.RebuildScheduled {
-		t.Fatalf("first removal: mode=%q scheduled=%v, want incremental + unscheduled", res.Mode, res.RebuildScheduled)
-	}
-	res, err = m.RemoveEdge(ctx, 2, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.RebuildScheduled {
-		t.Fatalf("second removal with MaxDeletions=2 did not schedule a rebuild: %+v", res)
-	}
-}
-
 // TestRebuildsKeepUpWithBackToBackWrites: mutations sent with no gap
 // between them, on the Unicode-language proxy at reccd's shipped build
-// values, with every removal tripping a rebuild (MaxDeletions 1). Each
-// tripped rebuild runs before the next mutation, so every one lands, and
-// every add is answered incrementally from the index the rebuild before it
-// published.
+// values, with a rebuild requested after every removal. Each rebuild runs
+// before the next mutation, so every one lands, and every add is answered
+// from the index the rebuild before it published: its generation is one
+// past the rebuild's.
 func TestRebuildsKeepUpWithBackToBackWrites(t *testing.T) {
 	g := servedGraph(t, "Unicode-language")
 	cfg := Config{
-		Sketch:       sketch.Options{Epsilon: 0.2, Dim: 128, Seed: 1},
-		Hull:         hull.Options{MaxVertices: 64},
-		MaxDeletions: 1,
+		Sketch: sketch.Options{Epsilon: 0.2, Dim: 128, Seed: 1},
+		Hull:   hull.Options{MaxVertices: 64},
 	}
 	m := newManager(t, g, cfg)
 	ctx := context.Background()
 	rng := rand.New(rand.NewSource(22))
-	var tripped uint64
+	var requested uint64
 	for acks := 0; acks < 12; acks += 2 {
 		u, v := rng.Intn(g.N()), rng.Intn(g.N())
 		if u == v || g.HasEdge(u, v) {
@@ -380,10 +303,12 @@ func TestRebuildsKeepUpWithBackToBackWrites(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if add.Mode != ModeIncremental || add.RebuildScheduled || !rm.RebuildScheduled {
-			t.Fatalf("add (%d,%d): %+v, then its removal: %+v; want an incremental add and a tripped removal", u, v, add, rm)
+		m.TriggerRebuild()
+		// Generations: the add, its removal, the rebuild, and so on.
+		if want := 1 + 3*requested + 1; add.Gen != want || rm.Gen != want+1 {
+			t.Fatalf("add (%d,%d) at generation %d, its removal at %d; want %d and %d", u, v, add.Gen, rm.Gen, want, want+1)
 		}
-		tripped++
+		requested++
 	}
 	wctx, cancel := context.WithTimeout(ctx, 60*time.Second)
 	defer cancel()
@@ -391,8 +316,8 @@ func TestRebuildsKeepUpWithBackToBackWrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := m.Stats()
-	if st.Rebuilds != tripped {
-		t.Fatalf("%d rebuilds for %d tripped acks: %+v", st.Rebuilds, tripped, st)
+	if st.Rebuilds != requested || st.Generation != 1+3*requested {
+		t.Fatalf("%d rebuilds for %d requested: %+v", st.Rebuilds, requested, st)
 	}
 }
 
@@ -440,8 +365,8 @@ func TestRemovalServesWithinEpsilon(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := m.Current()
-	if res.Mode != ModeIncremental || res.RebuildScheduled || cur.Gen != res.Gen {
-		t.Fatalf("removal: %+v, serving generation %d; want an incremental generation and no rebuild", res, cur.Gen)
+	if res.Gen != 2 || cur.Gen != res.Gen || m.Stats().Rebuilds != 0 {
+		t.Fatalf("removal: %+v, serving generation %d; want generation 2 and no rebuild", res, cur.Gen)
 	}
 	if err := g.RemoveEdge(30, 281); err != nil {
 		t.Fatal(err)
@@ -468,9 +393,10 @@ func TestRemovalServesWithinEpsilon(t *testing.T) {
 }
 
 // TestFailedRebuildDoesNotSpin: with a one-iteration solver cap every
-// add's solve fails, so the add goes stale and trips a rebuild, and that
-// rebuild fails too. The failure is counted once per trip, the index stays
-// stale, and WaitIdle returns instead of waiting on retries.
+// solve fails. An add is then refused with the solver's error and changes
+// nothing: the journal sees no append, and generation, sequence and edge
+// count stay. A requested rebuild fails too; each is counted once, and
+// WaitIdle returns instead of waiting on retries.
 func TestFailedRebuildDoesNotSpin(t *testing.T) {
 	g := graph.BarabasiAlbert(150, 3, 5)
 	cfg := testConfig()
@@ -485,27 +411,32 @@ func TestFailedRebuildDoesNotSpin(t *testing.T) {
 	}
 	t.Cleanup(m.Close)
 	ctx := context.Background()
+	j := &fakeJournal{m: m}
+	if err := m.AttachJournal(ctx, j); err != nil {
+		t.Fatal(err)
+	}
 	round := uint64(0)
 	for v := 1; round < 2; v++ {
 		if g.HasEdge(0, v) {
 			continue
 		}
 		round++
-		res, err := m.AddEdge(ctx, 0, v)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := m.AddEdge(ctx, 0, v); !errors.Is(err, solver.ErrNoConvergence) {
+			t.Fatalf("round %d: add (0,%d): %v, want solver.ErrNoConvergence", round, v, err)
 		}
-		if res.Mode != ModeStale || !res.RebuildScheduled {
-			t.Fatalf("round %d: mode=%q scheduled=%v, want stale + scheduled", round, res.Mode, res.RebuildScheduled)
+		if st := m.Stats(); j.appended() != 0 || st.Generation != 1 || m.Seq() != 0 || st.M != g.M() {
+			t.Fatalf("round %d: refused add left %d appends, generation %d, seq %d, m %d; want 0, 1, 0 and %d",
+				round, j.appended(), st.Generation, m.Seq(), st.M, g.M())
 		}
+		m.TriggerRebuild()
 		wctx, cancel := context.WithTimeout(ctx, 2*time.Second)
-		err = m.WaitIdle(wctx)
+		err := m.WaitIdle(wctx)
 		cancel()
 		if err != nil {
 			t.Fatalf("round %d: WaitIdle: %v", round, err)
 		}
-		if st := m.Stats(); !st.Stale || st.RebuildFailures != round {
-			t.Fatalf("round %d: stale=%v rebuild failures=%d, want stale and %d", round, st.Stale, st.RebuildFailures, round)
+		if st := m.Stats(); st.RebuildFailures != round || st.Generation != 1 {
+			t.Fatalf("round %d: %d rebuild failures at generation %d, want %d at 1", round, st.RebuildFailures, st.Generation, round)
 		}
 	}
 }

@@ -15,7 +15,7 @@
 //   - The WAL logs every committed mutation with its sequence number.
 //     Recovery loads the newest valid snapshot and replays records Seq+1,
 //     Seq+2, … through the ordinary lifecycle mutation path, landing in the
-//     same incremental/stale/rebuild state a live server would.
+//     same state, bit for bit, a live server would.
 //   - Every corruption — torn snapshot, truncated or bit-flipped WAL tail,
 //     format-version or build-parameter mismatch — degrades to a cold build.
 //     Never to wrong answers: a record or section is used only after its CRC

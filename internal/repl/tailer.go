@@ -14,8 +14,8 @@ import (
 )
 
 // Follower is the replica-side state a Tailer drives: a restored index that
-// applies mutations in writer order. resistecc.DynamicIndex in follower mode
-// satisfies it via a thin adapter in cmd/reccd.
+// applies mutations in writer order. A resistecc.DynamicIndex restored from
+// the writer's snapshot satisfies it via a thin adapter in cmd/reccd.
 type Follower interface {
 	// Seq is the number of writer mutations reflected in the state (the
 	// restored snapshot's sequence plus mutations applied since).
@@ -199,8 +199,8 @@ func (t *Tailer) drain(ctx context.Context) error {
 			}
 			for _, rec := range frame.Records {
 				if err := f.Apply(ctx, rec); err != nil {
-					// The follower cannot absorb this mutation incrementally
-					// (e.g. a removal that needs a rebuild): re-base.
+					// The follower failed to apply a mutation the writer
+					// absorbed (e.g. a solver failure): re-base.
 					if resynced {
 						return fmt.Errorf("repl: apply failed after a resync: %w", err)
 					}

@@ -15,40 +15,32 @@
 //
 //	Q'·B'·L'† = (Q·B + q·bᵀ)·L'†   ⇒   pts'[w] = pts[w] + x[w]/(1+r)·(q − δ).
 //
-// Removing the edge is the same identity with the opposite signs, q being
-// the edge's stored column and 1 − r the denominator:
+// Removing the edge, q being its stored column, is the same identity with
+// the opposite signs: L'† = L† + x·xᵀ/(1 − r). Its denominator vanishes at
+// a bridge and amplifies the solve's error near one, so a removal solves
+// on the graph it leaves instead, where x' = L'†b = x/(1 − r), and
 //
-//	pts'[w] = pts[w] + x[w]/(1−r)·(δ − q),
+//	pts'[w] = pts[w] + x'[w]·(δ − q)
 //
-// valid only while r < 1 (r = 1 exactly when the edge is a bridge, whose
-// removal disconnects the graph). Either way the result is the sketch of
-// the new graph under the updated projection Q', not an approximation of
-// it, so updates accumulate no error beyond the solves' own. An added
-// edge's column is drawn from a counter-based hash of (seed, u, v) (see
-// addedColumn), so restored and replica sketches draw the same one.
+// has no denominator at all. Only a removal that disconnects the graph (a
+// bridge, r = 1) is refused, with graph.ErrDisconnected. Either way the
+// result is the sketch of the new graph under the updated projection Q',
+// not an approximation of it, so updates accumulate no error beyond the
+// solves' own. An added edge's column is drawn from a counter-based hash
+// of (seed, u, v) (see addedColumn), so restored and replica sketches draw
+// the same one.
 //
 // Each update costs one solve, one O(n·d) embedding pass and an
 // O(d·m/64) copy of the projection, versus d solves for a full rebuild.
 package sketch
 
 import (
-	"errors"
 	"fmt"
 	"math"
 
 	"resistecc/internal/graph"
 	"resistecc/internal/solver"
 )
-
-// ErrUnsafeUpdate reports that an incremental removal was refused because
-// the edge's effective resistance is too close to 1 (a bridge or nearly so):
-// the Sherman–Morrison denominator 1 − r degenerates and amplifies the
-// solve's error. Callers should fall back to a full rebuild.
-var ErrUnsafeUpdate = errors.New("sketch: incremental update unsafe (edge resistance ≈ 1; bridge-like)")
-
-// removeSafeLimit is the largest edge resistance for which an incremental
-// removal is attempted; above it, ErrUnsafeUpdate is returned.
-const removeSafeLimit = 0.95
 
 // AddEdgeUpdate returns the sketch of the graph csr ∪ {(u,v)}. csr must be
 // the graph the receiver reflects, without the edge; a graph whose edge
@@ -72,23 +64,24 @@ func (s *Sketch) AddEdgeUpdate(csr *graph.CSR, u, v int, sopt solver.Options) (*
 }
 
 // RemoveEdgeUpdate returns the sketch of csr \ {(u,v)}. csr must be the
-// graph the receiver reflects, with the edge, and the removal must leave it
-// connected, which the caller checks structurally. Returns ErrUnsafeUpdate
-// when the edge resistance is so close to 1 that the downdate degenerates.
+// graph the receiver reflects, with the edge. The update solves on csr
+// without the edge, so it is exact however close r(u,v) is to 1; a removal
+// that would disconnect the graph is refused with graph.ErrDisconnected.
 // The float64 result is always 0, as for AddEdgeUpdate.
 func (s *Sketch) RemoveEdgeUpdate(csr *graph.CSR, u, v int, sopt solver.Options) (*Sketch, float64, error) {
 	u, v, e, err := s.locate(csr, u, v, true)
 	if err != nil {
 		return nil, 0, err
 	}
-	x, r, err := s.updateSolve(csr, u, v, sopt)
+	after := csr.WithoutEdge(u, v)
+	if !after.Connected() {
+		return nil, 0, fmt.Errorf("sketch: removing (%d,%d) would disconnect the graph: %w", u, v, graph.ErrDisconnected)
+	}
+	x, _, err := s.updateSolve(after, u, v, sopt)
 	if err != nil {
 		return nil, 0, err
 	}
-	if r >= removeSafeLimit {
-		return nil, 0, fmt.Errorf("%w: r(%d,%d)=%.4f", ErrUnsafeUpdate, u, v, r)
-	}
-	out := s.applyUpdate(x, u, v, s.proj.column(e), -1/(1-r))
+	out := s.applyUpdate(x, u, v, s.proj.column(e), -1)
 	out.proj = s.proj.withoutColumn(e)
 	return out, 0, nil
 }
@@ -121,7 +114,8 @@ func (s *Sketch) locate(csr *graph.CSR, u, v int, present bool) (int, int, int, 
 	return u, v, e, nil
 }
 
-// updateSolve computes x = L†(e_u − e_v) on csr and r = x[u] − x[v].
+// updateSolve computes x = L†(e_u − e_v) on csr and r = x[u] − x[v], the
+// resistance r(u,v) in csr.
 func (s *Sketch) updateSolve(csr *graph.CSR, u, v int, sopt solver.Options) ([]float64, float64, error) {
 	lap, err := solver.NewLap(csr, sopt)
 	if err != nil {

@@ -68,10 +68,10 @@ func (m mutation) apply(t *testing.T, sk *Sketch, g *graph.Graph) (*Sketch, erro
 
 // mutateExactly applies steps mutations to sk and g: three adds of random
 // non-edges, then a removal, in turn. The removals alternate between
-// build-time edges, starting with first when it is set, and edges added
-// earlier. A removal that would disconnect g, or that the update refuses as
-// bridge-like, is skipped for another edge.
-func mutateExactly(t *testing.T, sk *Sketch, g *graph.Graph, steps int, first *graph.Edge, rng *rand.Rand) *Sketch {
+// build-time edges and edges added earlier. A removal of an edge already
+// gone, or one the update refuses because it would disconnect g, is
+// skipped for another edge.
+func mutateExactly(t *testing.T, sk *Sketch, g *graph.Graph, steps int, rng *rand.Rand) *Sketch {
 	t.Helper()
 	base := g.Edges()
 	var added []graph.Edge
@@ -96,19 +96,12 @@ func mutateExactly(t *testing.T, sk *Sketch, g *graph.Graph, steps int, first *g
 			pool = added
 		}
 		for tries := 0; ; tries++ {
-			e := pool[rng.Intn(len(pool))]
-			if k == 3 && first != nil {
-				e = *first
-			}
-			h := g.Clone()
 			if tries > 1000 {
 				t.Fatal("no removable edge found")
 			}
-			if h.RemoveEdge(e.U, e.V) != nil || !h.Connected() {
-				continue
-			}
+			e := pool[rng.Intn(len(pool))]
 			next, err := mutation{false, e.U, e.V}.apply(t, sk, g)
-			if errors.Is(err, ErrUnsafeUpdate) && (k != 3 || first == nil) {
+			if errors.Is(err, graph.ErrEdgeNotFound) || errors.Is(err, graph.ErrDisconnected) {
 				continue
 			}
 			if err != nil {
@@ -121,21 +114,53 @@ func mutateExactly(t *testing.T, sk *Sketch, g *graph.Graph, steps int, first *g
 	return sk
 }
 
+// hungCycle returns g with a path of k new nodes hung between its nodes a
+// and b. The path closes a cycle through g, and each of its edges has a
+// resistance close to 1: (k + R)/(k + 1 + R), R being r(a,b) in g.
+func hungCycle(t *testing.T, g *graph.Graph, k, a, b int) *graph.Graph {
+	t.Helper()
+	h := graph.New(g.N() + k)
+	for _, e := range g.Edges() {
+		if err := h.AddEdge(e.U, e.V); err != nil {
+			t.Fatal(err)
+		}
+	}
+	prev := a
+	for i := g.N(); i < g.N()+k; i++ {
+		if err := h.AddEdge(prev, i); err != nil {
+			t.Fatal(err)
+		}
+		prev = i
+	}
+	if err := h.AddEdge(prev, b); err != nil {
+		t.Fatal(err)
+	}
+	return h
+}
+
 // TestUpdatesAreExact: 40 exact updates — 30 adds of random non-edges and
 // 10 removals, alternating build-time edges and earlier adds — leave the
 // sketch of the final graph under the sketch's own updated projection, to
-// within 1e-8 relative on every sketched resistance checked. On the
-// Unicode-language proxy, as reccd numbers it, the first removal is
-// (30,281), whose resistance of 0.621 made the rank-1 update it replaced
-// push every answer outside ε. One dimension is not a multiple of 64.
+// within 1e-8 relative on every sketched resistance checked. Where a case
+// names a first edge, it is removed before the random sequence, and its
+// resistance is at least minR. On the Unicode-language proxy, as reccd
+// numbers it, that is (30,281), whose resistance of 0.621 made the rank-1
+// update it replaced push every answer outside ε. The near-bridge case
+// removes an edge of a path of 60 nodes hung between two nodes of
+// BA(150,3,4), whose resistance is 0.9837: a removal with that little left
+// of 1 − r is exact too, since it solves on the graph it leaves. One
+// dimension is not a multiple of 64.
 func TestUpdatesAreExact(t *testing.T) {
+	ba := graph.BarabasiAlbert(150, 3, 4)
 	cases := []struct {
 		name  string
 		g     *graph.Graph
 		first *graph.Edge
+		minR  float64
 	}{
-		{"ba150", graph.BarabasiAlbert(150, 3, 4), nil},
-		{"unicode-language", servedGraph(t, "Unicode-language"), &graph.Edge{U: 30, V: 281}},
+		{"ba150", ba, nil, 0},
+		{"unicode-language", servedGraph(t, "Unicode-language"), &graph.Edge{U: 30, V: 281}, 0},
+		{"near-bridge", hungCycle(t, ba, 60, 0, 149), &graph.Edge{U: 150, V: 151}, 0.98},
 	}
 	for _, tc := range cases {
 		for _, d := range []int{128, 100} {
@@ -145,7 +170,22 @@ func TestUpdatesAreExact(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sk = mutateExactly(t, sk, g, 40, tc.first, rand.New(rand.NewSource(int64(d))))
+				steps := 40
+				if e := tc.first; e != nil {
+					_, r, err := sk.updateSolve(g.ToCSR(), e.U, e.V, solver.Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					t.Logf("r%v = %.4f", *e, r)
+					if r < tc.minR {
+						t.Fatalf("r%v = %.4f, want at least %g", *e, r, tc.minR)
+					}
+					if sk, err = (mutation{false, e.U, e.V}).apply(t, sk, g); err != nil {
+						t.Fatal(err)
+					}
+					steps--
+				}
+				sk = mutateExactly(t, sk, g, steps, rand.New(rand.NewSource(int64(d))))
 				if sk.Updates != 40 || sk.proj.m != g.M() {
 					t.Fatalf("updates %d, projection columns %d; want 40 and m = %d", sk.Updates, sk.proj.m, g.M())
 				}
@@ -281,16 +321,17 @@ func TestEdgeRank(t *testing.T) {
 	}
 }
 
-// TestRemoveEdgeUpdateRefusesBridges: every path edge is a bridge (r = 1),
-// so the downdate must refuse with ErrUnsafeUpdate rather than divide by ~0.
+// TestRemoveEdgeUpdateRefusesBridges: every path edge is a bridge, so the
+// update refuses its removal with graph.ErrDisconnected: the graph it
+// would leave has no sketch.
 func TestRemoveEdgeUpdateRefusesBridges(t *testing.T) {
 	g := graph.Path(16)
 	sk, err := NewContext(context.Background(), g.ToCSR(), Options{Epsilon: 0.3, Dim: 64, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := sk.RemoveEdgeUpdate(g.ToCSR(), 7, 8, solver.Options{}); !errors.Is(err, ErrUnsafeUpdate) {
-		t.Fatalf("bridge removal: got %v, want ErrUnsafeUpdate", err)
+	if _, _, err := sk.RemoveEdgeUpdate(g.ToCSR(), 7, 8, solver.Options{}); !errors.Is(err, graph.ErrDisconnected) {
+		t.Fatalf("bridge removal: got %v, want graph.ErrDisconnected", err)
 	}
 }
 

@@ -64,12 +64,16 @@ func DigestQuery(res []EccResult) uint64 {
 	return uint64(d)
 }
 
+// ModeIncremental is the mode of every mutation response: each accepted
+// mutation is absorbed by an exact incremental sketch update.
+const ModeIncremental = "incremental"
+
 // DigestMutation hashes a mutation response: the generation now serving it,
-// how it was absorbed (incremental vs stale), and the response's drift
-// field — the fields that must match bit-exactly when the same mutation
-// sequence is replayed against a same-seed index. Sketch updates are exact,
-// so reccd's drift field reads 0; the input stays until the wire field
-// goes.
+// how it was absorbed (its mode field, always ModeIncremental), and the
+// response's drift field (always 0, since sketch updates are exact) — the
+// fields that must match bit-exactly when the same mutation sequence is
+// replayed against a same-seed index. The inputs stay until the wire
+// fields go.
 func DigestMutation(gen uint64, mode string, drift float64) uint64 {
 	return uint64(newDigest().u64(gen).str(mode).f64(drift))
 }

@@ -200,10 +200,10 @@ func (e *HTTPExecutor) healthz(ctx context.Context) (health, error) {
 
 // rebuild triggers a rebuild and polls /v1/healthz until it completes, so
 // the next record executes against the post-rebuild index exactly as it did
-// when recorded. The requested rebuild queues behind any rebuild the
-// previous mutation tripped, which can advance the counter first, so the
-// queue must also have drained. The reported generation is the pre-rebuild
-// one the recording server stamped on its 202.
+// when recorded. The requested rebuild may queue behind another one, which
+// can advance the counter first, so the queue must also have drained. The
+// reported generation is the pre-rebuild one the recording server stamped
+// on its 202.
 func (e *HTTPExecutor) rebuild(ctx context.Context) (OpResult, error) {
 	before, err := e.healthz(ctx)
 	if err != nil {

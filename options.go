@@ -25,11 +25,6 @@ func (h HullOptions) internal() hull.Options {
 type buildConfig struct {
 	sk   SketchOptions
 	hull HullOptions
-
-	// DynamicIndex-only knobs.
-	maxDeletions int
-	queueSize    int
-	follower     bool
 }
 
 // Option configures an index constructor (NewFastIndex, NewApproxIndex,
@@ -56,30 +51,6 @@ func WithSeed(seed int64) Option {
 // WithMaxHullVertices caps the hull boundary size l (0 = no cap).
 func WithMaxHullVertices(l int) Option {
 	return func(c *buildConfig) { c.hull.MaxVertices = l }
-}
-
-// WithMaxDeletions sets how many edge removals a DynamicIndex serves
-// incrementally before forcing a rebuild (0 = 16). Ignored by static
-// indexes.
-func WithMaxDeletions(k int) Option {
-	return func(c *buildConfig) { c.maxDeletions = k }
-}
-
-// WithMutationQueue sets the DynamicIndex mutation queue capacity (0 = 64).
-// Ignored by static indexes.
-func WithMutationQueue(n int) Option {
-	return func(c *buildConfig) { c.queueSize = n }
-}
-
-// WithFollower puts a DynamicIndex in follower mode: it never schedules
-// local rebuilds, so its state is a pure deterministic function of the base
-// state it was restored from plus the mutations applied to it. Replication
-// replicas use it (with LoadSnapshotBytes) to stay bit-identical to the
-// writer; a follower that cannot absorb a mutation incrementally stays
-// stale until its owner restores a fresher snapshot. Ignored by static
-// indexes.
-func WithFollower() Option {
-	return func(c *buildConfig) { c.follower = true }
 }
 
 func applyOptions(opts []Option) buildConfig {

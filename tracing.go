@@ -116,6 +116,6 @@ func (e *indexExecutor) mutate(ctx context.Context, rec trace.Record) (trace.OpR
 	}
 	return trace.OpResult{
 		Gen:    res.Generation,
-		Digest: trace.DigestMutation(res.Generation, string(res.Mode), 0),
+		Digest: trace.DigestMutation(res.Generation, trace.ModeIncremental, 0),
 	}, nil
 }
