@@ -1,12 +1,21 @@
-# Developer / CI entry points. `make check` is the gate: vet, the recclint
-# static-analysis suite, and the full test suite under the race detector
-# (the reccd server paths are deliberately concurrent).
+# Developer / CI entry points. `make check` is the gate: CI's gofmt check,
+# vet, the recclint static-analysis suite, and the full test suite under the
+# race detector (the reccd server paths are deliberately concurrent).
 
 GO ?= go
 
-.PHONY: check build vet lint lint-fix lint-sarif lint-v3 lint-v4 test race repl-smoke trace-smoke bench bench-json bench-trend
+.PHONY: check fmt build vet lint lint-fix lint-sarif lint-v3 lint-v4 test race repl-smoke trace-smoke bench bench-json bench-trend
 
-check: vet lint race
+check: fmt vet lint race
+
+# CI's first step, verbatim: fail if gofmt would reformat any file.
+fmt:
+	@out="$$(gofmt -l .)"; \
+	if [ -n "$$out" ]; then \
+		echo "files need gofmt:" >&2; \
+		echo "$$out" >&2; \
+		exit 1; \
+	fi
 
 build:
 	$(GO) build ./...

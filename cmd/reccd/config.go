@@ -17,14 +17,15 @@ const (
 )
 
 // Typed validation errors, so tests (and wrapping scripts parsing stderr)
-// can distinguish a missing flag from a nonsensical combination.
+// can distinguish a missing flag from a nonsensical combination. Their text
+// carries no "reccd: " prefix: main logs each with exactly one.
 var (
 	// ErrBadRole rejects a -role outside {writer, replica, router}.
-	ErrBadRole = errors.New("reccd: unknown role")
+	ErrBadRole = errors.New("unknown role")
 	// ErrMissingFlag rejects a role started without a flag it requires.
-	ErrMissingFlag = errors.New("reccd: missing required flag")
+	ErrMissingFlag = errors.New("missing required flag")
 	// ErrRoleConflict rejects a flag that contradicts the chosen role.
-	ErrRoleConflict = errors.New("reccd: flag conflicts with role")
+	ErrRoleConflict = errors.New("flag conflicts with role")
 )
 
 // Config is the full validated flag surface of reccd. Validate enforces the

@@ -3,6 +3,7 @@ package main
 import (
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
@@ -55,6 +56,10 @@ func TestConfigValidateRoleMatrix(t *testing.T) {
 			}
 			if !errors.Is(err, tc.wantIs) {
 				t.Fatalf("error %v, want errors.Is(%v)", err, tc.wantIs)
+			}
+			// main prefixes the error with "reccd: " itself.
+			if strings.HasPrefix(err.Error(), "reccd:") {
+				t.Fatalf("error %q carries main's prefix already", err)
 			}
 		})
 	}

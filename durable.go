@@ -81,10 +81,7 @@ func loadSnapshot(snap *persist.Snapshot, opts []Option) (*DynamicIndex, error) 
 		return nil, fmt.Errorf("%w: stored eps=%g dim=%d seed=%d",
 			ErrSnapshotMismatch, snap.Params.Epsilon, snap.Params.Dim, snap.Params.Seed)
 	}
-	fast, err := snap.Index()
-	if err != nil {
-		return nil, err
-	}
+	fast, _ := snap.Index()
 	m, err := lifecycle.NewFromState(snap.Graph, fast,
 		lifecycle.Restored{Gen: snap.Gen, Seq: snap.Seq}, lifecycleConfig(snap.Params))
 	if err != nil {
@@ -183,10 +180,7 @@ func openRecover(ctx context.Context, st *persist.Store, g *graph.Graph, params 
 	if snap.BaseFP != baseFP {
 		return cold("snapshot mismatch: input graph changed")
 	}
-	fast, err := snap.Index()
-	if err != nil {
-		return cold(fmt.Sprintf("snapshot unusable: %v", err))
-	}
+	fast, _ := snap.Index()
 	m, err := lifecycle.NewFromState(snap.Graph, fast,
 		lifecycle.Restored{Gen: snap.Gen, Seq: snap.Seq}, cfg)
 	if err != nil {

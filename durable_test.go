@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -365,6 +366,62 @@ func TestSaveAndLoadSnapshot(t *testing.T) {
 		t.Fatalf("LoadSnapshot with matching options: %v", err)
 	}
 	d3.Close()
+}
+
+// A snapshot saved while mutations and queries run streams the generation
+// it captured, which nothing writes once it is served, so it restores to
+// that generation's answers bit for bit.
+func TestSaveSnapshotWhileServing(t *testing.T) {
+	ctx := context.Background()
+	d, err := NewDynamicIndex(ctx, durableGraph(t), durableOpts()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	served := map[uint64]*FastIndex{d.Snapshot().Generation: d.Snapshot().Index}
+	mutated := make(chan struct{})
+	go func() {
+		defer close(mutated)
+		for _, add := range []bool{true, false} {
+			for _, e := range [][2]int{{2, 40}, {3, 41}, {1, 33}, {0, 30}} {
+				var err error
+				if add {
+					_, err = d.AddEdge(ctx, e[0], e[1])
+				} else {
+					_, err = d.RemoveEdge(ctx, e[0], e[1])
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				snap := d.Snapshot()
+				served[snap.Generation] = snap.Index
+			}
+		}
+	}()
+	var paths []string
+	for running := true; running; {
+		select {
+		case <-mutated:
+			running = false
+		default:
+		}
+		path := filepath.Join(t.TempDir(), "index.snap")
+		if err := d.SaveSnapshot(path); err != nil {
+			t.Fatal(err)
+		}
+		paths = append(paths, path)
+		d.Snapshot().Index.Distribution()
+	}
+	for _, path := range paths {
+		r, err := LoadSnapshot(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gen := r.Snapshot().Generation
+		sameDistribution(t, dynDistribution(r), served[gen].Distribution(), fmt.Sprintf("snapshot of generation %d", gen))
+		r.Close()
+	}
 }
 
 func TestDurableCheckpointOnDemand(t *testing.T) {

@@ -78,9 +78,9 @@ func inspectSnapshot(path string, b []byte) *Report {
 // describe summarizes a CRC-valid section as its decoder reads it, or says
 // that it does not decode. A meta section that decodes becomes rep.Meta.
 func (rep *Report) describe(sec section) string {
-	var s Snapshot
 	switch sec.kind {
 	case secMeta:
+		var s Snapshot
 		if decodeMeta(sec.payload, &s) == nil {
 			rep.Meta = &s
 			return fmt.Sprintf("seq=%d gen=%d eps=%g dim=%d seed=%d",
@@ -91,13 +91,12 @@ func (rep *Report) describe(sec section) string {
 			return fmt.Sprintf("n=%d m=%d", g.N(), g.M())
 		}
 	case secSketch:
-		if decodeSketch(sec.payload, &s) == nil {
-			return fmt.Sprintf("d=%d n=%d m=%d updates=%d",
-				s.SketchMeta.Dim, s.SketchMeta.N, s.SketchMeta.M, s.SketchMeta.Updates)
+		if meta, _, _, err := decodeSketch(sec.payload); err == nil {
+			return fmt.Sprintf("d=%d n=%d m=%d updates=%d", meta.Dim, meta.N, meta.M, meta.Updates)
 		}
 	case secHull:
-		if decodeHull(sec.payload, &s) == nil {
-			return fmt.Sprintf("l=%d diameter=%.6g certified=%v", len(s.Boundary), s.Diameter, s.Certified)
+		if h, err := decodeHull(sec.payload); err == nil {
+			return fmt.Sprintf("l=%d diameter=%.6g certified=%v", len(h.Vertices), h.Diameter, h.Certified)
 		}
 	default:
 		return ""

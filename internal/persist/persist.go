@@ -9,9 +9,12 @@
 // adapted to the lifecycle manager's consistency model:
 //
 //   - A snapshot is a consistent cut (lifecycle.CheckpointState): the master
-//     graph after exactly Seq mutations plus the index reflecting it. The
-//     sketch matrix is stored bit-exactly, so a warm start answers
-//     bit-identically to the index that was saved.
+//     graph after exactly Seq mutations plus the index reflecting it. A
+//     checkpoint writes the published generation itself, shared read-only:
+//     each section streams to the file with its CRC computed as it goes, so
+//     no second copy of the sketch is made. The sketch matrix is stored
+//     bit-exactly, so a warm start answers bit-identically to the index
+//     that was saved, and reading restores that generation once.
 //   - The WAL logs every committed mutation with its sequence number.
 //     Recovery loads the newest valid snapshot and replays records Seq+1,
 //     Seq+2, … through the ordinary lifecycle mutation path, landing in the
@@ -82,108 +85,57 @@ func (p Params) HullOptions() hull.Options {
 	return hull.Options{MaxVertices: p.HullMaxVertices}
 }
 
-// Snapshot is the in-memory form of one persisted index generation.
+// Snapshot is one persisted index generation: a checkpoint cut and the
+// stamp that ties it to its build. A captured snapshot shares the cut's
+// published graph and generation read-only (CheckpointState's contract:
+// nothing writes through a snapshot); a snapshot from ReadSnapshot holds
+// the graph and generation it decoded and restored.
 type Snapshot struct {
-	// Seq is the mutation sequence number this state reflects; WAL records
-	// with larger sequence numbers apply on top.
-	Seq uint64
-	// Gen is the served generation, so clients observe a monotone
-	// X-Index-Generation across restarts.
-	Gen uint64
+	// The cut: Seq is the mutation sequence number this state reflects (WAL
+	// records with larger sequence numbers apply on top); Gen is the served
+	// generation, so clients observe a monotone X-Index-Generation across
+	// restarts; Graph is the master graph at Seq; and Fast is the index
+	// generation for it, whose sketch matrix and projection are stored
+	// bit-exactly with its hull boundary Ŝ and APPROXCH diagnostics.
+	lifecycle.CheckpointState
 	// SavedUnixNano is the wall-clock write time (snapshot_age_seconds).
 	SavedUnixNano int64
 	// Params are the build inputs; BaseFP fingerprints the original input
 	// graph (before any mutations), tying the artifact to its data file.
 	Params Params
 	BaseFP uint64
-
-	// Graph is the master graph at Seq.
-	Graph *graph.Graph
-	// SketchMeta, Points and Signs carry the APPROXER state bit-exactly:
-	// Signs is the projection, whose columns are Graph's edges, which the
-	// sketch's exact updates read and extend.
-	SketchMeta sketch.Meta
-	Points     []float64
-	Signs      []uint64
-	// Boundary is the hull boundary Ŝ; Diameter/Certified/Rounds are the
-	// APPROXCH diagnostics of hull.Result.
-	Boundary  []int
-	Diameter  float64
-	Certified bool
-	Rounds    int
 }
 
-// Capture assembles a Snapshot from a lifecycle checkpoint cut: the graph,
-// the sketch matrix and the hull boundary, which is exactly what Index
-// reads back. It copies state and computes nothing, so it leaves the
-// generation's witness table as it found it. The trailing bool is ignored;
-// it keeps callers written against the earlier four-argument form compiling.
+// Capture stamps a lifecycle checkpoint cut as a Snapshot. It copies
+// nothing and computes nothing: WriteSnapshot streams the published graph
+// and generation from where they are served, and the generation's witness
+// table is left as it was. The trailing bool is ignored; it keeps callers
+// written against the earlier four-argument form compiling.
 func Capture(cs lifecycle.CheckpointState, params Params, baseFP uint64, _ ...bool) *Snapshot {
-	f := cs.Fast
-	return &Snapshot{
-		Seq:           cs.Seq,
-		Gen:           cs.Gen,
-		SavedUnixNano: time.Now().UnixNano(),
-		Params:        params,
-		BaseFP:        baseFP,
-		Graph:         cs.Graph,
-		SketchMeta:    f.Sk.Meta(),
-		Points:        f.Sk.AppendPoints(make([]float64, 0, f.Sk.N*f.Sk.Dim)),
-		Signs:         append([]uint64(nil), f.Sk.Signs()...),
-		Boundary:      append([]int(nil), f.Boundary...),
-		Diameter:      f.HullInfo.Diameter,
-		Certified:     f.HullInfo.Certified,
-		Rounds:        f.HullInfo.Rounds,
-	}
+	return &Snapshot{CheckpointState: cs, SavedUnixNano: time.Now().UnixNano(), Params: params, BaseFP: baseFP}
 }
 
-// Index reconstructs the FASTQUERY index from the snapshot, bit-identical
-// to the one Capture saw, with an empty witness table of its own.
+// Index returns the snapshot's generation as an index of its own: the same
+// immutable sketch and hull, with an empty witness table. It answers
+// bit-identically to the index Capture saw. The error is always nil, since
+// ReadSnapshot accepts only a snapshot whose generation restores.
 func (s *Snapshot) Index() (*ecc.Fast, error) {
-	sk, err := sketch.Restore(s.SketchMeta, s.Points, s.Signs)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-	}
-	boundary := append([]int(nil), s.Boundary...)
-	return &ecc.Fast{
-		Sk:       sk,
-		Boundary: boundary,
-		HullInfo: &hull.Result{
-			Vertices:  boundary,
-			Diameter:  s.Diameter,
-			Certified: s.Certified,
-			Rounds:    s.Rounds,
-		},
-	}, nil
+	return &ecc.Fast{Sk: s.Fast.Sk, Boundary: s.Fast.Boundary, HullInfo: s.Fast.HullInfo}, nil
 }
 
 // validate cross-checks the decoded sections against each other, so a
-// snapshot that passed every CRC but is internally inconsistent (a bug, or
-// adversarial corruption that kept checksums valid) is still rejected.
-func (s *Snapshot) validate() error {
-	if s.Graph == nil {
-		return fmt.Errorf("%w: missing graph section", ErrCorrupt)
+// snapshot that passed every CRC but whose sections disagree (a bug, or
+// adversarial corruption that kept checksums valid) is still rejected. The
+// sketch's own shape is sketch.Restore's to check.
+func validate(g *graph.Graph, meta sketch.Meta, boundary []int) error {
+	n, m := g.N(), g.M()
+	if meta.N != n {
+		return fmt.Errorf("%w: sketch covers %d nodes, graph has %d", ErrCorrupt, meta.N, n)
 	}
-	if err := s.Graph.Validate(); err != nil {
-		return fmt.Errorf("%w: graph: %v", ErrCorrupt, err)
+	if meta.M != m {
+		return fmt.Errorf("%w: projection of %d edges, graph has %d", ErrCorrupt, meta.M, m)
 	}
-	n := s.Graph.N()
-	if s.SketchMeta.N != n {
-		return fmt.Errorf("%w: sketch covers %d nodes, graph has %d", ErrCorrupt, s.SketchMeta.N, n)
-	}
-	// d ≤ len(Points) keeps N·d from wrapping round to len(Points).
-	if d := s.SketchMeta.Dim; d < 0 || d > len(s.Points) || len(s.Points) != s.SketchMeta.N*d {
-		return fmt.Errorf("%w: sketch matrix has %d values, want %d",
-			ErrCorrupt, len(s.Points), s.SketchMeta.N*s.SketchMeta.Dim)
-	}
-	// A projection has one column per graph edge and one row per sketch
-	// row. d and m are both bounded by their payloads here, so the product
-	// cannot wrap.
-	if m := s.Graph.M(); s.SketchMeta.M != m || len(s.Signs) != s.SketchMeta.Dim*sketch.SignWords(m) {
-		return fmt.Errorf("%w: projection of %d edges in %d words, want %d edges in d·⌈m/64⌉ = %d",
-			ErrCorrupt, s.SketchMeta.M, len(s.Signs), m, s.SketchMeta.Dim*sketch.SignWords(m))
-	}
-	for _, v := range s.Boundary {
+	for _, v := range boundary {
 		if v < 0 || v >= n {
 			return fmt.Errorf("%w: boundary node %d out of range n=%d", ErrCorrupt, v, n)
 		}

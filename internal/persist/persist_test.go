@@ -3,8 +3,10 @@ package persist
 import (
 	"context"
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -55,45 +57,61 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if Fingerprint(got.Graph) != Fingerprint(s.Graph) {
 		t.Fatalf("graph fingerprint mismatch")
 	}
-	if got.SketchMeta != s.SketchMeta {
-		t.Fatalf("sketch meta mismatch: got %+v want %+v", got.SketchMeta, s.SketchMeta)
+	want, have := s.Fast, got.Fast
+	if have.Sk.Meta() != want.Sk.Meta() {
+		t.Fatalf("sketch meta mismatch: got %+v want %+v", have.Sk.Meta(), want.Sk.Meta())
 	}
-	if len(got.Points) != len(s.Points) {
-		t.Fatalf("points length mismatch")
-	}
-	for i := range s.Points {
-		if got.Points[i] != s.Points[i] {
-			t.Fatalf("point %d not bit-identical", i)
+	for v, p := range want.Sk.Points() {
+		if !slices.Equal(have.Sk.Point(v), p) {
+			t.Fatalf("point %d not bit-identical", v)
 		}
 	}
-	if !slices.Equal(got.Signs, s.Signs) || len(s.Signs) != s.SketchMeta.Dim*sketch.SignWords(s.Graph.M()) {
-		t.Fatalf("projection of %d words came back as %d words, or differs", len(s.Signs), len(got.Signs))
+	if signs := want.Sk.Signs(); !slices.Equal(have.Sk.Signs(), signs) || len(signs) != want.Sk.Dim*sketch.SignWords(s.Graph.M()) {
+		t.Fatalf("projection of %d words came back as %d words, or differs", len(signs), len(have.Sk.Signs()))
 	}
-	if len(got.Boundary) != len(s.Boundary) {
+	if !slices.Equal(have.Boundary, want.Boundary) || !slices.Equal(have.HullInfo.Vertices, want.Boundary) {
 		t.Fatalf("boundary mismatch")
 	}
-	for i := range s.Boundary {
-		if got.Boundary[i] != s.Boundary[i] {
-			t.Fatalf("boundary[%d] mismatch", i)
-		}
-	}
-	if got.Diameter != s.Diameter || got.Certified != s.Certified || got.Rounds != s.Rounds {
+	if h, w := have.HullInfo, want.HullInfo; h.Diameter != w.Diameter || h.Certified != w.Certified || h.Rounds != w.Rounds {
 		t.Fatalf("hull diagnostics mismatch")
 	}
 
 	// The restored index answers bit-identically.
-	want, err := s.Index()
-	if err != nil {
-		t.Fatalf("index from original: %v", err)
-	}
-	have, err := got.Index()
-	if err != nil {
-		t.Fatalf("index from decoded: %v", err)
-	}
+	orig, _ := s.Index()
+	restored, _ := got.Index()
 	for v := 0; v < got.Graph.N(); v++ {
-		if want.Eccentricity(v) != have.Eccentricity(v) {
+		if orig.Eccentricity(v) != restored.Eccentricity(v) {
 			t.Fatalf("eccentricity of %d differs after round trip", v)
 		}
+	}
+}
+
+// A checkpoint writes the published generation where it is served:
+// capturing and writing an index takes one chunk and a few small frames,
+// however large its sketch. An eighth of the rows' size leaves room for
+// those and fails any copy of the rows.
+func TestCheckpointCopiesNoSketch(t *testing.T) {
+	g := graph.RandomConnected(2000, 6000, 11)
+	p := Params{Epsilon: 0.3, Dim: 96, Seed: 4, HullMaxVertices: 16}
+	cs := lifecycle.CheckpointState{Seq: 1, Gen: 1, Graph: g, Fast: buildFast(t, g, p)}
+	rows := uint64(8 * cs.Fast.Sk.N * cs.Fast.Sk.Dim)
+	if rows < 1<<20 {
+		t.Fatalf("the index holds %d bytes of rows, want at least 1 MB", rows)
+	}
+	fp := Fingerprint(g)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := Capture(cs, p, fp)
+	err := WriteSnapshot(io.Discard, s)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= rows/8 {
+		t.Errorf("a checkpoint of %d bytes of rows allocated %d bytes, want under %d", rows, grew, rows/8)
+	}
+	if s.Fast != cs.Fast || s.Graph != cs.Graph {
+		t.Error("Capture copied the cut")
 	}
 }
 
@@ -411,7 +429,11 @@ func TestSketchRestoreBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := sketch.Restore(sk.Meta(), sk.AppendPoints(nil), append([]uint64(nil), sk.Signs()...))
+	var flat []float64
+	for _, p := range sk.Points() {
+		flat = append(flat, p...)
+	}
+	got, err := sketch.Restore(sk.Meta(), flat, append([]uint64(nil), sk.Signs()...))
 	if err != nil {
 		t.Fatal(err)
 	}

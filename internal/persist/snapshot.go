@@ -14,7 +14,9 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"resistecc/internal/ecc"
 	"resistecc/internal/graph"
+	"resistecc/internal/hull"
 	"resistecc/internal/sketch"
 )
 
@@ -39,14 +41,44 @@ const (
 // castagnoli is the CRC32-C table (hardware-accelerated on amd64/arm64).
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// enc is a little-endian append-only byte encoder.
-type enc struct{ b []byte }
+// chunk is the size of the buffer a snapshot streams through: past bufio's
+// default 4 KB, so a bufio.Writer hands each full chunk straight to the
+// file, and a sketch section of several MB costs a few hundred writes.
+const chunk = 64 << 10
 
-func (e *enc) u8(x uint8)    { e.b = append(e.b, x) }
-func (e *enc) u32(x uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, x) }
-func (e *enc) u64(x uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, x) }
+// enc is a little-endian encoder that streams to w: values gather in b, and
+// whenever b nears its capacity it is written out and folded into the
+// running CRC-32C, so a payload of any size takes one chunk of memory. The
+// first write error latches in err.
+type enc struct {
+	w   io.Writer
+	b   []byte
+	n   uint64 // bytes written since the section's payload began
+	crc uint32 // CRC-32C of those bytes
+	err error
+}
+
+func (e *enc) u8(x uint8)    { e.b = append(e.b, x); e.spill() }
+func (e *enc) u32(x uint32)  { e.b = binary.LittleEndian.AppendUint32(e.b, x); e.spill() }
+func (e *enc) u64(x uint64)  { e.b = binary.LittleEndian.AppendUint64(e.b, x); e.spill() }
 func (e *enc) i64(x int64)   { e.u64(uint64(x)) }
 func (e *enc) f64(x float64) { e.u64(math.Float64bits(x)) }
+
+// spill writes b out once the next value might not fit it.
+func (e *enc) spill() {
+	if len(e.b) > cap(e.b)-8 {
+		e.flush()
+	}
+}
+
+func (e *enc) flush() {
+	if e.err == nil && len(e.b) > 0 {
+		e.crc = crc32.Update(e.crc, castagnoli, e.b)
+		e.n += uint64(len(e.b))
+		_, e.err = e.w.Write(e.b)
+	}
+	e.b = e.b[:0]
+}
 
 // dec is the matching bounds-checked decoder; the first out-of-bounds read
 // latches err and zero-fills every later read.
@@ -108,8 +140,7 @@ func (d *dec) intLen(x uint64, unit int) int {
 	return int(x)
 }
 
-func encodeMeta(s *Snapshot) []byte {
-	var e enc
+func encodeMeta(e *enc, s *Snapshot) {
 	e.u64(s.Seq)
 	e.u64(s.Gen)
 	e.i64(s.SavedUnixNano)
@@ -119,7 +150,6 @@ func encodeMeta(s *Snapshot) []byte {
 	e.i64(int64(p.Dim))
 	e.i64(p.Seed)
 	e.i64(int64(p.HullMaxVertices))
-	return e.b
 }
 
 func decodeMeta(b []byte, s *Snapshot) error {
@@ -141,8 +171,7 @@ func decodeMeta(b []byte, s *Snapshot) error {
 	return nil
 }
 
-func encodeGraph(g *graph.Graph) []byte {
-	e := enc{b: make([]byte, 0, 16+8*g.M())}
+func encodeGraph(e *enc, g *graph.Graph) {
 	e.u64(uint64(g.N()))
 	e.u64(uint64(g.M()))
 	g.EachEdge(func(u, v int) bool {
@@ -150,7 +179,6 @@ func encodeGraph(g *graph.Graph) []byte {
 		e.u32(uint32(v))
 		return true
 	})
-	return e.b
 }
 
 func decodeGraph(b []byte) (*graph.Graph, error) {
@@ -189,152 +217,147 @@ func decodeGraph(b []byte) (*graph.Graph, error) {
 	if d.off != len(b) {
 		return nil, fmt.Errorf("%w: %d trailing bytes in graph section", ErrCorrupt, len(b)-d.off)
 	}
+	if err := g.Validate(); err != nil {
+		return nil, fmt.Errorf("%w: graph: %v", ErrCorrupt, err)
+	}
 	return g, nil
 }
 
-// encodeSketch writes the sketch section: the build fields and the point
-// count, the points, then M and the sign-word count, and the sign words,
-// each 8 bytes. The payload's size follows from those lists, so the
-// encoding allocates once.
-func encodeSketch(meta sketch.Meta, points []float64, signs []uint64) []byte {
+// encodeSketch writes the sketch section from the generation itself: the
+// build fields and the point count, the points row by row, then M and the
+// sign-word count, and the sign words, each 8 bytes.
+func encodeSketch(e *enc, sk *sketch.Sketch) {
+	meta := sk.Meta()
 	st := meta.Stats
-	head := [...]uint64{
+	for _, x := range [...]uint64{
 		uint64(meta.Dim), uint64(meta.N), math.Float64bits(meta.Epsilon), uint64(meta.Updates),
 		uint64(st.Rows), uint64(st.TotalIters), uint64(st.MaxIters), math.Float64bits(st.MaxResidual),
-		uint64(st.Workers), uint64(len(points)),
-	}
-	mid := [...]uint64{uint64(meta.M), uint64(len(signs))}
-	e := enc{b: make([]byte, 0, 8*(len(head)+len(points)+len(mid)+len(signs)))}
-	for _, x := range head {
+		uint64(st.Workers), uint64(meta.N * meta.Dim),
+	} {
 		e.u64(x)
 	}
-	for _, x := range points {
-		e.f64(x)
+	for _, p := range sk.Points() {
+		for _, x := range p {
+			e.f64(x)
+		}
 	}
-	for _, x := range mid {
-		e.u64(x)
-	}
+	signs := sk.Signs()
+	e.u64(uint64(meta.M))
+	e.u64(uint64(len(signs)))
 	for _, w := range signs {
 		e.u64(w)
 	}
-	return e.b
 }
 
-// decodeSketch reads the sketch section. The seed that draws added edges'
-// columns is not in it: ReadSnapshot takes it from the meta section's
-// Params.
-func decodeSketch(b []byte, s *Snapshot) error {
+// decodeSketch reads the sketch section: the build fields, the point matrix
+// and the projection's sign words, each count bounded by the payload. The
+// seed that draws added edges' columns is not in it: ReadSnapshot takes it
+// from the meta section's Params. The shape is sketch.Restore's to check.
+func decodeSketch(b []byte) (meta sketch.Meta, pts []float64, signs []uint64, err error) {
 	d := dec{b: b}
-	s.SketchMeta.Dim = int(d.i64())
-	s.SketchMeta.N = int(d.i64())
-	s.SketchMeta.Epsilon = d.f64()
-	s.SketchMeta.Updates = int(d.i64())
-	s.SketchMeta.Stats.Rows = int(d.i64())
-	s.SketchMeta.Stats.TotalIters = int(d.i64())
-	s.SketchMeta.Stats.MaxIters = int(d.i64())
-	s.SketchMeta.Stats.MaxResidual = d.f64()
-	s.SketchMeta.Stats.Workers = int(d.i64())
-	k := d.intLen(d.u64(), 8)
-	s.Points = make([]float64, k)
-	for i := range s.Points {
-		s.Points[i] = d.f64()
+	meta.Dim = int(d.i64())
+	meta.N = int(d.i64())
+	meta.Epsilon = d.f64()
+	meta.Updates = int(d.i64())
+	meta.Stats.Rows = int(d.i64())
+	meta.Stats.TotalIters = int(d.i64())
+	meta.Stats.MaxIters = int(d.i64())
+	meta.Stats.MaxResidual = d.f64()
+	meta.Stats.Workers = int(d.i64())
+	pts = make([]float64, d.intLen(d.u64(), 8))
+	for i := range pts {
+		pts[i] = d.f64()
 	}
-	s.SketchMeta.M = int(d.i64())
-	k = d.intLen(d.u64(), 8)
-	s.Signs = make([]uint64, k)
-	for i := range s.Signs {
-		s.Signs[i] = d.u64()
+	meta.M = int(d.i64())
+	signs = make([]uint64, d.intLen(d.u64(), 8))
+	for i := range signs {
+		signs[i] = d.u64()
 	}
 	if d.err != nil {
-		return d.err
+		return meta, nil, nil, d.err
 	}
 	if d.off != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes in sketch section", ErrCorrupt, len(b)-d.off)
+		return meta, nil, nil, fmt.Errorf("%w: %d trailing bytes in sketch section", ErrCorrupt, len(b)-d.off)
 	}
-	return nil
+	return meta, pts, signs, nil
 }
 
-func encodeHull(s *Snapshot) []byte {
-	var e enc
-	e.u64(uint64(len(s.Boundary)))
-	for _, v := range s.Boundary {
+func encodeHull(e *enc, f *ecc.Fast) {
+	e.u64(uint64(len(f.Boundary)))
+	for _, v := range f.Boundary {
 		e.u32(uint32(v))
 	}
-	e.f64(s.Diameter)
-	if s.Certified {
+	e.f64(f.HullInfo.Diameter)
+	if f.HullInfo.Certified {
 		e.u8(1)
 	} else {
 		e.u8(0)
 	}
-	e.i64(int64(s.Rounds))
-	return e.b
+	e.i64(int64(f.HullInfo.Rounds))
 }
 
-func decodeHull(b []byte, s *Snapshot) error {
+// decodeHull reads the hull section as the hull.Result it was written from.
+func decodeHull(b []byte) (*hull.Result, error) {
 	d := dec{b: b}
-	l := d.intLen(d.u64(), 4)
-	s.Boundary = make([]int, l)
-	for i := range s.Boundary {
-		s.Boundary[i] = int(d.u32())
+	res := &hull.Result{Vertices: make([]int, d.intLen(d.u64(), 4))}
+	for i := range res.Vertices {
+		res.Vertices[i] = int(d.u32())
 	}
-	s.Diameter = d.f64()
-	s.Certified = d.u8() != 0
-	s.Rounds = int(d.i64())
+	res.Diameter = d.f64()
+	res.Certified = d.u8() != 0
+	res.Rounds = int(d.i64())
 	if d.err != nil {
-		return d.err
+		return nil, d.err
 	}
 	if d.off != len(b) {
-		return fmt.Errorf("%w: %d trailing bytes in hull section", ErrCorrupt, len(b)-d.off)
+		return nil, fmt.Errorf("%w: %d trailing bytes in hull section", ErrCorrupt, len(b)-d.off)
 	}
-	return nil
+	return res, nil
 }
 
-func writeSection(w io.Writer, kind uint32, payload []byte) error {
-	var hdr enc
-	hdr.u32(kind)
-	hdr.u64(uint64(len(payload)))
-	if _, err := w.Write(hdr.b); err != nil {
-		return err
+// writeSection writes one section through e: its kind and payload length,
+// the payload body encodes, with its CRC-32C computed as the bytes go out,
+// and the CRC. The length goes out first, so a body that encodes other than
+// size bytes fails the write.
+func writeSection(e *enc, kind uint32, size uint64, body func()) {
+	e.u32(kind)
+	e.u64(size)
+	e.flush()
+	e.n, e.crc = 0, 0
+	body()
+	e.flush()
+	if e.err == nil && e.n != size {
+		e.err = fmt.Errorf("persist: section %d encoded %d bytes, declared %d", kind, e.n, size)
 	}
-	if _, err := w.Write(payload); err != nil {
-		return err
-	}
-	var tail enc
-	tail.u32(crc32.Checksum(payload, castagnoli))
-	_, err := w.Write(tail.b)
-	return err
+	e.u32(e.crc)
 }
 
-// WriteSnapshot writes the full snapshot encoding to w.
+// WriteSnapshot writes s's encoding to w. Every section streams from the
+// cut's graph and generation through one chunk-sized buffer, its CRC
+// computed as it is written, so a checkpoint makes no copy of the sketch.
+// Each payload's length follows from what it holds: meta's eight fields;
+// the graph's n, m and m edges; the sketch's twelve fields and counts, n·d
+// points and d·⌈m/64⌉ sign words; the hull's count, l ids, diameter,
+// certified byte and rounds.
 func WriteSnapshot(w io.Writer, s *Snapshot) error {
-	sections := []struct {
-		kind    uint32
-		payload []byte
-	}{
-		{secMeta, encodeMeta(s)},
-		{secGraph, encodeGraph(s.Graph)},
-		{secSketch, encodeSketch(s.SketchMeta, s.Points, s.Signs)},
-		{secHull, encodeHull(s)},
-	}
-	var hdr enc
-	hdr.b = append(hdr.b, snapshotMagic...)
-	hdr.u32(FormatVersion)
-	hdr.u32(uint32(len(sections)))
-	if _, err := w.Write(hdr.b); err != nil {
-		return err
-	}
-	for _, sec := range sections {
-		if err := writeSection(w, sec.kind, sec.payload); err != nil {
-			return err
-		}
-	}
-	return nil
+	g, f, sk := s.Graph, s.Fast, s.Fast.Sk
+	e := &enc{w: w, b: make([]byte, 0, chunk)}
+	e.b = append(e.b, snapshotMagic...)
+	e.u32(FormatVersion)
+	e.u32(4) // section count
+	writeSection(e, secMeta, 64, func() { encodeMeta(e, s) })
+	writeSection(e, secGraph, 16+8*uint64(g.M()), func() { encodeGraph(e, g) })
+	writeSection(e, secSketch, 8*(12+uint64(sk.N*sk.Dim+len(sk.Signs()))), func() { encodeSketch(e, sk) })
+	writeSection(e, secHull, 25+4*uint64(len(f.Boundary)), func() { encodeHull(e, f) })
+	e.flush()
+	return e.err
 }
 
-// WriteSnapshotFile writes the snapshot atomically: a temp file in the same
-// directory, fsync, rename over path, then a directory fsync — so path
-// either keeps its old content or holds the complete new snapshot, never a
-// torn write.
+// WriteSnapshotFile writes the snapshot atomically: WriteSnapshot streams
+// it into a temp file in the same directory, then fsync, rename over path,
+// and a directory fsync — so path either keeps its old content or holds the
+// complete new snapshot, never a torn write. A write that fails partway
+// removes the temp file.
 func WriteSnapshotFile(path string, s *Snapshot) (err error) {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, tmpPrefix+"*")
@@ -347,9 +370,9 @@ func WriteSnapshotFile(path string, s *Snapshot) (err error) {
 			os.Remove(tmp.Name())
 		}
 	}()
-	// Every section payload is already in memory, and a bufio.Writer hands
-	// a write larger than its buffer straight to the file, so the default
-	// size only gathers the small section headers.
+	// Payloads stream out in chunks larger than a bufio.Writer's default
+	// buffer, which it hands straight to the file, so that buffer only
+	// gathers the section frames and the small meta and hull payloads.
 	bw := bufio.NewWriter(tmp)
 	if err = WriteSnapshot(bw, s); err != nil {
 		return fmt.Errorf("persist: encoding snapshot: %w", err)
@@ -462,18 +485,22 @@ func readSections(b []byte) (map[uint32][]byte, error) {
 	return payloads, nil
 }
 
-// ReadSnapshot decodes and fully validates an encoded snapshot.
+// ReadSnapshot decodes an encoded snapshot and restores its generation
+// once. It accepts only a snapshot that restores: every section decodes,
+// the sections agree with each other (validate), and sketch.Restore takes
+// the sketch; a sketch it refuses, such as one whose ε lies outside (0,1),
+// is ErrCorrupt.
 func ReadSnapshot(b []byte) (*Snapshot, error) {
 	secs, err := readSections(b)
 	if err != nil {
 		return nil, err
 	}
-	s := &Snapshot{}
 	for _, kind := range []uint32{secMeta, secGraph, secSketch, secHull} {
 		if secs[kind] == nil {
 			return nil, fmt.Errorf("%w: missing section kind %d", ErrCorrupt, kind)
 		}
 	}
+	s := &Snapshot{}
 	if err := decodeMeta(secs[secMeta], s); err != nil {
 		return nil, err
 	}
@@ -481,17 +508,24 @@ func ReadSnapshot(b []byte) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
+	meta, pts, signs, err := decodeSketch(secs[secSketch])
+	if err != nil {
+		return nil, err
+	}
+	meta.Seed = s.Params.Seed
+	hres, err := decodeHull(secs[secHull])
+	if err != nil {
+		return nil, err
+	}
+	if err := validate(g, meta, hres.Vertices); err != nil {
+		return nil, err
+	}
+	sk, err := sketch.Restore(meta, pts, signs)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
 	s.Graph = g
-	if err := decodeSketch(secs[secSketch], s); err != nil {
-		return nil, err
-	}
-	s.SketchMeta.Seed = s.Params.Seed
-	if err := decodeHull(secs[secHull], s); err != nil {
-		return nil, err
-	}
-	if err := s.validate(); err != nil {
-		return nil, err
-	}
+	s.Fast = &ecc.Fast{Sk: sk, Boundary: hres.Vertices, HullInfo: hres}
 	return s, nil
 }
 

@@ -4,13 +4,18 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"math"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
+	"resistecc/internal/ecc"
 	"resistecc/internal/graph"
+	"resistecc/internal/hull"
+	"resistecc/internal/lifecycle"
 	"resistecc/internal/sketch"
 )
 
@@ -25,35 +30,42 @@ func wide(i int) uint64 {
 	return x
 }
 
+// wideEpsilon is the wide sketch's ε: inside (0,1), as a restore requires,
+// with eight distinct non-zero bytes of its own.
+const wideEpsilon = 0x3FE1D2C3B4A59687
+
 // wideSnapshot is a consistent snapshot whose every free field holds its own
-// full-width value. Only n, d and the boundary ids are small: validate ties
-// them to the graph.
+// full-width value. Only n, d, ε and the boundary ids are constrained:
+// validate ties n and the ids to the graph, and the sketch must restore.
 func wideSnapshot() *Snapshot {
 	field := 0
 	u := func() uint64 { field++; return wide(field) }
 	i := func() int { return int(u()) }
 	f := func() float64 { return math.Float64frombits(u()) }
 	g := graph.RandomConnected(8, 12, 1)
-	s := &Snapshot{
-		Seq: u(), Gen: u(), SavedUnixNano: int64(u()), BaseFP: u(),
-		Params: Params{Epsilon: f(), Dim: i(), Seed: int64(u()), HullMaxVertices: i()},
-		Graph:  g,
-		SketchMeta: sketch.Meta{
-			Dim: 3, N: g.N(), M: g.M(), Epsilon: f(), Updates: i(),
-			Stats: sketch.BuildStats{Rows: i(), TotalIters: i(), MaxIters: i(), MaxResidual: f(), Workers: i()},
-		},
-		Boundary:  []int{7, 0, 3},
-		Diameter:  f(),
-		Certified: true,
-		Rounds:    i(),
+	s := &Snapshot{}
+	s.Seq, s.Gen, s.SavedUnixNano, s.BaseFP = u(), u(), int64(u()), u()
+	s.Params = Params{Epsilon: f(), Dim: i(), Seed: int64(u()), HullMaxVertices: i()}
+	meta := sketch.Meta{
+		Dim: 3, N: g.N(), M: g.M(), Epsilon: math.Float64frombits(wideEpsilon),
+		Seed:    s.Params.Seed, // the meta section carries it
+		Updates: i(),
+		Stats:   sketch.BuildStats{Rows: i(), TotalIters: i(), MaxIters: i(), MaxResidual: f(), Workers: i()},
 	}
-	s.SketchMeta.Seed = s.Params.Seed // the meta section carries it
+	h := &hull.Result{Vertices: []int{7, 0, 3}, Diameter: f(), Certified: true, Rounds: i()}
+	var pts []float64
 	for k := 0; k < 3*g.N(); k++ {
-		s.Points = append(s.Points, f())
+		pts = append(pts, f())
 	}
+	var signs []uint64
 	for k := 0; k < 3*sketch.SignWords(g.M()); k++ {
-		s.Signs = append(s.Signs, u())
+		signs = append(signs, u())
 	}
+	sk, err := sketch.Restore(meta, pts, signs)
+	if err != nil {
+		panic(err) // a fixed fixture: it restores, or no test can run
+	}
+	s.Graph, s.Fast = g, &ecc.Fast{Sk: sk, Boundary: h.Vertices, HullInfo: h}
 	return s
 }
 
@@ -107,17 +119,43 @@ func TestSnapshotWideRoundTrip(t *testing.T) {
 	}
 }
 
-// encodeSketch sizes its buffer from the fields it writes, so a checkpoint
-// builds the sketch section, the bulk of a snapshot, in one allocation and
-// never copies it to grow.
-func TestEncodeSketchAllocatesOnce(t *testing.T) {
-	s := wideSnapshot()
-	var b []byte
-	if allocs := testing.AllocsPerRun(20, func() { b = encodeSketch(s.SketchMeta, s.Points, s.Signs) }); allocs != 1 {
-		t.Errorf("encodeSketch allocates %.1f times, want 1", allocs)
+// knownSnapshot is a snapshot built from literal values only: a sketch
+// restored from fixed meta rather than built (BuildStats.Workers follows
+// GOMAXPROCS), a fixed hull and a fixed save time.
+func knownSnapshot(t *testing.T) *Snapshot {
+	t.Helper()
+	g := graph.RandomConnected(12, 20, 5)
+	const d = 4
+	meta := sketch.Meta{
+		Dim: d, N: g.N(), M: g.M(), Epsilon: 0.25, Seed: 9, Updates: 2,
+		Stats: sketch.BuildStats{Rows: d, TotalIters: 57, MaxIters: 17, MaxResidual: 3.5e-11, Workers: 1},
 	}
-	if len(b) != cap(b) {
-		t.Errorf("encodeSketch wrote %d bytes into %d reserved", len(b), cap(b))
+	pts := make([]float64, g.N()*d)
+	for i := range pts {
+		pts[i] = float64(i%7)/8 - 0.375
+	}
+	signs := make([]uint64, d*sketch.SignWords(g.M()))
+	for i := range signs {
+		signs[i] = (uint64(i) + 1) * 0x9E3779B97F4A7C15 & (1<<g.M() - 1)
+	}
+	sk, err := sketch.Restore(meta, pts, signs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := &hull.Result{Vertices: []int{3, 0, 7}, Diameter: 1.75, Certified: true, Rounds: 4}
+	cs := lifecycle.CheckpointState{Seq: 11, Gen: 4, Graph: g, Fast: &ecc.Fast{Sk: sk, Boundary: h.Vertices, HullInfo: h}}
+	s := Capture(cs, Params{Epsilon: 0.25, Dim: d, Seed: 9, HullMaxVertices: 3}, Fingerprint(g))
+	s.SavedUnixNano = 1_700_000_000_123_456_789
+	return s
+}
+
+// The round trips show that encoder and decoder agree; this pins both to
+// the RECCSNP1 v3 bytes already on disk. The length and CRC-32C were
+// recorded from the encoder that assembled each section in memory.
+func TestSnapshotKnownAnswer(t *testing.T) {
+	b := encodeSnapshot(t, knownSnapshot(t))
+	if sum := crc32.Checksum(b, castagnoli); len(b) != 869 || sum != 0x07d45fd1 {
+		t.Fatalf("known snapshot encodes to %d bytes with CRC-32C %#08x, want 869 bytes with 0x07d45fd1", len(b), sum)
 	}
 }
 
@@ -188,34 +226,49 @@ func TestTailFrameEveryBitFlipRejected(t *testing.T) {
 // frameSnapshot frames section payloads as kinds 1, 2, … with valid CRCs,
 // skipping empty ones, so a test reaches the decoders behind the checksums.
 func frameSnapshot(payloads ...[]byte) []byte {
-	var hdr enc
-	hdr.b = append(hdr.b, snapshotMagic...)
-	hdr.u32(FormatVersion)
 	count := 0
 	for _, p := range payloads {
 		if len(p) > 0 {
 			count++
 		}
 	}
-	hdr.u32(uint32(count))
-	b := bytes.NewBuffer(hdr.b)
+	var b bytes.Buffer
+	e := &enc{w: &b, b: make([]byte, 0, chunk)}
+	e.b = append(e.b, snapshotMagic...)
+	e.u32(FormatVersion)
+	e.u32(uint32(count))
 	for i, p := range payloads {
 		if len(p) > 0 {
-			writeSection(b, uint32(i+1), p)
+			writeSection(e, uint32(i+1), uint64(len(p)), func() {
+				for _, c := range p {
+					e.u8(c)
+				}
+			})
 		}
 	}
+	e.flush()
 	return b.Bytes()
 }
 
-// sectionPayloads returns the four section payloads of s.
-func sectionPayloads(s *Snapshot) [][]byte {
-	return [][]byte{encodeMeta(s), encodeGraph(s.Graph), encodeSketch(s.SketchMeta, s.Points, s.Signs), encodeHull(s)}
+// sectionPayloads returns the four section payloads of s's encoding, each
+// clipped, so appending to one leaves the others as they are.
+func sectionPayloads(t testing.TB, s *Snapshot) [][]byte {
+	t.Helper()
+	_, secs, err := scanSections(encodeSnapshot(t, s))
+	if err != nil || len(secs) != 4 {
+		t.Fatalf("framing %d sections: %v", len(secs), err)
+	}
+	p := make([][]byte, len(secs))
+	for i, sec := range secs {
+		p[i] = slices.Clip(sec.payload)
+	}
+	return p
 }
 
 // trailingByte returns the sections of a valid snapshot with one byte
 // appended to section i's payload.
-func trailingByte(i int) [][]byte {
-	p := sectionPayloads(wideSnapshot())
+func trailingByte(t testing.TB, i int) [][]byte {
+	p := sectionPayloads(t, wideSnapshot())
 	p[i] = append(p[i], 0)
 	return p
 }
@@ -225,7 +278,7 @@ func trailingByte(i int) [][]byte {
 // writer computed it over the longer payload.
 func TestSectionTrailingBytesRejected(t *testing.T) {
 	for i, name := range []string{"meta", "graph", "sketch", "hull"} {
-		_, err := ReadSnapshot(frameSnapshot(trailingByte(i)...))
+		_, err := ReadSnapshot(frameSnapshot(trailingByte(t, i)...))
 		want := "1 trailing bytes in " + name + " section"
 		if !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s section plus one byte: err %v, want ErrCorrupt with %q", name, err, want)
@@ -236,7 +289,7 @@ func TestSectionTrailingBytesRejected(t *testing.T) {
 // The ecc-cache section kind 5 of format v1 no longer exists: a v2 snapshot
 // carrying it, CRC-valid, in place of the hull section is corrupt.
 func TestRetiredSectionKindRejected(t *testing.T) {
-	p := sectionPayloads(wideSnapshot())
+	p := sectionPayloads(t, wideSnapshot())
 	_, err := ReadSnapshot(frameSnapshot(p[0], p[1], p[2], nil, p[3]))
 	if want := "unknown section kind 5"; !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 		t.Fatalf("hull payload framed as kind 5: err %v, want ErrCorrupt with %q", err, want)
@@ -245,45 +298,58 @@ func TestRetiredSectionKindRejected(t *testing.T) {
 
 // forgedSectionCount is a 16-byte snapshot header claiming 2^24 sections.
 func forgedSectionCount() []byte {
-	var e enc
-	e.b = append(e.b, snapshotMagic...)
-	e.u32(FormatVersion)
-	e.u32(1 << 24)
-	return e.b
+	hdr := binary.LittleEndian.AppendUint32([]byte(snapshotMagic), FormatVersion)
+	return binary.LittleEndian.AppendUint32(hdr, 1<<24)
 }
 
 // forgedNodeCount returns the sections of a valid snapshot whose graph
 // claims n = 2^24 nodes.
-func forgedNodeCount() [][]byte {
-	p := sectionPayloads(wideSnapshot())
+func forgedNodeCount(t testing.TB) [][]byte {
+	p := sectionPayloads(t, wideSnapshot())
 	binary.LittleEndian.PutUint64(p[1][0:8], 1<<24)
 	return p
 }
 
+// A sketch payload opens with nine build fields and the point count, then
+// holds the points, M, the sign-word count and the sign words.
+const pointCountAt = 72
+
 // forgedSketchDim returns the sections of a valid snapshot whose sketch
 // claims d = 2^61 over no points: n·d wraps round to 0 for n = 8.
-func forgedSketchDim() [][]byte {
-	s := wideSnapshot()
-	s.SketchMeta.Dim, s.SketchMeta.Epsilon, s.Points = 1<<61, 0.5, nil
-	return sectionPayloads(s)
+func forgedSketchDim(t testing.TB) [][]byte {
+	p := sectionPayloads(t, wideSnapshot())
+	sk := p[2]
+	k := binary.LittleEndian.Uint64(sk[pointCountAt:])
+	binary.LittleEndian.PutUint64(sk[0:8], 1<<61)
+	binary.LittleEndian.PutUint64(sk[pointCountAt:], 0)
+	p[2] = append(sk[:pointCountAt+8:pointCountAt+8], sk[pointCountAt+8+8*k:]...)
+	return p
 }
 
 // forgedProjection returns the sections of a valid snapshot whose
 // projection does not fit its graph and sketch: edges counts other than the
 // graph's m, and word counts other than d·⌈m/64⌉.
-func forgedProjection() map[string][][]byte {
+func forgedProjection(t testing.TB) map[string][][]byte {
 	out := map[string][][]byte{}
-	for name, edit := range map[string]func(s *Snapshot){
-		"an edge short":  func(s *Snapshot) { s.SketchMeta.M-- },
-		"an edge over":   func(s *Snapshot) { s.SketchMeta.M++ },
-		"2^62 edges":     func(s *Snapshot) { s.SketchMeta.M = 1 << 62 },
-		"a word short":   func(s *Snapshot) { s.Signs = s.Signs[1:] },
-		"a row too many": func(s *Snapshot) { s.Signs = append(s.Signs, s.Signs[:sketch.SignWords(s.Graph.M())]...) },
-		"no projection":  func(s *Snapshot) { s.Signs = nil },
+	for name, edit := range map[string]func(m, k uint64, words []byte) (uint64, uint64, []byte){
+		"an edge short": func(m, k uint64, w []byte) (uint64, uint64, []byte) { return m - 1, k, w },
+		"an edge over":  func(m, k uint64, w []byte) (uint64, uint64, []byte) { return m + 1, k, w },
+		"2^62 edges":    func(m, k uint64, w []byte) (uint64, uint64, []byte) { return 1 << 62, k, w },
+		"a word short":  func(m, k uint64, w []byte) (uint64, uint64, []byte) { return m, k - 1, w[8:] },
+		"a row too many": func(m, k uint64, w []byte) (uint64, uint64, []byte) {
+			row := uint64(sketch.SignWords(int(m)))
+			return m, k + row, append(w, w[:8*row]...)
+		},
+		"no projection": func(m, k uint64, w []byte) (uint64, uint64, []byte) { return m, 0, nil },
 	} {
-		s := wideSnapshot()
-		edit(s)
-		out[name] = sectionPayloads(s)
+		p := sectionPayloads(t, wideSnapshot())
+		sk := p[2]
+		at := pointCountAt + 8 + 8*binary.LittleEndian.Uint64(sk[pointCountAt:]) // M
+		m, k, words := edit(binary.LittleEndian.Uint64(sk[at:]), binary.LittleEndian.Uint64(sk[at+8:]), sk[at+16:])
+		forged := binary.LittleEndian.AppendUint64(slices.Clone(sk[:at]), m)
+		forged = binary.LittleEndian.AppendUint64(forged, k)
+		p[2] = append(forged, words...)
+		out[name] = p
 	}
 	return out
 }
@@ -291,7 +357,7 @@ func forgedProjection() map[string][][]byte {
 // A projection whose shape does not match the graph section's m and the
 // sketch's d is corrupt, however its section CRC reads.
 func TestProjectionShapeMismatchRejected(t *testing.T) {
-	for name, p := range forgedProjection() {
+	for name, p := range forgedProjection(t) {
 		_, err := ReadSnapshot(frameSnapshot(p...))
 		if want := "projection of"; !errors.Is(err, ErrCorrupt) || !strings.Contains(err.Error(), want) {
 			t.Errorf("%s: err %v, want ErrCorrupt with %q", name, err, want)
@@ -304,8 +370,8 @@ func TestProjectionShapeMismatchRejected(t *testing.T) {
 func TestForgedCountsDoNotAllocate(t *testing.T) {
 	inputs := map[string][]byte{
 		"section count":    forgedSectionCount(),
-		"node count":       frameSnapshot(forgedNodeCount()...),
-		"sketch dimension": frameSnapshot(forgedSketchDim()...),
+		"node count":       frameSnapshot(forgedNodeCount(t)...),
+		"sketch dimension": frameSnapshot(forgedSketchDim(t)...),
 	}
 	var before, after runtime.MemStats
 	for name, b := range inputs {

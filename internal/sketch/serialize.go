@@ -31,16 +31,6 @@ func (s *Sketch) Meta() Meta {
 	}
 }
 
-// AppendPoints appends the embedding matrix to dst in node-major order
-// (n rows of d float64s) and returns the extended slice. Together with Meta
-// and Signs this is the full sketch state; Restore inverts it bit-exactly.
-func (s *Sketch) AppendPoints(dst []float64) []float64 {
-	for _, p := range s.pts {
-		dst = append(dst, p...)
-	}
-	return dst
-}
-
 // Signs returns the projection's sign bits: d rows of SignWords(M) words,
 // bit e of row i set when row i's entry for edge e (in CSR order) is
 // negative. Shared storage; read-only.
@@ -49,24 +39,27 @@ func (s *Sketch) Signs() []uint64 { return s.proj.bits }
 // SignWords is the number of words one projection row of m edges takes.
 func SignWords(m int) int { return (m + 63) / 64 }
 
-// Restore rebuilds a Sketch from serialized state. flat must hold exactly
-// n*d float64s in the node-major layout produced by AppendPoints, and signs
-// exactly d·SignWords(M) words as Signs returns them; Restore takes
-// ownership of both (the returned sketch aliases them). The result is
-// bit-identical to the sketch Meta/AppendPoints/Signs were called on, so
-// sketched resistances — and therefore eccentricity answers — match
-// exactly, and so do the updates applied to it.
+// Restore rebuilds a Sketch from serialized state, and is the one check of
+// its shape. flat must hold exactly n·d float64s in node-major order (n rows
+// of d, as Points lists them), and signs exactly d·SignWords(M) words as
+// Signs returns them; Restore takes ownership of both (the returned sketch
+// aliases them). Both lengths are compared by division, so no forged n, d
+// or M can wrap a product round to them, and nothing is sliced before they
+// hold. The result is bit-identical to the sketch Meta, Points and Signs
+// were read from, so sketched resistances — and therefore eccentricity
+// answers — match exactly, and so do the updates applied to it.
 func Restore(meta Meta, flat []float64, signs []uint64) (*Sketch, error) {
 	if meta.Dim <= 0 || meta.N < 0 || meta.M < 0 {
 		return nil, fmt.Errorf("sketch: restore: invalid shape d=%d n=%d m=%d", meta.Dim, meta.N, meta.M)
 	}
-	if len(flat) != meta.N*meta.Dim {
-		return nil, fmt.Errorf("sketch: restore: matrix has %d values, want n*d = %d",
-			len(flat), meta.N*meta.Dim)
+	if len(flat)%meta.Dim != 0 || len(flat)/meta.Dim != meta.N {
+		return nil, fmt.Errorf("sketch: restore: matrix has %d values, want n·d for n=%d d=%d",
+			len(flat), meta.N, meta.Dim)
 	}
-	if len(signs) != meta.Dim*SignWords(meta.M) {
-		return nil, fmt.Errorf("sketch: restore: projection has %d words, want d*⌈m/64⌉ = %d",
-			len(signs), meta.Dim*SignWords(meta.M))
+	words := SignWords(meta.M)
+	if len(signs)%meta.Dim != 0 || len(signs)/meta.Dim != words {
+		return nil, fmt.Errorf("sketch: restore: projection of %d edges in %d words, want d·⌈m/64⌉ for d=%d",
+			meta.M, len(signs), meta.Dim)
 	}
 	if meta.Epsilon <= 0 || meta.Epsilon >= 1 {
 		return nil, fmt.Errorf("%w, got %g", ErrBadEpsilon, meta.Epsilon)
@@ -78,7 +71,7 @@ func Restore(meta Meta, flat []float64, signs []uint64) (*Sketch, error) {
 		Seed:    meta.Seed,
 		Updates: meta.Updates,
 		Stats:   meta.Stats,
-		proj:    projection{d: meta.Dim, m: meta.M, words: SignWords(meta.M), bits: signs},
+		proj:    projection{d: meta.Dim, m: meta.M, words: words, bits: signs},
 	}
 	sk.pts = make([][]float64, meta.N)
 	d := meta.Dim
